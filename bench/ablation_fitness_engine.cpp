@@ -111,6 +111,19 @@ int main(int argc, char** argv) {
         {"analytic mem1-markov scalar", mem1, false, /*force_scalar=*/true});
     mem1.dedup = true;
     variants.push_back({"analytic mem1-markov + dedup", mem1});
+    // The sampled lane kernel (DESIGN.md §12): the paper's noisy
+    // memory-six pure play re-sampled every generation, where game play is
+    // nearly all of the work. 40 generations put the row well above the
+    // perf gate's noise floor; the forced-scalar twin pins the scalar
+    // pre-draw's cost the same way the mem1-markov twin does.
+    auto m6 = base;
+    m6.fitness_mode = core::FitnessMode::Sampled;
+    m6.memory = 6;
+    m6.game.noise = 0.02;
+    m6.generations = 40;
+    variants.push_back({"sampled m6 noisy", m6});
+    variants.push_back({"sampled m6 noisy scalar", m6, false,
+                        /*force_scalar=*/true});
   }
 
   struct Result {

@@ -48,7 +48,7 @@ inline std::string pct_str(double frac) {
   return buf;
 }
 
-/// Emit an egt.run_manifest/v3 next to a bench's primary output file
+/// Emit an egt.run_manifest/v4 next to a bench's primary output file
 /// (`<output_path>.manifest.json`), so a sweep's CSV always travels with
 /// the provenance needed to re-run it: tool, config summary, git describe,
 /// wall time and whatever metrics the bench recorded (e.g. a

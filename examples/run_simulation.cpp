@@ -10,7 +10,7 @@
 //   ./run_simulation ... --resume run.ckpt       # continue after a kill
 //   ./run_simulation ... --checkpoint-dir ckpts --checkpoint-every 1000
 //   ./run_simulation ... --restore ckpts         # newest intact checkpoint
-//   ./run_simulation ... --metrics-out m.json    # egt.run_manifest/v3
+//   ./run_simulation ... --metrics-out m.json    # egt.run_manifest/v4
 //   ./run_simulation ... --trace-out run.trace.json  # Perfetto flight record
 //   ./run_simulation ... --metrics-stream live.ndjson  # per-gen telemetry
 //   ./run_simulation ... --ranks 8 --metrics-out m.json   # + per-rank traffic
@@ -64,7 +64,7 @@ struct OutputPaths {
   std::string checkpoint_dir;  // rolling checkpoints (warn-and-continue)
   std::string resume;
   std::string manifest;     // legacy summary manifest (--manifest)
-  std::string metrics_out;  // egt.run_manifest/v3 (--metrics-out)
+  std::string metrics_out;  // egt.run_manifest/v4 (--metrics-out)
   std::string metrics_csv;  // per-phase time-series CSV (--metrics-csv)
   std::string fault_plan;   // egt.fault_plan/v1 JSON (--fault-plan)
   std::string trace_out;       // Chrome trace JSON (--trace-out)
@@ -208,7 +208,7 @@ egt::core::SimConfig build_config(egt::util::Cli& cli, int argc, char** argv,
       "manifest", "", "write a legacy JSON summary manifest here");
   auto metrics_out_opt = cli.opt<std::string>(
       "metrics-out", "",
-      "write an egt.run_manifest/v3 JSON (per-phase times, counters, "
+      "write an egt.run_manifest/v4 JSON (per-phase times, counters, "
       "traffic) here");
   auto metrics_csv_opt = cli.opt<std::string>(
       "metrics-csv", "",
@@ -457,7 +457,7 @@ void write_legacy_manifest(const std::string& path,
   out << "\n";
 }
 
-/// Shared config block of the egt.run_manifest/v3 output.
+/// Shared config block of the egt.run_manifest/v4 output.
 egt::obs::ManifestInfo manifest_info(const egt::core::SimConfig& cfg,
                                      int ranks, double wall_seconds) {
   using namespace egt;

@@ -91,6 +91,75 @@ double PairEvaluator::payoff(const pop::Population& pop, pop::SSetId i,
   return engine_.play(si, sj, rng).payoff_a;
 }
 
+void PairEvaluator::payoffs(const pop::Population& pop,
+                            std::span<const Pair> pairs,
+                            std::uint64_t gen_key,
+                            std::span<double> out) const {
+  EGT_REQUIRE(out.size() >= pairs.size());
+  EGT_REQUIRE_MSG(config_.game.kind != game::GameKind::PublicGoods,
+                  "public goods fitness is group-pooled, not pairwise");
+  // Mem1Markov pairs gather into one SoA batch fed from the population's
+  // class table, binary stream pairs into one lane-kernel batch; the
+  // *_slot vectors map each batch entry back to its position in `pairs`.
+  thread_local game::batch::Mem1Batch mem1;
+  thread_local std::vector<std::size_t> mem1_slot;
+  thread_local std::vector<double> mem1_out;
+  thread_local std::vector<game::batch::StreamGame> games;
+  thread_local std::vector<std::size_t> game_slot;
+  thread_local std::vector<game::GameResult> game_out;
+  mem1.clear();
+  mem1_slot.clear();
+  games.clear();
+  game_slot.clear();
+  // The LinearSearch ablation keeps the paper's round loop per pair.
+  const bool lanes = engine_.lookup_mode() == game::LookupMode::Indexed &&
+                     !config_.game.uses_nway();
+  for (std::size_t t = 0; t < pairs.size(); ++t) {
+    const auto [i, j] = pairs[t];
+    const game::Strategy& si = pop.strategy(i);
+    const game::Strategy& sj = pop.strategy(j);
+    const Route r = route(si, sj);
+    if (r == Route::Mem1Markov &&
+        pop.mem1_batchable(pop.strategy_class(i)) &&
+        pop.mem1_batchable(pop.strategy_class(j))) {
+      mem1.push_probs(pop.mem1_probs(pop.strategy_class(i)),
+                      pop.mem1_probs(pop.strategy_class(j)),
+                      config_.game.noise);
+      mem1_slot.push_back(t);
+    } else if (r == Route::SampledStream && lanes && si.is_pure() &&
+               sj.is_pure() && config_.game.noise == 0.0) {
+      // Deterministic game: nothing to draw, so no stream to key.
+      out[t] = game::batch::run_pure_game(si.as_pure(), sj.as_pure(),
+                                          config_.game.payoff,
+                                          config_.game.rounds)
+                   .payoff_a;
+    } else if (r == Route::SampledStream && lanes) {
+      games.push_back({game::batch::Player::of(si),
+                       game::batch::Player::of(sj),
+                       util::StreamRng(config_.seed,
+                                       util::stream_key(gen_key, i, j))});
+      game_slot.push_back(t);
+    } else {
+      out[t] = payoff(pop, i, j, gen_key);
+    }
+  }
+  if (!mem1.empty()) {
+    if (mem1_out.size() < mem1.size()) mem1_out.resize(mem1.size());
+    mem1_batch_payoffs(mem1, {mem1_out.data(), mem1.size()});
+    for (std::size_t k = 0; k < mem1_slot.size(); ++k) {
+      out[mem1_slot[k]] = mem1_out[k];
+    }
+  }
+  if (!games.empty()) {
+    if (game_out.size() < games.size()) game_out.resize(games.size());
+    game::batch::play_stream_games(games, config_.memory, engine_.params(),
+                                   game_out);
+    for (std::size_t k = 0; k < game_slot.size(); ++k) {
+      out[game_slot[k]] = game_out[k].payoff_a;
+    }
+  }
+}
+
 BlockFitness::BlockFitness(const SimConfig& config, pop::SSetId row_begin,
                            pop::SSetId row_end,
                            std::shared_ptr<const pop::InteractionGraph> graph,
@@ -102,10 +171,7 @@ BlockFitness::BlockFitness(const SimConfig& config, pop::SSetId row_begin,
       end_(row_end),
       dedup_(config.dedup && config.fitness_mode == FitnessMode::Analytic &&
              config.game.kind != game::GameKind::PublicGoods),
-      pgg_(config.game.kind == game::GameKind::PublicGoods),
-      row_batchable_(config.fitness_mode == FitnessMode::Analytic && !pgg_ &&
-                     !game::spec::requires_spec_chain(config.game) &&
-                     config.memory == 1) {
+      pgg_(config.game.kind == game::GameKind::PublicGoods) {
   EGT_REQUIRE(row_begin <= row_end && row_end <= config.ssets);
   if (metrics != nullptr) {
     ct_cache_inserts_ = &metrics->counter("fitness.cache_inserts");
@@ -118,7 +184,6 @@ BlockFitness::BlockFitness(const SimConfig& config, pop::SSetId row_begin,
                    0.0);
   }
   if (config.agent_threads > 0) {
-    row_scratch_.assign(config_.ssets, 0.0);
     agent_pool_ = std::make_unique<par::ThreadPool>(config.agent_threads);
   }
   if (config.sset_threads > 0 && end_ > begin_) {
@@ -210,30 +275,53 @@ void BlockFitness::recompute_row_pgg(pop::SSetId i, const pop::Population& pop,
   fitness_[i - begin_] = sum * row_scale(i);
 }
 
-double BlockFitness::pair_value(const pop::Population& pop, pop::SSetId i,
-                                pop::SSetId j, std::uint64_t gen_key,
-                                std::uint64_t& games, bool allow_insert) {
-  if (dedup_) {
-    const auto& classes = pop.classes();
-    const pop::StrategyClass& ci = classes[pop.strategy_class(i)];
-    const pop::StrategyClass& cj = classes[pop.strategy_class(j)];
-    if (eval_.strategy_pure(ci.strategy, cj.strategy)) {
-      const std::uint64_t key = game::Strategy::pair_key(ci.hash, cj.hash);
-      const auto it = class_pay_.find(key);
-      if (it != class_pay_.end()) return it->second.payoff;
-      const double v = eval_.pair_payoff(ci.strategy, cj.strategy);
-      ++games;
-      // Pool workers run behind a prefill and must not mutate the cache;
-      // recomputing a rare miss is correct either way (pure function).
-      if (allow_insert) {
-        class_pay_.emplace(key, ClassPay{v, ci.hash, cj.hash});
-        if (ct_cache_inserts_ != nullptr) ct_cache_inserts_->inc();
-      }
-      return v;
+void BlockFitness::pair_values(const pop::Population& pop,
+                               std::span<const PairEvaluator::Pair> pairs,
+                               std::uint64_t gen_key, std::span<double> out,
+                               std::uint64_t& games, bool allow_insert) {
+  if (!dedup_) {
+    eval_.payoffs(pop, pairs, gen_key, out);
+    games += pairs.size();
+    return;
+  }
+  // Strategy-pure pairs come from the class-pair cache, in pair order (a
+  // miss plays the one game and, when allowed, caches it for the pairs
+  // after it); the rest share one batched evaluation.
+  thread_local std::vector<PairEvaluator::Pair> rest;
+  thread_local std::vector<std::size_t> slot;
+  thread_local std::vector<double> vals;
+  rest.clear();
+  slot.clear();
+  const auto& classes = pop.classes();
+  for (std::size_t t = 0; t < pairs.size(); ++t) {
+    const pop::StrategyClass& ci = classes[pop.strategy_class(pairs[t].first)];
+    const pop::StrategyClass& cj =
+        classes[pop.strategy_class(pairs[t].second)];
+    if (!eval_.strategy_pure(ci.strategy, cj.strategy)) {
+      rest.push_back(pairs[t]);
+      slot.push_back(t);
+      continue;
+    }
+    const std::uint64_t key = game::Strategy::pair_key(ci.hash, cj.hash);
+    const auto it = class_pay_.find(key);
+    if (it != class_pay_.end()) {
+      out[t] = it->second.payoff;
+      continue;
+    }
+    out[t] = eval_.pair_payoff(ci.strategy, cj.strategy);
+    ++games;
+    // Pool workers run behind a prefill and must not mutate the cache;
+    // recomputing a rare miss is correct either way (pure function).
+    if (allow_insert) {
+      class_pay_.emplace(key, ClassPay{out[t], ci.hash, cj.hash});
+      if (ct_cache_inserts_ != nullptr) ct_cache_inserts_->inc();
     }
   }
-  ++games;
-  return eval_.payoff(pop, i, j, gen_key);
+  if (rest.empty()) return;
+  if (vals.size() < rest.size()) vals.resize(rest.size());
+  eval_.payoffs(pop, rest, gen_key, {vals.data(), rest.size()});
+  games += rest.size();
+  for (std::size_t k = 0; k < slot.size(); ++k) out[slot[k]] = vals[k];
 }
 
 void BlockFitness::prefill_pair(const pop::Population& pop, pop::ClassId cr,
@@ -317,116 +405,44 @@ void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
       prefill_class(pop, ci);
     }
   }
-  double sum = 0.0;
+  // The row's pairs in the fixed order its sum walks: neighbours in list
+  // order (structured), or every j != i ascending (well-mixed).
+  thread_local std::vector<PairEvaluator::Pair> pairs;
+  thread_local std::vector<double> vals;
+  pairs.clear();
   if (structured()) {
-    // Structured population: only neighbours play.
-    const std::span<const pop::SSetId> nbrs = graph_->neighbors(i);
-    if (use_agent_pool) {
-      // Agent tier for structured rows: the neighbour games run
-      // concurrently into the scratch buffer (indexed by neighbour
-      // position); the reduction then walks the neighbour list in its
-      // fixed order — bit-identical to the serial loop.
-      std::atomic<std::uint64_t> games{0};
-      agent_pool_->parallel_for(
-          nbrs.size(), [&](std::uint64_t b, std::uint64_t e) {
-            std::uint64_t g = 0;
-            for (std::uint64_t t = b; t < e; ++t) {
-              row_scratch_[t] =
-                  pair_value(pop, i, nbrs[t], gen_key, g, false);
-            }
-            games.fetch_add(g, std::memory_order_relaxed);
-          });
-      counts.games += games.load(std::memory_order_relaxed);
-      counts.pairs += nbrs.size();
-      for (std::size_t t = 0; t < nbrs.size(); ++t) {
-        const double v = row_scratch_[t];
-        if (cached()) matrix_[row * config_.ssets + nbrs[t]] = v;
-        sum += v;
-      }
-    } else {
-      for (pop::SSetId j : nbrs) {
-        const double v = pair_value(pop, i, j, gen_key, counts.games, !nested);
-        ++counts.pairs;
-        if (cached()) matrix_[row * config_.ssets + j] = v;
-        sum += v;
-      }
-    }
-    fitness_[row] = sum * row_scale(i);
-    return;
-  }
-  if (row_batchable_ && !dedup_ && !use_agent_pool) {
-    // SoA row batch (DESIGN.md §12): every Mem1Markov pair of this row
-    // goes through one batch kernel call, fed from the interned class
-    // table's SoA view; other routes (PureExact walker, rare mixed-in
-    // pure pairs) fall back to per-pair evaluation. The final sum still
-    // walks j in fixed order over the same per-pair values — one kernel
-    // per process and batch-size-independent lanes make this
-    // bit-identical to the per-pair loop.
-    thread_local game::batch::Mem1Batch batch;
-    thread_local std::vector<double> vals;
-    thread_local std::vector<double> bvals;
-    thread_local std::vector<pop::SSetId> bj;
-    batch.clear();
-    bj.clear();
-    if (vals.size() < config_.ssets) vals.resize(config_.ssets);
-    const game::Strategy& si = pop.strategy(i);
-    const pop::ClassId ci = pop.strategy_class(i);
+    for (pop::SSetId j : graph_->neighbors(i)) pairs.emplace_back(i, j);
+  } else {
     for (pop::SSetId j = 0; j < config_.ssets; ++j) {
-      if (j == i) continue;
-      const pop::ClassId cj = pop.strategy_class(j);
-      if (eval_.route(si, pop.strategy(j)) ==
-              PairEvaluator::Route::Mem1Markov &&
-          pop.mem1_batchable(ci) && pop.mem1_batchable(cj)) {
-        batch.push_probs(pop.mem1_probs(ci), pop.mem1_probs(cj),
-                         config_.game.noise);
-        bj.push_back(j);
-      } else {
-        vals[j] = pair_value(pop, i, j, gen_key, counts.games, !nested);
-      }
+      if (j != i) pairs.emplace_back(i, j);
     }
-    if (bvals.size() < batch.size()) bvals.resize(batch.size());
-    eval_.mem1_batch_payoffs(batch, {bvals.data(), batch.size()});
-    counts.games += bj.size();  // one expected-payoff evaluation per pair
-    for (std::size_t k = 0; k < bj.size(); ++k) vals[bj[k]] = bvals[k];
-    for (pop::SSetId j = 0; j < config_.ssets; ++j) {
-      if (j == i) continue;
-      ++counts.pairs;
-      if (cached()) matrix_[row * config_.ssets + j] = vals[j];
-      sum += vals[j];
-    }
-    fitness_[row] = sum * row_scale(i);
-    return;
   }
+  vals.resize(pairs.size());
   if (use_agent_pool) {
-    // Agent tier: the row's games run concurrently into a buffer; the sum
-    // is then taken in fixed j order, so the result is bit-identical to
-    // the serial path.
+    // Agent tier: contiguous chunks of the row run concurrently, each as
+    // one batched evaluation into its slice of `vals`; batching never
+    // changes a pair's value, so the ordered sum below is bit-identical
+    // to the serial path. (Workers see their own thread_locals, so they
+    // get this thread's buffers as spans.)
+    const std::span<const PairEvaluator::Pair> row_pairs = pairs;
+    const std::span<double> row_vals = vals;
     std::atomic<std::uint64_t> games{0};
     agent_pool_->parallel_for(
-        config_.ssets, [&](std::uint64_t b, std::uint64_t e) {
+        row_pairs.size(), [&](std::uint64_t b, std::uint64_t e) {
           std::uint64_t g = 0;
-          for (std::uint64_t j = b; j < e; ++j) {
-            if (j == i) continue;
-            row_scratch_[j] = pair_value(pop, i, static_cast<pop::SSetId>(j),
-                                         gen_key, g, false);
-          }
+          pair_values(pop, row_pairs.subspan(b, e - b), gen_key,
+                      row_vals.subspan(b, e - b), g, false);
           games.fetch_add(g, std::memory_order_relaxed);
         });
     counts.games += games.load(std::memory_order_relaxed);
-    counts.pairs += config_.ssets - 1;
-    for (pop::SSetId j = 0; j < config_.ssets; ++j) {
-      if (j == i) continue;
-      if (cached()) matrix_[row * config_.ssets + j] = row_scratch_[j];
-      sum += row_scratch_[j];
-    }
   } else {
-    for (pop::SSetId j = 0; j < config_.ssets; ++j) {
-      if (j == i) continue;
-      const double v = pair_value(pop, i, j, gen_key, counts.games, !nested);
-      ++counts.pairs;
-      if (cached()) matrix_[row * config_.ssets + j] = v;
-      sum += v;
-    }
+    pair_values(pop, pairs, gen_key, vals, counts.games, !nested);
+  }
+  counts.pairs += pairs.size();
+  double sum = 0.0;
+  for (std::size_t t = 0; t < pairs.size(); ++t) {
+    if (cached()) matrix_[row * config_.ssets + pairs[t].second] = vals[t];
+    sum += vals[t];
   }
   fitness_[row] = sum * row_scale(i);
 }
@@ -514,19 +530,28 @@ void BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
   if (k >= begin_ && k < end_) {
     recompute_row(k, pop, generation, counts, false);
   }
+  // Column refresh: every owned (i, k) in one batched evaluation. The
+  // fresh value comes from the class-pair cache when the pair is
+  // strategy-pure (one game per new class pair), and matrix_ still holds
+  // the pre-change value, so the fitness delta needs no old-class
+  // bookkeeping.
+  thread_local std::vector<PairEvaluator::Pair> pairs;
+  thread_local std::vector<double> fresh;
+  pairs.clear();
   for (pop::SSetId i = begin_; i < end_; ++i) {
     if (i == k) continue;
     if (structured() && !graph_->are_neighbors(i, k)) continue;
+    pairs.emplace_back(i, k);
+  }
+  fresh.resize(pairs.size());
+  pair_values(pop, pairs, generation, fresh, counts.games, true);
+  counts.pairs += pairs.size();
+  for (std::size_t t = 0; t < pairs.size(); ++t) {
+    const pop::SSetId i = pairs[t].first;
     const std::size_t idx =
         static_cast<std::size_t>(i - begin_) * config_.ssets + k;
-    // Incremental class-delta update: the fresh value comes from the
-    // class-pair cache when the pair is strategy-pure (one game per new
-    // class pair), and matrix_ still holds the pre-change value, so the
-    // fitness delta needs no old-class bookkeeping.
-    const double fresh = pair_value(pop, i, k, generation, counts.games, true);
-    ++counts.pairs;
-    fitness_[i - begin_] += (fresh - matrix_[idx]) * row_scale(i);
-    matrix_[idx] = fresh;
+    fitness_[i - begin_] += (fresh[t] - matrix_[idx]) * row_scale(i);
+    matrix_[idx] = fresh[t];
   }
   pairs_ += counts.pairs;
   games_ += counts.games;

@@ -38,6 +38,7 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -66,7 +67,8 @@ class PairEvaluator {
     Mem1Markov,     ///< memory-one analytic: SoA batch kernel
                     ///< (batch::expected_totals_mem1, AVX2 or scalar)
     SampledStream,  ///< (gen_key, i, j)-keyed stream play — never
-                    ///< deduplicated, never batched
+                    ///< deduplicated; binary games run through the
+                    ///< sampled lane kernel (batch::play_stream_games)
   };
   Route route(const game::Strategy& si,
               const game::Strategy& sj) const noexcept;
@@ -82,6 +84,17 @@ class PairEvaluator {
   /// expectation and gen_key is ignored where exact methods apply.
   double payoff(const pop::Population& pop, pop::SSetId i, pop::SSetId j,
                 std::uint64_t gen_key) const;
+
+  /// An ordered SSet pair (row player, column player).
+  using Pair = std::pair<pop::SSetId, pop::SSetId>;
+
+  /// Batch twin of payoff(): out[t] = payoff(pop, pairs[t].first,
+  /// pairs[t].second, gen_key), bitwise. Mem1Markov pairs share one SoA
+  /// kernel call and binary SampledStream pairs one sampled lane-kernel
+  /// call; the rest (n-way, PureExact, the LinearSearch ablation) evaluate
+  /// one by one.
+  void payoffs(const pop::Population& pop, std::span<const Pair> pairs,
+               std::uint64_t gen_key, std::span<double> out) const;
 
   /// Dedup-eligibility rule: true when payoff(·) for this strategy pair is
   /// a pure function of (si, sj) — an exact method applies in Analytic
@@ -221,14 +234,16 @@ class BlockFitness {
   void recompute_row_pgg(pop::SSetId i, const pop::Population& pop,
                          std::uint64_t gen_key, Counts& counts);
 
-  /// Value of ordered pair (i, j), bit-identical to eval_.payoff. In
-  /// dedup mode, strategy-pure pairs are answered from the class-pair
-  /// cache (a miss plays the one game and, when `allow_insert`, caches
-  /// it — insertion is forbidden from pool workers, which run behind a
-  /// prefill instead). `games` counts actual evaluations.
-  double pair_value(const pop::Population& pop, pop::SSetId i, pop::SSetId j,
-                    std::uint64_t gen_key, std::uint64_t& games,
-                    bool allow_insert);
+  /// Values of ordered pairs, out[t] bit-identical to eval_.payoff on
+  /// pairs[t]. In dedup mode, strategy-pure pairs are answered from the
+  /// class-pair cache (a miss plays the one game and, when `allow_insert`,
+  /// caches it — insertion is forbidden from pool workers, which run
+  /// behind a prefill instead); every other pair goes through one
+  /// eval_.payoffs batch. `games` counts actual evaluations.
+  void pair_values(const pop::Population& pop,
+                   std::span<const PairEvaluator::Pair> pairs,
+                   std::uint64_t gen_key, std::span<double> out,
+                   std::uint64_t& games, bool allow_insert);
 
   /// Cache the (cr, cc) payoff if the pair is strategy-pure and missing
   /// (serial; run before handing rows to a pool).
@@ -240,7 +255,7 @@ class BlockFitness {
   void prefill_class(const pop::Population& pop, pop::ClassId cr);
 
   /// recompute_row with `nested` set runs inside the SSet-row pool: it
-  /// must not touch shared scratch (agent tier) or mutate the cache.
+  /// must not use the agent tier or mutate the cache.
   void recompute_row(pop::SSetId i, const pop::Population& pop,
                      std::uint64_t gen_key, Counts& counts, bool nested);
 
@@ -266,13 +281,8 @@ class BlockFitness {
   pop::SSetId end_;
   bool dedup_ = false;
   bool pgg_ = false;  ///< GameKind::PublicGoods: group-pooled fitness
-  /// Analytic binary-game memory-one config: well-mixed non-dedup rows run
-  /// through the SoA row batch (one kernel call per row) instead of
-  /// per-pair evaluation.
-  bool row_batchable_ = false;
   std::vector<double> fitness_;         // per owned row (scaled sums)
   std::vector<double> matrix_;          // cached modes: rows x ssets payoffs
-  std::vector<double> row_scratch_;     // agent-tier evaluation buffer
   std::unique_ptr<par::ThreadPool> agent_pool_;  // paper's second tier
   std::unique_ptr<par::ThreadPool> sset_pool_;   // SSet-row tier
   // Dedup class-pair cache: Strategy::pair_key(a, b) → payoff.

@@ -1,5 +1,6 @@
 #include "game/batch.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "game/simd.hpp"
@@ -195,12 +196,11 @@ GameResult result_at(const PureScratch& s, std::uint32_t t0, std::uint32_t t1,
 /// Cycle-detecting walker shared by the analytic and sampled fast paths.
 /// Both strategies' views are maintained as packed states; the next move
 /// is a branchless word-indexed bit read of the packed strategy table.
-GameResult walk_pure_cycle(const PureStrategy& a, const PureStrategy& b,
-                           const PayoffMatrix& payoff, std::uint32_t rounds) {
-  const std::uint32_t states = num_states(a.memory());
+GameResult walk_pure_cycle(const std::uint64_t* wa, const std::uint64_t* wb,
+                           int memory, const PayoffMatrix& payoff,
+                           std::uint32_t rounds) {
+  const std::uint32_t states = num_states(memory);
   const State mask = states - 1;
-  const std::uint64_t* wa = a.table().words().data();
-  const std::uint64_t* wb = b.table().words().data();
   // o = 2 * (A defects) + (B defects): pay_a[o] == payoff.payoff(ma, mb).
   const double pay_a[4] = {payoff.reward, payoff.sucker, payoff.temptation,
                            payoff.punishment};
@@ -244,30 +244,18 @@ GameResult walk_pure_cycle(const PureStrategy& a, const PureStrategy& b,
   }
 }
 
-}  // namespace
-
-GameResult exact_pure_game_fast(const PureStrategy& a, const PureStrategy& b,
-                                const PayoffMatrix& payoff,
-                                std::uint32_t rounds) {
-  EGT_REQUIRE(a.memory() == b.memory());
-  EGT_REQUIRE(rounds > 0);
-  return walk_pure_cycle(a, b, payoff, rounds);
-}
-
-GameResult run_pure_game(const PureStrategy& a, const PureStrategy& b,
-                         const PayoffMatrix& payoff, std::uint32_t rounds) {
-  EGT_REQUIRE(a.memory() == b.memory());
-  EGT_REQUIRE(rounds > 0);
+/// run_pure_game over raw packed move tables.
+GameResult run_pure_tables(const std::uint64_t* wa, const std::uint64_t* wb,
+                           int memory, const PayoffMatrix& payoff,
+                           std::uint32_t rounds) {
   if (integer_exact_payoff(payoff, rounds)) {
     // Every partial sum is an exact integer, so the cycle closed form
     // reproduces the sequential loop's totals bit-for-bit.
-    return walk_pure_cycle(a, b, payoff, rounds);
+    return walk_pure_cycle(wa, wb, memory, payoff, rounds);
   }
   // Non-integral payoffs: replay every round through the packed walker,
   // accumulating in loop order — bitwise identical to the IpdEngine loop.
-  const State mask = num_states(a.memory()) - 1;
-  const std::uint64_t* wa = a.table().words().data();
-  const std::uint64_t* wb = b.table().words().data();
+  const State mask = num_states(memory) - 1;
   const double pay_a[4] = {payoff.reward, payoff.sucker, payoff.temptation,
                            payoff.punishment};
   const double pay_b[4] = {payoff.reward, payoff.temptation, payoff.sucker,
@@ -288,6 +276,247 @@ GameResult run_pure_game(const PureStrategy& a, const PureStrategy& b,
     sb = static_cast<State>(((sb << 2) | (2 * bb + ba)) & mask);
   }
   return res;
+}
+
+}  // namespace
+
+GameResult exact_pure_game_fast(const PureStrategy& a, const PureStrategy& b,
+                                const PayoffMatrix& payoff,
+                                std::uint32_t rounds) {
+  EGT_REQUIRE(a.memory() == b.memory());
+  EGT_REQUIRE(rounds > 0);
+  return walk_pure_cycle(a.table().words().data(), b.table().words().data(),
+                         a.memory(), payoff, rounds);
+}
+
+GameResult run_pure_game(const PureStrategy& a, const PureStrategy& b,
+                         const PayoffMatrix& payoff, std::uint32_t rounds) {
+  EGT_REQUIRE(a.memory() == b.memory());
+  EGT_REQUIRE(rounds > 0);
+  return run_pure_tables(a.table().words().data(), b.table().words().data(),
+                         a.memory(), payoff, rounds);
+}
+
+// -- sampled lane kernel ------------------------------------------------------
+
+Player Player::of(const Strategy& s) {
+  EGT_REQUIRE_MSG(!s.is_nway(),
+                  "n-way strategies play via the spec engine, not Move");
+  return s.is_pure() ? of(s.as_pure()) : of(s.as_mixed());
+}
+
+std::uint64_t unit_threshold(double p) noexcept {
+  // p * 2^53 only shifts the exponent, so it is exact; k * 2^-53 < p for an
+  // integer k < 2^53 holds exactly when k < ceil(p * 2^53).
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
+
+void predraw_block_scalar(const std::uint64_t* origin, std::size_t lanes,
+                          const DrawLayout& layout, std::uint64_t first_round,
+                          std::uint32_t rounds, std::uint64_t noise_threshold,
+                          DrawBlock& out) {
+  const DrawLayout lay = layout;  // a local: stores to `out` cannot alias it
+  std::fill_n(out.flip, rounds, std::uint16_t{0});
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const std::uint64_t o = origin[l];
+    // Draws are 1-based: slot 0 of round r is draw r * per_round + 1.
+    std::uint64_t c = first_round * lay.per_round + 1;
+    const auto draw = [&](int slot) {
+      return util::StreamRng::at(o, c + static_cast<std::uint64_t>(slot));
+    };
+    const auto flips = [&](int slot) -> unsigned {
+      return slot >= 0 && (draw(slot) >> 11) < noise_threshold;
+    };
+    for (std::uint32_t t = 0; t < rounds; ++t, c += lay.per_round) {
+      if (lay.move_a >= 0) out.move_a[t][l] = draw(lay.move_a);
+      if (lay.move_b >= 0) out.move_b[t][l] = draw(lay.move_b);
+      const unsigned x = 2 * flips(lay.noise_a) + flips(lay.noise_b);
+      out.flip[t] = static_cast<std::uint16_t>(out.flip[t] | x << (2 * l));
+    }
+  }
+}
+
+void predraw_block(const std::uint64_t* origin, std::size_t lanes,
+                   const DrawLayout& layout, std::uint64_t first_round,
+                   std::uint32_t rounds, std::uint64_t noise_threshold,
+                   DrawBlock& out) {
+#if defined(EGT_SIMD_AVX2)
+  // One and two lanes would leave most of a register idle; the scalar
+  // twin is faster there and gives the same bits.
+  if (lanes % 4 == 0 && simd::active_kernel() == simd::Kernel::Avx2) {
+    predraw_block_avx2(origin, lanes, layout, first_round, rounds,
+                       noise_threshold, out);
+    return;
+  }
+#endif
+  predraw_block_scalar(origin, lanes, layout, first_round, rounds,
+                       noise_threshold, out);
+}
+
+#if !defined(EGT_SIMD_AVX2)
+void predraw_block_avx2(const std::uint64_t*, std::size_t, const DrawLayout&,
+                        std::uint64_t, std::uint32_t, std::uint64_t,
+                        DrawBlock&) {
+  EGT_REQUIRE_MSG(false, "AVX2 pre-draw not compiled in (EGT_SIMD=OFF)");
+}
+#endif
+
+namespace {
+
+/// Per-lane walker state of L interleaved games.
+template <std::size_t L>
+struct Lanes {
+  Player a[L];
+  Player b[L];
+  std::uint64_t origin[L];
+  State sa[L];
+  State sb[L];
+  double pay_a[L];
+  double pay_b[L];
+  std::uint64_t coop[L];  ///< coop_a in the low 32 bits, coop_b above
+};
+
+/// Walk `rounds` rounds of one pre-drawn block: the packed-state step of
+/// run_pure_game per lane, with mixed moves read from the drawn values and
+/// noise applied as an XOR of the round's flip bits into the outcome.
+/// Each lane accumulates in round order, exactly like the IpdEngine loop.
+template <std::size_t L, bool MixA, bool MixB>
+void walk_block(Lanes<L>& g, const DrawBlock& d, std::uint32_t rounds,
+                State mask, const double* pay_a, const double* pay_b) {
+  // Indexed by the outcome o: B's view of it, and both cooperation
+  // counters' increments in one word (rounds < 2^32, so no carry).
+  constexpr State kSwap[4] = {0, 2, 1, 3};
+  constexpr std::uint64_t kCoop[4] = {1 | 1ULL << 32, 1, 1ULL << 32, 0};
+  for (std::uint32_t t = 0; t < rounds; ++t) {
+    const unsigned flip = d.flip[t];
+#pragma GCC unroll 8
+    for (std::size_t l = 0; l < L; ++l) {
+      const State sa = g.sa[l];
+      const State sb = g.sb[l];
+      std::uint64_t da;  // 1 = A defects
+      std::uint64_t db;
+      if constexpr (MixA) {
+        da = util::to_unit_double(d.move_a[t][l]) < g.a[l].coop[sa] ? 0u : 1u;
+      } else {
+        da = (g.a[l].bits[sa >> 6] >> (sa & 63)) & 1u;
+      }
+      if constexpr (MixB) {
+        db = util::to_unit_double(d.move_b[t][l]) < g.b[l].coop[sb] ? 0u : 1u;
+      } else {
+        db = (g.b[l].bits[sb >> 6] >> (sb & 63)) & 1u;
+      }
+      const std::uint64_t o = (2 * da + db) ^ ((flip >> (2 * l)) & 3u);
+      g.pay_a[l] += pay_a[o];
+      g.pay_b[l] += pay_b[o];
+      g.coop[l] += kCoop[o];
+      g.sa[l] = static_cast<State>(((sa << 2) | o) & mask);
+      g.sb[l] = static_cast<State>(((sb << 2) | kSwap[o]) & mask);
+    }
+  }
+}
+
+/// Play L games (games[ids[0..L)]) to completion, block by block, with
+/// `d` as the pre-draw buffer.
+template <std::size_t L, bool MixA, bool MixB>
+void play_lanes(const StreamGame* games, const std::uint32_t* ids,
+                const DrawLayout& layout, std::uint64_t noise_threshold,
+                State mask, const IpdParams& params, DrawBlock& d,
+                GameResult* out) {
+  Lanes<L> g{};
+  for (std::size_t l = 0; l < L; ++l) {
+    const StreamGame& game = games[ids[l]];
+    g.a[l] = game.a;
+    g.b[l] = game.b;
+    g.origin[l] = game.rng.origin();
+    g.sa[l] = StateCodec::initial();
+    g.sb[l] = StateCodec::initial();
+  }
+  const PayoffMatrix& m = params.payoff;
+  const double pay_a[4] = {m.reward, m.sucker, m.temptation, m.punishment};
+  const double pay_b[4] = {m.reward, m.temptation, m.sucker, m.punishment};
+  for (std::uint64_t r0 = 0; r0 < params.rounds; r0 += kBlockRounds) {
+    const auto rounds = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(kBlockRounds, params.rounds - r0));
+    predraw_block(g.origin, L, layout, r0, rounds, noise_threshold, d);
+    walk_block<L, MixA, MixB>(g, d, rounds, mask, pay_a, pay_b);
+  }
+  for (std::size_t l = 0; l < L; ++l) {
+    GameResult& res = out[ids[l]];
+    res.rounds = params.rounds;
+    res.payoff_a = g.pay_a[l];
+    res.payoff_b = g.pay_b[l];
+    res.coop_a = static_cast<std::uint32_t>(g.coop[l]);
+    res.coop_b = static_cast<std::uint32_t>(g.coop[l] >> 32);
+  }
+}
+
+/// All games of one player-kind combination: full groups of kLanes, then
+/// the remainder in groups of 4, 2 and 1.
+template <bool MixA, bool MixB>
+void play_kind(const StreamGame* games, std::span<const std::uint32_t> ids,
+               int memory, const IpdParams& params, GameResult* out) {
+  if (ids.empty()) return;
+  DrawLayout layout;
+  int slot = 0;
+  if (MixA) layout.move_a = slot++;
+  if (MixB) layout.move_b = slot++;
+  if (params.noise > 0.0) {
+    layout.noise_a = slot++;
+    layout.noise_b = slot++;
+  }
+  layout.per_round = static_cast<std::uint32_t>(slot);
+  const std::uint64_t threshold = unit_threshold(params.noise);
+  const State mask = num_states(memory) - 1;
+  thread_local DrawBlock d;  // 8 KiB, zeroed once per thread
+  std::size_t k = 0;
+  for (; k + kLanes <= ids.size(); k += kLanes) {
+    play_lanes<kLanes, MixA, MixB>(games, ids.data() + k, layout, threshold,
+                                   mask, params, d, out);
+  }
+  if (k + 4 <= ids.size()) {
+    play_lanes<4, MixA, MixB>(games, ids.data() + k, layout, threshold, mask,
+                              params, d, out);
+    k += 4;
+  }
+  if (k + 2 <= ids.size()) {
+    play_lanes<2, MixA, MixB>(games, ids.data() + k, layout, threshold, mask,
+                              params, d, out);
+    k += 2;
+  }
+  if (k < ids.size()) {
+    play_lanes<1, MixA, MixB>(games, ids.data() + k, layout, threshold, mask,
+                              params, d, out);
+  }
+}
+
+}  // namespace
+
+void play_stream_games(std::span<const StreamGame> games, int memory,
+                       const IpdParams& params, std::span<GameResult> out) {
+  EGT_REQUIRE(out.size() >= games.size());
+  EGT_REQUIRE(memory >= 0 && memory <= kMaxMemory);
+  EGT_REQUIRE(params.rounds > 0);
+  // Lanes of one walk share a draw layout, so games are grouped by which
+  // side is mixed (index 2 * mixed_a + mixed_b).
+  thread_local std::vector<std::uint32_t> by_kind[4];
+  for (auto& ids : by_kind) ids.clear();
+  for (std::size_t k = 0; k < games.size(); ++k) {
+    const StreamGame& g = games[k];
+    const bool mixed_a = g.a.coop != nullptr;
+    const bool mixed_b = g.b.coop != nullptr;
+    if (!mixed_a && !mixed_b && params.noise == 0.0) {
+      // Deterministic game: the cycle walker, which draws nothing.
+      out[k] = run_pure_tables(g.a.bits, g.b.bits, memory, params.payoff,
+                               params.rounds);
+      continue;
+    }
+    by_kind[2 * mixed_a + mixed_b].push_back(static_cast<std::uint32_t>(k));
+  }
+  const StreamGame* data = games.data();
+  play_kind<false, false>(data, by_kind[0], memory, params, out.data());
+  play_kind<false, true>(data, by_kind[1], memory, params, out.data());
+  play_kind<true, false>(data, by_kind[2], memory, params, out.data());
+  play_kind<true, true>(data, by_kind[3], memory, params, out.data());
 }
 
 }  // namespace egt::game::batch

@@ -31,6 +31,17 @@
 //    every partial sum is an exactly-represented integer, so the closed
 //    form reproduces the loop's sum bit-for-bit) and otherwise replays all
 //    rounds through the packed walker, accumulating in loop order.
+//
+//  * play_stream_games — the lane kernel for sampled (stream-keyed) play,
+//    the twin of the IpdEngine round loop for pure and mixed pairs under
+//    execution noise. A game's draw positions do not depend on its state,
+//    so the kernel first pre-draws each stream in blocks of kBlockRounds
+//    rounds (noise draws become flip bitmasks via the integer identity
+//    uniform01(x) < p <=> (x >> 11) < ceil(p * 2^53)), then walks kLanes
+//    games interleaved, branch-free over packed states. The pre-draw runs
+//    four streams per AVX2 register or through a scalar twin; both are
+//    integer-only, so they agree bitwise, and every game accumulates its
+//    payoffs in round order: results are bitwise identical to the loop.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +51,7 @@
 #include "game/ipd.hpp"
 #include "game/payoff.hpp"
 #include "game/strategy.hpp"
+#include "util/rng.hpp"
 
 namespace egt::game::batch {
 
@@ -118,6 +130,96 @@ GameResult run_pure_game(const PureStrategy& a, const PureStrategy& b,
 /// loop bit-for-bit.
 bool integer_exact_payoff(const PayoffMatrix& payoff,
                           std::uint32_t rounds) noexcept;
+
+/// A strategy as the sampled lane kernel reads it: the packed move table
+/// of a pure strategy, or the per-state cooperation probabilities of a
+/// mixed one (exactly one pointer is set).
+struct Player {
+  const std::uint64_t* bits = nullptr;  ///< pure: bit s = move in state s
+  const double* coop = nullptr;         ///< mixed: P(cooperate | state s)
+
+  static Player of(const PureStrategy& s) noexcept {
+    return {s.table().words().data(), nullptr};
+  }
+  static Player of(const MixedStrategy& s) noexcept {
+    return {nullptr, s.probs().data()};
+  }
+  /// Pure or mixed strategy (n-way strategies do not play binary moves).
+  static Player of(const Strategy& s);
+};
+
+/// One sampled game: both players and the stream the round loop would
+/// draw from (the kernel reads it from its current position and does not
+/// advance it).
+struct StreamGame {
+  Player a;
+  Player b;
+  util::StreamRng rng;
+};
+
+/// Rounds per pre-draw block.
+inline constexpr std::uint32_t kBlockRounds = 64;
+/// Games the walker interleaves.
+inline constexpr std::size_t kLanes = 8;
+
+/// Sampled lane kernel: out[k] receives games[k] played for params.rounds
+/// rounds with execution noise params.noise between strategies of memory
+/// depth `memory` — bitwise identical to IpdEngine::play (and to its
+/// LookupMode::LinearSearch round loop) on the same players and stream,
+/// for any batch size and lane position. Deterministic games (both pure,
+/// zero noise) take run_pure_game. `out.size() >= games.size()`.
+void play_stream_games(std::span<const StreamGame> games, int memory,
+                       const IpdParams& params, std::span<GameResult> out);
+
+/// Which draws of a round feed which decision: draw slots 0..per_round-1
+/// in stream order (A's move if A is mixed, then B's if B is mixed, then
+/// A's and B's noise draws if noise > 0); -1 marks an absent slot.
+struct DrawLayout {
+  std::uint32_t per_round = 0;
+  int move_a = -1;
+  int move_b = -1;
+  int noise_a = -1;
+  int noise_b = -1;
+};
+
+/// One pre-drawn block of up to kBlockRounds rounds for up to kLanes
+/// games. Lane l of round t sits at [t][l].
+struct DrawBlock {
+  /// Flip bitmask of round t: bit 2l + 1 flips A's move in lane l, bit 2l
+  /// flips B's — so (flip[t] >> 2l) & 3 XORs straight into the outcome
+  /// o = 2 * (A defects) + (B defects).
+  std::uint16_t flip[kBlockRounds];
+  std::uint64_t move_a[kBlockRounds][kLanes];  ///< raw draws for A's move
+  std::uint64_t move_b[kBlockRounds][kLanes];
+};
+static_assert(2 * kLanes <= 16, "flip masks hold two bits per lane");
+
+/// Pre-draw rounds [first_round, first_round + rounds) of `lanes` streams
+/// (origin[l] = StreamRng::origin() of lane l) into `out`; a noise draw x
+/// sets its flip bit when (x >> 11) < noise_threshold. Dispatches like
+/// expected_totals_mem1 when `lanes` fills whole AVX2 registers (a
+/// multiple of 4), to the scalar twin otherwise. `lanes` in [1, kLanes],
+/// `rounds` in [1, kBlockRounds].
+void predraw_block(const std::uint64_t* origin, std::size_t lanes,
+                   const DrawLayout& layout, std::uint64_t first_round,
+                   std::uint32_t rounds, std::uint64_t noise_threshold,
+                   DrawBlock& out);
+
+/// ceil(p * 2^53): the integer threshold t with
+/// uniform01(x) < p <=> (x >> 11) < t, for p in [0, 1].
+std::uint64_t unit_threshold(double p) noexcept;
+
+// Internal: the pre-draw twins behind predraw_block, exposed for kernel
+// cross-validation (simcheck --kernels). Without the AVX2 TU the AVX2 twin
+// is a stub that throws; callers gate it on simd::compiled_with_avx2().
+void predraw_block_scalar(const std::uint64_t* origin, std::size_t lanes,
+                          const DrawLayout& layout, std::uint64_t first_round,
+                          std::uint32_t rounds, std::uint64_t noise_threshold,
+                          DrawBlock& out);
+void predraw_block_avx2(const std::uint64_t* origin, std::size_t lanes,
+                        const DrawLayout& layout, std::uint64_t first_round,
+                        std::uint32_t rounds, std::uint64_t noise_threshold,
+                        DrawBlock& out);
 
 // Internal: the AVX2 lane kernel (only defined when the AVX2 TU is
 // compiled in; callers go through expected_totals_mem1's dispatch).

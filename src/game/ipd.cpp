@@ -27,6 +27,8 @@ IpdEngine::IpdEngine(int memory, IpdParams params, LookupMode mode)
   }
 }
 
+// The round loop: LookupMode::LinearSearch's ablation path and the
+// executable reference the lane kernel is checked against.
 template <class StratA, class StratB>
 GameResult IpdEngine::run(const StratA& a, const StratB& b,
                           util::StreamRng& rng) const {
@@ -38,12 +40,8 @@ GameResult IpdEngine::run(const StratA& a, const StratB& b,
   const bool noisy = params_.noise > 0.0;
 
   for (std::uint32_t r = 0; r < params_.rounds; ++r) {
-    State sa = view_a;
-    State sb = view_b;
-    if (mode_ == LookupMode::LinearSearch) {
-      sa = table_->find_state(view_a);
-      sb = table_->find_state(view_b);
-    }
+    const State sa = table_->find_state(view_a);
+    const State sb = table_->find_state(view_b);
     Move ma = next_move(a, sa, rng);
     Move mb = next_move(b, sb, rng);
     if (noisy) {
@@ -64,21 +62,12 @@ GameResult IpdEngine::play(const Strategy& a, const Strategy& b,
                            util::StreamRng rng) const {
   EGT_REQUIRE_MSG(a.memory() == memory() && b.memory() == memory(),
                   "strategy memory depth must match the engine");
-  if (a.is_pure() && b.is_pure()) {
-    if (params_.noise == 0.0 && mode_ == LookupMode::Indexed) {
-      // Deterministic game: the bit-packed walker reproduces the round
-      // loop bit-for-bit (and, like the loop, consumes no RNG draws).
-      return batch::run_pure_game(a.as_pure(), b.as_pure(), params_.payoff,
-                                  params_.rounds);
-    }
-    return run(a.as_pure(), b.as_pure(), rng);
+  if (mode_ == LookupMode::Indexed) {
+    return play_indexed(batch::Player::of(a), batch::Player::of(b), rng);
   }
-  if (a.is_pure()) {
-    return run(a.as_pure(), b.as_mixed(), rng);
-  }
-  if (b.is_pure()) {
-    return run(a.as_mixed(), b.as_pure(), rng);
-  }
+  if (a.is_pure() && b.is_pure()) return run(a.as_pure(), b.as_pure(), rng);
+  if (a.is_pure()) return run(a.as_pure(), b.as_mixed(), rng);
+  if (b.is_pure()) return run(a.as_mixed(), b.as_pure(), rng);
   return run(a.as_mixed(), b.as_mixed(), rng);
 }
 
@@ -86,10 +75,23 @@ GameResult IpdEngine::play(const PureStrategy& a, const PureStrategy& b,
                            util::StreamRng rng) const {
   EGT_REQUIRE_MSG(a.memory() == memory() && b.memory() == memory(),
                   "strategy memory depth must match the engine");
-  if (params_.noise == 0.0 && mode_ == LookupMode::Indexed) {
-    return batch::run_pure_game(a, b, params_.payoff, params_.rounds);
+  if (mode_ == LookupMode::Indexed) {
+    return play_indexed(batch::Player::of(a), batch::Player::of(b), rng);
   }
   return run(a, b, rng);
+}
+
+GameResult IpdEngine::play_indexed(const batch::Player& a,
+                                   const batch::Player& b,
+                                   util::StreamRng rng) const {
+  // A batch of one through the sampled lane kernel (which hands
+  // deterministic games to the cycle walker): the kernel is bitwise
+  // identical to run() and, like it, consumes the stream from its current
+  // position.
+  const batch::StreamGame game{a, b, rng};
+  GameResult res;
+  batch::play_stream_games({&game, 1}, memory(), params_, {&res, 1});
+  return res;
 }
 
 }  // namespace egt::game

@@ -19,6 +19,10 @@
 
 namespace egt::game {
 
+namespace batch {
+struct Player;
+}  // namespace batch
+
 /// Outcome of one iterated game.
 struct GameResult {
   double payoff_a = 0.0;  ///< total (summed) payoff of player A
@@ -63,17 +67,22 @@ class IpdEngine {
 
   /// Play one iterated game. Strategy memory depths must equal the
   /// engine's. `rng` is consumed (pure strategies with zero noise draw
-  /// nothing, keeping the pure path deterministic and fast).
+  /// nothing, keeping the pure path deterministic and fast). Indexed mode
+  /// runs the sampled lane kernel (batch::play_stream_games) with a batch
+  /// of one; LinearSearch runs the paper's round loop. Both give bitwise
+  /// identical results.
   GameResult play(const Strategy& a, const Strategy& b,
                   util::StreamRng rng) const;
 
-  /// Fast path for two pure strategies.
+  /// Overload for two pure strategies.
   GameResult play(const PureStrategy& a, const PureStrategy& b,
                   util::StreamRng rng) const;
 
  private:
   template <class StratA, class StratB>
   GameResult run(const StratA& a, const StratB& b, util::StreamRng& rng) const;
+  GameResult play_indexed(const batch::Player& a, const batch::Player& b,
+                          util::StreamRng rng) const;
 
   IpdParams params_;
   StateCodec codec_;

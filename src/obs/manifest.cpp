@@ -4,6 +4,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "game/simd.hpp"
 #include "util/json.hpp"
 
 namespace egt::obs {
@@ -22,6 +23,16 @@ void write_run_manifest(std::ostream& os, const ManifestInfo& info) {
   w.field("schema", kManifestSchema);
   w.field("tool", info.tool);
   w.field("git_describe", git_describe());
+
+  // The dispatch is process-wide, so the kernel in force now is the one
+  // every batch call of the run took.
+  w.key("kernel").begin_object();
+  w.field("avx2_compiled", game::simd::compiled_with_avx2());
+  w.field("cpu_avx2", game::simd::cpu_supports_avx2());
+  w.field("forced_scalar", game::simd::force_scalar());
+  w.field("dispatched",
+          game::simd::kernel_name(game::simd::active_kernel()));
+  w.end_object();
 
   w.key("config").begin_object();
   w.field("summary", info.config_summary);

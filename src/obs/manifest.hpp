@@ -2,16 +2,21 @@
 // (config, build), what it cost (wall time, per-phase times, counters) and
 // what it moved (broadcast vs point-to-point traffic, per rank).
 //
-// Schema "egt.run_manifest/v3" (validated by tests/obs/manifest_test.cpp;
+// Schema "egt.run_manifest/v4" (validated by tests/obs/manifest_test.cpp;
 // documented for external consumers in DESIGN.md §Observability). v2 added
 // p50/p95/p99 latency quantiles (estimated from the power-of-two buckets)
 // to every histogram body; v3 adds the optional "game" block recording the
-// GameSpec a simulation played (tools that run no simulation omit it):
+// GameSpec a simulation played (tools that run no simulation omit it); v4
+// adds the "kernel" block: which game::simd kernel the batch entry points
+// (Markov solve, sampled pre-draw) dispatched to when the manifest was
+// written, and why:
 //
 //   {
-//     "schema": "egt.run_manifest/v3",
+//     "schema": "egt.run_manifest/v4",
 //     "tool": "<producing binary>",
 //     "git_describe": "<git describe --always --dirty, or 'unknown'>",
+//     "kernel": { "avx2_compiled": bool, "cpu_avx2": bool,
+//                 "forced_scalar": bool, "dispatched": "avx2" | "scalar" },
 //     "config": { "summary": "...", "fingerprint": u64, ...tool extras },
 //     "game": {                              // v3, when ManifestInfo.game set
 //       "kind": "matrix" | "public_goods",
@@ -58,7 +63,7 @@ class JsonWriter;
 
 namespace egt::obs {
 
-inline constexpr const char* kManifestSchema = "egt.run_manifest/v3";
+inline constexpr const char* kManifestSchema = "egt.run_manifest/v4";
 
 /// Build identity baked in by CMake ("unknown" outside a git checkout).
 std::string git_describe();

@@ -367,7 +367,13 @@ void Scheduler::drain() {
 }
 
 void Scheduler::shutdown() {
-  graceful_.store(true, std::memory_order_relaxed);
+  {
+    // Set under mu_: a worker between its flag check and work_cv_.wait
+    // holds mu_, so it either sees the flag or is already waiting when
+    // the notify below fires.
+    std::lock_guard<std::mutex> lock(mu_);
+    graceful_.store(true, std::memory_order_relaxed);
+  }
   work_cv_.notify_all();
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
@@ -377,7 +383,13 @@ void Scheduler::shutdown() {
 }
 
 void Scheduler::hard_stop() {
-  hard_.store(true, std::memory_order_relaxed);
+  {
+    // Set under mu_: a worker between its flag check and work_cv_.wait
+    // holds mu_, so it either sees the flag or is already waiting when
+    // the notify below fires.
+    std::lock_guard<std::mutex> lock(mu_);
+    hard_.store(true, std::memory_order_relaxed);
+  }
   work_cv_.notify_all();
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();

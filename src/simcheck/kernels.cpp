@@ -158,6 +158,118 @@ void check_pure(KernelReport& report, util::Xoshiro256& rng) {
   report.checks.push_back(std::move(sampled));
 }
 
+bool same_game(const game::GameResult& x, const game::GameResult& y) {
+  return x.payoff_a == y.payoff_a && x.payoff_b == y.payoff_b &&
+         x.coop_a == y.coop_a && x.coop_b == y.coop_b && x.rounds == y.rounds;
+}
+
+/// Sampled lane kernel vs the LinearSearch round loop, bitwise, under the
+/// active and the forced-scalar pre-draw; plus the AVX2 pre-draw vs its
+/// scalar twin, bitwise (skipped when the AVX2 kernel is unavailable).
+void check_sampled(KernelReport& report, util::Xoshiro256& rng) {
+  KernelCheck lanes{"sampled.lanes_vs_round_loop_bitwise", true, 0, 0.0, {}};
+  KernelCheck draw{"sampled.avx2_predraw_vs_scalar_bitwise", true, 0, 0.0,
+                   {}};
+  constexpr double kNoise[] = {0.0, 0.02, 0.5, 1.0};
+  constexpr std::uint32_t kRounds[] = {1, 63, 64, 65, 200, 1000};
+  const bool forced = game::simd::force_scalar();
+
+  for (int iter = 0; iter < 48; ++iter) {
+    const int memory =
+        static_cast<int>(util::uniform_below(rng, game::kMaxMemory + 1));
+    const double noise = kNoise[util::uniform_below(rng, 4)];
+    std::uint32_t rounds = kRounds[util::uniform_below(rng, 6)];
+    // The loop's linear state scan is O(4^memory) per round.
+    if (memory >= 5) rounds = std::min(rounds, 200u);
+    const game::IpdParams params{sample_payoff(rng, iter % 2 == 0), rounds,
+                                 noise};
+    const std::size_t n = 1 + util::uniform_below(rng, 17);  // remainders
+    std::vector<game::Strategy> as, bs;
+    std::vector<game::batch::StreamGame> games;
+    for (std::size_t k = 0; k < n; ++k) {
+      for (auto* side : {&as, &bs}) {
+        if (util::uniform_below(rng, 2) == 0) {
+          side->emplace_back(game::PureStrategy::random(memory, rng));
+        } else {
+          side->emplace_back(game::MixedStrategy::random(memory, rng));
+        }
+      }
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      util::StreamRng stream(rng(), rng());
+      for (std::uint64_t skip = util::uniform_below(rng, 3); skip > 0; --skip) {
+        stream();
+      }
+      games.push_back({game::batch::Player::of(as[k]),
+                       game::batch::Player::of(bs[k]), stream});
+    }
+    const game::IpdEngine loop(memory, params, game::LookupMode::LinearSearch);
+    for (const bool scalar : {false, true}) {
+      game::simd::set_force_scalar(forced || scalar);
+      std::vector<game::GameResult> got(n);
+      game::batch::play_stream_games(games, memory, params, got);
+      for (std::size_t k = 0; k < n; ++k) {
+        lanes.cases++;
+        if (!same_game(got[k], loop.play(as[k], bs[k], games[k].rng))) {
+          std::ostringstream os;
+          os << "lane kernel diverges from the round loop at iter " << iter
+             << " game " << k << " (memory " << memory << ", noise " << noise
+             << ", rounds " << rounds << ", batch " << n
+             << (scalar ? ", forced scalar)" : ")");
+          note_failure(lanes, os.str());
+        }
+      }
+    }
+    game::simd::set_force_scalar(forced);
+
+    if (!report.avx2_available) continue;
+    game::batch::DrawLayout layout;
+    int slot = 0;
+    if (util::uniform_below(rng, 2) == 0) layout.move_a = slot++;
+    if (util::uniform_below(rng, 2) == 0) layout.move_b = slot++;
+    if (slot == 0 || util::uniform_below(rng, 2) == 0) {
+      layout.noise_a = slot++;
+      layout.noise_b = slot++;
+    }
+    layout.per_round = static_cast<std::uint32_t>(slot);
+    std::uint64_t origin[game::batch::kLanes];
+    for (auto& o : origin) o = rng();
+    const std::size_t lanes_n =
+        1 + util::uniform_below(rng, game::batch::kLanes);
+    const auto block_rounds = static_cast<std::uint32_t>(
+        1 + util::uniform_below(rng, game::batch::kBlockRounds));
+    const std::uint64_t first = util::uniform_below(rng, 1000);
+    const std::uint64_t threshold = game::batch::unit_threshold(noise);
+    game::batch::DrawBlock sca{}, avx{};
+    game::batch::predraw_block_scalar(origin, lanes_n, layout, first,
+                                      block_rounds, threshold, sca);
+    game::batch::predraw_block_avx2(origin, lanes_n, layout, first,
+                                    block_rounds, threshold, avx);
+    bool same = true;
+    for (std::uint32_t t = 0; t < block_rounds; ++t) {
+      same = same && sca.flip[t] == avx.flip[t];
+      for (std::size_t l = 0; l < lanes_n; ++l) {
+        same = same && (layout.move_a < 0 ||
+                        sca.move_a[t][l] == avx.move_a[t][l]);
+        same = same && (layout.move_b < 0 ||
+                        sca.move_b[t][l] == avx.move_b[t][l]);
+      }
+    }
+    draw.cases++;
+    if (!same) {
+      std::ostringstream os;
+      os << "avx2 pre-draw differs from scalar at iter " << iter << " ("
+         << lanes_n << " lanes, " << layout.per_round << " draws/round)";
+      note_failure(draw, os.str());
+    }
+  }
+  if (!report.avx2_available && draw.detail.empty()) {
+    draw.detail = "skipped: AVX2 kernel unavailable";
+  }
+  report.checks.push_back(std::move(lanes));
+  report.checks.push_back(std::move(draw));
+}
+
 }  // namespace
 
 KernelReport run_kernel_checks(std::uint64_t seed) {
@@ -167,6 +279,7 @@ KernelReport run_kernel_checks(std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   check_mem1(report, rng);
   check_pure(report, rng);
+  check_sampled(report, rng);
   return report;
 }
 

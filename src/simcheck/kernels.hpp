@@ -9,6 +9,11 @@
 //    batch::exact_pure_game_fast must be bit-identical to
 //    markov::exact_pure_game, and batch::run_pure_game to the legacy
 //    round loop.
+//  * Sampled lane kernel: random pure/mixed batches of 1-17 games across
+//    memory 0-6, noise {0, 0.02, 0.5, 1} and round counts around the
+//    64-round pre-draw block — batch::play_stream_games must be
+//    bit-identical to the LinearSearch round loop under the active and
+//    the forced-scalar pre-draw, and the AVX2 pre-draw to its scalar twin.
 //
 // Exposed as `simcheck --kernels`; runs whatever kernels this build/CPU
 // provides (the AVX2 half is skipped, not failed, on scalar-only builds).

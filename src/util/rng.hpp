@@ -84,11 +84,27 @@ class StreamRng {
  public:
   using result_type = std::uint64_t;
 
+  /// Counter stride: draw k (1-based) of a stream with base b is
+  /// at(b, k) = mix64(b + kGamma * k).
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+
   constexpr StreamRng(std::uint64_t seed, std::uint64_t key) noexcept
       : base_(mix64(seed ^ mix64(key + 0x632be59bd9b4e019ULL))), ctr_(0) {}
 
-  constexpr result_type operator()() noexcept {
-    return mix64(base_ + 0x9e3779b97f4a7c15ULL * ++ctr_);
+  constexpr result_type operator()() noexcept { return at(base_, ++ctr_); }
+
+  /// Value of draw `ctr` of the stream whose base is `base`.
+  static constexpr std::uint64_t at(std::uint64_t base,
+                                    std::uint64_t ctr) noexcept {
+    return mix64(base + kGamma * ctr);
+  }
+
+  /// Base of the stream as seen from the current position: at(origin(), k)
+  /// is the k-th value the generator will return from here on (k >= 1).
+  /// Equals the stream base while nothing has been drawn. Batch kernels
+  /// pre-draw a stream's future values from it without advancing it.
+  constexpr std::uint64_t origin() const noexcept {
+    return base_ + kGamma * ctr_;
   }
 
   /// Number of values drawn so far.

@@ -3,12 +3,16 @@
 // batch kernel must not touch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/fitness.hpp"
 #include "game/simd.hpp"
 #include "game/spec/registry.hpp"
+#include "pop/graph.hpp"
 #include "pop/population.hpp"
 #include "util/rng.hpp"
 
@@ -25,9 +29,14 @@ SimConfig analytic_config(pop::SSetId ssets, int memory) {
   return cfg;
 }
 
+/// Pins the kernel for a scope and restores the previous setting (so a
+/// suite run under EGT_FORCE_SCALAR=1 stays forced after the scope).
 struct ForceScalarGuard {
-  explicit ForceScalarGuard(bool on) { game::simd::set_force_scalar(on); }
-  ~ForceScalarGuard() { game::simd::set_force_scalar(false); }
+  explicit ForceScalarGuard(bool on) : was_(game::simd::force_scalar()) {
+    game::simd::set_force_scalar(on);
+  }
+  ~ForceScalarGuard() { game::simd::set_force_scalar(was_); }
+  bool was_;
 };
 
 TEST(PairRoute, ClassifiesEveryDispatchCase) {
@@ -193,6 +202,170 @@ TEST(BatchFitness, PureExactPathKernelSwitchInvariant) {
   }
   for (std::size_t i = 0; i < active.size(); ++i) {
     EXPECT_EQ(active[i], scalar[i]) << "row " << i;
+  }
+}
+
+// -- sampled lane kernel at the fitness tier ----------------------------------
+
+SimConfig sampled_config(int memory, FitnessMode mode) {
+  SimConfig cfg;
+  cfg.ssets = 21;  // rows of 20 pairs: two lane groups plus a remainder
+  cfg.memory = memory;
+  cfg.seed = 777;
+  cfg.game.noise = 0.05;
+  cfg.fitness_mode = mode;
+  return cfg;
+}
+
+pop::Population mixed_in_pure(const SimConfig& cfg, util::Xoshiro256& rng) {
+  auto pop = pop::Population::random_pure(cfg.ssets, cfg.memory, rng);
+  for (pop::SSetId i = 0; i < pop.size(); i += 3) {
+    pop.set_strategy(i, game::MixedStrategy::random(cfg.memory, rng));
+  }
+  return pop;
+}
+
+/// One evaluation of every row under a configuration: fitness, matrix and
+/// counters, gathered over `blocks` row blocks as parallel ranks own them.
+struct Evaluated {
+  std::vector<double> fitness;
+  std::vector<double> matrix;
+  std::uint64_t pairs = 0;
+  std::uint64_t games = 0;
+};
+
+/// Sampled rows are re-played at `generation`; SampledFrozen blocks are
+/// initialized and then refresh the row and column of each SSet in
+/// `changes` (the new strategy already set in `after`).
+Evaluated evaluate(const SimConfig& cfg, const pop::Population& before,
+                   const pop::Population& after,
+                   const std::vector<pop::SSetId>& changes, int blocks,
+                   std::shared_ptr<const pop::InteractionGraph> graph) {
+  Evaluated out;
+  const pop::SSetId per = (cfg.ssets + blocks - 1) / blocks;
+  for (pop::SSetId b = 0; b < cfg.ssets; b += per) {
+    const pop::SSetId e = std::min<pop::SSetId>(cfg.ssets, b + per);
+    BlockFitness block(cfg, b, e, graph);
+    if (cfg.fitness_mode == FitnessMode::Sampled) {
+      block.begin_generation(after, 5);
+    } else {
+      block.initialize(before);
+      for (const pop::SSetId k : changes) block.strategy_changed(k, after, 9);
+    }
+    out.fitness.insert(out.fitness.end(), block.block().begin(),
+                       block.block().end());
+    out.matrix.insert(out.matrix.end(), block.payoff_matrix().begin(),
+                      block.payoff_matrix().end());
+    out.pairs += block.pairs_evaluated();
+    out.games += block.games_played();
+  }
+  return out;
+}
+
+void expect_identical(const Evaluated& want, const Evaluated& got,
+                      const std::string& what) {
+  ASSERT_EQ(want.fitness.size(), got.fitness.size()) << what;
+  for (std::size_t i = 0; i < want.fitness.size(); ++i) {
+    EXPECT_EQ(want.fitness[i], got.fitness[i]) << what << " row " << i;
+  }
+  EXPECT_EQ(want.matrix, got.matrix) << what;
+  EXPECT_EQ(want.pairs, got.pairs) << what;
+  EXPECT_EQ(want.games, got.games) << what;
+}
+
+// Every Sampled row path — serial, SSet-row tier, agent-tier chunks, split
+// row blocks, structured neighbour lists — sends its stream pairs through
+// the lane kernel; all must give identical fitness, matrices and counters,
+// and agree bitwise with the per-pair brute force on a reference row.
+TEST(SampledLaneFitness, EveryRowPathBitIdenticalWithEqualCounters) {
+  for (const int memory : {1, 2, 6}) {
+    for (const FitnessMode mode :
+         {FitnessMode::Sampled, FitnessMode::SampledFrozen}) {
+      const SimConfig cfg = sampled_config(memory, mode);
+      util::Xoshiro256 rng(100 + memory);
+      const pop::Population before = mixed_in_pure(cfg, rng);
+      pop::Population after = before;
+      const std::vector<pop::SSetId> changes{4, 13};
+      for (const pop::SSetId k : changes) {
+        after.set_strategy(k, game::PureStrategy::random(memory, rng));
+      }
+      const auto ring = std::make_shared<const pop::InteractionGraph>(
+          pop::InteractionGraph::ring(cfg.ssets, 3));
+      for (const auto& graph :
+           {std::shared_ptr<const pop::InteractionGraph>{}, ring}) {
+        const std::string tag = "memory " + std::to_string(memory) +
+                                (mode == FitnessMode::Sampled ? " sampled"
+                                                              : " frozen") +
+                                (graph ? " ring" : " well-mixed");
+        const Evaluated serial =
+            evaluate(cfg, before, after, changes, 1, graph);
+        SimConfig rows = cfg;
+        rows.sset_threads = 3;
+        expect_identical(serial,
+                         evaluate(rows, before, after, changes, 1, graph),
+                         tag + " sset tier");
+        SimConfig agents = cfg;
+        agents.agent_threads = 3;
+        expect_identical(serial,
+                         evaluate(agents, before, after, changes, 1, graph),
+                         tag + " agent tier");
+        expect_identical(serial,
+                         evaluate(cfg, before, after, changes, 3, graph),
+                         tag + " three blocks");
+        {
+          ForceScalarGuard guard(true);
+          expect_identical(serial,
+                           evaluate(cfg, before, after, changes, 1, graph),
+                           tag + " forced scalar");
+        }
+        if (mode == FitnessMode::Sampled && !graph) {
+          // Row 0 against the per-pair oracle, in the row's sum order.
+          const PairEvaluator eval(cfg);
+          double sum = 0.0;
+          for (pop::SSetId j = 1; j < cfg.ssets; ++j) {
+            sum += eval.payoff(after, 0, j, 5);
+          }
+          EXPECT_EQ(serial.fitness[0],
+                    sum / ((cfg.ssets - 1.0) * cfg.game.rounds))
+              << tag;
+        }
+        if (mode == FitnessMode::SampledFrozen) {
+          // The refreshed column holds the change generation's streams.
+          const PairEvaluator eval(cfg);
+          for (pop::SSetId i = 0; i < cfg.ssets; ++i) {
+            if (i == 13 || (graph && !graph->are_neighbors(i, 13))) continue;
+            EXPECT_EQ(serial.matrix[i * cfg.ssets + 13],
+                      eval.payoff(after, i, 13, 9))
+                << tag << " row " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// PairEvaluator::payoffs is payoff() pair by pair, whatever the mix of
+// routes in one call (Analytic memory-1 pure and mixed pairs; Analytic
+// memory-2 stochastic pairs on streams).
+TEST(SampledLaneFitness, BatchedPayoffsEqualPerPairPayoff) {
+  for (const int memory : {1, 2}) {
+    SimConfig cfg = analytic_config(15, memory);
+    cfg.game.noise = 0.03;
+    util::Xoshiro256 rng(9);
+    const auto pop = mixed_in_pure(cfg, rng);
+    const PairEvaluator eval(cfg);
+    std::vector<PairEvaluator::Pair> pairs;
+    for (pop::SSetId i = 0; i < cfg.ssets; ++i) {
+      for (pop::SSetId j = 0; j < cfg.ssets; ++j) {
+        if (i != j) pairs.emplace_back(i, j);
+      }
+    }
+    std::vector<double> got(pairs.size());
+    eval.payoffs(pop, pairs, 3, got);
+    for (std::size_t t = 0; t < pairs.size(); ++t) {
+      EXPECT_EQ(got[t], eval.payoff(pop, pairs[t].first, pairs[t].second, 3))
+          << "memory " << memory << " pair " << t;
+    }
   }
 }
 

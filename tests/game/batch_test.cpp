@@ -40,13 +40,14 @@ Mem1Batch random_mixed_batch(std::size_t n, double eps,
 // kernel (AVX2 where compiled+supported) and the forced-scalar one.
 TEST(Mem1BatchKernel, RemainderLaneSizesMatchMarkovReference) {
   util::Xoshiro256 rng(2024);
+  const bool forced = simd::force_scalar();
   for (const double eps : {0.0, 0.05}) {
     for (std::size_t n = 1; n <= 9; ++n) {
       std::vector<Strategy> as, bs;
       const Mem1Batch batch = random_mixed_batch(n, eps, as, bs, rng);
       std::vector<BatchTotals> got(n);
       for (const bool force : {false, true}) {
-        simd::set_force_scalar(force);
+        simd::set_force_scalar(forced || force);
         expected_totals_mem1(batch, kPayoff, 200, got);
         for (std::size_t k = 0; k < n; ++k) {
           const GameResult want =
@@ -57,7 +58,7 @@ TEST(Mem1BatchKernel, RemainderLaneSizesMatchMarkovReference) {
               << "n=" << n << " k=" << k << " force_scalar=" << force;
         }
       }
-      simd::set_force_scalar(false);
+      simd::set_force_scalar(forced);
     }
   }
 }
@@ -191,6 +192,168 @@ TEST(PureWalker, NoisyGamesKeepLegacyEnginePath) {
   const GameResult other = engine.play(a, b, util::StreamRng(42, 8));
   // Different stream, (almost surely) different noise realization.
   EXPECT_EQ(r1.rounds, other.rounds);
+}
+
+// -- sampled lane kernel ------------------------------------------------------
+
+/// A random pure or mixed strategy of the given memory depth.
+Strategy random_player(int memory, bool mixed, util::Xoshiro256& rng) {
+  if (mixed) return MixedStrategy::random(memory, rng);
+  return PureStrategy::random(memory, rng);
+}
+
+bool same_result(const GameResult& x, const GameResult& y) {
+  return x.payoff_a == y.payoff_a && x.payoff_b == y.payoff_b &&
+         x.coop_a == y.coop_a && x.coop_b == y.coop_b && x.rounds == y.rounds;
+}
+
+/// Random pairs of every pure/mixed combination, each with its own stream.
+struct StreamCase {
+  std::vector<Strategy> a, b;
+  std::vector<util::StreamRng> rng;
+
+  StreamCase(std::size_t n, int memory, util::Xoshiro256& gen) {
+    for (std::size_t k = 0; k < n; ++k) {
+      a.push_back(random_player(memory, k % 2 == 1, gen));
+      b.push_back(random_player(memory, k % 4 >= 2, gen));
+      rng.emplace_back(gen(), gen());
+    }
+  }
+  std::vector<StreamGame> games() const {
+    std::vector<StreamGame> g;
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      g.push_back({Player::of(a[k]), Player::of(b[k]), rng[k]});
+    }
+    return g;
+  }
+};
+
+// The lane kernel against the LinearSearch round loop, bitwise: random
+// pure and mixed pairs at memory 0-6, noise in {0, 0.02, 0.5, 1}, round
+// counts on both sides of the 64-round pre-draw block, under the active
+// and the forced-scalar pre-draw.
+TEST(SampledLaneKernel, BitIdenticalToLinearSearchRoundLoop) {
+  util::Xoshiro256 gen(2026);
+  const PayoffMatrix fractional{2.5, -0.25, 4.125, 0.75};
+  const bool forced = simd::force_scalar();
+  for (const bool force : {false, true}) {
+    simd::set_force_scalar(forced || force);
+    for (int memory = 0; memory <= kMaxMemory; ++memory) {
+      for (const double noise : {0.0, 0.02, 0.5, 1.0}) {
+        for (const std::uint32_t rounds : {1u, 63u, 64u, 65u, 200u, 1000u}) {
+          if (memory == kMaxMemory && rounds == 1000u) continue;  // runtime
+          const PayoffMatrix& payoff = rounds % 2 ? fractional : kPayoff;
+          const IpdParams params{payoff, rounds, noise};
+          const IpdEngine linear(memory, params, LookupMode::LinearSearch);
+          const StreamCase c(11, memory, gen);  // one lane group + remainder
+          const std::vector<StreamGame> games = c.games();
+          std::vector<GameResult> got(games.size());
+          play_stream_games(games, memory, params, got);
+          for (std::size_t k = 0; k < games.size(); ++k) {
+            const GameResult want = linear.play(c.a[k], c.b[k], c.rng[k]);
+            ASSERT_TRUE(same_result(got[k], want))
+                << "memory=" << memory << " noise=" << noise
+                << " rounds=" << rounds << " k=" << k
+                << " force_scalar=" << force << ": " << got[k].payoff_a
+                << " vs " << want.payoff_a;
+          }
+        }
+      }
+    }
+  }
+  simd::set_force_scalar(forced);
+}
+
+// A game's result must not depend on the batch size, its lane position or
+// its neighbours: every prefix batch of 1..17 games (one lane, full
+// groups, remainders) gives each game the value it gets alone.
+TEST(SampledLaneKernel, LanePositionAndBatchSizeIndependent) {
+  util::Xoshiro256 gen(31);
+  const IpdParams params{kPayoff, 200, 0.02};
+  const StreamCase c(17, 3, gen);
+  const std::vector<StreamGame> games = c.games();
+  std::vector<GameResult> solo(games.size());
+  for (std::size_t k = 0; k < games.size(); ++k) {
+    play_stream_games({&games[k], 1}, 3, params, {&solo[k], 1});
+  }
+  for (std::size_t n = 1; n <= games.size(); ++n) {
+    std::vector<GameResult> got(n);
+    play_stream_games({games.data(), n}, 3, params, got);
+    for (std::size_t k = 0; k < n; ++k) {
+      ASSERT_TRUE(same_result(got[k], solo[k])) << "n=" << n << " k=" << k;
+    }
+  }
+  // Reversed order puts every game in a different lane.
+  std::vector<StreamGame> rev(games.rbegin(), games.rend());
+  std::vector<GameResult> got(rev.size());
+  play_stream_games(rev, 3, params, got);
+  for (std::size_t k = 0; k < rev.size(); ++k) {
+    ASSERT_TRUE(same_result(got[k], solo[rev.size() - 1 - k])) << "k=" << k;
+  }
+}
+
+// IpdEngine::play (Indexed) is the kernel with a batch of one, and it reads
+// the stream from its current position like the loop does.
+TEST(SampledLaneKernel, EnginePlayDelegatesFromStreamPosition) {
+  util::Xoshiro256 gen(8);
+  const IpdParams params{kPayoff, 150, 0.1};
+  const IpdEngine indexed(2, params);
+  const IpdEngine linear(2, params, LookupMode::LinearSearch);
+  for (int rep = 0; rep < 16; ++rep) {
+    const Strategy a = random_player(2, rep % 2 == 0, gen);
+    const Strategy b = random_player(2, rep % 3 == 0, gen);
+    util::StreamRng rng(gen(), gen());
+    for (int skip = 0; skip < rep; ++skip) rng();
+    EXPECT_TRUE(same_result(indexed.play(a, b, rng), linear.play(a, b, rng)))
+        << "rep=" << rep;
+  }
+}
+
+// The AVX2 pre-draw equals its scalar twin bit-for-bit (both are integer
+// arithmetic mod 2^64), for every lane count and layout.
+TEST(SampledLaneKernel, Avx2PreDrawBitIdenticalToScalar) {
+  if (!simd::compiled_with_avx2() || !simd::cpu_supports_avx2()) {
+    GTEST_SKIP() << "AVX2 kernel unavailable on this build/CPU";
+  }
+  util::Xoshiro256 gen(77);
+  const DrawLayout layouts[] = {{2, -1, -1, 0, 1}, {4, 0, 1, 2, 3},
+                                {1, 0, -1, -1, -1}, {3, -1, 0, 1, 2}};
+  for (const DrawLayout& layout : layouts) {
+    for (std::size_t lanes = 1; lanes <= kLanes; ++lanes) {
+      std::uint64_t origin[kLanes];
+      for (auto& o : origin) o = gen();
+      const std::uint64_t threshold = unit_threshold(0.3);
+      DrawBlock sca{}, avx{};
+      predraw_block_scalar(origin, lanes, layout, 5, kBlockRounds, threshold,
+                           sca);
+      predraw_block_avx2(origin, lanes, layout, 5, kBlockRounds, threshold,
+                         avx);
+      for (std::uint32_t t = 0; t < kBlockRounds; ++t) {
+        ASSERT_EQ(sca.flip[t], avx.flip[t]) << "lanes=" << lanes;
+      }
+      for (std::size_t l = 0; l < lanes; ++l) {
+        for (std::uint32_t t = 0; t < kBlockRounds; ++t) {
+          if (layout.move_a >= 0) ASSERT_EQ(sca.move_a[t][l], avx.move_a[t][l]);
+          if (layout.move_b >= 0) ASSERT_EQ(sca.move_b[t][l], avx.move_b[t][l]);
+        }
+      }
+    }
+  }
+}
+
+// uniform01(x) < p <=> (x >> 11) < unit_threshold(p), at the edges of the
+// 53-bit grid.
+TEST(SampledLaneKernel, UnitThresholdIdentity) {
+  for (const double p : {0.0, 1.0, 0.5, 0.02, 1e-300, 0x1.0p-53,
+                         1.0 - 0x1.0p-53, 0.1}) {
+    const std::uint64_t t = unit_threshold(p);
+    for (const std::uint64_t k : {std::uint64_t{0}, t - 1, t, t + 1,
+                                  (std::uint64_t{1} << 53) - 1}) {
+      if (k >= (std::uint64_t{1} << 53)) continue;
+      const std::uint64_t x = k << 11;
+      EXPECT_EQ(util::to_unit_double(x) < p, k < t) << "p=" << p << " k=" << k;
+    }
+  }
 }
 
 }  // namespace

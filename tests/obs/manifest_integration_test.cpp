@@ -5,7 +5,7 @@
 //     measured wall time;
 //   * a parallel manifest carries the broadcast vs point-to-point traffic
 //     split, per rank — and every manifest validates against the
-//     documented egt.run_manifest/v3 schema.
+//     documented egt.run_manifest/v4 schema.
 #include <gtest/gtest.h>
 
 #include <sstream>

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "game/simd.hpp"
 #include "obs/metrics.hpp"
 #include "schema_check.hpp"
 #include "util/json.hpp"
@@ -193,6 +194,30 @@ TEST(Manifest, FileWriterThrowsOnUnopenablePath) {
   EXPECT_THROW(
       write_run_manifest_file("/nonexistent-dir/egt_manifest.json", info),
       std::runtime_error);
+}
+
+// v4 kernel block: the dispatched kernel and the gates behind it, read at
+// write time — forcing scalar must show up as such.
+TEST(Manifest, KernelBlockRecordsTheDispatchedKernel) {
+  const bool was_forced = game::simd::force_scalar();
+  for (const bool force : {true, false}) {
+    game::simd::set_force_scalar(force);
+    ManifestInfo info;
+    info.tool = "egtsim/test";
+    std::ostringstream os;
+    write_run_manifest(os, info);
+    const auto doc = util::JsonValue::parse(os.str());
+    testing::expect_valid_manifest(doc, /*expect_traffic=*/false);
+    const auto& k = doc.at("kernel");
+    EXPECT_EQ(k.at("forced_scalar").as_bool(), force);
+    EXPECT_EQ(k.at("avx2_compiled").as_bool(),
+              game::simd::compiled_with_avx2());
+    EXPECT_EQ(k.at("cpu_avx2").as_bool(), game::simd::cpu_supports_avx2());
+    EXPECT_EQ(k.at("dispatched").as_string(),
+              game::simd::kernel_name(game::simd::active_kernel()));
+    if (force) EXPECT_EQ(k.at("dispatched").as_string(), "scalar");
+  }
+  game::simd::set_force_scalar(was_forced);
 }
 
 TEST(Manifest, GitDescribeIsNonEmpty) {

@@ -1,4 +1,4 @@
-// Shared validator for the egt.run_manifest/v3 schema (manifest.hpp).
+// Shared validator for the egt.run_manifest/v4 schema (manifest.hpp).
 // Used by the unit round-trip test and the serial/parallel integration
 // test, so the documented schema is enforced in one place.
 #pragma once
@@ -34,7 +34,7 @@ inline void expect_quantiles(const util::JsonValue& h,
   EXPECT_LE(p99, h.at("max_seconds").as_number()) << name;
 }
 
-/// Assert `doc` is a well-formed egt.run_manifest/v3 document.
+/// Assert `doc` is a well-formed egt.run_manifest/v4 document.
 /// `expect_traffic` demands the parallel-only "traffic" section too.
 inline void expect_valid_manifest(const util::JsonValue& doc,
                                   bool expect_traffic) {
@@ -43,6 +43,21 @@ inline void expect_valid_manifest(const util::JsonValue& doc,
   EXPECT_TRUE(doc.at("tool").is_string());
   EXPECT_TRUE(doc.at("git_describe").is_string());
   EXPECT_FALSE(doc.at("git_describe").as_string().empty());
+
+  // v4: which batch kernel the run dispatched to, and the gates behind it.
+  expect_section_object(doc, "kernel");
+  const auto& k = doc.at("kernel");
+  EXPECT_TRUE(k.at("avx2_compiled").is_bool());
+  EXPECT_TRUE(k.at("cpu_avx2").is_bool());
+  EXPECT_TRUE(k.at("forced_scalar").is_bool());
+  const std::string dispatched = k.at("dispatched").as_string();
+  EXPECT_TRUE(dispatched == "avx2" || dispatched == "scalar") << dispatched;
+  if (dispatched == "avx2") {
+    // AVX2 only runs when compiled in, supported and not forced off.
+    EXPECT_TRUE(k.at("avx2_compiled").as_bool());
+    EXPECT_TRUE(k.at("cpu_avx2").as_bool());
+    EXPECT_FALSE(k.at("forced_scalar").as_bool());
+  }
 
   expect_section_object(doc, "config");
   EXPECT_TRUE(doc.at("config").at("summary").is_string());

@@ -4,8 +4,12 @@
 // lost, no completed job run twice).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <mutex>
 #include <set>
@@ -315,6 +319,30 @@ TEST(Scheduler, GracefulShutdownParksUnfinishedWorkForTheNextRun) {
   sched.shutdown();
   ASSERT_EQ(sched.state(1), JobState::Completed);
   expect_matches_oracle(*sched.result(1), spec);
+}
+
+// Lost-wakeup regression: shutdown() and hard_stop() must reach a worker
+// that is between its stop-flag check and its wait. Many idle schedulers
+// stopped right after start() hit that window; each must join promptly.
+TEST(Scheduler, IdleSchedulersAlwaysJoinOnStop) {
+  SchedulerOptions opts;  // ephemeral: no data dir
+  opts.workers = 2;
+  for (int k = 0; k < 1000; ++k) {
+    Scheduler sched(opts);
+    sched.start();
+    auto stopped = std::async(std::launch::async, [&sched, k] {
+      if (k % 2 == 0) {
+        sched.shutdown();
+      } else {
+        sched.hard_stop();
+      }
+    });
+    if (stopped.wait_for(std::chrono::seconds(5)) !=
+        std::future_status::ready) {
+      std::fprintf(stderr, "scheduler %d did not join within 5 s\n", k);
+      std::abort();  // a hung worker would otherwise block the suite
+    }
+  }
 }
 
 }  // namespace

@@ -9,12 +9,16 @@ namespace {
 
 TEST(KernelChecks, FullSuitePasses) {
   const KernelReport report = run_kernel_checks(20120427);
-  ASSERT_EQ(report.checks.size(), 4u);
+  ASSERT_EQ(report.checks.size(), 6u);
   for (const auto& c : report.checks) {
     EXPECT_TRUE(c.passed) << c.name << ": " << c.detail;
-    // The cross-kernel check runs zero cases when the AVX2 kernel is
+    // The cross-kernel checks run zero cases when the AVX2 kernel is
     // compiled out or the CPU lacks it; every other check always runs.
-    if (c.name == "mem1.avx2_vs_scalar" && !report.avx2_available) continue;
+    if ((c.name == "mem1.avx2_vs_scalar" ||
+         c.name == "sampled.avx2_predraw_vs_scalar_bitwise") &&
+        !report.avx2_available) {
+      continue;
+    }
     EXPECT_GT(c.cases, 0u) << c.name;
   }
   EXPECT_TRUE(report.passed());

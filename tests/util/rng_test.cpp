@@ -94,6 +94,17 @@ TEST(StreamRng, CounterCountsDraws) {
   EXPECT_EQ(r.counter(), 2u);
 }
 
+// Batch kernels read a stream without walking it: at(origin(), k) must be
+// the k-th value the generator returns from its current position.
+TEST(StreamRng, OriginPredictsUpcomingDraws) {
+  StreamRng r(11, 22);
+  for (int skip = 0; skip < 3; ++skip) (void)r();
+  const std::uint64_t origin = r.origin();
+  for (std::uint64_t k = 1; k <= 64; ++k) {
+    EXPECT_EQ(StreamRng::at(origin, k), r()) << "k=" << k;
+  }
+}
+
 TEST(StreamKey, SensitiveToEachComponent) {
   const auto base = stream_key(1, 2, 3);
   EXPECT_NE(base, stream_key(2, 2, 3));

@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 
+#include "game/simd.hpp"
 #include "simcheck/case.hpp"
 #include "simcheck/kernels.hpp"
 #include "simcheck/repro.hpp"
@@ -130,8 +131,10 @@ int run_stats_preset(const std::string& preset, std::uint64_t seed,
 int run_kernels(std::uint64_t seed) {
   const auto report = simcheck::run_kernel_checks(seed);
   std::cout << "kernels: avx2 "
-            << (report.avx2_available ? "active" : "unavailable (scalar only)")
-            << "\n";
+            << (report.avx2_available ? "available" : "unavailable")
+            << ", dispatching "
+            << game::simd::kernel_name(game::simd::active_kernel())
+            << (game::simd::force_scalar() ? " (forced)" : "") << "\n";
   int failures = 0;
   for (const auto& c : report.checks) {
     std::cout << (c.passed ? "ok   " : "FAIL ") << "[" << c.name << "]: "

@@ -4,8 +4,8 @@
 //                    generation (O(ssets^2 * rounds) per generation).
 //   SampledFrozen  — play each pair once, refresh on strategy change.
 //   Analytic       — exact expected payoffs (cycle detection / Markov).
-//   Analytic rows additionally run with the strategy-interned dedup cache
-//   on and off — the pairs vs games columns show what interning saves on a
+//   Analytic rows additionally run with strategy-interned dedup on and
+//   off — the pairs vs games columns show what interning saves on a
 //   population that PC imitation has driven toward few unique strategies.
 //
 // All variants produce the identical trajectory for deterministic games

@@ -163,8 +163,8 @@ egt::core::SimConfig build_config(egt::util::Cli& cli, int argc, char** argv,
       "SSet-tier worker threads for whole-block fitness passes (0 = serial)");
   auto no_dedup = cli.flag(
       "no-dedup",
-      "disable the strategy-interned class-pair payoff cache (analytic "
-      "fitness then replays every pair's game)");
+      "disable strategy-interned dedup (analytic fitness then plays "
+      "every pair's game)");
   auto ranks_opt = cli.opt<int>(
       "ranks", 0, "run the parallel engine on N ranks (0 = serial engine)");
   auto series_opt = cli.opt<std::string>("series", "", "time-series CSV path");

@@ -120,8 +120,7 @@ Engine::Engine(const SimConfig& config, RestoredState state, FitnessRestore fit,
   // engine — so a resumed run's counter *growth* matches an undisturbed
   // run generation for generation.
   if (config_.fitness_mode != FitnessMode::Sampled) {
-    fitness_.restore_state(std::move(fit.fitness), std::move(fit.matrix),
-                           std::move(fit.dedup));
+    fitness_.restore_state(std::move(fit.fitness), std::move(fit.matrix));
   }
   account_pairs();
 }

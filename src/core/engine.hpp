@@ -48,22 +48,20 @@ class Engine {
          obs::MetricsRegistry* metrics = nullptr);
 
   /// The fitness block's evaluation state as captured alongside a
-  /// checkpoint (serve/job_checkpoint.hpp): the per-row fitness, the
-  /// cached payoff matrix (empty for Sampled / public goods) and the
-  /// dedup class-pair cache.
+  /// checkpoint (serve/job_checkpoint.hpp): the per-row fitness and the
+  /// cached payoff matrix (empty for Sampled / public goods).
   struct FitnessRestore {
     std::vector<double> fitness;
     std::vector<double> matrix;
-    std::vector<BlockFitness::DedupEntry> dedup;
   };
 
   /// Resume from a checkpointed state *and* a captured fitness block —
   /// unlike the plain restore constructor this performs no initial
-  /// all-pairs evaluation, so engine.pairs_evaluated / games_played (and
-  /// the dedup cache contents) continue exactly where the saving run
-  /// stopped: a preempted run resumed this way is bit-identical to an
-  /// undisturbed one, counters included. Sampled mode ignores `fit`
-  /// (begin_generation replays everything next step anyway).
+  /// all-pairs evaluation, so engine.pairs_evaluated / games_played
+  /// continue exactly where the saving run stopped: a preempted run
+  /// resumed this way is bit-identical to an undisturbed one, counters
+  /// included. Sampled mode ignores `fit` (begin_generation replays
+  /// everything next step anyway).
   Engine(const SimConfig& config, RestoredState state, FitnessRestore fit,
          obs::MetricsRegistry* metrics = nullptr);
 

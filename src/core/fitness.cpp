@@ -1,12 +1,34 @@
 #include "core/fitness.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <unordered_set>
 
 #include "util/check.hpp"
 
 namespace egt::core {
+
+namespace {
+
+/// Dense per-ClassId scratch for one dedup call: slot[c] is meaningful
+/// only while stamp[c] == epoch, so starting a call is O(1) instead of a
+/// clear over the whole class table.
+struct ClassSlots {
+  std::vector<std::uint32_t> stamp;
+  std::vector<std::uint32_t> slot;
+  std::uint32_t epoch = 0;
+
+  void begin(std::size_t classes) {
+    if (++epoch == 0) {  // wrapped: forget every stale stamp
+      std::fill(stamp.begin(), stamp.end(), 0);
+      epoch = 1;
+    }
+    if (stamp.size() < classes) {
+      stamp.resize(classes, 0);
+      slot.resize(classes);
+    }
+  }
+};
+
+}  // namespace
 
 PairEvaluator::PairEvaluator(const SimConfig& config)
     : config_(config),
@@ -174,8 +196,6 @@ BlockFitness::BlockFitness(const SimConfig& config, pop::SSetId row_begin,
       pgg_(config.game.kind == game::GameKind::PublicGoods) {
   EGT_REQUIRE(row_begin <= row_end && row_end <= config.ssets);
   if (metrics != nullptr) {
-    ct_cache_inserts_ = &metrics->counter("fitness.cache_inserts");
-    ct_cache_prunes_ = &metrics->counter("fitness.cache_prunes");
     ct_restores_ = &metrics->counter("fitness.state_restores");
   }
   fitness_.assign(end_ - begin_, 0.0);
@@ -277,138 +297,71 @@ void BlockFitness::recompute_row_pgg(pop::SSetId i, const pop::Population& pop,
 
 void BlockFitness::pair_values(const pop::Population& pop,
                                std::span<const PairEvaluator::Pair> pairs,
-                               std::uint64_t gen_key, std::span<double> out,
-                               std::uint64_t& games, bool allow_insert) {
-  if (!dedup_) {
-    eval_.payoffs(pop, pairs, gen_key, out);
-    games += pairs.size();
-    return;
-  }
-  // Strategy-pure pairs come from the class-pair cache, in pair order (a
-  // miss plays the one game and, when allowed, caches it for the pairs
-  // after it); the rest share one batched evaluation.
-  thread_local std::vector<PairEvaluator::Pair> rest;
-  thread_local std::vector<std::size_t> slot;
+                               bool vary_row, std::uint64_t gen_key,
+                               std::span<double> out, std::uint64_t& games,
+                               par::ThreadPool* pool) const {
+  // `todo` holds the distinct evaluations; pick[t] names the one that
+  // answers pairs[t]. Pool workers see their own thread_locals, so they
+  // get these buffers as spans.
+  constexpr std::uint32_t kEachPair = ~std::uint32_t{0};
+  thread_local ClassSlots seen;
+  thread_local std::vector<PairEvaluator::Pair> todo;
+  thread_local std::vector<std::uint32_t> pick;
   thread_local std::vector<double> vals;
-  rest.clear();
-  slot.clear();
-  const auto& classes = pop.classes();
-  for (std::size_t t = 0; t < pairs.size(); ++t) {
-    const pop::StrategyClass& ci = classes[pop.strategy_class(pairs[t].first)];
-    const pop::StrategyClass& cj =
-        classes[pop.strategy_class(pairs[t].second)];
-    if (!eval_.strategy_pure(ci.strategy, cj.strategy)) {
-      rest.push_back(pairs[t]);
-      slot.push_back(t);
-      continue;
+  std::span<const PairEvaluator::Pair> work = pairs;
+  std::span<double> dst = out.first(pairs.size());
+  if (dedup_) {
+    seen.begin(pop.classes().size());
+    todo.clear();
+    pick.resize(pairs.size());
+    for (std::size_t t = 0; t < pairs.size(); ++t) {
+      const auto [i, j] = pairs[t];
+      const pop::ClassId c = pop.strategy_class(vary_row ? i : j);
+      std::uint32_t& slot = seen.slot[c];
+      if (seen.stamp[c] != seen.epoch) {
+        seen.stamp[c] = seen.epoch;
+        slot = eval_.strategy_pure(pop.strategy(i), pop.strategy(j))
+                   ? static_cast<std::uint32_t>(todo.size())
+                   : kEachPair;
+      } else if (slot != kEachPair) {
+        pick[t] = slot;
+        continue;
+      }
+      pick[t] = static_cast<std::uint32_t>(todo.size());
+      todo.push_back(pairs[t]);
     }
-    const std::uint64_t key = game::Strategy::pair_key(ci.hash, cj.hash);
-    const auto it = class_pay_.find(key);
-    if (it != class_pay_.end()) {
-      out[t] = it->second.payoff;
-      continue;
-    }
-    out[t] = eval_.pair_payoff(ci.strategy, cj.strategy);
-    ++games;
-    // Pool workers run behind a prefill and must not mutate the cache;
-    // recomputing a rare miss is correct either way (pure function).
-    if (allow_insert) {
-      class_pay_.emplace(key, ClassPay{out[t], ci.hash, cj.hash});
-      if (ct_cache_inserts_ != nullptr) ct_cache_inserts_->inc();
-    }
+    vals.resize(todo.size());
+    work = todo;
+    dst = vals;
   }
-  if (rest.empty()) return;
-  if (vals.size() < rest.size()) vals.resize(rest.size());
-  eval_.payoffs(pop, rest, gen_key, {vals.data(), rest.size()});
-  games += rest.size();
-  for (std::size_t k = 0; k < slot.size(); ++k) out[slot[k]] = vals[k];
-}
-
-void BlockFitness::prefill_pair(const pop::Population& pop, pop::ClassId cr,
-                                pop::ClassId cc) {
-  const auto& classes = pop.classes();
-  const pop::StrategyClass& row = classes[cr];
-  const pop::StrategyClass& col = classes[cc];
-  if (!eval_.strategy_pure(row.strategy, col.strategy)) return;
-  const std::uint64_t key = game::Strategy::pair_key(row.hash, col.hash);
-  if (class_pay_.find(key) != class_pay_.end()) return;
-  class_pay_.emplace(
-      key, ClassPay{eval_.pair_payoff(row.strategy, col.strategy), row.hash,
-                    col.hash});
-  ++games_;
-  if (ct_cache_inserts_ != nullptr) ct_cache_inserts_->inc();
-}
-
-void BlockFitness::prefill_class(const pop::Population& pop, pop::ClassId cr) {
-  // Cover exactly the keys a well-mixed row of class `cr` can touch, so
-  // games_played stays identical to the serial lazy path for any thread
-  // count: every live column class — except the self pair of a singleton
-  // class, which no (i, j != i) ever realizes.
-  //
-  // The Mem1Markov misses are gathered into one SoA batch (fed straight
-  // from the population's interned class-table view) and run through a
-  // single kernel call; other routes evaluate per pair. Lane arithmetic is
-  // batch-size independent, so the cached values equal the per-pair path
-  // bitwise, and each batched pair still counts as one game.
-  const auto& classes = pop.classes();
-  const pop::StrategyClass& row = classes[cr];
-  game::batch::Mem1Batch batch;
-  std::vector<const pop::StrategyClass*> cols;
-  for (pop::ClassId cc = 0; cc < classes.size(); ++cc) {
-    if (classes[cc].members == 0) continue;
-    if (cc == cr && classes[cc].members < 2) continue;
-    const pop::StrategyClass& col = classes[cc];
-    if (eval_.route(row.strategy, col.strategy) !=
-            PairEvaluator::Route::Mem1Markov ||
-        !pop.mem1_batchable(cr) || !pop.mem1_batchable(cc)) {
-      prefill_pair(pop, cr, cc);
-      continue;
-    }
-    const std::uint64_t key = game::Strategy::pair_key(row.hash, col.hash);
-    if (class_pay_.find(key) != class_pay_.end()) continue;
-    batch.push_probs(pop.mem1_probs(cr), pop.mem1_probs(cc),
-                     config_.game.noise);
-    cols.push_back(&col);
+  if (pool == nullptr) {
+    eval_.payoffs(pop, work, gen_key, dst);
+  } else {
+    pool->parallel_for(work.size(), [&](std::uint64_t b, std::uint64_t e) {
+      eval_.payoffs(pop, work.subspan(b, e - b), gen_key,
+                    dst.subspan(b, e - b));
+    });
   }
-  if (batch.empty()) return;
-  std::vector<double> vals(batch.size());
-  eval_.mem1_batch_payoffs(batch, vals);
-  for (std::size_t k = 0; k < cols.size(); ++k) {
-    class_pay_.emplace(game::Strategy::pair_key(row.hash, cols[k]->hash),
-                       ClassPay{vals[k], row.hash, cols[k]->hash});
-    ++games_;
-    if (ct_cache_inserts_ != nullptr) ct_cache_inserts_->inc();
+  games += work.size();
+  if (dedup_) {
+    for (std::size_t t = 0; t < pairs.size(); ++t) out[t] = vals[pick[t]];
   }
 }
 
 void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
                                  std::uint64_t gen_key, Counts& counts,
-                                 bool nested) {
+                                 bool nested, pop::SSetId source) {
   if (pgg_) {
     recompute_row_pgg(i, pop, gen_key, counts);
     return;
-  }
-  const std::size_t row = i - begin_;
-  const bool use_agent_pool = agent_pool_ != nullptr && !nested;
-  if (dedup_ && !nested) {
-    // Serial control path: make every strategy-pure pair of this row a
-    // guaranteed hit first — prefill_class batches the Mem1Markov misses
-    // through one SoA kernel call, and the agent tier (when active) then
-    // reads the cache from several threads without ever inserting.
-    // Structured rows only ever touch their neighbours' classes.
-    const pop::ClassId ci = pop.strategy_class(i);
-    if (structured()) {
-      for (pop::SSetId j : graph_->neighbors(i)) {
-        prefill_pair(pop, ci, pop.strategy_class(j));
-      }
-    } else {
-      prefill_class(pop, ci);
-    }
   }
   // The row's pairs in the fixed order its sum walks: neighbours in list
   // order (structured), or every j != i ascending (well-mixed).
   thread_local std::vector<PairEvaluator::Pair> pairs;
   thread_local std::vector<double> vals;
+  thread_local std::vector<PairEvaluator::Pair> rest;
+  thread_local std::vector<std::size_t> slot;
+  thread_local std::vector<double> rest_vals;
   pairs.clear();
   if (structured()) {
     for (pop::SSetId j : graph_->neighbors(i)) pairs.emplace_back(i, j);
@@ -418,83 +371,75 @@ void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
     }
   }
   vals.resize(pairs.size());
-  if (use_agent_pool) {
-    // Agent tier: contiguous chunks of the row run concurrently, each as
-    // one batched evaluation into its slice of `vals`; batching never
-    // changes a pair's value, so the ordered sum below is bit-identical
-    // to the serial path. (Workers see their own thread_locals, so they
-    // get this thread's buffers as spans.)
-    const std::span<const PairEvaluator::Pair> row_pairs = pairs;
-    const std::span<double> row_vals = vals;
-    std::atomic<std::uint64_t> games{0};
-    agent_pool_->parallel_for(
-        row_pairs.size(), [&](std::uint64_t b, std::uint64_t e) {
-          std::uint64_t g = 0;
-          pair_values(pop, row_pairs.subspan(b, e - b), gen_key,
-                      row_vals.subspan(b, e - b), g, false);
-          games.fetch_add(g, std::memory_order_relaxed);
-        });
-    counts.games += games.load(std::memory_order_relaxed);
+  par::ThreadPool* pool = nested ? nullptr : agent_pool_.get();
+  if (source == kNoSSet) {
+    pair_values(pop, pairs, /*vary_row=*/false, gen_key, vals, counts.games,
+                pool);
   } else {
-    pair_values(pop, pairs, gen_key, vals, counts.games, !nested);
+    // Same class as `source`, so every strategy-pure value is already in
+    // its row; only the (gen_key, i, j)-keyed pairs are evaluated.
+    const game::Strategy& si = pop.strategy(i);
+    rest.clear();
+    slot.clear();
+    for (std::size_t t = 0; t < pairs.size(); ++t) {
+      const pop::SSetId j = pairs[t].second;
+      if (eval_.strategy_pure(si, pop.strategy(j))) {
+        vals[t] = cell(source, j == source ? i : j);
+      } else {
+        rest.push_back(pairs[t]);
+        slot.push_back(t);
+      }
+    }
+    rest_vals.resize(rest.size());
+    pair_values(pop, rest, /*vary_row=*/false, gen_key, rest_vals,
+                counts.games, pool);
+    for (std::size_t k = 0; k < slot.size(); ++k) vals[slot[k]] = rest_vals[k];
   }
   counts.pairs += pairs.size();
   double sum = 0.0;
   for (std::size_t t = 0; t < pairs.size(); ++t) {
-    if (cached()) matrix_[row * config_.ssets + pairs[t].second] = vals[t];
+    if (cached()) cell(i, pairs[t].second) = vals[t];
     sum += vals[t];
   }
-  fitness_[row] = sum * row_scale(i);
+  fitness_[i - begin_] = sum * row_scale(i);
 }
 
 void BlockFitness::evaluate_rows(const pop::Population& pop,
                                  std::uint64_t gen_key) {
   const std::uint64_t rows = end_ - begin_;
-  if (dedup_) {
-    // Cover exactly the strategy-pure pairs the rows below will touch,
-    // serially and up front. Pool workers then only ever read the cache
-    // (the hit set is guaranteed and games_played stays
-    // thread-count-invariant), and the serial path inserts the same key
-    // set it would have inserted lazily — but through prefill_class's SoA
-    // batches instead of one kernel call per miss.
-    if (structured()) {
-      for (pop::SSetId i = begin_; i < end_; ++i) {
-        const pop::ClassId ci = pop.strategy_class(i);
-        for (pop::SSetId j : graph_->neighbors(i)) {
-          prefill_pair(pop, ci, pop.strategy_class(j));
-        }
-      }
-    } else {
-      std::vector<pop::ClassId> row_classes;
-      row_classes.reserve(rows);
-      for (pop::SSetId i = begin_; i < end_; ++i) {
-        row_classes.push_back(pop.strategy_class(i));
-      }
-      std::sort(row_classes.begin(), row_classes.end());
-      row_classes.erase(std::unique(row_classes.begin(), row_classes.end()),
-                        row_classes.end());
-      for (pop::ClassId cr : row_classes) prefill_class(pop, cr);
-    }
-  }
-  if (sset_pool_ == nullptr) {
-    Counts counts;
+  // Well-mixed dedup: the first owned row of each class is evaluated and
+  // every later row of that class copies it. Sources run in phase one and
+  // copies in phase two, so SSet-pool workers never read a row another
+  // worker is writing and the counters are thread-count-invariant.
+  std::vector<pop::SSetId> source(rows, kNoSSet);
+  if (reuse_matrix()) {
+    std::vector<pop::SSetId> first(pop.classes().size(), kNoSSet);
     for (pop::SSetId i = begin_; i < end_; ++i) {
-      recompute_row(i, pop, gen_key, counts, false);
+      pop::SSetId& f = first[pop.strategy_class(i)];
+      if (f == kNoSSet) {
+        f = i;
+      } else {
+        source[i - begin_] = f;
+      }
     }
-    pairs_ += counts.pairs;
-    games_ += counts.games;
-    return;
   }
-  // SSet-row tier: rows are independent (each writes only its fitness and
-  // matrix entries and its own Counts slot); every row keeps its fixed
-  // j-order sum, so any thread count is bit-identical to serial.
   std::vector<Counts> per_row(rows);
-  sset_pool_->parallel_for(rows, [&](std::uint64_t b, std::uint64_t e) {
-    for (std::uint64_t r = b; r < e; ++r) {
-      recompute_row(begin_ + static_cast<pop::SSetId>(r), pop, gen_key,
-                    per_row[r], true);
+  const bool nested = sset_pool_ != nullptr;
+  for (const bool copies : {false, true}) {
+    if (copies && !reuse_matrix()) break;
+    const auto phase = [&](std::uint64_t b, std::uint64_t e) {
+      for (std::uint64_t r = b; r < e; ++r) {
+        if ((source[r] != kNoSSet) != copies) continue;
+        recompute_row(begin_ + static_cast<pop::SSetId>(r), pop, gen_key,
+                      per_row[r], nested, source[r]);
+      }
+    };
+    if (nested) {
+      sset_pool_->parallel_for(rows, phase);
+    } else {
+      phase(0, rows);
     }
-  });
+  }
   for (const Counts& c : per_row) {
     pairs_ += c.pairs;
     games_ += c.games;
@@ -527,60 +472,63 @@ void BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
     games_ += counts.games;
     return;
   }
-  if (k >= begin_ && k < end_) {
-    recompute_row(k, pop, generation, counts, false);
+  // Up to two other members s1 < s2 of k's new class. Column s1 already
+  // holds every fresh strategy-pure (i, k) but (s1, k), which column s2
+  // holds.
+  const pop::ClassId ck = pop.strategy_class(k);
+  pop::SSetId s1 = kNoSSet, s2 = kNoSSet;
+  if (reuse_matrix()) {
+    for (pop::SSetId j = 0; j < config_.ssets && s2 == kNoSSet; ++j) {
+      if (j == k || pop.strategy_class(j) != ck) continue;
+      (s1 == kNoSSet ? s1 : s2) = j;
+    }
   }
-  // Column refresh: every owned (i, k) in one batched evaluation. The
-  // fresh value comes from the class-pair cache when the pair is
-  // strategy-pure (one game per new class pair), and matrix_ still holds
-  // the pre-change value, so the fitness delta needs no old-class
-  // bookkeeping.
+  // Column refresh: matrix_ still holds the pre-change (i, k), so the
+  // fitness delta needs no old-class bookkeeping. The pairs no column
+  // answers share one call.
   thread_local std::vector<PairEvaluator::Pair> pairs;
   thread_local std::vector<double> fresh;
   pairs.clear();
+  const auto refresh = [&](pop::SSetId i, double value) {
+    double& m = cell(i, k);
+    fitness_[i - begin_] += (value - m) * row_scale(i);
+    m = value;
+  };
+  const game::Strategy& sk = pop.strategy(k);
   for (pop::SSetId i = begin_; i < end_; ++i) {
     if (i == k) continue;
     if (structured() && !graph_->are_neighbors(i, k)) continue;
-    pairs.emplace_back(i, k);
+    ++counts.pairs;
+    const pop::SSetId src = i != s1 ? s1 : s2;
+    if (src != kNoSSet && eval_.strategy_pure(pop.strategy(i), sk)) {
+      refresh(i, cell(i, src));
+    } else {
+      pairs.emplace_back(i, k);
+    }
   }
   fresh.resize(pairs.size());
-  pair_values(pop, pairs, generation, fresh, counts.games, true);
-  counts.pairs += pairs.size();
+  pair_values(pop, pairs, /*vary_row=*/true, generation, fresh, counts.games,
+              nullptr);
   for (std::size_t t = 0; t < pairs.size(); ++t) {
-    const pop::SSetId i = pairs[t].first;
-    const std::size_t idx =
-        static_cast<std::size_t>(i - begin_) * config_.ssets + k;
-    fitness_[i - begin_] += (fresh[t] - matrix_[idx]) * row_scale(i);
-    matrix_[idx] = fresh[t];
+    refresh(pairs[t].first, fresh[t]);
+  }
+  // Row k last, so a copy from an owned row of its class reads a current
+  // (source, k).
+  if (k >= begin_ && k < end_) {
+    pop::SSetId source = kNoSSet;
+    if (reuse_matrix()) {
+      for (pop::SSetId r = begin_; r < end_ && source == kNoSSet; ++r) {
+        if (r != k && pop.strategy_class(r) == ck) source = r;
+      }
+    }
+    recompute_row(k, pop, generation, counts, false, source);
   }
   pairs_ += counts.pairs;
   games_ += counts.games;
-  maybe_prune_cache(pop);
-}
-
-void BlockFitness::maybe_prune_cache(const pop::Population& pop) {
-  if (!dedup_) return;
-  const std::uint64_t live = pop.class_count();
-  if (class_pay_.size() <= 256 + 8 * live * live) return;
-  std::unordered_set<std::uint64_t> live_hashes;
-  live_hashes.reserve(live);
-  for (const pop::StrategyClass& c : pop.classes()) {
-    if (c.members > 0) live_hashes.insert(c.hash);
-  }
-  for (auto it = class_pay_.begin(); it != class_pay_.end();) {
-    if (live_hashes.count(it->second.a) == 0 ||
-        live_hashes.count(it->second.b) == 0) {
-      it = class_pay_.erase(it);
-      if (ct_cache_prunes_ != nullptr) ct_cache_prunes_->inc();
-    } else {
-      ++it;
-    }
-  }
 }
 
 void BlockFitness::restore_state(std::vector<double> fitness,
-                                 std::vector<double> matrix,
-                                 std::vector<DedupEntry> cache) {
+                                 std::vector<double> matrix) {
   EGT_REQUIRE_MSG(cached(),
                   "restore_state only applies to cached fitness modes "
                   "(Sampled mode recomputes from the population)");
@@ -591,27 +539,6 @@ void BlockFitness::restore_state(std::vector<double> fitness,
   fitness_ = std::move(fitness);
   matrix_ = std::move(matrix);
   if (ct_restores_ != nullptr) ct_restores_->inc();
-  if (dedup_) {
-    class_pay_.clear();
-    class_pay_.reserve(cache.size());
-    for (const DedupEntry& e : cache) {
-      class_pay_.emplace(game::Strategy::pair_key(e.a, e.b),
-                         ClassPay{e.payoff, e.a, e.b});
-    }
-  }
-}
-
-std::vector<BlockFitness::DedupEntry> BlockFitness::dedup_cache() const {
-  std::vector<DedupEntry> out;
-  out.reserve(class_pay_.size());
-  for (const auto& [key, entry] : class_pay_) {
-    out.push_back(DedupEntry{entry.a, entry.b, entry.payoff});
-  }
-  // Deterministic blob bytes regardless of hash-map iteration order.
-  std::sort(out.begin(), out.end(), [](const DedupEntry& x, const DedupEntry& y) {
-    return x.a != y.a ? x.a < y.a : x.b < y.b;
-  });
-  return out;
 }
 
 double BlockFitness::fitness(pop::SSetId i) const {

@@ -18,15 +18,17 @@
 //    pairwise payoff is a *pure function of the strategy pair* — the
 //    dedup-eligibility rule, satisfied exactly where an exact method
 //    applies (deterministic pure pair via exact_pure_game, or memory-one
-//    via expected_game_mem1) — the engine plays one game per unique
-//    (class_i, class_j) from the population's interned class table and
-//    reuses the value for every SSet pair in those classes: O(u^2) games
-//    for u unique strategies instead of O(ssets^2). Row sums still walk
-//    every j in fixed order over the cached values, so fitness, matrix and
-//    trajectories are bit-identical to brute force; only games_played
-//    drops. Pairs whose payoff is (i, j)-keyed (Sampled/SampledFrozen
-//    streams, the Analytic fall-through for stochastic memory>=2) are
-//    never deduplicated.
+//    via expected_game_mem1) — the block reuses one value for every SSet
+//    pair in the same (class_i, class_j) of the population's interned
+//    class table. The payoff matrix is the only cache: a call evaluates
+//    each strategy-pure pair once per distinct ClassId on the side that
+//    varies, a well-mixed row copies an owned row of the same class, and
+//    a strategy change reads the fresh column from the column of another
+//    member of the new class. Row sums still walk every j in fixed order,
+//    so fitness, matrix and trajectories are bit-identical to brute force;
+//    only games_played drops. Pairs whose payoff is (i, j)-keyed
+//    (Sampled/SampledFrozen streams, the Analytic fall-through for
+//    stochastic memory>=2) are never deduplicated.
 //
 //  * SSet-row tier (config.sset_threads): initialize / begin_generation
 //    evaluate independent rows concurrently on a par::ThreadPool; each
@@ -37,7 +39,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -117,22 +118,12 @@ class PairEvaluator {
 
 class BlockFitness {
  public:
-  /// One entry of the exported dedup cache: payoff of content-hash pair
-  /// (a, b), ready to be carried by a block checkpoint and re-interned on
-  /// restore. Keys are strategy *content* hashes, never class ids — ids
-  /// are recycled, content is forever.
-  struct DedupEntry {
-    std::uint64_t a = 0;  ///< Strategy::hash() of the row strategy
-    std::uint64_t b = 0;  ///< Strategy::hash() of the column strategy
-    double payoff = 0.0;
-  };
-
   /// `graph` restricts game play to neighbours (null = well-mixed, the
   /// paper's population; the engines pass make_interaction_graph output).
   /// `metrics`, when given, receives the cold-path "fitness.*" counters
-  /// (dedup cache inserts/prunes, state restores); the engines pass their
-  /// own — per-rank, per-job — registry so concurrent simulations never
-  /// share counters. Must outlive the block.
+  /// (state restores); the engines pass their own — per-rank, per-job —
+  /// registry so concurrent simulations never share counters. Must outlive
+  /// the block.
   BlockFitness(const SimConfig& config, pop::SSetId row_begin,
                pop::SSetId row_end,
                std::shared_ptr<const pop::InteractionGraph> graph = nullptr,
@@ -151,7 +142,9 @@ class BlockFitness {
   void begin_generation(const pop::Population& pop, std::uint64_t generation);
 
   /// Called after SSet `k` changed strategy in `generation`. Cached modes
-  /// refresh row k (if owned) and every owned entry against k.
+  /// refresh row k (if owned) and every owned entry against k. `pop` may
+  /// differ from the population the block last saw only at SSet k: the
+  /// dedup reuse rules read every other matrix column as current.
   void strategy_changed(pop::SSetId k, const pop::Population& pop,
                         std::uint64_t generation);
 
@@ -170,24 +163,18 @@ class BlockFitness {
   /// block state instead of re-evaluating. `fitness` must have one entry
   /// per owned row and `matrix` rows x ssets entries. The values must come
   /// from a block computed over the same population — the ft layer
-  /// guarantees this with a population hash check. `cache` re-seeds the
-  /// dedup class-pair table (ignored when dedup is off) so the restored
-  /// block keeps answering strategy changes without replaying class games.
-  void restore_state(std::vector<double> fitness, std::vector<double> matrix,
-                     std::vector<DedupEntry> cache = {});
-
-  /// The dedup class-pair cache in a deterministic (sorted) order — the
-  /// part of a block checkpoint that travels alongside the matrix. Empty
-  /// when dedup is off.
-  std::vector<DedupEntry> dedup_cache() const;
+  /// guarantees this with a population hash check. The matrix is the whole
+  /// dedup state, so a restored block reuses values exactly as the block
+  /// that produced them would have.
+  void restore_state(std::vector<double> fitness, std::vector<double> matrix);
 
   /// True when this block deduplicates strategy-pure pairs.
   bool dedup_active() const noexcept { return dedup_; }
 
   /// Logical ordered pairs evaluated so far — each (i, j) an owned row
   /// sums over counts once, whether its value came from a fresh game or
-  /// the dedup cache. This is the counter the serial/parallel equality
-  /// tests rely on.
+  /// was reused. This is the counter the serial/parallel equality tests
+  /// rely on.
   std::uint64_t pairs_evaluated() const noexcept { return pairs_; }
 
   /// Games actually played (expected-payoff computations included) —
@@ -202,6 +189,9 @@ class BlockFitness {
     std::uint64_t games = 0;
   };
 
+  /// "No SSet": recompute_row without a source row to copy.
+  static constexpr pop::SSetId kNoSSet = ~pop::SSetId{0};
+
   bool cached() const noexcept {
     return config_.fitness_mode != FitnessMode::Sampled;
   }
@@ -212,7 +202,13 @@ class BlockFitness {
   bool structured() const noexcept {
     return graph_ != nullptr && !graph_->is_complete();
   }
+  /// Well-mixed dedup: the matrix-reuse rules (row copies, column reads)
+  /// apply. Structured blocks dedupe within one call only.
+  bool reuse_matrix() const noexcept { return dedup_ && !structured(); }
   double row_scale(pop::SSetId i) const noexcept;
+  double& cell(pop::SSetId i, pop::SSetId j) noexcept {
+    return matrix_[static_cast<std::size_t>(i - begin_) * config_.ssets + j];
+  }
 
   /// Public goods group play (GameKind::PublicGoods, DESIGN.md §10).
   /// Groups: structured populations play one group {t} ∪ N(t) per SSet t;
@@ -230,49 +226,34 @@ class BlockFitness {
                      std::uint64_t gen_key) const;
 
   /// Row evaluation for the public goods kind: row-local and deterministic
-  /// (safe from SSet-pool workers; never touches the pair cache or matrix).
+  /// (safe from SSet-pool workers; never touches the matrix).
   void recompute_row_pgg(pop::SSetId i, const pop::Population& pop,
                          std::uint64_t gen_key, Counts& counts);
 
-  /// Values of ordered pairs, out[t] bit-identical to eval_.payoff on
-  /// pairs[t]. In dedup mode, strategy-pure pairs are answered from the
-  /// class-pair cache (a miss plays the one game and, when `allow_insert`,
-  /// caches it — insertion is forbidden from pool workers, which run
-  /// behind a prefill instead); every other pair goes through one
-  /// eval_.payoffs batch. `games` counts actual evaluations.
+  /// Values of ordered pairs that share one fixed side, out[t]
+  /// bit-identical to eval_.payoff on pairs[t]. In dedup mode each
+  /// strategy-pure pair is evaluated once per distinct ClassId of the side
+  /// that varies (`vary_row`: pairs[t].first, else pairs[t].second), every
+  /// other pair once. The distinct evaluations then run as one
+  /// eval_.payoffs batch, split across `pool` when given, so `games` (the
+  /// evaluation count) never depends on the thread count.
   void pair_values(const pop::Population& pop,
-                   std::span<const PairEvaluator::Pair> pairs,
+                   std::span<const PairEvaluator::Pair> pairs, bool vary_row,
                    std::uint64_t gen_key, std::span<double> out,
-                   std::uint64_t& games, bool allow_insert);
+                   std::uint64_t& games, par::ThreadPool* pool) const;
 
-  /// Cache the (cr, cc) payoff if the pair is strategy-pure and missing
-  /// (serial; run before handing rows to a pool).
-  void prefill_pair(const pop::Population& pop, pop::ClassId cr,
-                    pop::ClassId cc);
-
-  /// Prefill every (cr, live class) pair a well-mixed row of class `cr`
-  /// can touch (skips a singleton class's unreachable self pair).
-  void prefill_class(const pop::Population& pop, pop::ClassId cr);
-
-  /// recompute_row with `nested` set runs inside the SSet-row pool: it
-  /// must not use the agent tier or mutate the cache.
+  /// Rebuild owned row i. With a `source` (an owned SSet of i's class
+  /// whose row is current) the strategy-pure entries are copied from it:
+  /// (i, j) = (source, j) for j not in {i, source}, (i, source) =
+  /// (source, i); everything else is evaluated. `nested` is set inside the
+  /// SSet-row pool, which must not use the agent tier.
   void recompute_row(pop::SSetId i, const pop::Population& pop,
-                     std::uint64_t gen_key, Counts& counts, bool nested);
+                     std::uint64_t gen_key, Counts& counts, bool nested,
+                     pop::SSetId source = kNoSSet);
 
   /// initialize / begin_generation body: all owned rows, through the
   /// SSet-row pool when configured.
   void evaluate_rows(const pop::Population& pop, std::uint64_t gen_key);
-
-  /// Drop cache entries whose strategies died once the cache outgrows the
-  /// live class-pair count (values are pure content functions, so pruning
-  /// only ever trades a replay, never correctness).
-  void maybe_prune_cache(const pop::Population& pop);
-
-  struct ClassPay {
-    double payoff = 0.0;
-    std::uint64_t a = 0;  // content hashes kept for pruning / export
-    std::uint64_t b = 0;
-  };
 
   SimConfig config_;
   PairEvaluator eval_;
@@ -285,15 +266,9 @@ class BlockFitness {
   std::vector<double> matrix_;          // cached modes: rows x ssets payoffs
   std::unique_ptr<par::ThreadPool> agent_pool_;  // paper's second tier
   std::unique_ptr<par::ThreadPool> sset_pool_;   // SSet-row tier
-  // Dedup class-pair cache: Strategy::pair_key(a, b) → payoff.
-  std::unordered_map<std::uint64_t, ClassPay> class_pay_;
   std::uint64_t pairs_ = 0;
   std::uint64_t games_ = 0;
-  // Cold-path instrumentation (null when the block runs unobserved). All
-  // increments happen on the serial control path (inserts are forbidden
-  // from pool workers), so a per-block registry needs no extra locking.
-  obs::Counter* ct_cache_inserts_ = nullptr;
-  obs::Counter* ct_cache_prunes_ = nullptr;
+  // Cold-path instrumentation (null when the block runs unobserved).
   obs::Counter* ct_restores_ = nullptr;
 };
 

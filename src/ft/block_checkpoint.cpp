@@ -29,12 +29,6 @@ std::vector<std::byte> BlockCheckpoint::encode() const {
   w.u32(matrix_cols);
   w.doubles(fitness.data(), fitness.size());
   w.doubles(matrix.data(), matrix.size());
-  w.u64(dedup.size());
-  for (const auto& e : dedup) {
-    w.u64(e.a);
-    w.u64(e.b);
-    w.f64(e.payoff);
-  }
   return w.take();
 }
 
@@ -62,20 +56,6 @@ BlockCheckpoint BlockCheckpoint::decode(const std::vector<std::byte>& blob) {
   const std::size_t rows = c.end - c.begin;
   c.fitness = r.doubles(rows, "fitness vector");
   c.matrix = r.doubles(rows * c.matrix_cols, "payoff matrix");
-  const std::uint64_t dedup_count = r.u64("dedup entry count");
-  // Each entry is 24 bytes; bound the count by the remaining payload so a
-  // corrupt length can neither over-allocate nor loop past the blob.
-  if (dedup_count > blob.size() / 24) {
-    r.fail("dedup entry count exceeds the blob");
-  }
-  c.dedup.reserve(dedup_count);
-  for (std::uint64_t i = 0; i < dedup_count; ++i) {
-    core::BlockFitness::DedupEntry e;
-    e.a = r.u64("dedup entry hash a");
-    e.b = r.u64("dedup entry hash b");
-    e.payoff = r.f64("dedup entry payoff");
-    c.dedup.push_back(e);
-  }
   r.expect_exhausted();
   return c;
 }

@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "core/fitness.hpp"
 #include "core/wire.hpp"
 #include "pop/population.hpp"
 
@@ -41,10 +40,9 @@ namespace egt::ft {
 
 /// Bumped whenever the block-checkpoint layout changes; readers reject any
 /// other value with a clear CheckpointError.
-/// v2: the blob additionally carries the block's dedup class-pair payoff
-/// table (strategy content-hash pairs → payoff), so a restored block keeps
-/// answering strategy changes without replaying class games.
-inline constexpr std::uint32_t kBlockCheckpointVersion = 2;
+/// v2 carried a dedup class-pair payoff table after the matrix; v3 drops
+/// it — the matrix is the block's whole dedup state.
+inline constexpr std::uint32_t kBlockCheckpointVersion = 3;
 
 /// Evaluation state of one fitness block at one instant.
 struct BlockCheckpoint {
@@ -56,10 +54,6 @@ struct BlockCheckpoint {
   std::uint32_t matrix_cols = 0;  ///< ssets for cached modes, 0 for Sampled
   std::vector<double> fitness;    ///< end - begin entries
   std::vector<double> matrix;     ///< (end - begin) * matrix_cols entries
-  /// The interned class table's pair payoffs (BlockFitness::dedup_cache(),
-  /// sorted; empty when dedup is off). Keyed by strategy *content* hashes,
-  /// so the entries are valid on any rank regardless of class-id recycling.
-  std::vector<core::BlockFitness::DedupEntry> dedup;
 
   std::vector<std::byte> encode() const;
   /// Throws CheckpointError on truncation, bad magic, unsupported version

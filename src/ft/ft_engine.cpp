@@ -293,7 +293,7 @@ class BlockSet {
     if (hit && cached_mode() && hit->matrix_cols == expected_matrix_cols() &&
         hit->config_fingerprint == fingerprint) {
       blk.fit.restore_state(hit->fitness_slice(begin, end),
-                            hit->matrix_slice(begin, end), hit->dedup);
+                            hit->matrix_slice(begin, end));
       blk.snapshot.assign(blk.fit.block().begin(), blk.fit.block().end());
       FtInstruments::inc(ins_.blocks_restored);
     } else {
@@ -312,8 +312,12 @@ class BlockSet {
       // Snapshot = top-of-generation values, before this generation's
       // updates (which are replayed on top for the cached modes below).
       blk.snapshot.assign(blk.fit.block().begin(), blk.fit.block().end());
+      // Replay each change against the population as of that change:
+      // strategy_changed reads every column but k's as current.
+      pop::Population replay = pop_gen_start;
       for (pop::SSetId k : changed_this_gen_) {
-        blk.fit.strategy_changed(k, pop, gen);
+        replay.set_strategy(k, pop.strategy(k));
+        blk.fit.strategy_changed(k, replay, gen);
       }
       FtInstruments::inc(ins_.recovery_pairs,
                          blk.fit.pairs_evaluated() - blk.accounted);
@@ -348,7 +352,7 @@ class BlockSet {
     if (hit && cached_mode() && hit->matrix_cols == expected_matrix_cols() &&
         hit->config_fingerprint == fingerprint) {
       blk.fit.restore_state(hit->fitness_slice(begin, end),
-                            hit->matrix_slice(begin, end), hit->dedup);
+                            hit->matrix_slice(begin, end));
       FtInstruments::inc(ins_.blocks_restored);
     } else {
       if (cached_mode()) {
@@ -383,7 +387,6 @@ class BlockSet {
       c.matrix_cols = matrix.empty() ? 0 : config_.ssets;
       c.fitness.assign(b.fit.block().begin(), b.fit.block().end());
       c.matrix.assign(matrix.begin(), matrix.end());
-      c.dedup = b.fit.dedup_cache();
       auto blob = c.encode();
       FtInstruments::inc(ins_.ckpt_writes);
       FtInstruments::inc(ins_.ckpt_bytes, blob.size());

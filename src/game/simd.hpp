@@ -13,8 +13,8 @@
 //
 // One kernel per process: every analytic memory-one evaluation in a process
 // goes through the same kernel (batches of one included), so in-process
-// bitwise invariants (dedup on/off, serial vs threaded, prefill vs lazy)
-// hold under either kernel. Results *across* kernels agree to 1e-12
+// bitwise invariants (dedup on/off, serial vs threaded, copied vs
+// evaluated rows) hold under either kernel. Results *across* kernels agree to 1e-12
 // relative (FMA contraction and lane arithmetic reorder rounding), the same
 // tolerance simcheck already applies to Analytic restores — which is why
 // set_force_scalar is a test/bench hook, not something to flip mid-run.

@@ -6,13 +6,22 @@
 
 namespace egt::game {
 
-StateCodec::StateCodec(int memory)
-    : memory_(memory),
-      states_(num_states(memory)),
-      mask_(num_states(memory) - 1) {
+namespace {
+
+// Range check ahead of the member initializers: num_states shifts by
+// 2 * memory, which is undefined for a negative or oversized depth.
+int checked_memory(int memory) {
   EGT_REQUIRE_MSG(memory >= 0 && memory <= kMaxMemory,
                   "memory steps must be in [0, 6]");
+  return memory;
 }
+
+}  // namespace
+
+StateCodec::StateCodec(int memory)
+    : memory_(checked_memory(memory)),
+      states_(num_states(memory_)),
+      mask_(num_states(memory_) - 1) {}
 
 State StateCodec::encode(const std::vector<Move>& mine,
                          const std::vector<Move>& theirs) const {

@@ -193,12 +193,6 @@ std::uint64_t Strategy::hash() const noexcept {
       tag ^ std::visit([](const auto& s) { return s.hash(); }, impl_));
 }
 
-std::uint64_t Strategy::pair_key(std::uint64_t hash_a,
-                                 std::uint64_t hash_b) noexcept {
-  // Mix the second hash first so (a, b) and (b, a) land on different keys.
-  return util::mix64(hash_a ^ util::mix64(hash_b + 0x9e3779b97f4a7c15ULL));
-}
-
 std::vector<std::byte> Strategy::serialize() const {
   std::vector<std::byte> out;
   if (is_nway()) {

@@ -233,15 +233,6 @@ class Strategy {
 
   std::uint64_t hash() const noexcept;
 
-  /// Ordered content key of a strategy pair, built from two Strategy::hash
-  /// values. The dedup fitness cache and the ft block checkpoints key the
-  /// class-pair payoff table by this value — a pure function of strategy
-  /// *content*, so it is stable across ranks, runs and class-id recycling.
-  /// Asymmetric: pair_key(a, b) != pair_key(b, a) in general, matching the
-  /// asymmetric payoff of the row player.
-  static std::uint64_t pair_key(std::uint64_t hash_a,
-                                std::uint64_t hash_b) noexcept;
-
   /// Wire format for the parallel runtime's strategy broadcasts:
   /// [kind:u8][memory:u8][payload]. Kind 0 = pure (payload packed bits),
   /// 1 = mixed (per-state doubles), 2 = n-way ([actions:u8] then

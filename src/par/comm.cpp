@@ -52,7 +52,10 @@ void Context::courier_main() {
         });
     const auto now = std::chrono::steady_clock::now();
     if (next->due > now) {
-      courier_cv_.wait_until(lock, next->due);
+      // Wait on a copy: wait_until reads its deadline after reacquiring
+      // the lock, and a deliver_later meanwhile may reallocate delayed_.
+      const auto due = next->due;
+      courier_cv_.wait_until(lock, due);
       continue;  // re-evaluate: stop flag or an earlier message may exist
     }
     DelayedMessage ready = std::move(*next);

@@ -13,9 +13,11 @@
 // table — content-hashed, refcounted slots — and maintains the SSet → class
 // mapping incrementally under set_strategy. The class table is what lets
 // the fitness tier play one game per unique strategy pair instead of one
-// per SSet pair (core::BlockFitness dedup mode). Class ids are transient
-// labels (freed slots are recycled); everything bit-exact is keyed by the
-// class *content hash*, never by the id.
+// per SSet pair (core::BlockFitness dedup mode). Two SSets share a class
+// id only when their strategies compare equal — the content hash merely
+// picks the chain to search. Class ids are transient labels (freed slots
+// are recycled), so the fitness tier keys nothing by one beyond a single
+// call; its persistent reuse state is the payoff matrix.
 #pragma once
 
 #include <cstdint>

@@ -22,12 +22,6 @@ std::vector<std::byte> encode_job_checkpoint(const JobCheckpoint& ckpt) {
   w.doubles(ckpt.fitness.data(), ckpt.fitness.size());
   w.u32(static_cast<std::uint32_t>(ckpt.matrix.size()));
   w.doubles(ckpt.matrix.data(), ckpt.matrix.size());
-  w.u32(static_cast<std::uint32_t>(ckpt.dedup.size()));
-  for (const core::BlockFitness::DedupEntry& e : ckpt.dedup) {
-    w.u64(e.a);
-    w.u64(e.b);
-    w.f64(e.payoff);
-  }
   return w.take();
 }
 
@@ -55,15 +49,6 @@ JobCheckpoint decode_job_checkpoint(const std::vector<std::byte>& blob) {
   ckpt.fitness = r.doubles(nf, "fitness values");
   const std::uint32_t nm = r.u32("matrix count");
   ckpt.matrix = r.doubles(nm, "matrix values");
-  const std::uint32_t nd = r.u32("dedup count");
-  ckpt.dedup.reserve(nd);
-  for (std::uint32_t i = 0; i < nd; ++i) {
-    core::BlockFitness::DedupEntry e;
-    e.a = r.u64("dedup row hash");
-    e.b = r.u64("dedup col hash");
-    e.payoff = r.f64("dedup payoff");
-    ckpt.dedup.push_back(e);
-  }
   r.expect_exhausted();
   return ckpt;
 }
@@ -80,7 +65,6 @@ JobCheckpoint capture_job_checkpoint(const core::Engine& engine,
   const core::BlockFitness& fit = engine.fitness_block();
   ckpt.fitness.assign(fit.block().begin(), fit.block().end());
   ckpt.matrix.assign(fit.payoff_matrix().begin(), fit.payoff_matrix().end());
-  ckpt.dedup = fit.dedup_cache();
   return ckpt;
 }
 
@@ -89,8 +73,7 @@ core::Engine resume_job_engine(const core::SimConfig& config,
                                obs::MetricsRegistry* metrics) {
   core::Engine::RestoredState state = core::decode_checkpoint(config, ckpt.core);
   core::Engine::FitnessRestore fit{std::move(ckpt.fitness),
-                                   std::move(ckpt.matrix),
-                                   std::move(ckpt.dedup)};
+                                   std::move(ckpt.matrix)};
   return core::Engine(config, std::move(state), std::move(fit), metrics);
 }
 

@@ -1,11 +1,11 @@
-// Job checkpoints ("egt.job_ckpt/v1"): the preemption/resume unit.
+// Job checkpoints ("egt.job_ckpt/v2"): the preemption/resume unit.
 //
 // A plain core checkpoint restores the trajectory bit-exactly but pays a
 // full re-initialization (ssets² pairs) on restore — which is why
 // simcheck marks checkpoint/restore counters non-comparable. A job
 // checkpoint additionally captures the fitness block's evaluation state
-// (per-row fitness, cached payoff matrix, dedup class-pair cache) and the
-// job's accumulated engine.* counters, so a preempted-and-resumed job
+// (per-row fitness and cached payoff matrix — the matrix is also the whole
+// dedup state) and the job's accumulated engine.* counters, so a preempted-and-resumed job
 // finishes with the *same* final table, fitness and counters as an
 // undisturbed run — the property the scheduler chaos soak asserts.
 //
@@ -15,8 +15,9 @@
 //   u32 attempts, u32 preemptions,
 //   7 × u64 accumulated engine.* counters,
 //   bytes core checkpoint (core/checkpoint.hpp blob, self-validating),
-//   u32 fitness count + doubles, u32 matrix count + doubles,
-//   u32 dedup count + (u64 a, u64 b, f64 payoff) each.
+//   u32 fitness count + doubles, u32 matrix count + doubles.
+// v1 additionally carried a dedup class-pair list; a v1 blob is rejected
+// and the scheduler falls back to a fresh start.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +32,7 @@ namespace egt::serve {
 
 inline constexpr std::uint64_t kJobCheckpointMagic =
     0x4547544a434b5031ull;  // "EGTJCKP1"
-inline constexpr std::uint32_t kJobCheckpointVersion = 1;
+inline constexpr std::uint32_t kJobCheckpointVersion = 2;
 
 struct JobCheckpoint {
   std::uint32_t attempts = 0;
@@ -42,7 +43,6 @@ struct JobCheckpoint {
   std::vector<std::byte> core;  ///< core/checkpoint.hpp blob
   std::vector<double> fitness;
   std::vector<double> matrix;
-  std::vector<core::BlockFitness::DedupEntry> dedup;
 };
 
 std::vector<std::byte> encode_job_checkpoint(const JobCheckpoint& ckpt);

@@ -249,9 +249,9 @@ void compare_outcome(CaseResult& result, EngineKind kind,
     diff("engine.mutations", ref.counters.mutations, out.counters.mutations);
     diff("engine.pairs_evaluated", ref.counters.pairs_evaluated,
          out.counters.pairs_evaluated);
-    // games_played is partition-dependent under dedup: the class-pair
-    // cache is global in the serial engine but per-rank in the parallel
-    // ones, so a pair class spanning blocks is played once per rank.
+    // games_played is partition-dependent under dedup: a rank reuses
+    // values only from rows it owns, so a class spanning blocks is
+    // evaluated once per rank.
     // (Public-goods fitness is group-pooled: BlockFitness never
     // deduplicates it, so its games counter stays partition-independent
     // and comparable even with config.dedup set.)

@@ -1,6 +1,6 @@
 #include "simcheck/selftest.hpp"
 
-#include <unordered_map>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "core/fitness.hpp"
@@ -11,23 +11,36 @@ namespace egt::simcheck {
 
 namespace {
 
-// A copy of BlockFitness's dedup cached-row path with an injected
+// A copy of BlockFitness's well-mixed dedup row path with an injected
 // off-by-one: the row sum loops `j + 1 < ssets`, silently dropping the
-// last opponent column. Everything else mirrors the real path (class-pair
-// cache keyed by strategy content, fixed j order), so the only divergence
-// the harness can find is the bug itself.
+// last opponent column. Everything else mirrors the real path (a row
+// evaluates each strategy-pure pair once per column ClassId, later rows of
+// a class copy the first row of that class, sums walk j in fixed order),
+// so the only divergence the harness can find is the bug itself.
 class BrokenDedupFitness {
  public:
   explicit BrokenDedupFitness(const core::SimConfig& config)
-      : config_(config), eval_(config), fitness_(config.ssets, 0.0) {}
+      : config_(config),
+        eval_(config),
+        fitness_(config.ssets, 0.0),
+        matrix_(static_cast<std::size_t>(config.ssets) * config.ssets, 0.0) {}
 
   void recompute_all(const pop::Population& pop, std::uint64_t gen_key) {
+    constexpr pop::SSetId kNone = ~pop::SSetId{0};
+    std::vector<pop::SSetId> first(pop.classes().size(), kNone);
     for (pop::SSetId i = 0; i < config_.ssets; ++i) {
+      pop::SSetId& source = first[pop.strategy_class(i)];
+      if (source == kNone || !config_.dedup) {
+        evaluate_row(pop, i, gen_key);
+        source = i;
+      } else {
+        copy_row(pop, i, source, gen_key);
+      }
       double sum = 0.0;
       // BUG (deliberate): one opponent column short of the real loop.
       for (pop::SSetId j = 0; j + 1 < config_.ssets; ++j) {
         if (j == i) continue;
-        sum += pair_value(pop, i, j, gen_key);
+        sum += cell(i, j);
       }
       fitness_[i] = sum * row_scale();
     }
@@ -43,25 +56,46 @@ class BrokenDedupFitness {
                   config_.game.rounds);
   }
 
-  double pair_value(const pop::Population& pop, pop::SSetId i, pop::SSetId j,
+  double& cell(pop::SSetId i, pop::SSetId j) {
+    return matrix_[static_cast<std::size_t>(i) * config_.ssets + j];
+  }
+
+  void evaluate_row(const pop::Population& pop, pop::SSetId i,
                     std::uint64_t gen_key) {
+    std::vector<double> by_class(pop.classes().size());
+    std::vector<bool> have(pop.classes().size(), false);
     const auto& si = pop.strategy(i);
-    const auto& sj = pop.strategy(j);
-    if (config_.dedup && eval_.strategy_pure(si, sj)) {
-      const auto key = game::Strategy::pair_key(si.hash(), sj.hash());
-      auto it = cache_.find(key);
-      if (it == cache_.end()) {
-        it = cache_.emplace(key, eval_.pair_payoff(si, sj)).first;
+    for (pop::SSetId j = 0; j < config_.ssets; ++j) {
+      if (j == i) continue;
+      const auto& sj = pop.strategy(j);
+      if (config_.dedup && eval_.strategy_pure(si, sj)) {
+        const pop::ClassId c = pop.strategy_class(j);
+        if (!have[c]) {
+          by_class[c] = eval_.pair_payoff(si, sj);
+          have[c] = true;
+        }
+        cell(i, j) = by_class[c];
+      } else {
+        cell(i, j) = eval_.payoff(pop, i, j, gen_key);
       }
-      return it->second;
     }
-    return eval_.payoff(pop, i, j, gen_key);
+  }
+
+  void copy_row(const pop::Population& pop, pop::SSetId i, pop::SSetId source,
+                std::uint64_t gen_key) {
+    const auto& si = pop.strategy(i);
+    for (pop::SSetId j = 0; j < config_.ssets; ++j) {
+      if (j == i) continue;
+      cell(i, j) = eval_.strategy_pure(si, pop.strategy(j))
+                       ? cell(source, j == source ? i : j)
+                       : eval_.payoff(pop, i, j, gen_key);
+    }
   }
 
   core::SimConfig config_;
   core::PairEvaluator eval_;
   std::vector<double> fitness_;
-  std::unordered_map<std::uint64_t, double> cache_;
+  std::vector<double> matrix_;  // ssets x ssets payoffs
 };
 
 }  // namespace

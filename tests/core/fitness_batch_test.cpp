@@ -82,8 +82,8 @@ TEST(PairRoute, ClassifiesEveryDispatchCase) {
   EXPECT_EQ(nway_eval.route(rps, rps), PairEvaluator::Route::NWaySpec);
 }
 
-// The whole fitness tier — row batch, dedup prefill batch, batch-of-one
-// cache misses — must agree with the active kernel to the cross-kernel
+// The whole fitness tier — row batches, deduplicated class batches,
+// batches of one — must agree with the active kernel to the cross-kernel
 // tolerance when forced scalar, and bitwise with itself across dedup and
 // thread-count settings (one kernel per process).
 TEST(BatchFitness, ForcedScalarAgreesWithActiveKernelTo1em12) {

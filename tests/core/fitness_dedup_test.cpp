@@ -3,13 +3,17 @@
 // approximate.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "core/fitness.hpp"
 #include "game/named.hpp"
+#include "pop/graph.hpp"
 #include "pop/population.hpp"
 #include "util/rng.hpp"
 
@@ -44,12 +48,56 @@ void expect_blocks_identical(const BlockFitness& a, const BlockFitness& b) {
   }
 }
 
+/// Where and how a block under test evaluates: its row range, thread
+/// tiers and interaction graph.
+struct Layout {
+  const char* name;
+  pop::SSetId begin = 0;
+  pop::SSetId end = 24;  ///< all rows of the 24-SSet population
+  unsigned sset_threads = 0;
+  unsigned agent_threads = 0;
+  bool ring = false;  ///< structured: a ring of 2 neighbours a side
+};
+
+// Stable test names: gtest would otherwise print the struct's raw bytes.
+void PrintTo(const Layout& layout, std::ostream* os) { *os << layout.name; }
+
+/// A strategy no SSet of `pop` plays and other than `avoid` (drawn from
+/// seeded random populations), so interning it needs a class slot of its
+/// own.
+game::Strategy absent_strategy(const SimConfig& cfg,
+                               const pop::Population& pop, bool mixed,
+                               std::uint64_t seed,
+                               const game::Strategy* avoid = nullptr) {
+  for (std::uint64_t s = seed; s < seed + 1000; ++s) {
+    game::Strategy cand = random_population(cfg, mixed, s).strategy(0);
+    bool present = avoid != nullptr && cand == *avoid;
+    for (const pop::StrategyClass& c : pop.classes()) {
+      present = present || (c.members > 0 && c.strategy == cand);
+    }
+    if (!present) return cand;
+  }
+  ADD_FAILURE() << "no absent strategy found";
+  return pop.strategy(0);
+}
+
 /// Replay the same randomized adoption/mutation sequence through a dedup
 /// block and a brute-force block and demand bitwise agreement throughout.
-void run_property_sequence(int memory, bool mixed) {
+/// A serial dedup twin pins games_played as thread-count-invariant. One
+/// step kills a class and hands its recycled ClassId slot to a different
+/// strategy, so nothing may be keyed on a stale class id.
+void run_property_sequence(int memory, bool mixed, const Layout& layout) {
   SimConfig dedup_cfg = analytic_config(24, memory);
+  dedup_cfg.sset_threads = layout.sset_threads;
+  dedup_cfg.agent_threads = layout.agent_threads;
   SimConfig brute_cfg = dedup_cfg;
   brute_cfg.dedup = false;
+  SimConfig serial_cfg = analytic_config(24, memory);
+  std::shared_ptr<const pop::InteractionGraph> graph;
+  if (layout.ring) {
+    graph = std::make_shared<const pop::InteractionGraph>(
+        pop::InteractionGraph::ring(dedup_cfg.ssets, 2));
+  }
 
   auto pop = random_population(dedup_cfg, mixed, 1000 + memory);
   // Seed some duplicates so dedup has classes to merge from the start.
@@ -57,47 +105,97 @@ void run_property_sequence(int memory, bool mixed) {
     pop.set_strategy(i, pop.strategy(0));
   }
 
-  BlockFitness with(dedup_cfg, 0, dedup_cfg.ssets);
-  BlockFitness without(brute_cfg, 0, brute_cfg.ssets);
+  BlockFitness with(dedup_cfg, layout.begin, layout.end, graph);
+  BlockFitness without(brute_cfg, layout.begin, layout.end, graph);
+  BlockFitness serial(serial_cfg, layout.begin, layout.end, graph);
   ASSERT_TRUE(with.dedup_active());
   ASSERT_FALSE(without.dedup_active());
+  const auto change = [&](pop::SSetId k, game::Strategy s,
+                          std::uint64_t gen) {
+    pop.set_strategy(k, std::move(s));
+    with.strategy_changed(k, pop, gen);
+    without.strategy_changed(k, pop, gen);
+    serial.strategy_changed(k, pop, gen);
+    expect_blocks_identical(with, without);
+    expect_blocks_identical(serial, without);
+    ASSERT_EQ(with.pairs_evaluated(), without.pairs_evaluated());
+    ASSERT_EQ(with.games_played(), serial.games_played());
+  };
   with.initialize(pop);
   without.initialize(pop);
+  serial.initialize(pop);
   expect_blocks_identical(with, without);
   // Same logical pair count; never more games than brute force.
   ASSERT_EQ(with.pairs_evaluated(), without.pairs_evaluated());
   ASSERT_LE(with.games_played(), without.games_played());
+  ASSERT_EQ(with.games_played(), serial.games_played());
 
   util::Xoshiro256 rng(77 + memory);
   for (std::uint64_t gen = 1; gen <= 40; ++gen) {
     with.begin_generation(pop, gen);
     without.begin_generation(pop, gen);
+    serial.begin_generation(pop, gen);
     const pop::SSetId target =
         static_cast<pop::SSetId>(util::uniform_below(rng, pop.size()));
-    if (util::uniform_below(rng, 2) == 0) {
+    if (gen == 20) {
+      // Class death and slot reuse: make `target` a singleton class, let
+      // it die by adoption, then intern a different strategy elsewhere —
+      // the freed slot is recycled (LIFO) for it.
+      const pop::SSetId other = (target + 5) % pop.size();
+      change(target, absent_strategy(dedup_cfg, pop, mixed, 7000), gen);
+      const pop::ClassId dead = pop.strategy_class(target);
+      const game::Strategy old = pop.strategy(target);
+      change(target, pop.strategy((target + 1) % pop.size()), gen);
+      change(other, absent_strategy(dedup_cfg, pop, mixed, 8000, &old), gen);
+      ASSERT_EQ(pop.strategy_class(other), dead) << "slot was not recycled";
+    } else if (util::uniform_below(rng, 2) == 0) {
       // Adoption: copy another SSet's strategy (drives convergence).
       const pop::SSetId teacher =
           static_cast<pop::SSetId>(util::uniform_below(rng, pop.size()));
-      pop.set_strategy(target, pop.strategy(teacher));
+      change(target, pop.strategy(teacher), gen);
     } else {
       // Mutation: fresh random strategy (drives divergence).
-      pop.set_strategy(target, random_population(dedup_cfg, mixed,
-                                                 5000 + gen)
-                                   .strategy(target));
+      change(target,
+             random_population(dedup_cfg, mixed, 5000 + gen).strategy(target),
+             gen);
     }
-    with.strategy_changed(target, pop, gen);
-    without.strategy_changed(target, pop, gen);
-    expect_blocks_identical(with, without);
-    ASSERT_EQ(with.pairs_evaluated(), without.pairs_evaluated());
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-TEST(FitnessDedup, PropertyPureMemory1) { run_property_sequence(1, false); }
-TEST(FitnessDedup, PropertyPureMemory2) { run_property_sequence(2, false); }
-TEST(FitnessDedup, PropertyPureMemory3) { run_property_sequence(3, false); }
-TEST(FitnessDedup, PropertyMixedMemory1) { run_property_sequence(1, true); }
-TEST(FitnessDedup, PropertyMixedMemory2) { run_property_sequence(2, true); }
-TEST(FitnessDedup, PropertyMixedMemory3) { run_property_sequence(3, true); }
+TEST(FitnessDedup, PropertyPureMemory1) { run_property_sequence(1, false, {"full"}); }
+TEST(FitnessDedup, PropertyPureMemory2) { run_property_sequence(2, false, {"full"}); }
+TEST(FitnessDedup, PropertyPureMemory3) { run_property_sequence(3, false, {"full"}); }
+TEST(FitnessDedup, PropertyMixedMemory1) { run_property_sequence(1, true, {"full"}); }
+TEST(FitnessDedup, PropertyMixedMemory2) { run_property_sequence(2, true, {"full"}); }
+TEST(FitnessDedup, PropertyMixedMemory3) { run_property_sequence(3, true, {"full"}); }
+
+/// The same property over every block layout the engines use: a partial
+/// row block (a parallel rank's), the SSet-row and agent thread tiers, and
+/// a structured graph (within-call dedup only).
+class FitnessDedupLayouts
+    : public ::testing::TestWithParam<std::tuple<Layout, int, bool>> {};
+
+TEST_P(FitnessDedupLayouts, BitIdenticalToBruteForce) {
+  const auto& [layout, memory, mixed] = GetParam();
+  run_property_sequence(memory, mixed, layout);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllLayouts, FitnessDedupLayouts,
+    ::testing::Combine(
+        ::testing::Values(Layout{"partial", 5, 17},
+                          Layout{"sset3", 0, 24, 3, 0},
+                          Layout{"agent3", 0, 24, 0, 3},
+                          Layout{"partial_sset3_agent3", 5, 17, 3, 3},
+                          Layout{"ring", 0, 24, 0, 0, true},
+                          Layout{"ring_partial_agent3", 5, 17, 0, 3, true}),
+        ::testing::Values(1, 2, 3), ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param).name) + "_m" +
+             std::to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) ? "_mixed" : "_pure");
+    });
 
 TEST(FitnessDedup, ConvergedPopulationPlaysTenXFewerGames) {
   // The ISSUE acceptance scenario: 256 SSets collapsed onto <= 8 unique
@@ -201,6 +299,8 @@ TEST(FitnessDedup, SsetThreadsBitIdenticalForSampledReplay) {
 }
 
 TEST(FitnessDedup, RestoreStateRoundTripsCache) {
+  // The payoff matrix is the whole dedup state: a block restored from
+  // (fitness, matrix) alone reuses values exactly like its source.
   SimConfig cfg = analytic_config(16, 1);
   auto pop = random_population(cfg, false, 12);
   for (pop::SSetId i = 0; i < pop.size(); i += 2) {
@@ -208,31 +308,22 @@ TEST(FitnessDedup, RestoreStateRoundTripsCache) {
   }
   BlockFitness source(cfg, 0, cfg.ssets);
   source.initialize(pop);
-  const auto cache = source.dedup_cache();
-  ASSERT_FALSE(cache.empty());
-  // Exported cache is sorted — deterministic checkpoint bytes.
-  ASSERT_TRUE(std::is_sorted(cache.begin(), cache.end(),
-                             [](const BlockFitness::DedupEntry& x,
-                                const BlockFitness::DedupEntry& y) {
-                               return x.a != y.a ? x.a < y.a : x.b < y.b;
-                             }));
 
   BlockFitness restored(cfg, 0, cfg.ssets);
   restored.restore_state(
       std::vector<double>(source.block().begin(), source.block().end()),
       std::vector<double>(source.payoff_matrix().begin(),
-                          source.payoff_matrix().end()),
-      cache);
+                          source.payoff_matrix().end()));
   expect_blocks_identical(restored, source);
-  // The restored block answers a strategy change without replaying the
-  // class games the cache already holds: a change to an existing class
-  // costs zero fresh games.
-  const std::uint64_t games_before = restored.games_played();
+  // A change into a live class costs zero fresh games: the new column and
+  // row are read from the other members of that class.
+  const std::uint64_t source_before = source.games_played();
   pop.set_strategy(3, pop.strategy(0));
   restored.strategy_changed(3, pop, 7);
   source.strategy_changed(3, pop, 7);
   expect_blocks_identical(restored, source);
-  EXPECT_EQ(restored.games_played(), games_before);
+  EXPECT_EQ(restored.games_played(), 0u);
+  EXPECT_EQ(source.games_played(), source_before);
 }
 
 TEST(FitnessDedup, SerialEngineTrajectoryUnchangedByDedup) {

@@ -28,8 +28,6 @@ BlockCheckpoint sample(pop::SSetId begin = 4, pop::SSetId end = 8,
   for (std::size_t i = 0; i < c.matrix.size(); ++i) {
     c.matrix[i] = 0.25 * static_cast<double>(i) - 3.0;
   }
-  c.dedup.push_back({0x1111, 0x2222, 2.5});
-  c.dedup.push_back({0x1111, 0x3333, -0.75});
   return c;
 }
 
@@ -44,23 +42,29 @@ TEST(BlockCheckpoint, EncodeDecodeRoundTrip) {
   EXPECT_EQ(back.matrix_cols, c.matrix_cols);
   EXPECT_EQ(back.fitness, c.fitness);
   EXPECT_EQ(back.matrix, c.matrix);
-  ASSERT_EQ(back.dedup.size(), c.dedup.size());
-  for (std::size_t i = 0; i < c.dedup.size(); ++i) {
-    EXPECT_EQ(back.dedup[i].a, c.dedup[i].a);
-    EXPECT_EQ(back.dedup[i].b, c.dedup[i].b);
-    EXPECT_EQ(back.dedup[i].payoff, c.dedup[i].payoff);
-  }
 }
 
-TEST(BlockCheckpoint, RejectsOversizedDedupCount) {
-  // Forge a dedup entry count far larger than the blob: the decoder must
-  // reject it before reserving or looping.
-  auto c = sample();
-  c.dedup.clear();
-  auto blob = c.encode();
-  const std::uint64_t huge = ~0ull;
-  std::memcpy(blob.data() + blob.size() - 8, &huge, sizeof huge);
-  EXPECT_THROW((void)BlockCheckpoint::decode(blob), core::CheckpointError);
+TEST(BlockCheckpoint, RejectsVersion2BlobWithDedupList) {
+  // A v2 blob is the v3 layout plus a trailing dedup class-pair list
+  // (u64 count, then u64 a, u64 b, f64 payoff per entry). The decoder must
+  // refuse it by version, so ft recovery falls back to recomputation.
+  auto blob = sample().encode();
+  core::wire::Writer tail;
+  tail.u64(1);
+  tail.u64(0x1111);
+  tail.u64(0x2222);
+  tail.f64(2.5);
+  const auto extra = tail.take();
+  blob.insert(blob.end(), extra.begin(), extra.end());
+  const std::uint32_t v2 = 2;
+  std::memcpy(blob.data() + 8, &v2, sizeof v2);  // magic is 8 bytes
+  try {
+    (void)BlockCheckpoint::decode(blob);
+    FAIL() << "expected CheckpointError";
+  } catch (const core::CheckpointError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+  }
 }
 
 TEST(BlockCheckpoint, SampledModeHasNoMatrix) {
@@ -78,6 +82,23 @@ TEST(BlockCheckpoint, RejectsTruncationAtEveryLength) {
                                blob.begin() + static_cast<std::ptrdiff_t>(len));
     EXPECT_THROW((void)BlockCheckpoint::decode(cut), core::CheckpointError)
         << "truncated to " << len << " of " << blob.size() << " bytes";
+  }
+}
+
+TEST(BlockCheckpoint, EveryBitFlipOfAStoredBlobIsRejected) {
+  // The CRC footer the store appends catches any single-bit flip, in the
+  // payload or in the footer itself.
+  auto stored = sample().encode();
+  core::append_crc_footer(stored);
+  for (std::size_t i = 0; i < stored.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      auto flipped = stored;
+      flipped[i] ^= std::byte{static_cast<unsigned char>(1u << bit)};
+      EXPECT_THROW(
+          (void)BlockCheckpoint::decode(core::checked_payload(flipped)),
+          core::CheckpointError)
+          << "flip of bit " << bit << " in byte " << i;
+    }
   }
 }
 

@@ -203,8 +203,8 @@ TEST(SerialParallel, SsetThreadTierMatchesSerialOnAllEngines) {
 }
 
 TEST(SerialParallel, DedupOffMatchesDedupOn) {
-  // The dedup cache must be a pure evaluation-count optimization: turning
-  // it off changes games_played and nothing else.
+  // Dedup must be a pure evaluation-count optimization: turning it off
+  // changes games_played and nothing else.
   auto cfg = base_config();
   Engine with(cfg);
   with.run_all();

@@ -8,8 +8,10 @@
 #include <cstring>
 #include <vector>
 
+#include "core/checkpoint_store.hpp"
 #include "core/engine.hpp"
 #include "core/trace.hpp"
+#include "core/wire.hpp"
 #include "obs/metrics.hpp"
 #include "serve/job_checkpoint.hpp"
 
@@ -114,6 +116,64 @@ TEST(JobCheckpoint, DamageIsRejectedNotMisread) {
   std::vector<std::byte> extra = blob;
   extra.push_back(std::byte{0x42});
   EXPECT_THROW(decode_job_checkpoint(extra), core::CheckpointError);
+}
+
+std::vector<std::byte> analytic_blob_at_gen5() {
+  const core::SimConfig cfg = small_config(core::FitnessMode::Analytic);
+  obs::MetricsRegistry reg;
+  core::Engine engine(cfg, &reg);
+  while (engine.generation() < 5) engine.step();
+  return encode_job_checkpoint(
+      capture_job_checkpoint(engine, counters_of(reg), 1, 0));
+}
+
+TEST(JobCheckpoint, RejectsTruncationAtEveryLength) {
+  const std::vector<std::byte> blob = analytic_blob_at_gen5();
+  for (std::size_t len = 0; len < blob.size(); ++len) {
+    const std::vector<std::byte> cut(
+        blob.begin(), blob.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_THROW(decode_job_checkpoint(cut), core::CheckpointError)
+        << "truncated to " << len << " of " << blob.size() << " bytes";
+  }
+}
+
+TEST(JobCheckpoint, EveryBitFlipOfACommittedBlobIsRejected) {
+  // Job checkpoints are committed through CheckpointDir, which appends the
+  // shared CRC footer: any single-bit flip must fail the load.
+  std::vector<std::byte> stored = analytic_blob_at_gen5();
+  core::append_crc_footer(stored);
+  for (std::size_t i = 0; i < stored.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<std::byte> flipped = stored;
+      flipped[i] ^= std::byte{static_cast<unsigned char>(1u << bit)};
+      EXPECT_THROW(decode_job_checkpoint(core::checked_payload(flipped)),
+                   core::CheckpointError)
+          << "flip of bit " << bit << " in byte " << i;
+    }
+  }
+}
+
+TEST(JobCheckpoint, RejectsVersion1BlobWithDedupList) {
+  // A v1 blob is the v2 layout plus a trailing dedup class-pair list
+  // (u32 count, then u64 a, u64 b, f64 payoff per entry). It must be
+  // refused by version, which sends the scheduler to a fresh start.
+  std::vector<std::byte> blob = analytic_blob_at_gen5();
+  core::wire::Writer tail;
+  tail.u32(1);
+  tail.u64(0x1111);
+  tail.u64(0x2222);
+  tail.f64(2.5);
+  const std::vector<std::byte> extra = tail.take();
+  blob.insert(blob.end(), extra.begin(), extra.end());
+  const std::uint32_t v1 = 1;
+  std::memcpy(blob.data() + 8, &v1, sizeof v1);  // magic is 8 bytes
+  try {
+    (void)decode_job_checkpoint(blob);
+    FAIL() << "expected CheckpointError";
+  } catch (const core::CheckpointError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+  }
 }
 
 TEST(JobCheckpoint, ResumeValidatesTheConfigFingerprint) {

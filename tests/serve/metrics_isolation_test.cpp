@@ -9,6 +9,7 @@
 
 #include "core/engine.hpp"
 #include "obs/metrics.hpp"
+#include "serve/job_checkpoint.hpp"
 #include "serve/jobspec.hpp"
 #include "serve/scheduler.hpp"
 
@@ -78,18 +79,21 @@ TEST(MetricsIsolation, ConcurrentJobsReportSoloRunCounters) {
 }
 
 TEST(MetricsIsolation, BlockFitnessInstrumentsLandInThePassedRegistry) {
-  // Analytic mode with dedup exercises the fitness.* counters; they must
-  // appear in the per-job registry handed to the Engine.
-  core::SimConfig cfg = tiny_config(303, core::FitnessMode::Analytic);
-  ASSERT_TRUE(cfg.dedup);
+  // A job resume restores the fitness block, which bumps
+  // fitness.state_restores; the count must land in the registry handed to
+  // the resumed Engine, not the one the checkpointed run used.
+  const core::SimConfig cfg = tiny_config(303, core::FitnessMode::Analytic);
+  obs::MetricsRegistry first_reg;
+  core::Engine first(cfg, &first_reg);
+  first.run(5);
+  JobCheckpoint ckpt = capture_job_checkpoint(first, EngineCounters{}, 1, 0);
   obs::MetricsRegistry reg;
-  core::Engine engine(cfg, &reg);
-  engine.run(cfg.generations);
-  const obs::MetricsSnapshot s = reg.snapshot();
-  EXPECT_GT(s.counter_value("fitness.cache_inserts"), 0u);
+  const core::Engine resumed = resume_job_engine(cfg, std::move(ckpt), &reg);
+  EXPECT_EQ(reg.snapshot().counter_value("fitness.state_restores"), 1u);
+  EXPECT_EQ(first_reg.snapshot().counter_value("fitness.state_restores"), 0u);
   // And a fresh registry starts at zero — no process-global accumulation.
   obs::MetricsRegistry fresh;
-  EXPECT_EQ(fresh.snapshot().counter_value("fitness.cache_inserts"), 0u);
+  EXPECT_EQ(fresh.snapshot().counter_value("fitness.state_restores"), 0u);
 }
 
 }  // namespace

@@ -83,7 +83,7 @@ int check_cross(const std::string& path) {
     }
     if (entry.has("games_comparable") &&
         !entry.at("games_comparable").as_bool()) {
-      continue;  // per-rank dedup caches make games partition-dependent
+      continue;  // per-rank dedup reuse makes games partition-dependent
     }
     if (games != ref_games) {
       std::cerr << "FAIL [case " << case_seed << "/" << engine

@@ -51,8 +51,9 @@ void append_counter_entries(util::JsonWriter& w, std::uint64_t case_seed,
   w.field("pairs_evaluated", outcome.counters.pairs_evaluated);
   w.field("games_played", outcome.counters.games_played);
   w.field("comparable", outcome.counters_comparable);
-  // games_played is partition-dependent under dedup (per-rank class-pair
-  // caches); bench_check --cross skips the games diff when false.
+  // games_played is partition-dependent under dedup (each rank reuses
+  // values only from its own rows); bench_check --cross skips the games
+  // diff when false.
   w.field("games_comparable", games_comparable);
   w.end_object();
 }

@@ -17,7 +17,7 @@
 // performance simulator (src/machine/costmodel.hpp): game_play span time
 // divided by games*rounds gives ns per game round for the traced memory
 // depth. Only meaningful for fitness modes that actually play rounds
-// (sampled/frozen); analytic runs mostly hit the dedup cache.
+// (sampled/frozen); analytic runs mostly reuse deduplicated values.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>

@@ -77,8 +77,10 @@ void SimConfig::validate() const {
   }
 }
 
-pop::NatureConfig SimConfig::nature_config() const {
+pop::NatureConfig SimConfig::nature_config(
+    std::shared_ptr<const pop::InteractionGraph> graph) const {
   pop::NatureConfig nc;
+  nc.graph = std::move(graph);
   nc.ssets = ssets;
   nc.memory = memory;
   nc.actions = game.uses_nway() ? game.actions : 2;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "game/ipd.hpp"
@@ -121,9 +122,10 @@ struct SimConfig {
   /// Throws std::invalid_argument on inconsistent settings.
   void validate() const;
 
-  /// The Nature Agent's slice of this configuration. (The interaction
-  /// graph itself is attached by the engine — see make_interaction_graph.)
-  pop::NatureConfig nature_config() const;
+  /// The Nature Agent's slice of this configuration, with the engine's
+  /// interaction graph (make_interaction_graph; null = well mixed).
+  pop::NatureConfig nature_config(
+      std::shared_ptr<const pop::InteractionGraph> graph = nullptr) const;
 
   std::string summary() const;
 };

@@ -1,6 +1,7 @@
 #include "core/engine.hpp"
 
-#include "obs/tracer.hpp"
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace egt::core {
@@ -25,94 +26,41 @@ std::shared_ptr<const pop::InteractionGraph> make_shared_graph(
       make_interaction_graph(config));
 }
 
-namespace {
-pop::NatureConfig nature_config_with_graph(
-    const SimConfig& config,
-    std::shared_ptr<const pop::InteractionGraph> graph) {
-  auto nc = config.nature_config();
-  nc.graph = std::move(graph);
-  return nc;
-}
-}  // namespace
-
-void Engine::bind_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) return;
-  ph_game_play_ = &metrics->histogram(obs::phase::kGamePlay);
-  ph_plan_ = &metrics->histogram(obs::phase::kPlanBcast);
-  ph_fitness_return_ = &metrics->histogram(obs::phase::kFitnessReturn);
-  ph_decision_ = &metrics->histogram(obs::phase::kDecisionBcast);
-  ph_apply_ = &metrics->histogram(obs::phase::kApplyUpdate);
-  ct_generations_ = &metrics->counter("engine.generations");
-  ct_pc_events_ = &metrics->counter("engine.pc_events");
-  ct_adoptions_ = &metrics->counter("engine.adoptions");
-  ct_moran_events_ = &metrics->counter("engine.moran_events");
-  ct_mutations_ = &metrics->counter("engine.mutations");
-  ct_pairs_ = &metrics->counter("engine.pairs_evaluated");
-  ct_games_ = &metrics->counter("engine.games_played");
-}
-
-void Engine::account_pairs() {
-  if (ct_pairs_ == nullptr) return;
-  const std::uint64_t total = fitness_.pairs_evaluated();
-  ct_pairs_->inc(total - pairs_accounted_);
-  pairs_accounted_ = total;
-  const std::uint64_t games = fitness_.games_played();
-  ct_games_->inc(games - games_accounted_);
-  games_accounted_ = games;
-}
+Engine::Engine(const SimConfig& config, pop::Population pop,
+               obs::MetricsRegistry* metrics)
+    : config_((config.validate(), config)),
+      pop_(std::move(pop)),
+      graph_(make_shared_graph(config)),
+      nature_(config.nature_config(graph_)),
+      fitness_(config, 0, config.ssets, graph_, metrics),
+      ins_(metrics, /*events=*/true) {}
 
 Engine::Engine(const SimConfig& config, obs::MetricsRegistry* metrics)
-    : config_((config.validate(), config)),
-      pop_(make_initial_population(config)),
-      graph_(make_shared_graph(config)),
-      nature_(nature_config_with_graph(config, graph_)),
-      fitness_(config, 0, config.ssets, graph_, metrics) {
-  bind_metrics(metrics);
-  {
-    // The initial all-pairs evaluation is game-dynamics work.
-    obs::ScopedTimer t(ph_game_play_);
-    obs::TraceSpan span(obs::phase::kGamePlay, obs::kCatPhase);
-    fitness_.initialize(pop_);
-    span.set_arg("games", fitness_.games_played());
-  }
-  account_pairs();
+    : Engine(config, make_initial_population((config.validate(), config)),
+             metrics) {
+  ins_.initialize(fitness_, pop_, tally_);
+}
+
+void Engine::restore(const RestoredState& state) {
+  EGT_REQUIRE_MSG(pop_.size() == config_.ssets,
+                  "checkpoint population size does not match the config");
+  EGT_REQUIRE_MSG(pop_.memory() == config_.memory,
+                  "checkpoint memory depth does not match the config");
+  generation_ = state.generation;
+  nature_.restore_state(state.nature);
 }
 
 Engine::Engine(const SimConfig& config, RestoredState state,
                obs::MetricsRegistry* metrics)
-    : config_((config.validate(), config)),
-      pop_(std::move(state.population)),
-      graph_(make_shared_graph(config)),
-      nature_(nature_config_with_graph(config, graph_)),
-      fitness_(config, 0, config.ssets, graph_, metrics),
-      generation_(state.generation) {
-  EGT_REQUIRE_MSG(pop_.size() == config.ssets,
-                  "checkpoint population size does not match the config");
-  EGT_REQUIRE_MSG(pop_.memory() == config.memory,
-                  "checkpoint memory depth does not match the config");
-  nature_.restore_state(state.nature);
-  bind_metrics(metrics);
-  {
-    obs::ScopedTimer t(ph_game_play_);
-    fitness_.initialize(pop_);
-  }
-  account_pairs();
+    : Engine(config, std::move(state.population), metrics) {
+  restore(state);
+  ins_.initialize(fitness_, pop_, tally_);
 }
 
 Engine::Engine(const SimConfig& config, RestoredState state, FitnessRestore fit,
                obs::MetricsRegistry* metrics)
-    : config_((config.validate(), config)),
-      pop_(std::move(state.population)),
-      graph_(make_shared_graph(config)),
-      nature_(nature_config_with_graph(config, graph_)),
-      fitness_(config, 0, config.ssets, graph_, metrics),
-      generation_(state.generation) {
-  EGT_REQUIRE_MSG(pop_.size() == config.ssets,
-                  "checkpoint population size does not match the config");
-  EGT_REQUIRE_MSG(pop_.memory() == config.memory,
-                  "checkpoint memory depth does not match the config");
-  nature_.restore_state(state.nature);
-  bind_metrics(metrics);
+    : Engine(config, std::move(state.population), metrics) {
+  restore(state);
   // No initial evaluation: the cached modes adopt the captured block state
   // verbatim; Sampled recomputes everything at the next step()'s
   // begin_generation. Either way pairs_evaluated / games_played stay at
@@ -122,119 +70,31 @@ Engine::Engine(const SimConfig& config, RestoredState state, FitnessRestore fit,
   if (config_.fitness_mode != FitnessMode::Sampled) {
     fitness_.restore_state(std::move(fit.fitness), std::move(fit.matrix));
   }
-  account_pairs();
+  ins_.account(fitness_, tally_);
 }
 
 void Engine::step() {
-  obs::TraceSpan gen_span(obs::kGenerationSpan, obs::kCatEngine, "gen",
-                          generation_);
-  // 1. Game dynamics: this generation's fitness.
-  {
-    obs::ScopedTimer t(ph_game_play_);
-    obs::TraceSpan span(obs::phase::kGamePlay, obs::kCatPhase);
-    const std::uint64_t games_before = fitness_.games_played();
-    fitness_.begin_generation(pop_, generation_);
-    for (pop::SSetId i = 0; i < config_.ssets; ++i) {
-      pop_.set_fitness(i, fitness_.fitness(i));
-    }
-    span.set_arg("games", fitness_.games_played() - games_before);
-  }
-
-  // 2. Population dynamics.
+  const GenerationOutcome out = run_generation(
+      {*this, pop_, ins_, &nature_, trace_, /*hash_fitness=*/true},
+      generation_);
   record_ = GenerationRecord{};
   record_.generation = generation_;
-  pop::GenerationPlan plan;
-  {
-    // Serial twin of the parallel engine's plan broadcast: Nature decides
-    // what happens this generation.
-    obs::ScopedTimer t(ph_plan_);
-    obs::TraceSpan span(obs::phase::kPlanBcast, obs::kCatPhase);
-    plan = nature_.plan_generation(&pop_);
+  const GenerationDecision& d = out.decision;
+  using Outcome = GenerationRecord::PcOutcome;
+  if (out.plan.pc) {
+    record_.pc = Outcome{out.plan.pc->teacher, out.plan.pc->learner, d.adopted};
   }
-
-  if (plan.pc) {
-    if (ct_pc_events_ != nullptr) ct_pc_events_->inc();
-    GenerationRecord::PcOutcome out;
-    out.teacher = plan.pc->teacher;
-    out.learner = plan.pc->learner;
-    double teacher_fitness, learner_fitness;
-    {
-      // Serial twin of the owners' fitness return.
-      obs::ScopedTimer t(ph_fitness_return_);
-      obs::TraceSpan span(obs::phase::kFitnessReturn, obs::kCatPhase);
-      teacher_fitness = fitness_.fitness(out.teacher);
-      learner_fitness = fitness_.fitness(out.learner);
-    }
-    {
-      obs::ScopedTimer t(ph_decision_);
-      obs::TraceSpan span(obs::phase::kDecisionBcast, obs::kCatPhase);
-      out.adopted = nature_.decide_adoption(teacher_fitness, learner_fitness);
-    }
-    if (out.adopted) {
-      if (ct_adoptions_ != nullptr) ct_adoptions_->inc();
-      obs::ScopedTimer t(ph_apply_);
-      obs::TraceSpan span(obs::phase::kApplyUpdate, obs::kCatPhase);
-      pop_.set_strategy(out.learner, pop_.strategy(out.teacher));
-      fitness_.strategy_changed(out.learner, pop_, generation_);
-    }
-    record_.pc = out;
-  }
-
-  if (plan.moran) {
-    if (ct_moran_events_ != nullptr) ct_moran_events_->inc();
-    pop::MoranPick pick;
-    {
-      // The Moran rule's whole-vector selection is the decision step.
-      obs::ScopedTimer t(ph_decision_);
-      obs::TraceSpan span(obs::phase::kDecisionBcast, obs::kCatPhase);
-      pick = nature_.select_moran(fitness_.block());
-    }
-    GenerationRecord::PcOutcome out;
-    out.teacher = pick.reproducer;
-    out.learner = pick.dying;
-    out.adopted = pick.is_change();
-    if (pick.is_change()) {
-      obs::ScopedTimer t(ph_apply_);
-      obs::TraceSpan span(obs::phase::kApplyUpdate, obs::kCatPhase);
-      pop_.set_strategy(pick.dying, pop_.strategy(pick.reproducer));
-      fitness_.strategy_changed(pick.dying, pop_, generation_);
-    }
-    record_.pc = out;
+  if (out.plan.moran) {
+    record_.pc = Outcome{d.pick.reproducer, d.pick.dying, d.pick.is_change()};
     record_.was_moran = true;
   }
-
-  if (plan.mutation) {
-    if (ct_mutations_ != nullptr) ct_mutations_->inc();
-    obs::ScopedTimer t(ph_apply_);
-    obs::TraceSpan span(obs::phase::kApplyUpdate, obs::kCatPhase);
-    pop_.set_strategy(plan.mutation->target, plan.mutation->strategy);
-    fitness_.strategy_changed(plan.mutation->target, pop_, generation_);
-    record_.mutation = plan.mutation->target;
-  }
-
+  if (out.plan.mutation) record_.mutation = out.plan.mutation->target;
   ++generation_;
-  if (ct_generations_ != nullptr) ct_generations_->inc();
-  account_pairs();
+}
 
-  if (trace_ != nullptr) {
-    TracePoint point;
-    point.generation = record_.generation;
-    point.nature = nature_.save_state();
-    if (record_.pc) {
-      (record_.was_moran ? point.moran : point.pc) = true;
-      (record_.was_moran ? point.reproducer : point.teacher) =
-          record_.pc->teacher;
-      (record_.was_moran ? point.dying : point.learner) = record_.pc->learner;
-      point.adopted = record_.pc->adopted;
-    }
-    if (record_.mutation) {
-      point.mutated = true;
-      point.mutation_target = *record_.mutation;
-    }
-    point.table_hash = pop_.table_hash();
-    point.fitness_hash = hash_fitness(pop_.fitness());
-    trace_->on_point(point);
-  }
+void Engine::play(std::uint64_t gen) {
+  fitness_.begin_generation(pop_, gen);
+  std::ranges::copy(fitness_.block(), pop_.mutable_fitness().begin());
 }
 
 void Engine::run(std::uint64_t generations, Observer* observer) {

@@ -7,8 +7,10 @@
 //      (Fermi imitation on this generation's fitness) and a mutation event;
 //      both apply before the next generation starts.
 //
-// The parallel engine (parallel_engine.hpp) produces the exact same
-// trajectory; tests assert bit-identical strategy tables and fitness.
+// The engine is the local transport of the shared generation step
+// (core/generation.hpp); run_parallel and run_parallel_ft run the same step
+// over messages and produce the exact same trajectory — tests assert
+// bit-identical strategy tables, fitness, trace points and counters.
 #pragma once
 
 #include <memory>
@@ -16,6 +18,7 @@
 #include "core/config.hpp"
 #include "pop/graph.hpp"
 #include "core/fitness.hpp"
+#include "core/generation.hpp"
 #include "core/observer.hpp"
 #include "core/trace.hpp"
 #include "obs/metrics.hpp"
@@ -28,7 +31,7 @@ namespace egt::core {
 /// the serial and parallel engines).
 pop::Population make_initial_population(const SimConfig& config);
 
-class Engine {
+class Engine : private GenerationTransport {
  public:
   /// `metrics`, when given, receives per-phase timers (obs::phase) and
   /// event counters ("engine.*"); it must outlive the engine. Null runs
@@ -95,7 +98,7 @@ class Engine {
 
   /// Games actually played so far — <= pairs_evaluated(); the gap is the
   /// strategy-interned dedup saving (config.dedup, Analytic mode).
-  std::uint64_t games_played() const noexcept {
+  std::uint64_t games_played() const noexcept override {
     return fitness_.games_played();
   }
 
@@ -108,11 +111,28 @@ class Engine {
   const BlockFitness& fitness_block() const noexcept { return fitness_; }
 
  private:
-  /// Resolve phase histograms / event counters once (lock-free afterwards).
-  void bind_metrics(obs::MetricsRegistry* metrics);
-  /// Add fitness_.pairs_evaluated() / games_played() growth to the
-  /// engine.pairs_evaluated and engine.games_played counters.
-  void account_pairs();
+  Engine(const SimConfig& config, pop::Population pop,
+         obs::MetricsRegistry* metrics);
+  /// Adopt a checkpoint's generation and Nature state (after its
+  /// population, which the delegated constructor takes).
+  void restore(const RestoredState& state);
+
+  // GenerationTransport: the local transport — nothing travels.
+  void play(std::uint64_t gen) override;
+  std::array<double, 2> pc_fitness(const pop::GenerationPlan::Pc& pc) override {
+    return {fitness_.fitness(pc.teacher), fitness_.fitness(pc.learner)};
+  }
+  std::span<const double> gather_fitness(const pop::GenerationPlan&,
+                                         const GenerationDecision&) override {
+    return fitness_.block();
+  }
+  void strategy_changed(pop::SSetId k, const pop::Population& pop,
+                        std::uint64_t gen) override {
+    fitness_.strategy_changed(k, pop, gen);
+  }
+  void finish(const GenerationOutcome&) override {
+    ins_.account(fitness_, tally_);
+  }
 
   SimConfig config_;
   pop::Population pop_;
@@ -122,22 +142,8 @@ class Engine {
   std::uint64_t generation_ = 0;
   GenerationRecord record_;
   TraceSink* trace_ = nullptr;
-
-  // Instrumentation (all null when the engine runs unobserved).
-  obs::Histogram* ph_game_play_ = nullptr;
-  obs::Histogram* ph_plan_ = nullptr;
-  obs::Histogram* ph_fitness_return_ = nullptr;
-  obs::Histogram* ph_decision_ = nullptr;
-  obs::Histogram* ph_apply_ = nullptr;
-  obs::Counter* ct_generations_ = nullptr;
-  obs::Counter* ct_pc_events_ = nullptr;
-  obs::Counter* ct_adoptions_ = nullptr;
-  obs::Counter* ct_moran_events_ = nullptr;
-  obs::Counter* ct_mutations_ = nullptr;
-  obs::Counter* ct_pairs_ = nullptr;
-  obs::Counter* ct_games_ = nullptr;
-  std::uint64_t pairs_accounted_ = 0;
-  std::uint64_t games_accounted_ = 0;
+  EngineInstruments ins_;  // all null when the engine runs unobserved
+  WorkTally tally_;
 };
 
 /// Null for well-mixed configs; the shared graph otherwise.

@@ -1,19 +1,17 @@
 #include "core/parallel_engine.hpp"
 
-#include <cstdio>
+#include <algorithm>
 #include <cstring>
 #include <deque>
 #include <optional>
 
 #include "core/engine.hpp"
 #include "core/fitness.hpp"
+#include "obs/metrics_observer.hpp"
 #include "obs/metrics_stream.hpp"
 #include "obs/tracer.hpp"
 #include "par/partition.hpp"
-#include "pop/nature.hpp"
 #include "util/check.hpp"
-#include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace egt::core {
 
@@ -22,417 +20,171 @@ namespace {
 constexpr int kTagFitTeacher = 1;
 constexpr int kTagFitLearner = 2;
 
-// -- generation-plan wire format ---------------------------------------------
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  const auto off = out.size();
-  out.resize(off + sizeof v);
-  std::memcpy(out.data() + off, &v, sizeof v);
+std::vector<std::byte> pack(std::span<const double> values) {
+  std::vector<std::byte> bytes(values.size() * sizeof(double));
+  if (!values.empty()) std::memcpy(bytes.data(), values.data(), bytes.size());
+  return bytes;
 }
 
-std::uint32_t get_u32(const std::vector<std::byte>& in, std::size_t& off) {
-  std::uint32_t v;
-  std::memcpy(&v, in.data() + off, sizeof v);
-  off += sizeof v;
-  return v;
-}
-
-}  // namespace
-
-std::vector<std::byte> encode_generation_plan(const pop::GenerationPlan& plan) {
-  std::vector<std::byte> out;
-  out.push_back(static_cast<std::byte>(plan.pc ? 1 : 0));
-  if (plan.pc) {
-    put_u32(out, plan.pc->teacher);
-    put_u32(out, plan.pc->learner);
+// One rank of run_parallel: the tree-bcast transport (PaperBcast) or the
+// replicated-Nature transport (every rank replays Nature's RNG).
+class ParallelRank final : public GenerationTransport {
+ public:
+  ParallelRank(par::Comm& comm, const SimConfig& config,
+               obs::MetricsRegistry& registry)
+      : comm_(comm),
+        config_(config),
+        registry_(registry),
+        rank_(comm.rank()),
+        replay_(config.comm_pattern == CommPattern::ReplicatedNature),
+        // Every rank derives the identical initial state and interaction
+        // graph from the seed alone — the paper's "each node can calculate
+        // its position ... individually".
+        pop_(make_initial_population(config)),
+        graph_(make_shared_graph(config)),
+        part_(config.ssets, static_cast<std::uint64_t>(comm.size())),
+        fit_(config, static_cast<pop::SSetId>(part_.begin(rank_)),
+             static_cast<pop::SSetId>(part_.end(rank_)), graph_, &registry),
+        // Event counters live on rank 0 only, so merged totals match the
+        // serial engine's.
+        ins_(&registry, /*events=*/rank_ == 0),
+        // Matches the serial engine: zero until the first generation runs.
+        snapshot_(fit_.block().size(), 0.0) {
+    ins_.initialize(fit_, pop_, tally_);
+    if (replay_ || rank_ == 0) nature_.emplace(config.nature_config(graph_));
   }
-  out.push_back(static_cast<std::byte>(plan.moran ? 1 : 0));
-  out.push_back(static_cast<std::byte>(plan.mutation ? 1 : 0));
-  if (plan.mutation) {
-    put_u32(out, plan.mutation->target);
-    const auto payload = plan.mutation->strategy.serialize();
-    put_u32(out, static_cast<std::uint32_t>(payload.size()));
-    out.insert(out.end(), payload.begin(), payload.end());
-  }
-  return out;
-}
 
-pop::GenerationPlan decode_generation_plan(const std::vector<std::byte>& in) {
-  pop::GenerationPlan plan;
-  std::size_t off = 0;
-  EGT_REQUIRE_MSG(in.size() >= 3, "plan payload too short");
-  if (std::to_integer<int>(in[off++]) != 0) {
-    pop::GenerationPlan::Pc pc;
-    pc.teacher = get_u32(in, off);
-    pc.learner = get_u32(in, off);
-    plan.pc = pc;
-  }
-  plan.moran = std::to_integer<int>(in[off++]) != 0;
-  if (std::to_integer<int>(in[off++]) != 0) {
-    pop::GenerationPlan::Mutation mut;
-    mut.target = get_u32(in, off);
-    const std::uint32_t len = get_u32(in, off);
-    EGT_REQUIRE_MSG(off + len == in.size(), "plan payload size mismatch");
-    std::vector<std::byte> payload(in.begin() + static_cast<std::ptrdiff_t>(off),
-                                   in.end());
-    mut.strategy = game::Strategy::deserialize(payload);
-    plan.mutation = std::move(mut);
-  }
-  return plan;
-}
-
-namespace {
-
-// -- per-rank instrumentation -------------------------------------------------
-
-// Phase histograms are resolved once per rank and then updated lock-free.
-// Event counters live on rank 0 only so the merged totals match the serial
-// engine's; "engine.pairs_evaluated" is per-rank (block sums add up to the
-// serial all-pairs count).
-struct RankInstruments {
-  obs::Histogram* game_play = nullptr;
-  obs::Histogram* plan = nullptr;
-  obs::Histogram* fitness_return = nullptr;
-  obs::Histogram* decision = nullptr;
-  obs::Histogram* apply = nullptr;
-  obs::Counter* pairs = nullptr;
-  obs::Counter* games = nullptr;
-  obs::Counter* generations = nullptr;
-  obs::Counter* pc_events = nullptr;
-  obs::Counter* adoptions = nullptr;
-  obs::Counter* moran_events = nullptr;
-  obs::Counter* mutations = nullptr;
-
-  RankInstruments(obs::MetricsRegistry& reg, int rank) {
-    game_play = &reg.histogram(obs::phase::kGamePlay);
-    plan = &reg.histogram(obs::phase::kPlanBcast);
-    fitness_return = &reg.histogram(obs::phase::kFitnessReturn);
-    decision = &reg.histogram(obs::phase::kDecisionBcast);
-    apply = &reg.histogram(obs::phase::kApplyUpdate);
-    pairs = &reg.counter("engine.pairs_evaluated");
-    games = &reg.counter("engine.games_played");
-    if (rank == 0) {
-      generations = &reg.counter("engine.generations");
-      pc_events = &reg.counter("engine.pc_events");
-      adoptions = &reg.counter("engine.adoptions");
-      moran_events = &reg.counter("engine.moran_events");
-      mutations = &reg.counter("engine.mutations");
+  /// Run every generation; rank 0 returns the final population.
+  std::optional<pop::Population> run(const ParallelRunOptions& options) {
+    const GenerationContext ctx{*this, pop_, ins_,
+                                nature_ ? &*nature_ : nullptr,
+                                rank_ == 0 ? options.trace : nullptr, false};
+    obs::Heartbeat heartbeat(options.progress_interval_seconds);
+    for (std::uint64_t gen = 0; gen < config_.generations; ++gen) {
+      run_generation(ctx, gen);
+      if (options.metrics_stream != nullptr &&
+          options.metrics_stream->wants(gen)) {
+        // Every rank owns a block of the fitness vector; reduce the block
+        // sums so the streamed mean is the global one.
+        double local = 0.0;
+        for (const double f : fit_.block()) local += f;
+        const double total =
+            comm_.reduce_scalar(local, par::Comm::ReduceOp::Sum, 0);
+        if (rank_ == 0) {
+          options.metrics_stream->on_generation(
+              gen, pop_, registry_, total / static_cast<double>(config_.ssets));
+        }
+      }
+      if (options.progress && rank_ == 0) {
+        heartbeat.tick(gen + 1, config_.generations);
+      }
     }
+    // The final fitness, as of the top of the last generation (the values
+    // the serial engine leaves in its population).
+    const std::vector<double> final_fit =
+        assemble(comm_.gather(pack(snapshot_), 0));
+    if (rank_ != 0) return std::nullopt;
+    std::ranges::copy(final_fit, pop_.mutable_fitness().begin());
+    return std::move(pop_);
   }
 
-  static void inc(obs::Counter* c) {
-    if (c != nullptr) c->inc();
+  void play(std::uint64_t gen) override {
+    fit_.begin_generation(pop_, gen);
+    snapshot_.assign(fit_.block().begin(), fit_.block().end());
   }
+
+  std::uint64_t games_played() const override { return fit_.games_played(); }
+
+  // Tree-bcast: rank 0's Nature plans and decides, the tree carries the
+  // result; replicated Nature already holds it on every rank.
+  void share_plan(std::uint64_t, pop::GenerationPlan& plan) override {
+    if (replay_) return;
+    std::vector<std::byte> wire;
+    if (rank_ == 0) wire = encode_generation_plan(plan);
+    comm_.bcast(wire, 0);
+    if (rank_ != 0) plan = decode_generation_plan(wire);
+  }
+
+  std::array<double, 2> pc_fitness(const pop::GenerationPlan::Pc& pc) override {
+    // Tree-bcast: the owners return fitness to the Nature Agent
+    // point-to-point (the paper's torus sends). Replicated: allreduce.
+    std::array<double, 2> pair{};
+    for (int k = 0; k < 2; ++k) {
+      const pop::SSetId i = k == 0 ? pc.teacher : pc.learner;
+      const int src = static_cast<int>(part_.owner(i));
+      const int tag = k == 0 ? kTagFitTeacher : kTagFitLearner;
+      if (src == rank_ && (replay_ || rank_ == 0)) {
+        pair[k] = fit_.fitness(i);
+      } else if (src == rank_) {
+        comm_.send_value(0, tag, fit_.fitness(i));
+      } else if (!replay_ && rank_ == 0) {
+        pair[k] = comm_.recv_value<double>(src, tag);
+      }
+    }
+    if (!replay_) return pair;
+    const auto sum =
+        comm_.allreduce({pair[0], pair[1]}, par::Comm::ReduceOp::Sum);
+    return {sum[0], sum[1]};
+  }
+
+  void share_adoption(bool& adopted) override {
+    if (replay_) return;
+    std::uint8_t wire = adopted ? 1 : 0;
+    comm_.bcast_value(wire, 0);
+    adopted = wire != 0;
+  }
+
+  std::span<const double> gather_fitness(const pop::GenerationPlan&,
+                                         const GenerationDecision&) override {
+    full_ = assemble(replay_ ? comm_.allgather(pack(fit_.block()))
+                             : comm_.gather(pack(fit_.block()), 0));
+    return full_;
+  }
+
+  void share_pick(pop::MoranPick& pick) override {
+    if (replay_) return;
+    std::uint64_t wire =
+        (static_cast<std::uint64_t>(pick.reproducer) << 32) | pick.dying;
+    comm_.bcast_value(wire, 0);
+    pick = {static_cast<pop::SSetId>(wire >> 32),
+            static_cast<pop::SSetId>(wire & 0xffffffffu)};
+  }
+
+  void strategy_changed(pop::SSetId k, const pop::Population& pop,
+                        std::uint64_t gen) override {
+    fit_.strategy_changed(k, pop, gen);
+  }
+
+  void finish(const GenerationOutcome&) override { ins_.account(fit_, tally_); }
+
+ private:
+  /// Per-rank blocks (a gather's result; empty off the root) as one
+  /// SSet-indexed vector.
+  std::vector<double> assemble(
+      const std::vector<std::vector<std::byte>>& blocks) const {
+    std::vector<double> full(blocks.empty() ? 0 : config_.ssets, 0.0);
+    for (std::size_t r = 0; r < blocks.size(); ++r) {
+      std::memcpy(full.data() + part_.begin(r), blocks[r].data(),
+                  blocks[r].size());
+    }
+    return full;
+  }
+
+  par::Comm& comm_;
+  const SimConfig& config_;
+  obs::MetricsRegistry& registry_;
+  const int rank_;
+  const bool replay_;
+  pop::Population pop_;
+  std::shared_ptr<const pop::InteractionGraph> graph_;
+  par::BlockPartition part_;
+  BlockFitness fit_;
+  EngineInstruments ins_;
+  WorkTally tally_;
+  std::optional<pop::NatureAgent> nature_;
+  std::vector<double> snapshot_;  // top-of-generation block fitness
+  std::vector<double> full_;      // the Moran gather's assembly
 };
-
-// -- per-rank program ---------------------------------------------------------
-
-void rank_main(par::Comm& comm, const SimConfig& config,
-               std::optional<pop::Population>& result_slot,
-               obs::MetricsRegistry& registry,
-               const ParallelRunOptions& options) {
-  const int rank = comm.rank();
-  const auto nranks = static_cast<std::uint64_t>(comm.size());
-  RankInstruments ins(registry, rank);
-  // Flight-recorder attribution: this thread's events land on pid = rank.
-  const obs::TraceRankScope trace_rank(rank);
-  obs::Tracer::set_thread_name("rank.main");
-
-  // Every rank derives the identical initial state from the seed alone —
-  // the paper's "each node can calculate its position ... individually".
-  pop::Population pop = make_initial_population(config);
-  // Every rank reconstructs the identical interaction graph locally.
-  const auto graph = make_shared_graph(config);
-  const par::BlockPartition part(config.ssets, nranks);
-  const auto row_begin = static_cast<pop::SSetId>(
-      part.begin(static_cast<std::uint64_t>(rank)));
-  const auto row_end =
-      static_cast<pop::SSetId>(part.end(static_cast<std::uint64_t>(rank)));
-  BlockFitness fit(config, row_begin, row_end, graph, &registry);
-  {
-    obs::ScopedTimer t(ins.game_play);
-    obs::TraceSpan span(obs::phase::kGamePlay, obs::kCatPhase);
-    fit.initialize(pop);
-    span.set_arg("games", fit.games_played());
-  }
-  std::uint64_t pairs_accounted = fit.pairs_evaluated();
-  ins.pairs->inc(pairs_accounted);
-  std::uint64_t games_accounted = fit.games_played();
-  ins.games->inc(games_accounted);
-
-  const bool replay_nature =
-      config.comm_pattern == CommPattern::ReplicatedNature;
-  std::optional<pop::NatureAgent> nature;
-  if (replay_nature || rank == 0) {
-    auto nc = config.nature_config();
-    nc.graph = graph;
-    nature.emplace(nc);
-  }
-
-  auto owner_of = [&](pop::SSetId i) {
-    return static_cast<int>(part.owner(i));
-  };
-
-  // Matches the serial engine: zero until the first generation runs.
-  std::vector<double> fitness_snapshot(fit.block().size(), 0.0);
-
-  util::Timer progress_timer;
-  double last_heartbeat_s = 0.0;
-  std::uint64_t last_heartbeat_gen = 0;
-
-  for (std::uint64_t gen = 0; gen < config.generations; ++gen) {
-    obs::TraceSpan gen_span(obs::kGenerationSpan, obs::kCatEngine, "gen", gen);
-    // 1. Game dynamics: local, communication-free.
-    {
-      obs::ScopedTimer t(ins.game_play);
-      obs::TraceSpan span(obs::phase::kGamePlay, obs::kCatPhase);
-      const std::uint64_t games_before = fit.games_played();
-      fit.begin_generation(pop, gen);
-      fitness_snapshot.assign(fit.block().begin(), fit.block().end());
-      span.set_arg("games", fit.games_played() - games_before);
-    }
-
-    // 2. Population dynamics.
-    pop::GenerationPlan plan;
-    {
-      obs::ScopedTimer t(ins.plan);
-      obs::TraceSpan span(obs::phase::kPlanBcast, obs::kCatPhase);
-      if (replay_nature) {
-        plan = nature->plan_generation(&pop);
-      } else {
-        std::vector<std::byte> wire;
-        if (rank == 0) {
-          plan = nature->plan_generation(&pop);
-          wire = encode_generation_plan(plan);
-        }
-        comm.bcast(wire, 0);
-        if (rank != 0) plan = decode_generation_plan(wire);
-      }
-    }
-
-    // Decision outcomes, hoisted so the rank-0 trace hook below sees them.
-    bool adopted = false;
-    pop::MoranPick pick;
-
-    if (plan.pc) {
-      RankInstruments::inc(ins.pc_events);
-      const pop::SSetId teacher = plan.pc->teacher;
-      const pop::SSetId learner = plan.pc->learner;
-
-      if (replay_nature) {
-        std::vector<double> pair_fitness(2, 0.0);
-        {
-          obs::ScopedTimer t(ins.fitness_return);
-          obs::TraceSpan span(obs::phase::kFitnessReturn, obs::kCatPhase);
-          if (owner_of(teacher) == rank) pair_fitness[0] = fit.fitness(teacher);
-          if (owner_of(learner) == rank) pair_fitness[1] = fit.fitness(learner);
-          pair_fitness = comm.allreduce(std::move(pair_fitness),
-                                        par::Comm::ReduceOp::Sum);
-        }
-        {
-          obs::ScopedTimer t(ins.decision);
-          obs::TraceSpan span(obs::phase::kDecisionBcast, obs::kCatPhase);
-          adopted = nature->decide_adoption(pair_fitness[0], pair_fitness[1]);
-        }
-      } else {
-        // Owners return fitness to the Nature Agent point-to-point
-        // (the paper's torus sends), rank 0 decides, decision broadcast.
-        double tf = 0.0, lf = 0.0;
-        {
-          obs::ScopedTimer t(ins.fitness_return);
-          obs::TraceSpan span(obs::phase::kFitnessReturn, obs::kCatPhase);
-          if (rank != 0 && owner_of(teacher) == rank) {
-            comm.send_value(0, kTagFitTeacher, fit.fitness(teacher));
-          }
-          if (rank != 0 && owner_of(learner) == rank) {
-            comm.send_value(0, kTagFitLearner, fit.fitness(learner));
-          }
-          if (rank == 0) {
-            tf = owner_of(teacher) == 0
-                     ? fit.fitness(teacher)
-                     : comm.recv_value<double>(owner_of(teacher),
-                                               kTagFitTeacher);
-            lf = owner_of(learner) == 0
-                     ? fit.fitness(learner)
-                     : comm.recv_value<double>(owner_of(learner),
-                                               kTagFitLearner);
-          }
-        }
-        {
-          obs::ScopedTimer t(ins.decision);
-          obs::TraceSpan span(obs::phase::kDecisionBcast, obs::kCatPhase);
-          std::uint8_t adopted_wire = 0;
-          if (rank == 0) adopted_wire = nature->decide_adoption(tf, lf) ? 1 : 0;
-          comm.bcast_value(adopted_wire, 0);
-          adopted = adopted_wire != 0;
-        }
-      }
-
-      if (adopted) {
-        RankInstruments::inc(ins.adoptions);
-        obs::ScopedTimer t(ins.apply);
-        obs::TraceSpan span(obs::phase::kApplyUpdate, obs::kCatPhase);
-        pop.set_strategy(learner, pop.strategy(teacher));
-        fit.strategy_changed(learner, pop, gen);
-      }
-    }
-
-    if (plan.moran) {
-      RankInstruments::inc(ins.moran_events);
-      // The Moran rule needs the whole fitness vector at the selector —
-      // the communication pattern the paper's pairwise rule avoids.
-      auto pack_block = [&] {
-        std::vector<std::byte> bytes(fit.block().size() * sizeof(double));
-        std::memcpy(bytes.data(), fit.block().data(), bytes.size());
-        return bytes;
-      };
-      auto assemble = [&](const std::vector<std::vector<std::byte>>& blocks) {
-        std::vector<double> full(config.ssets, 0.0);
-        for (std::uint64_t r = 0; r < nranks; ++r) {
-          const auto& b = blocks[r];
-          std::memcpy(full.data() + part.begin(r), b.data(), b.size());
-        }
-        return full;
-      };
-      if (replay_nature) {
-        std::vector<double> full;
-        {
-          obs::ScopedTimer t(ins.fitness_return);
-          obs::TraceSpan span(obs::phase::kFitnessReturn, obs::kCatPhase);
-          full = assemble(comm.allgather(pack_block()));
-        }
-        obs::ScopedTimer t(ins.decision);
-        obs::TraceSpan span(obs::phase::kDecisionBcast, obs::kCatPhase);
-        pick = nature->select_moran(full);
-      } else {
-        std::vector<std::vector<std::byte>> blocks;
-        {
-          obs::ScopedTimer t(ins.fitness_return);
-          obs::TraceSpan span(obs::phase::kFitnessReturn, obs::kCatPhase);
-          blocks = comm.gather(pack_block(), 0);
-        }
-        obs::ScopedTimer t(ins.decision);
-        obs::TraceSpan span(obs::phase::kDecisionBcast, obs::kCatPhase);
-        std::uint64_t wire = 0;
-        if (rank == 0) {
-          const auto full = assemble(blocks);
-          pick = nature->select_moran(full);
-          wire = (static_cast<std::uint64_t>(pick.reproducer) << 32) |
-                 pick.dying;
-        }
-        comm.bcast_value(wire, 0);
-        pick.reproducer = static_cast<pop::SSetId>(wire >> 32);
-        pick.dying = static_cast<pop::SSetId>(wire & 0xffffffffu);
-      }
-      if (pick.is_change()) {
-        obs::ScopedTimer t(ins.apply);
-        obs::TraceSpan span(obs::phase::kApplyUpdate, obs::kCatPhase);
-        pop.set_strategy(pick.dying, pop.strategy(pick.reproducer));
-        fit.strategy_changed(pick.dying, pop, gen);
-      }
-    }
-
-    if (plan.mutation) {
-      RankInstruments::inc(ins.mutations);
-      obs::ScopedTimer t(ins.apply);
-      obs::TraceSpan span(obs::phase::kApplyUpdate, obs::kCatPhase);
-      pop.set_strategy(plan.mutation->target, plan.mutation->strategy);
-      fit.strategy_changed(plan.mutation->target, pop, gen);
-    }
-
-    RankInstruments::inc(ins.generations);
-    const std::uint64_t pairs_now = fit.pairs_evaluated();
-    ins.pairs->inc(pairs_now - pairs_accounted);
-    pairs_accounted = pairs_now;
-    const std::uint64_t games_now = fit.games_played();
-    ins.games->inc(games_now - games_accounted);
-    games_accounted = games_now;
-
-    if (options.trace != nullptr && rank == 0) {
-      // Same capture point as the serial engine's hook: after this
-      // generation's events applied, before the next one plans.
-      TracePoint point;
-      point.generation = gen;
-      point.nature = nature->save_state();
-      if (plan.pc) {
-        point.pc = true;
-        point.teacher = plan.pc->teacher;
-        point.learner = plan.pc->learner;
-        point.adopted = adopted;
-      }
-      if (plan.moran) {
-        point.moran = true;
-        point.reproducer = pick.reproducer;
-        point.dying = pick.dying;
-        point.adopted = pick.is_change();
-      }
-      if (plan.mutation) {
-        point.mutated = true;
-        point.mutation_target = plan.mutation->target;
-      }
-      point.table_hash = pop.table_hash();
-      options.trace->on_point(point);
-    }
-
-    if (options.metrics_stream != nullptr &&
-        options.metrics_stream->wants(gen)) {
-      // Every rank owns a block of the fitness vector; reduce the block
-      // sums so the streamed mean is the global one.
-      double local = 0.0;
-      for (const double f : fit.block()) local += f;
-      const double total =
-          comm.reduce_scalar(local, par::Comm::ReduceOp::Sum, 0);
-      if (rank == 0) {
-        options.metrics_stream->on_generation(
-            gen, pop, registry, total / static_cast<double>(config.ssets));
-      }
-    }
-
-    if (options.progress && rank == 0) {
-      const double now = progress_timer.seconds();
-      if (now - last_heartbeat_s >= options.progress_interval_seconds) {
-        const double rate =
-            static_cast<double>(gen + 1 - last_heartbeat_gen) /
-            (now - last_heartbeat_s);
-        const double eta =
-            rate > 0.0
-                ? static_cast<double>(config.generations - gen - 1) / rate
-                : 0.0;
-        // Same line format as the serial MetricsObserver heartbeat.
-        char line[160];
-        std::snprintf(line, sizeof line,
-                      "gen %llu/%llu (%.1f%%) | %.0f gen/s | ETA %.0f s",
-                      static_cast<unsigned long long>(gen + 1),
-                      static_cast<unsigned long long>(config.generations),
-                      100.0 * static_cast<double>(gen + 1) /
-                          static_cast<double>(config.generations),
-                      rate, eta);
-        util::log_info() << line;
-        last_heartbeat_s = now;
-        last_heartbeat_gen = gen + 1;
-      }
-    }
-  }
-
-  // Collect the final fitness (as of the top of the last generation, the
-  // same values the serial engine leaves in its population).
-  std::vector<std::byte> mine(fitness_snapshot.size() * sizeof(double));
-  std::memcpy(mine.data(), fitness_snapshot.data(), mine.size());
-  auto blocks = comm.gather(std::move(mine), 0);
-
-  if (rank == 0) {
-    for (std::uint64_t r = 0; r < nranks; ++r) {
-      const auto& b = blocks[r];
-      std::vector<double> values(b.size() / sizeof(double));
-      std::memcpy(values.data(), b.data(), b.size());
-      const auto base = static_cast<pop::SSetId>(part.begin(r));
-      for (std::size_t k = 0; k < values.size(); ++k) {
-        pop.set_fitness(base + static_cast<pop::SSetId>(k), values[k]);
-      }
-    }
-    result_slot = std::move(pop);
-  }
-}
 
 }  // namespace
 
@@ -454,9 +206,15 @@ ParallelResult run_parallel(const SimConfig& config, int nranks,
       static_cast<std::size_t>(nranks));
   const par::TrafficReport traffic = par::run_ranks_traced(
       nranks, [&](par::Comm& comm) {
-        rank_main(comm, config, final_pop,
-                  rank_registries[static_cast<std::size_t>(comm.rank())],
-                  options);
+        // Flight-recorder attribution: this thread's events land on
+        // pid = rank.
+        const obs::TraceRankScope trace_rank(comm.rank());
+        obs::Tracer::set_thread_name("rank.main");
+        auto pop =
+            ParallelRank(comm, config,
+                         rank_registries[static_cast<std::size_t>(comm.rank())])
+                .run(options);
+        if (pop) final_pop = std::move(pop);
       });
   EGT_ASSERT(final_pop.has_value());
 
@@ -465,9 +223,8 @@ ParallelResult run_parallel(const SimConfig& config, int nranks,
   merged.gauge("engine.ranks").set(static_cast<double>(nranks));
   if (options.metrics != nullptr) options.metrics->merge(merged);
 
-  ParallelResult result{std::move(*final_pop), traffic, config.generations,
+  return ParallelResult{std::move(*final_pop), traffic, config.generations,
                         merged.snapshot()};
-  return result;
 }
 
 }  // namespace egt::core

@@ -16,8 +16,10 @@
 //   schedule and mutation payloads need no broadcast; only the PC pair's
 //   fitness is combined with an allreduce.
 //
-// For any rank count the trajectory is bit-identical to the serial Engine —
-// the central integration-test invariant.
+// Both patterns are transports of the shared generation step
+// (core/generation.hpp). For any rank count the trajectory is
+// bit-identical to the serial Engine — the central integration-test
+// invariant.
 //
 // Observability: every rank times the same five per-generation phases the
 // serial engine reports (obs::phase) into its own registry; the registries
@@ -25,14 +27,10 @@
 // reported per rank, split broadcast-tree vs point-to-point.
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
 #include "core/config.hpp"
 #include "core/trace.hpp"
 #include "obs/metrics.hpp"
 #include "par/runtime.hpp"
-#include "pop/nature.hpp"
 #include "pop/population.hpp"
 
 namespace egt::obs {
@@ -40,12 +38,6 @@ class MetricsStreamWriter;
 }
 
 namespace egt::core {
-
-/// Wire codec of the per-generation event plan (the PaperBcast broadcast
-/// payload). Exposed so the fault-tolerant engine (src/ft/) ships the
-/// identical plan over its master-driven point-to-point protocol.
-std::vector<std::byte> encode_generation_plan(const pop::GenerationPlan& plan);
-pop::GenerationPlan decode_generation_plan(const std::vector<std::byte>& in);
 
 struct ParallelResult {
   pop::Population population;  ///< final strategy table + final fitness

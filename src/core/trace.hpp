@@ -2,8 +2,9 @@
 // uses to compare *whole trajectories* across engines instead of only
 // final states.
 //
-// Every engine (serial Engine, run_parallel's rank 0, run_parallel_ft's
-// master) emits one TracePoint per completed generation: Nature's
+// The shared generation step (core/generation.hpp) emits one TracePoint
+// per completed generation on the recording rank — the serial Engine,
+// run_parallel's rank 0, run_parallel_ft's acting master: Nature's
 // post-decision RNG state, the generation's decision, and a content hash
 // of the strategy table. Two engines given the same config must produce
 // byte-identical point streams; the first differing point names the

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/generation.hpp"
 #include "ft/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
@@ -28,11 +29,6 @@ double pick_real(util::Xoshiro256& rng, double lo, double hi) {
 constexpr int kDataTags[] = {tag::kPlan, tag::kPlanAck, tag::kReqFit,
                              tag::kFit,  tag::kDecide,  tag::kPong,
                              tag::kBlocks};
-
-constexpr const char* kEngineCounters[] = {
-    "engine.generations",  "engine.pc_events", "engine.adoptions",
-    "engine.moran_events", "engine.mutations", "engine.pairs_evaluated",
-};
 
 }  // namespace
 
@@ -174,13 +170,11 @@ ChaosOutcome run_chaos_schedule(std::uint64_t seed) {
   // declared dead: a drop-induced false-positive eviction keeps the
   // trajectory exact but over-counts recovery work.
   const auto planned = static_cast<int>(s.options.plan.kills().size());
-  if (ft->ranks_lost == planned) {
-    for (const char* name : kEngineCounters) {
-      if (ft->metrics.counter_value(name) != ref_metrics.counter_value(name)) {
-        why << " counter " << name << "=" << ft->metrics.counter_value(name)
-            << " want " << ref_metrics.counter_value(name) << ";";
-      }
-    }
+  const core::EngineCounters got = core::counters_from(ft->metrics);
+  const core::EngineCounters want = core::counters_from(ref_metrics);
+  if (ft->ranks_lost == planned && got != want) {
+    why << " engine counters " << core::to_string(got) << " want "
+        << core::to_string(want) << ";";
   }
 
   out.ok = why.str().empty();

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -18,7 +17,7 @@
 #include "core/checkpoint.hpp"
 #include "core/engine.hpp"
 #include "core/fitness.hpp"
-#include "core/parallel_engine.hpp"
+#include "core/generation.hpp"
 #include "core/wire.hpp"
 #include "ft/block_checkpoint.hpp"
 #include "ft/decision_log.hpp"
@@ -40,26 +39,19 @@ using core::wire::Writer;
 
 // -- instruments --------------------------------------------------------------
 
-// Same phase timers and "engine.*" counters as the base engines (so serial,
-// parallel and ft manifests are directly comparable), plus the "ft.*"
-// family. The master-family counters (engine.generations, the event
-// counters incremented by the apply stages, the failure detector's
-// tallies) exist only on ranks that actually are the master: rank 0 from
-// launch, and any standby from the moment it wins an election (promote()).
-// Registering them on every rank would multiply the merged event counts,
-// because the apply stages run on every rank.
-struct FtInstruments {
+// The shared engine instruments (phase timers, "engine.*" counters, so
+// serial, parallel and ft manifests are directly comparable) plus the
+// "ft.*" family. The master-family counters (the
+// engine event counters, the failure detector's tallies) exist only on
+// ranks that actually are the master: rank 0 from launch, and any standby
+// from the moment it wins an election (promote()). Registering them on
+// every rank would multiply the merged event counts, because the apply
+// stages run on every rank.
+struct FtInstruments : core::EngineInstruments {
   // Every rank.
-  obs::Histogram* game_play = nullptr;
-  obs::Histogram* plan = nullptr;
-  obs::Histogram* fitness_return = nullptr;
-  obs::Histogram* decision = nullptr;
-  obs::Histogram* apply = nullptr;
   obs::Histogram* ckpt = nullptr;
   obs::Histogram* recovery = nullptr;
   obs::Histogram* election = nullptr;
-  obs::Counter* pairs = nullptr;           // engine.pairs_evaluated
-  obs::Counter* games = nullptr;           // engine.games_played
   obs::Counter* recovery_pairs = nullptr;  // ft.recovery.pairs_evaluated
   obs::Counter* recovery_games = nullptr;  // ft.recovery.games_played
   obs::Counter* ckpt_writes = nullptr;
@@ -74,11 +66,6 @@ struct FtInstruments {
   obs::Counter* elections = nullptr;    // election rounds entered
   obs::Counter* failovers = nullptr;    // elections won (takeovers)
   // Masters only (null until promote()).
-  obs::Counter* generations = nullptr;
-  obs::Counter* pc_events = nullptr;
-  obs::Counter* adoptions = nullptr;
-  obs::Counter* moran_events = nullptr;
-  obs::Counter* mutations = nullptr;
   obs::Counter* failures = nullptr;
   obs::Counter* recoveries = nullptr;
   obs::Counter* suspects = nullptr;
@@ -91,18 +78,12 @@ struct FtInstruments {
   // counter family (BlockFitness's "fitness.*").
   obs::MetricsRegistry* registry = nullptr;
 
-  FtInstruments(obs::MetricsRegistry& reg, bool is_master) {
+  FtInstruments(obs::MetricsRegistry& reg, bool is_master)
+      : EngineInstruments(&reg, /*events=*/false) {
     registry = &reg;
-    game_play = &reg.histogram(obs::phase::kGamePlay);
-    plan = &reg.histogram(obs::phase::kPlanBcast);
-    fitness_return = &reg.histogram(obs::phase::kFitnessReturn);
-    decision = &reg.histogram(obs::phase::kDecisionBcast);
-    apply = &reg.histogram(obs::phase::kApplyUpdate);
     ckpt = &reg.histogram("phase.ft_checkpoint");
     recovery = &reg.histogram("phase.ft_recovery");
     election = &reg.histogram("phase.ft_election");
-    pairs = &reg.counter("engine.pairs_evaluated");
-    games = &reg.counter("engine.games_played");
     recovery_pairs = &reg.counter("ft.recovery.pairs_evaluated");
     recovery_games = &reg.counter("ft.recovery.games_played");
     ckpt_writes = &reg.counter("ft.checkpoint.writes");
@@ -123,12 +104,8 @@ struct FtInstruments {
   /// (so a fault-free run's manifest still reports ft.recoveries = 0
   /// explicitly) and at election victory on a promoted standby.
   void promote(obs::MetricsRegistry& reg) {
-    if (generations != nullptr) return;
-    generations = &reg.counter("engine.generations");
-    pc_events = &reg.counter("engine.pc_events");
-    adoptions = &reg.counter("engine.adoptions");
-    moran_events = &reg.counter("engine.moran_events");
-    mutations = &reg.counter("engine.mutations");
+    if (failures != nullptr) return;
+    count_events(reg);
     failures = &reg.counter("ft.failures_detected");
     recoveries = &reg.counter("ft.recoveries");
     suspects = &reg.counter("ft.suspected_ranks");
@@ -137,10 +114,6 @@ struct FtInstruments {
     stale = &reg.counter("ft.stale_messages");
     log_records = &reg.counter("ft.log.records");
     log_bytes = &reg.counter("ft.log.bytes");
-  }
-
-  static void inc(obs::Counter* c, std::uint64_t n = 1) {
-    if (c != nullptr) c->inc(n);
   }
 };
 
@@ -180,25 +153,13 @@ class BlockSet {
                    const pop::Population& pop) {
     Block blk{core::BlockFitness(config_, begin, end, graph_, ins_.registry),
                {},
-               0,
-               0};
-    {
-      obs::ScopedTimer t(ins_.game_play);
-      obs::TraceSpan span(obs::phase::kGamePlay, obs::kCatPhase);
-      blk.fit.initialize(pop);
-      span.set_arg("games", blk.fit.games_played());
-    }
-    blk.accounted = blk.fit.pairs_evaluated();
-    ins_.pairs->inc(blk.accounted);
-    blk.games_accounted = blk.fit.games_played();
-    ins_.games->inc(blk.games_accounted);
+               {}};
+    ins_.initialize(blk.fit, pop, blk.seen);
     blk.snapshot.assign(blk.fit.block().size(), 0.0);
     blocks_.push_back(std::move(blk));
   }
 
   void begin_generation(const pop::Population& pop, std::uint64_t gen) {
-    obs::ScopedTimer t(ins_.game_play);
-    obs::TraceSpan span(obs::phase::kGamePlay, obs::kCatPhase);
     for (Block& b : blocks_) {
       b.fit.begin_generation(pop, gen);
       b.snapshot.assign(b.fit.block().begin(), b.fit.block().end());
@@ -213,11 +174,10 @@ class BlockSet {
     changed_this_gen_.push_back(k);
   }
 
-  bool owns(pop::SSetId i) const noexcept {
-    for (const Block& b : blocks_) {
-      if (i >= b.fit.row_begin() && i < b.fit.row_end()) return true;
-    }
-    return false;
+  std::uint64_t games_played() const noexcept {
+    std::uint64_t games = 0;
+    for (const Block& b : blocks_) games += b.fit.games_played();
+    return games;
   }
 
   bool owns_range(pop::SSetId begin, pop::SSetId end) const noexcept {
@@ -233,61 +193,61 @@ class BlockSet {
         return b.fit.fitness(i);
       }
     }
-    EGT_REQUIRE_MSG(false, "fitness query on unowned SSet");
+    EGT_REQUIRE_MSG(false, "ft protocol: fitness request for unowned SSet");
     return 0.0;
   }
 
-  /// Current fitness of every owned block into `full` (indexed by SSet).
-  void fill_current(std::vector<double>& full) const {
+  /// Every owned block into `full` (indexed by SSet): the top-of-generation
+  /// `snapshot` or the current values.
+  void fill(std::vector<double>& full, bool snapshot) const {
     for (const Block& b : blocks_) {
-      std::copy(b.fit.block().begin(), b.fit.block().end(),
-                full.begin() + b.fit.row_begin());
+      std::ranges::copy(values(b, snapshot), full.begin() + b.fit.row_begin());
     }
   }
 
-  /// Top-of-generation snapshot of every owned block into `full`.
-  void fill_snapshot(std::vector<double>& full) const {
-    for (const Block& b : blocks_) {
-      std::copy(b.snapshot.begin(), b.snapshot.end(),
-                full.begin() + b.fit.row_begin());
-    }
-  }
-
-  /// Append every owned block as (begin, end, doubles) using `snapshot` or
-  /// current values — the BLOCKS / FINAL reply payload.
-  void encode_ranges(Writer& w, bool snapshot) const {
+  /// The BLOCKS / FINAL reply to request `req`: every owned block as
+  /// (begin, end, doubles) using `snapshot` or current values.
+  std::vector<std::byte> ranges_msg(std::uint64_t req, bool snapshot) const {
+    Writer w;
+    w.u64(req);
     w.u32(static_cast<std::uint32_t>(blocks_.size()));
     for (const Block& b : blocks_) {
       w.u32(b.fit.row_begin());
       w.u32(b.fit.row_end());
-      if (snapshot) {
-        w.doubles(b.snapshot.data(), b.snapshot.size());
-      } else {
-        w.doubles(b.fit.block().data(), b.fit.block().size());
-      }
+      const std::span<const double> v = values(b, snapshot);
+      w.doubles(v.data(), v.size());
     }
+    return w.take();
   }
 
-  /// Adopt range [begin, end) from a dead rank, mid-generation `gen`.
-  /// `pop` is the current population replica; `pop_gen_start` its state at
-  /// the top of `gen` (before this generation's updates).
+  /// Adopt range [begin, end) from a dead rank. `pop` is the current
+  /// population replica.
   ///
-  /// Fast path: an intact covering block checkpoint restores the exact
-  /// doubles (bit-exact, zero games). Recompute path: Sampled re-plays the
-  /// block with this generation's streams from the top-of-generation
-  /// population (bit-exact by purity; counts to engine.pairs exactly as
-  /// the dead rank's evaluation would have); cached modes re-initialize
-  /// from scratch and replay this generation's strategy changes (recovery
-  /// work, counts to ft.recovery.pairs_evaluated).
+  /// `mid_gen`: generation `gen` is in flight and `pop_gen_start` is the
+  /// replica at its top (before this generation's updates). Fast path: an
+  /// intact covering block checkpoint restores the exact doubles
+  /// (bit-exact, zero games). Recompute path: Sampled re-plays the block
+  /// with this generation's streams from the top-of-generation population
+  /// (bit-exact by purity; counts to engine.pairs exactly as the dead
+  /// rank's evaluation would have); cached modes re-initialize from
+  /// scratch and replay this generation's strategy changes (recovery work,
+  /// counts to ft.recovery.pairs_evaluated).
+  ///
+  /// Otherwise `gen` is the next generation to run, and the caller's main
+  /// loop will run begin_generation over every block — including this one
+  /// — when it starts. So the block only needs the state begin_generation
+  /// builds on: a checkpoint restore (cached modes; any intact entry whose
+  /// table hash matches is bit-exact) or a from-scratch initialize; Sampled
+  /// blocks need nothing at all, the next begin_generation replays them.
   void adopt(pop::SSetId begin, pop::SSetId end, const pop::Population& pop,
              const pop::Population& pop_gen_start, std::uint64_t gen,
-             const CheckpointStore& store, std::uint64_t fingerprint) {
+             bool mid_gen, const CheckpointStore& store,
+             std::uint64_t fingerprint) {
     obs::ScopedTimer t(ins_.recovery);
     obs::TraceSpan span("phase.ft_recovery", obs::kCatFt, "begin", begin);
     Block blk{core::BlockFitness(config_, begin, end, graph_, ins_.registry),
                {},
-               0,
-               0};
+               {}};
     const std::optional<BlockCheckpoint> hit =
         lookup(store, begin, end, gen, pop);
     if (hit && cached_mode() && hit->matrix_cols == expected_matrix_cols() &&
@@ -298,73 +258,33 @@ class BlockSet {
       FtInstruments::inc(ins_.blocks_restored);
     } else {
       if (cached_mode()) {
-        blk.fit.initialize(pop_gen_start);
+        blk.fit.initialize(mid_gen ? pop_gen_start : pop);
         FtInstruments::inc(ins_.recovery_pairs, blk.fit.pairs_evaluated());
         FtInstruments::inc(ins_.recovery_games, blk.fit.games_played());
-        blk.accounted = blk.fit.pairs_evaluated();
-        blk.games_accounted = blk.fit.games_played();
+        blk.seen = tally(blk.fit);
       }
-      blk.fit.begin_generation(pop_gen_start, gen);
-      ins_.pairs->inc(blk.fit.pairs_evaluated() - blk.accounted);
-      blk.accounted = blk.fit.pairs_evaluated();
-      ins_.games->inc(blk.fit.games_played() - blk.games_accounted);
-      blk.games_accounted = blk.fit.games_played();
-      // Snapshot = top-of-generation values, before this generation's
-      // updates (which are replayed on top for the cached modes below).
-      blk.snapshot.assign(blk.fit.block().begin(), blk.fit.block().end());
-      // Replay each change against the population as of that change:
-      // strategy_changed reads every column but k's as current.
-      pop::Population replay = pop_gen_start;
-      for (pop::SSetId k : changed_this_gen_) {
-        replay.set_strategy(k, pop.strategy(k));
-        blk.fit.strategy_changed(k, replay, gen);
-      }
-      FtInstruments::inc(ins_.recovery_pairs,
-                         blk.fit.pairs_evaluated() - blk.accounted);
-      FtInstruments::inc(ins_.recovery_games,
-                         blk.fit.games_played() - blk.games_accounted);
-      FtInstruments::inc(ins_.blocks_recomputed);
-    }
-    blk.accounted = blk.fit.pairs_evaluated();
-    blk.games_accounted = blk.fit.games_played();
-    blocks_.push_back(std::move(blk));
-  }
-
-  /// Adopt range [begin, end) at a generation boundary: no generation is
-  /// in flight, `gen` is the next one to run, and the caller's main loop
-  /// will run begin_generation over every block — including this one — when
-  /// it starts. So the block only needs the state begin_generation builds
-  /// on: a checkpoint restore (cached modes; any intact entry whose table
-  /// hash matches is bit-exact) or a from-scratch initialize; Sampled
-  /// blocks need nothing at all, the next begin_generation replays them.
-  void adopt_at_boundary(pop::SSetId begin, pop::SSetId end,
-                         const pop::Population& pop, std::uint64_t gen,
-                         const CheckpointStore& store,
-                         std::uint64_t fingerprint) {
-    obs::ScopedTimer t(ins_.recovery);
-    obs::TraceSpan span("phase.ft_recovery", obs::kCatFt, "begin", begin);
-    Block blk{core::BlockFitness(config_, begin, end, graph_, ins_.registry),
-               {},
-               0,
-               0};
-    const std::optional<BlockCheckpoint> hit =
-        lookup(store, begin, end, gen, pop);
-    if (hit && cached_mode() && hit->matrix_cols == expected_matrix_cols() &&
-        hit->config_fingerprint == fingerprint) {
-      blk.fit.restore_state(hit->fitness_slice(begin, end),
-                            hit->matrix_slice(begin, end));
-      FtInstruments::inc(ins_.blocks_restored);
-    } else {
-      if (cached_mode()) {
-        blk.fit.initialize(pop);
-        FtInstruments::inc(ins_.recovery_pairs, blk.fit.pairs_evaluated());
-        FtInstruments::inc(ins_.recovery_games, blk.fit.games_played());
+      if (mid_gen) {
+        blk.fit.begin_generation(pop_gen_start, gen);
+        ins_.account(blk.fit, blk.seen);
+        // Snapshot = top-of-generation values, before this generation's
+        // updates (which are replayed on top for the cached modes below).
+        blk.snapshot.assign(blk.fit.block().begin(), blk.fit.block().end());
+        // Replay each change against the population as of that change:
+        // strategy_changed reads every column but k's as current.
+        pop::Population replay = pop_gen_start;
+        for (pop::SSetId k : changed_this_gen_) {
+          replay.set_strategy(k, pop.strategy(k));
+          blk.fit.strategy_changed(k, replay, gen);
+        }
+        FtInstruments::inc(ins_.recovery_pairs,
+                           blk.fit.pairs_evaluated() - blk.seen.pairs);
+        FtInstruments::inc(ins_.recovery_games,
+                           blk.fit.games_played() - blk.seen.games);
       }
       FtInstruments::inc(ins_.blocks_recomputed);
     }
-    blk.accounted = blk.fit.pairs_evaluated();
-    blk.games_accounted = blk.fit.games_played();
-    blk.snapshot.assign(blk.fit.block().size(), 0.0);
+    if (!mid_gen) blk.snapshot.assign(blk.fit.block().size(), 0.0);
+    blk.seen = tally(blk.fit);
     blocks_.push_back(std::move(blk));
   }
 
@@ -399,23 +319,24 @@ class BlockSet {
   /// engine.pairs_evaluated (per-generation work: begin_generation and
   /// strategy_changed deltas, both of which a fault-free run also pays).
   void account_engine_pairs() {
-    for (Block& b : blocks_) {
-      const std::uint64_t now = b.fit.pairs_evaluated();
-      ins_.pairs->inc(now - b.accounted);
-      b.accounted = now;
-      const std::uint64_t games_now = b.fit.games_played();
-      ins_.games->inc(games_now - b.games_accounted);
-      b.games_accounted = games_now;
-    }
+    for (Block& b : blocks_) ins_.account(b.fit, b.seen);
   }
 
  private:
   struct Block {
     core::BlockFitness fit;
     std::vector<double> snapshot;  // top-of-generation values
-    std::uint64_t accounted = 0;   // pairs already flushed to a counter
-    std::uint64_t games_accounted = 0;  // games already flushed to a counter
+    core::WorkTally seen;          // work already flushed to a counter
   };
+
+  static core::WorkTally tally(const core::BlockFitness& fit) {
+    return {fit.pairs_evaluated(), fit.games_played()};
+  }
+
+  /// A block's top-of-generation `snapshot` or current values.
+  static std::span<const double> values(const Block& b, bool snapshot) {
+    return snapshot ? std::span<const double>(b.snapshot) : b.fit.block();
+  }
 
   /// CRC-verified checkpoint lookup; a corrupt entry skipped on the way to
   /// an older intact one counts to ft.checkpoint.fallbacks.
@@ -447,12 +368,7 @@ constexpr const char* kWhat = "ft protocol message";
 
 // The decision(s) of one generation, as carried by DECIDE messages, by the
 // next PLAN's heal fields and by a TAKEOVER's heal fields.
-struct Decision {
-  std::uint64_t gen = 0;
-  bool adopted = false;
-  bool has_moran = false;
-  pop::MoranPick pick;
-};
+using Decision = core::GenerationDecision;
 
 void put_decision_body(Writer& w, const Decision& d) {
   w.u8(d.adopted ? 1 : 0);
@@ -471,16 +387,27 @@ Decision get_decision_body(Reader& r, std::uint64_t gen) {
   return d;
 }
 
-std::vector<std::byte> encode_plan_msg(std::uint64_t gen,
-                                       const std::optional<Decision>& prev,
-                                       const std::vector<std::byte>& plan) {
-  Writer w;
-  w.u64(gen);
+// The heal fields of PLAN and TAKEOVER: an optional previous decision.
+void put_prev(Writer& w, const std::optional<Decision>& prev) {
   w.u8(prev ? 1 : 0);
   if (prev) {
     w.u64(prev->gen);
     put_decision_body(w, *prev);
   }
+}
+
+std::optional<Decision> get_prev(Reader& r) {
+  if (r.u8("has prev decision") == 0) return std::nullopt;
+  const std::uint64_t gen = r.u64("prev generation");
+  return get_decision_body(r, gen);
+}
+
+std::vector<std::byte> encode_plan_msg(std::uint64_t gen,
+                                       const std::optional<Decision>& prev,
+                                       const std::vector<std::byte>& plan) {
+  Writer w;
+  w.u64(gen);
+  put_prev(w, prev);
   w.bytes(plan);
   return w.take();
 }
@@ -550,40 +477,6 @@ struct Shared {
   }
 };
 
-// Applies one generation's scheduled updates in the fault-free order:
-// PC adoption, Moran replacement, mutation. `apply_pc` / `apply_final`
-// split the two decision stages (the Moran gather must see post-adoption
-// fitness, exactly as in the base engines).
-void apply_pc_stage(BlockSet& blocks, pop::Population& pop,
-                    const pop::GenerationPlan& plan, const Decision& d,
-                    std::uint64_t gen, FtInstruments& ins) {
-  if (plan.pc && d.adopted) {
-    FtInstruments::inc(ins.adoptions);
-    obs::ScopedTimer t(ins.apply);
-    obs::TraceSpan span(obs::phase::kApplyUpdate, obs::kCatPhase);
-    pop.set_strategy(plan.pc->learner, pop.strategy(plan.pc->teacher));
-    blocks.strategy_changed(plan.pc->learner, pop, gen);
-  }
-}
-
-void apply_final_stage(BlockSet& blocks, pop::Population& pop,
-                       const pop::GenerationPlan& plan, const Decision& d,
-                       std::uint64_t gen, FtInstruments& ins) {
-  if (plan.moran && d.pick.is_change()) {
-    obs::ScopedTimer t(ins.apply);
-    obs::TraceSpan span(obs::phase::kApplyUpdate, obs::kCatPhase);
-    pop.set_strategy(d.pick.dying, pop.strategy(d.pick.reproducer));
-    blocks.strategy_changed(d.pick.dying, pop, gen);
-  }
-  if (plan.mutation) {
-    FtInstruments::inc(ins.mutations);
-    obs::ScopedTimer t(ins.apply);
-    obs::TraceSpan span(obs::phase::kApplyUpdate, obs::kCatPhase);
-    pop.set_strategy(plan.mutation->target, plan.mutation->strategy);
-    blocks.strategy_changed(plan.mutation->target, pop, gen);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // One rank's whole life, worker and master alike. Every rank starts as a
 // worker except rank 0, which starts as the master; a worker that wins an
@@ -593,7 +486,7 @@ void apply_final_stage(BlockSet& blocks, pop::Population& pop,
 // the master role bit-for-bit.
 // ---------------------------------------------------------------------------
 
-class RankProgram {
+class RankProgram : private core::GenerationTransport {
  public:
   RankProgram(par::Comm& comm, Shared& shared, obs::MetricsRegistry& registry)
       : comm_(comm),
@@ -615,9 +508,7 @@ class RankProgram {
 
   void run() {
     if (rank_ == 0) {
-      auto nc = config_.nature_config();
-      nc.graph = graph_;
-      nature_.emplace(nc);
+      nature_.emplace(config_.nature_config(graph_));
       for (int w = 1; w < comm_.size(); ++w) alive_.push_back(w);
       run_master(0);
     } else {
@@ -658,6 +549,14 @@ class RankProgram {
     return std::find(alive_.begin(), alive_.end(), r) != alive_.end();
   }
 
+  /// The master plus the ranks it considers alive, ascending.
+  std::vector<int> members() const {
+    std::vector<int> all{rank_};
+    all.insert(all.end(), alive_.begin(), alive_.end());
+    std::sort(all.begin(), all.end());
+    return all;
+  }
+
   std::chrono::nanoseconds my_silence() const {
     // Standbys (ranks holding a log copy) time out first: they can resume
     // the run; ranks without a log can only win an election nobody better
@@ -690,6 +589,20 @@ class RankProgram {
     }
   }
 
+  /// Apply `d` to the pending generation through the shared step's apply
+  /// helpers: the adoption stage once, and with `close` the final stage,
+  /// which closes the generation.
+  void apply_pending(const Decision& d, bool close) {
+    if (!pending_->pc_applied) {
+      core::apply_adoption(pop_, blocks_, pending_->plan, d, ins_);
+      pending_->pc_applied = true;
+    }
+    if (!close) return;
+    core::apply_final(pop_, blocks_, pending_->plan, d, ins_);
+    pending_.reset();
+    finish_generation(d.gen);
+  }
+
   /// If a decision for the pending generation is available, apply it and
   /// close the generation. Carried by the next PLAN, by a TAKEOVER, or by
   /// the newest log record at promotion.
@@ -697,15 +610,17 @@ class RankProgram {
     if (!pending_ || !prev || prev->gen != pending_->gen) return;
     FtInstruments::inc(ins_.heals);
     obs::trace_instant("ft.heal", obs::kCatFt, "gen", pending_->gen);
-    if (!pending_->pc_applied) {
-      apply_pc_stage(blocks_, pop_, pending_->plan, *prev, pending_->gen,
-                     ins_);
-    }
-    apply_final_stage(blocks_, pop_, pending_->plan, *prev, pending_->gen,
-                      ins_);
-    const std::uint64_t gen = pending_->gen;
-    pending_.reset();
-    finish_generation(gen);
+    apply_pending(*prev, /*close=*/true);
+  }
+
+  /// A master's newer ownership table (RECONFIG, TAKEOVER) for generation
+  /// `gen`, which is in flight when its plan was already processed.
+  void adopt_table(OwnershipTable next, std::uint32_t epoch,
+                   std::uint64_t gen) {
+    if (epoch <= epoch_) return;
+    table_ = std::move(next);
+    epoch_ = epoch;
+    adopt_missing_ranges(gen, last_gen_ == static_cast<std::int64_t>(gen));
   }
 
   /// Fold in any range the current table assigns to this rank but no local
@@ -715,13 +630,8 @@ class RankProgram {
   void adopt_missing_ranges(std::uint64_t gen, bool mid_gen) {
     for (const auto& [b, e] : table_.ranges_of(rank_)) {
       if (blocks_.owns_range(b, e)) continue;
-      if (mid_gen) {
-        blocks_.adopt(b, e, pop_, pop_gen_start_, gen, shared_.store,
-                      shared_.fingerprint);
-      } else {
-        blocks_.adopt_at_boundary(b, e, pop_, gen, shared_.store,
-                                  shared_.fingerprint);
-      }
+      blocks_.adopt(b, e, pop_, pop_gen_start_, gen, mid_gen, shared_.store,
+                    shared_.fingerprint);
     }
   }
 
@@ -761,11 +671,7 @@ class RankProgram {
       case tag::kPlan: {
         Reader r(m.payload, kWhat);
         const std::uint64_t gen = r.u64("generation");
-        std::optional<Decision> prev;
-        if (r.u8("has prev decision") != 0) {
-          const std::uint64_t pgen = r.u64("prev generation");
-          prev = get_decision_body(r, pgen);
-        }
+        const std::optional<Decision> prev = get_prev(r);
         const auto plan_wire = r.bytes("plan payload");
         r.expect_exhausted();
         if (kill_gen_ && *kill_gen_ == gen) {
@@ -785,14 +691,11 @@ class RankProgram {
         // plan carries it (FIFO order from the master makes this safe).
         heal_pending(prev);
         EGT_ASSERT(!pending_);
-        blocks_.begin_generation(pop_, gen);
-        pop_gen_start_ = pop_;
-        pop::GenerationPlan plan = core::decode_generation_plan(plan_wire);
-        if (plan.pc || plan.moran) {
-          pending_ = Pending{gen, std::move(plan), false};
-        } else {
-          apply_final_stage(blocks_, pop_, plan, Decision{}, gen, ins_);
-          finish_generation(gen);
+        core::play_generation(*this, ins_, gen);
+        pending_ = Pending{gen, core::decode_generation_plan(plan_wire), false};
+        // Without a PC or Moran event no decision follows: close now.
+        if (!pending_->plan.pc && !pending_->plan.moran) {
+          apply_pending(Decision{gen, false, false, {}}, /*close=*/true);
         }
         last_gen_ = static_cast<std::int64_t>(gen);
         comm_.send(m.source, tag::kPlanAck, encode_u64(gen));
@@ -805,24 +708,8 @@ class RankProgram {
         const Decision d = get_decision_body(r, gen);
         r.expect_exhausted();
         if (!pending_ || pending_->gen != gen) break;  // stale duplicate
-        if (stage == DecideStage::Pc) {
-          if (!pending_->pc_applied) {
-            apply_pc_stage(blocks_, pop_, pending_->plan, d, gen, ins_);
-            pending_->pc_applied = true;
-          }
-          if (!pending_->plan.moran) {
-            apply_final_stage(blocks_, pop_, pending_->plan, d, gen, ins_);
-            pending_.reset();
-            finish_generation(gen);
-          }
-        } else {
-          if (!pending_->pc_applied) {
-            apply_pc_stage(blocks_, pop_, pending_->plan, d, gen, ins_);
-          }
-          apply_final_stage(blocks_, pop_, pending_->plan, d, gen, ins_);
-          pending_.reset();
-          finish_generation(gen);
-        }
+        // A PC-stage decide of a Moran generation waits for the gather.
+        apply_pending(d, stage == DecideStage::Final || !pending_->plan.moran);
         break;
       }
       case tag::kReqFit: {
@@ -830,8 +717,6 @@ class RankProgram {
         const std::uint64_t req = r.u64("request id");
         const pop::SSetId k = r.u32("sset");
         r.expect_exhausted();
-        EGT_REQUIRE_MSG(blocks_.owns(k),
-                        "ft protocol: fitness request for unowned SSet");
         Writer w;
         w.u64(req);
         w.f64(blocks_.fitness(k));
@@ -849,18 +734,12 @@ class RankProgram {
         // the request carries the PC decision and heals a missed one.
         if (pending_ && pending_->gen == gen && !pending_->pc_applied &&
             pending_->plan.pc) {
-          Decision d;
-          d.gen = gen;
-          d.adopted = adopted;
           FtInstruments::inc(ins_.heals);
           obs::trace_instant("ft.heal", obs::kCatFt, "gen", gen);
-          apply_pc_stage(blocks_, pop_, pending_->plan, d, gen, ins_);
-          pending_->pc_applied = true;
+          apply_pending(Decision{gen, adopted, false, {}},
+                        /*close=*/false);
         }
-        Writer w;
-        w.u64(req);
-        blocks_.encode_ranges(w, /*snapshot=*/false);
-        comm_.send(m.source, tag::kBlocks, w.take());
+        comm_.send(m.source, tag::kBlocks, blocks_.ranges_msg(req, false));
         break;
       }
       case tag::kPing: {
@@ -874,12 +753,7 @@ class RankProgram {
         const std::uint32_t epoch = r.u32("epoch");
         OwnershipTable next = OwnershipTable::decode(r);
         r.expect_exhausted();
-        if (epoch > epoch_) {
-          table_ = std::move(next);
-          epoch_ = epoch;
-          adopt_missing_ranges(gen,
-                               last_gen_ == static_cast<std::int64_t>(gen));
-        }
+        adopt_table(std::move(next), epoch, gen);
         // Ack with the newest applied epoch (acks are cumulative).
         Writer w;
         w.u32(epoch_);
@@ -890,10 +764,7 @@ class RankProgram {
         // Reply with the final snapshot but keep serving (the reply may be
         // dropped and re-requested); kBye releases the thread.
         const std::uint64_t req = decode_u64(m, "request id");
-        Writer w;
-        w.u64(req);
-        blocks_.encode_ranges(w, /*snapshot=*/true);
-        comm_.send(m.source, tag::kFinal, w.take());
+        comm_.send(m.source, tag::kFinal, blocks_.ranges_msg(req, true));
         break;
       }
       case tag::kLogAppend: {
@@ -944,11 +815,7 @@ class RankProgram {
     Reader r(m.payload, kWhat);
     const std::uint64_t view = r.u64("view");
     const std::uint64_t resume = r.u64("resume generation");
-    std::optional<Decision> prev;
-    if (r.u8("has prev decision") != 0) {
-      const std::uint64_t pgen = r.u64("prev generation");
-      prev = get_decision_body(r, pgen);
-    }
+    const std::optional<Decision> prev = get_prev(r);
     const std::uint32_t epoch = r.u32("epoch");
     OwnershipTable next = OwnershipTable::decode(r);
     r.expect_exhausted();
@@ -972,12 +839,7 @@ class RankProgram {
     // one resumes past it.
     if (pending_ && pending_->gen + 1 == resume) heal_pending(prev);
     EGT_ASSERT(!pending_ || pending_->gen == resume);
-    if (epoch > epoch_) {
-      table_ = std::move(next);
-      epoch_ = epoch;
-      adopt_missing_ranges(resume,
-                           last_gen_ == static_cast<std::int64_t>(resume));
-    }
+    adopt_table(std::move(next), epoch, resume);
     send_takeover_ack(m.source, view);
     return Ev::TookOver;
   }
@@ -1017,6 +879,30 @@ class RankProgram {
     return view;
   }
 
+  /// Election-time receive loop: record votes and serve every other message
+  /// for `window`, restarted whenever `extend(view)` accepts a vote.
+  /// nullopt once the window closes; otherwise run_election's result (true:
+  /// this thread is done; false: back to the worker loop).
+  template <class Extend>
+  std::optional<bool> serve_until(std::chrono::nanoseconds window,
+                                  Extend&& extend) {
+    auto deadline = Clock::now() + window;
+    for (;;) {
+      const auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(
+          deadline - Clock::now());
+      if (left <= std::chrono::nanoseconds::zero()) return std::nullopt;
+      auto m = comm_.recv_for(par::kAnySource, par::kAnyTag, left);
+      if (!m) return std::nullopt;
+      if (m->tag == tag::kElect) {
+        if (extend(note_vote(*m))) deadline = Clock::now() + window;
+        continue;
+      }
+      const Ev ev = handle_message(*m);
+      if (ev == Ev::Exit) return true;
+      if (ev != Ev::Handled) return false;  // took over, evicted, master back
+    }
+  }
+
   /// The master fell silent. Broadcast-vote until a view resolves: the
   /// rank with the newest decision log (lowest rank on ties) wins and
   /// takes over; everyone else waits for its TAKEOVER. Returns true when
@@ -1036,32 +922,12 @@ class RankProgram {
       if (voted_view_ < view) cast_vote(view);
       // Collect votes; the window extends while they keep arriving and
       // restarts when a higher view joins.
-      auto deadline = Clock::now() + shared_.window;
-      for (;;) {
-        const auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(
-            deadline - Clock::now());
-        if (left <= std::chrono::nanoseconds::zero()) break;
-        auto m = comm_.recv_for(par::kAnySource, par::kAnyTag, left);
-        if (!m) break;
-        if (m->tag == tag::kElect) {
-          const std::uint64_t v = note_vote(*m);
-          if (v >= view) {
-            view = v;
-            deadline = Clock::now() + shared_.window;
-          }
-          continue;
-        }
-        switch (handle_message(*m)) {
-          case Ev::Exit:
-            return true;
-          case Ev::TookOver:
-          case Ev::Evicted:
-          case Ev::FromMaster:
-            return false;
-          case Ev::Handled:
-            continue;
-        }
-      }
+      const auto joined = [&](std::uint64_t v) {
+        if (v < view) return false;
+        view = v;
+        return true;
+      };
+      if (const auto done = serve_until(shared_.window, joined)) return *done;
       // Tally: newest log wins, lowest rank breaks ties (the map iterates
       // ranks in ascending order, so strict > keeps the lowest).
       const auto& round = votes_[view];
@@ -1090,28 +956,8 @@ class RankProgram {
       }
       // Lost: give the winner one silence to announce itself, then retry
       // one view higher without it.
-      const auto tdeadline = Clock::now() + my_silence();
-      for (;;) {
-        const auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(
-            tdeadline - Clock::now());
-        if (left <= std::chrono::nanoseconds::zero()) break;
-        auto m = comm_.recv_for(par::kAnySource, par::kAnyTag, left);
-        if (!m) break;
-        if (m->tag == tag::kElect) {
-          note_vote(*m);
-          continue;
-        }
-        switch (handle_message(*m)) {
-          case Ev::Exit:
-            return true;
-          case Ev::TookOver:
-          case Ev::Evicted:
-          case Ev::FromMaster:
-            return false;
-          case Ev::Handled:
-            continue;
-        }
-      }
+      const auto ignore = [](std::uint64_t) { return false; };
+      if (const auto done = serve_until(my_silence(), ignore)) return *done;
       min_view = view + 1;
     }
   }
@@ -1130,9 +976,7 @@ class RankProgram {
     voted_view_ = std::max(voted_view_, view);
     master_ = rank_;
 
-    auto nc = config_.nature_config();
-    nc.graph = graph_;
-    nature_.emplace(nc);
+    nature_.emplace(config_.nature_config(graph_));
     std::uint64_t start_gen = 0;
     prev_decision_.reset();
     if (const DecisionLogRecord* rec = log_.newest()) {
@@ -1172,9 +1016,7 @@ class RankProgram {
   void takeover(std::uint64_t start_gen) {
     current_gen_ = start_gen;
     in_generation_ = false;
-    std::vector<int> survivors{rank_};
-    survivors.insert(survivors.end(), alive_.begin(), alive_.end());
-    std::sort(survivors.begin(), survivors.end());
+    const std::vector<int> survivors = members();
     for (int r = 0; r < comm_.size(); ++r) {
       if (r == rank_ || is_alive(r)) continue;
       if (table_.ranges_of(r).empty()) continue;
@@ -1191,11 +1033,7 @@ class RankProgram {
     Writer w;
     w.u64(view_);
     w.u64(start_gen);
-    w.u8(prev_decision_ ? 1 : 0);
-    if (prev_decision_) {
-      w.u64(prev_decision_->gen);
-      put_decision_body(w, *prev_decision_);
-    }
+    put_prev(w, prev_decision_);
     w.u32(epoch_);
     table_.encode(w);
     const auto wire = w.take();
@@ -1274,6 +1112,26 @@ class RankProgram {
     }
   }
 
+  // Send `wire` to every alive rank and await each one's `reply_tag`
+  // (await_from semantics); a rank that stays silent is declared dead.
+  // False when any rank died during the round.
+  template <class Accept>
+  bool broadcast_acked(int tagv, const std::vector<std::byte>& wire,
+                       int reply_tag, Accept&& accept) {
+    for (int w : alive_) comm_.send(w, tagv, wire);
+    bool complete = true;
+    const std::vector<int> expected = alive_;
+    for (int w : expected) {
+      if (!is_alive(w)) continue;  // lost to a nested death
+      if (!await_from(w, reply_tag, accept,
+                      [&] { comm_.send(w, tagv, wire); })) {
+        handle_death(w);
+        complete = false;
+      }
+    }
+    return complete;
+  }
+
   // Declares `w` dead and re-establishes the invariants: ownership table
   // re-partitioned, locally-owed ranges adopted, RECONFIG acknowledged by
   // every survivor. Recursion on a nested death (only reachable through
@@ -1289,9 +1147,7 @@ class RankProgram {
     // If it is actually alive (false positive), it must go passive rather
     // than keep serving a run that has moved on without it.
     comm_.send(dead, tag::kEvicted, {});
-    std::vector<int> survivors{rank_};
-    survivors.insert(survivors.end(), alive_.begin(), alive_.end());
-    std::sort(survivors.begin(), survivors.end());
+    const std::vector<int> survivors = members();
     table_.reassign(dead, survivors);
     const std::uint32_t target_epoch = ++epoch_;
     adopt_missing_ranges(current_gen_, in_generation_);
@@ -1299,22 +1155,13 @@ class RankProgram {
     w.u64(current_gen_);
     w.u32(target_epoch);
     table_.encode(w);
-    const auto wire = w.take();
-    for (int r : alive_) comm_.send(r, tag::kReconfig, wire);
-    const std::vector<int> expected = alive_;
-    for (int r : expected) {
-      if (!is_alive(r)) continue;  // lost to a nested death
-      const bool ok = await_from(
-          r, tag::kReconfigAck,
-          [&](const par::Message& m) {
-            Reader rd(m.payload, kWhat);
-            const std::uint32_t acked = rd.u32("acked epoch");
-            rd.expect_exhausted();
-            return acked >= target_epoch;
-          },
-          [&] { comm_.send(r, tag::kReconfig, wire); });
-      if (!ok) handle_death(r);
-    }
+    broadcast_acked(tag::kReconfig, w.take(), tag::kReconfigAck,
+                    [&](const par::Message& m) {
+                      Reader rd(m.payload, kWhat);
+                      const std::uint32_t acked = rd.u32("acked epoch");
+                      rd.expect_exhausted();
+                      return acked >= target_epoch;
+                    });
   }
 
   // Current fitness of one SSet, wherever it lives.
@@ -1346,52 +1193,45 @@ class RankProgram {
     }
   }
 
-  // The whole population's current fitness (the Moran gather). The request
-  // restates this generation's PC decision so a worker whose DECIDE was
-  // dropped can heal before replying — the gather must see post-adoption
-  // fitness to match the fault-free trajectory.
-  std::vector<double> collect_full(std::uint64_t gen, bool adopted) {
+  // The whole population's fitness, gathered from every rank's blocks:
+  // the current values (the Moran gather, REQ_BLOCKS → BLOCKS) or the
+  // top-of-generation `snapshot` (the final gather, STOP → FINAL). The
+  // Moran request restates this generation's PC decision so a worker
+  // whose DECIDE was dropped can heal before replying — the gather must
+  // see post-adoption fitness to match the fault-free trajectory.
+  std::vector<double> collect_full(bool snapshot, std::uint64_t gen = 0,
+                                   bool adopted = false) {
+    const int req_tag = snapshot ? tag::kStop : tag::kReqBlocks;
     for (;;) {
       std::vector<double> full(config_.ssets, 0.0);
-      blocks_.fill_current(full);
+      blocks_.fill(full, snapshot);
       const std::uint64_t req = ++req_seq_;
       Writer rw;
       rw.u64(req);
-      rw.u64(gen);
-      rw.u8(adopted ? 1 : 0);
-      const auto wire = rw.take();
-      for (int w : alive_) comm_.send(w, tag::kReqBlocks, wire);
-      bool lost = false;
-      const std::vector<int> expected = alive_;
-      for (int w : expected) {
-        if (!is_alive(w)) continue;
-        const bool ok = await_from(
-            w, tag::kBlocks,
-            [&](const par::Message& m) {
-              Reader r(m.payload, kWhat);
-              if (r.u64("request id") != req) return false;
-              const std::uint32_t n = r.u32("range count");
-              for (std::uint32_t i = 0; i < n; ++i) {
-                const pop::SSetId b = r.u32("range begin");
-                const pop::SSetId e = r.u32("range end");
-                if (e < b || e > config_.ssets) r.fail("range out of bounds");
-                const auto vals = r.doubles(e - b, "range fitness");
-                std::copy(vals.begin(), vals.end(), full.begin() + b);
-              }
-              r.expect_exhausted();
-              return true;
-            },
-            [&] { comm_.send(w, tag::kReqBlocks, wire); });
-        if (!ok) {
-          handle_death(w);
-          lost = true;
-          break;
-        }
+      if (!snapshot) {
+        rw.u64(gen);
+        rw.u8(adopted ? 1 : 0);
       }
+      const bool complete = broadcast_acked(
+          req_tag, rw.take(), snapshot ? tag::kFinal : tag::kBlocks,
+          [&](const par::Message& m) {
+            Reader r(m.payload, kWhat);
+            if (r.u64("request id") != req) return false;
+            const std::uint32_t n = r.u32("range count");
+            for (std::uint32_t i = 0; i < n; ++i) {
+              const pop::SSetId b = r.u32("range begin");
+              const pop::SSetId e = r.u32("range end");
+              if (e < b || e > config_.ssets) r.fail("range out of bounds");
+              const auto vals = r.doubles(e - b, "range fitness");
+              std::copy(vals.begin(), vals.end(), full.begin() + b);
+            }
+            r.expect_exhausted();
+            return true;
+          });
       // A death mid-gather invalidates the round (the new owner's values
       // were not requested) — rerun it with a fresh request id; late
       // replies to the old id are discarded as stale.
-      if (!lost) return full;
+      if (complete) return full;
     }
   }
 
@@ -1401,21 +1241,19 @@ class RankProgram {
   /// generation's final decision. A standby dying mid-stream is recovered
   /// and the refreshed record (new ownership view) is re-streamed; append
   /// is idempotent per generation on the survivors.
-  void replicate(std::uint64_t gen, const Decision& d) {
+  void replicate(const Decision& d) {
     FtInstruments::inc(ins_.log_records);
     for (;;) {
       DecisionLogRecord rec;
       rec.view = view_;
-      rec.generation = gen;
+      rec.generation = d.gen;
       rec.nature = nature_->save_state();
       rec.adopted = d.adopted;
       rec.has_moran = d.has_moran;
       rec.pick = d.pick;
       rec.epoch = epoch_;
       rec.table = table_;
-      rec.alive.push_back(rank_);
-      rec.alive.insert(rec.alive.end(), alive_.begin(), alive_.end());
-      std::sort(rec.alive.begin(), rec.alive.end());
+      rec.alive = members();
       rec.table_hash = pop_.table_hash();
       log_.append(rec);  // the master's own copy survives its own demotion
       const int nstandby = static_cast<int>(std::min<std::size_t>(
@@ -1432,7 +1270,7 @@ class RankProgram {
         const bool ok = await_from(
             s, tag::kLogAck,
             [&](const par::Message& m) {
-              return decode_u64(m, "acked record generation") == gen;
+              return decode_u64(m, "acked record generation") == d.gen;
             },
             [&] { comm_.send(s, tag::kLogAppend, blob); });
         if (!ok) {
@@ -1445,7 +1283,70 @@ class RankProgram {
     }
   }
 
+  // -- GenerationTransport: the ft-star master ------------------------------
+
+  void play(std::uint64_t gen) override {
+    current_gen_ = gen;
+    blocks_.begin_generation(pop_, gen);
+    pop_gen_start_ = pop_;
+    in_generation_ = true;
+  }
+
+  std::uint64_t games_played() const override {
+    return blocks_.games_played();
+  }
+
+  void share_plan(std::uint64_t gen, pop::GenerationPlan& plan) override {
+    const auto wire = encode_plan_msg(gen, prev_decision_,
+                                      core::encode_generation_plan(plan));
+    // Collect acks — the per-generation heartbeat. A killed rank is
+    // detected here, before any of this generation's decisions.
+    broadcast_acked(tag::kPlan, wire, tag::kPlanAck,
+                    [&](const par::Message& m) {
+                      return decode_u64(m, "acked generation") == gen;
+                    });
+    prev_decision_.reset();
+  }
+
+  std::array<double, 2> pc_fitness(const pop::GenerationPlan::Pc& pc) override {
+    return {fitness_of(pc.teacher), fitness_of(pc.learner)};
+  }
+
+  std::span<const double> gather_fitness(const pop::GenerationPlan& plan,
+                                         const Decision& d) override {
+    if (plan.pc) {
+      // The Moran gather needs post-adoption fitness on every rank, so
+      // this intermediate decision cannot wait for the generation's
+      // write-ahead record; the final (committing) one in finish() does.
+      const auto wire = encode_decide(DecideStage::Pc, d);
+      for (int w : alive_) comm_.send(w, tag::kDecide, wire);
+    }
+    full_ = collect_full(/*snapshot=*/false, d.gen, d.adopted);
+    return full_;
+  }
+
+  void strategy_changed(pop::SSetId k, const pop::Population& pop,
+                        std::uint64_t gen) override {
+    blocks_.strategy_changed(k, pop, gen);
+  }
+
+  void finish(const core::GenerationOutcome& out) override {
+    // Write-ahead: the record of this generation reaches the standbys
+    // before any worker can see its final decision.
+    replicate(out.decision);
+    if (out.plan.pc || out.plan.moran) {
+      core::PhaseScope phase(ins_.decision, obs::phase::kDecisionBcast);
+      const auto wire = encode_decide(
+          out.plan.moran ? DecideStage::Final : DecideStage::Pc, out.decision);
+      for (int w : alive_) comm_.send(w, tag::kDecide, wire);
+      prev_decision_ = out.decision;
+    }
+    finish_generation(out.decision.gen);
+  }
+
   void run_master(std::uint64_t start_gen) {
+    const core::GenerationContext ctx{*this, pop_, ins_, &*nature_,
+                                      shared_.options.trace, false};
     for (std::uint64_t gen = start_gen; gen < config_.generations; ++gen) {
       if (kill_gen_ && *kill_gen_ == gen) {
         // The injected crash, at the generation boundary: the previous
@@ -1455,132 +1356,19 @@ class RankProgram {
         obs::trace_instant("ft.kill", obs::kCatFt, "gen", gen);
         return;
       }
-      obs::TraceSpan gen_span(obs::kGenerationSpan, obs::kCatEngine, "gen",
-                              gen);
-      current_gen_ = gen;
-      blocks_.begin_generation(pop_, gen);
-      pop_gen_start_ = pop_;
-      in_generation_ = true;
-
-      pop::GenerationPlan plan;
-      {
-        obs::ScopedTimer t(ins_.plan);
-        obs::TraceSpan span(obs::phase::kPlanBcast, obs::kCatPhase);
-        plan = nature_->plan_generation(&pop_);
-        const auto wire = encode_plan_msg(gen, prev_decision_,
-                                          core::encode_generation_plan(plan));
-        for (int w : alive_) comm_.send(w, tag::kPlan, wire);
-        // Collect acks — the per-generation heartbeat. A killed rank is
-        // detected here, before any of this generation's decisions.
-        const std::vector<int> expected = alive_;
-        for (int w : expected) {
-          if (!is_alive(w)) continue;
-          const bool ok = await_from(
-              w, tag::kPlanAck,
-              [&](const par::Message& m) {
-                return decode_u64(m, "acked generation") == gen;
-              },
-              [&] {
-                comm_.send(w, tag::kPlan,
-                           encode_plan_msg(gen, prev_decision_,
-                                           core::encode_generation_plan(plan)));
-              });
-          if (!ok) handle_death(w);
-        }
-      }
-      prev_decision_.reset();
-
-      Decision decision;
-      decision.gen = gen;
-      if (plan.pc) {
-        FtInstruments::inc(ins_.pc_events);
-        double tf = 0.0, lf = 0.0;
-        {
-          obs::ScopedTimer t(ins_.fitness_return);
-          obs::TraceSpan span(obs::phase::kFitnessReturn, obs::kCatPhase);
-          tf = fitness_of(plan.pc->teacher);
-          lf = fitness_of(plan.pc->learner);
-        }
-        obs::ScopedTimer t(ins_.decision);
-        obs::TraceSpan span(obs::phase::kDecisionBcast, obs::kCatPhase);
-        decision.adopted = nature_->decide_adoption(tf, lf);
-        if (plan.moran) {
-          // The Moran gather needs post-adoption fitness on every rank, so
-          // this intermediate decision cannot wait for the generation's
-          // write-ahead record; the final (committing) one below does.
-          const auto wire = encode_decide(DecideStage::Pc, decision);
-          for (int w : alive_) comm_.send(w, tag::kDecide, wire);
-          apply_pc_stage(blocks_, pop_, plan, decision, gen, ins_);
-        }
-      }
-      if (plan.moran) {
-        FtInstruments::inc(ins_.moran_events);
-        decision.has_moran = true;
-        std::vector<double> full;
-        {
-          obs::ScopedTimer t(ins_.fitness_return);
-          obs::TraceSpan span(obs::phase::kFitnessReturn, obs::kCatPhase);
-          full = collect_full(gen, decision.adopted);
-        }
-        obs::ScopedTimer t(ins_.decision);
-        obs::TraceSpan span(obs::phase::kDecisionBcast, obs::kCatPhase);
-        decision.pick = nature_->select_moran(full);
-      }
-      if (plan.pc && !plan.moran) {
-        apply_pc_stage(blocks_, pop_, plan, decision, gen, ins_);
-      }
-      apply_final_stage(blocks_, pop_, plan, decision, gen, ins_);
-
-      // Write-ahead: the record of this generation reaches the standbys
-      // before any worker can see its final decision.
-      replicate(gen, decision);
-      if (plan.pc || plan.moran) {
-        obs::ScopedTimer t(ins_.decision);
-        obs::TraceSpan span(obs::phase::kDecisionBcast, obs::kCatPhase);
-        const auto wire = encode_decide(
-            plan.moran ? DecideStage::Final : DecideStage::Pc, decision);
-        for (int w : alive_) comm_.send(w, tag::kDecide, wire);
-        prev_decision_ = decision;
-      }
-      finish_generation(gen);
-      FtInstruments::inc(ins_.generations);
+      const core::GenerationOutcome out = core::run_generation(ctx, gen);
 
       if (shared_.options.metrics_stream != nullptr &&
           shared_.options.metrics_stream->wants(gen)) {
         // Reuse the Moran-gather protocol op to assemble the full fitness
         // vector for the streamed global mean (workers answer kReqBlocks at
         // any point of their loop). Deaths mid-gather are handled as usual.
-        const std::vector<double> full = collect_full(gen, decision.adopted);
+        const std::vector<double> full =
+            collect_full(/*snapshot=*/false, gen, out.decision.adopted);
         double sum = 0.0;
         for (const double f : full) sum += f;
         shared_.options.metrics_stream->on_generation(
             gen, pop_, registry_, sum / static_cast<double>(config_.ssets));
-      }
-
-      if (shared_.options.trace != nullptr) {
-        // Same capture point (and decision layout) as the base engines'
-        // hooks; `nature` is the post-decision state replicate() logged.
-        core::TracePoint point;
-        point.generation = gen;
-        point.nature = nature_->save_state();
-        if (plan.pc) {
-          point.pc = true;
-          point.teacher = plan.pc->teacher;
-          point.learner = plan.pc->learner;
-          point.adopted = decision.adopted;
-        }
-        if (plan.moran) {
-          point.moran = true;
-          point.reproducer = decision.pick.reproducer;
-          point.dying = decision.pick.dying;
-          point.adopted = decision.pick.is_change();
-        }
-        if (plan.mutation) {
-          point.mutated = true;
-          point.mutation_target = plan.mutation->target;
-        }
-        point.table_hash = pop_.table_hash();
-        shared_.options.trace->on_point(point);
       }
     }
 
@@ -1588,45 +1376,8 @@ class RankProgram {
     // base engines). Workers keep serving until the explicit release, so a
     // dropped FINAL reply is simply re-requested.
     current_gen_ = config_.generations > 0 ? config_.generations - 1 : 0;
-    for (;;) {
-      std::vector<double> final_fit(config_.ssets, 0.0);
-      blocks_.fill_snapshot(final_fit);
-      const std::uint64_t req = ++req_seq_;
-      const auto wire = encode_u64(req);
-      for (int w : alive_) comm_.send(w, tag::kStop, wire);
-      bool lost = false;
-      const std::vector<int> expected = alive_;
-      for (int w : expected) {
-        if (!is_alive(w)) continue;
-        const bool ok = await_from(
-            w, tag::kFinal,
-            [&](const par::Message& m) {
-              Reader r(m.payload, kWhat);
-              if (r.u64("request id") != req) return false;
-              const std::uint32_t n = r.u32("range count");
-              for (std::uint32_t i = 0; i < n; ++i) {
-                const pop::SSetId b = r.u32("range begin");
-                const pop::SSetId e = r.u32("range end");
-                if (e < b || e > config_.ssets) r.fail("range out of bounds");
-                const auto vals = r.doubles(e - b, "range fitness");
-                std::copy(vals.begin(), vals.end(), final_fit.begin() + b);
-              }
-              r.expect_exhausted();
-              return true;
-            },
-            [&] { comm_.send(w, tag::kStop, wire); });
-        if (!ok) {
-          handle_death(w);
-          lost = true;
-          break;
-        }
-      }
-      if (lost) continue;  // re-gather with the post-recovery ownership
-      for (pop::SSetId i = 0; i < config_.ssets; ++i) {
-        pop_.set_fitness(i, final_fit[i]);
-      }
-      break;
-    }
+    std::ranges::copy(collect_full(/*snapshot=*/true),
+                      pop_.mutable_fitness().begin());
 
     // Release every rank — including declared-dead ones that are actually
     // alive (passive zombies wait for exactly this so run_ranks can join
@@ -1676,6 +1427,7 @@ class RankProgram {
   std::uint64_t current_gen_ = 0;
   std::optional<Decision> prev_decision_;
   bool in_generation_ = false;
+  std::vector<double> full_;  // the Moran gather's result
 };
 
 }  // namespace

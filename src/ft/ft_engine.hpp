@@ -1,10 +1,11 @@
 // The fault-tolerant parallel engine.
 //
 // Same simulation as core::run_parallel — the master rank is the Nature
-// Agent, every rank owns contiguous fitness blocks over the replicated
-// strategy table — but coordinated over a master-driven point-to-point
-// protocol (ft/protocol.hpp) that survives rank failures injected by a
-// FaultPlan, *including failures of the master itself*:
+// Agent and runs the shared generation step (core/generation.hpp), every
+// rank owns contiguous fitness blocks over the replicated strategy table —
+// but coordinated over a master-driven point-to-point protocol
+// (ft/protocol.hpp) that survives rank failures injected by a FaultPlan,
+// *including failures of the master itself*:
 //
 //   detection   Every generation plan is acknowledged (the ack doubles as
 //               a heartbeat, so detection latency is one generation). A

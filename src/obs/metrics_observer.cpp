@@ -9,7 +9,9 @@ namespace egt::obs {
 
 MetricsObserver::MetricsObserver(MetricsRegistry& registry,
                                  MetricsObserverOptions options)
-    : registry_(&registry), options_(std::move(options)) {
+    : registry_(&registry),
+      options_(std::move(options)),
+      heartbeat_(options_.progress_interval_seconds) {
   if (!options_.csv_path.empty()) {
     try {
       csv_ =
@@ -50,7 +52,9 @@ void MetricsObserver::on_generation(const pop::Population& pop,
        record.generation % options_.sample_interval == 0)) {
     sample(pop, record.generation);
   }
-  if (options_.progress) heartbeat(record.generation);
+  if (options_.progress) {
+    heartbeat_.tick(record.generation, options_.total_generations);
+  }
 }
 
 void MetricsObserver::sample(const pop::Population& pop,
@@ -85,33 +89,30 @@ void MetricsObserver::sample(const pop::Population& pop,
   ++samples_;
 }
 
-void MetricsObserver::heartbeat(std::uint64_t generation) {
+void Heartbeat::tick(std::uint64_t done, std::uint64_t total) {
   const double now = wall_.seconds();
-  if (now - last_heartbeat_s_ < options_.progress_interval_seconds) return;
-  const double window = now - last_heartbeat_s_;
+  if (now - last_s_ < interval_seconds_) return;
+  const double window = now - last_s_;
   const double rate =
-      window > 0.0
-          ? static_cast<double>(generation - last_heartbeat_gen_) / window
-          : 0.0;
+      window > 0.0 ? static_cast<double>(done - last_done_) / window : 0.0;
   char line[160];
-  if (options_.total_generations > 0 && rate > 0.0) {
-    const std::uint64_t total = options_.total_generations;
-    const std::uint64_t done = generation < total ? generation : total;
-    const double eta = static_cast<double>(total - done) / rate;
+  if (total > 0 && rate > 0.0) {
+    const std::uint64_t shown = done < total ? done : total;
+    const double eta = static_cast<double>(total - shown) / rate;
     std::snprintf(line, sizeof line,
                   "gen %llu/%llu (%.1f%%) | %.0f gen/s | ETA %.0f s",
-                  static_cast<unsigned long long>(done),
+                  static_cast<unsigned long long>(shown),
                   static_cast<unsigned long long>(total),
-                  100.0 * static_cast<double>(done) /
+                  100.0 * static_cast<double>(shown) /
                       static_cast<double>(total),
                   rate, eta);
   } else {
     std::snprintf(line, sizeof line, "gen %llu | %.0f gen/s",
-                  static_cast<unsigned long long>(generation), rate);
+                  static_cast<unsigned long long>(done), rate);
   }
   util::log_info() << line;
-  last_heartbeat_s_ = now;
-  last_heartbeat_gen_ = generation;
+  last_s_ = now;
+  last_done_ = done;
 }
 
 }  // namespace egt::obs

@@ -26,6 +26,24 @@
 
 namespace egt::obs {
 
+/// The progress heartbeat of every engine: at most one util::log_info line
+/// per `interval_seconds`,
+///   "gen <done>/<total> (<pct>%) | <rate> gen/s | ETA <s> s"
+/// or "gen <done> | <rate> gen/s" without a total (or before any progress).
+class Heartbeat {
+ public:
+  explicit Heartbeat(double interval_seconds)
+      : interval_seconds_(interval_seconds) {}
+  /// `done` generations of `total` (0 = unknown) have run.
+  void tick(std::uint64_t done, std::uint64_t total);
+
+ private:
+  double interval_seconds_;
+  util::Timer wall_;
+  double last_s_ = 0.0;
+  std::uint64_t last_done_ = 0;
+};
+
 struct MetricsObserverOptions {
   /// CSV time-series path; empty disables the CSV output.
   std::string csv_path;
@@ -53,7 +71,6 @@ class MetricsObserver final : public core::Observer {
 
  private:
   void sample(const pop::Population& pop, std::uint64_t generation);
-  void heartbeat(std::uint64_t generation);
 
   MetricsRegistry* registry_;
   MetricsObserverOptions options_;
@@ -61,8 +78,7 @@ class MetricsObserver final : public core::Observer {
   util::Timer wall_;
   std::uint64_t seen_ = 0;     ///< generations observed
   std::uint64_t samples_ = 0;  ///< CSV rows written
-  double last_heartbeat_s_ = 0.0;
-  std::uint64_t last_heartbeat_gen_ = 0;
+  Heartbeat heartbeat_;
 };
 
 }  // namespace egt::obs

@@ -39,18 +39,6 @@ constexpr const char* kIteratedPresets[] = {"ipd", "hawk_dove", "snowdrift",
                                             "stag_hunt"};
 constexpr const char* kOtherPresets[] = {"rps", "pgg"};
 
-EngineCounters serial_counters(const obs::MetricsSnapshot& s) {
-  EngineCounters c;
-  c.generations = s.counter_value("engine.generations");
-  c.pc_events = s.counter_value("engine.pc_events");
-  c.adoptions = s.counter_value("engine.adoptions");
-  c.moran_events = s.counter_value("engine.moran_events");
-  c.mutations = s.counter_value("engine.mutations");
-  c.pairs_evaluated = s.counter_value("engine.pairs_evaluated");
-  c.games_played = s.counter_value("engine.games_played");
-  return c;
-}
-
 }  // namespace
 
 ServeChaosSchedule make_serve_schedule(std::uint64_t seed) {
@@ -328,7 +316,7 @@ ServeChaosOutcome run_serve_schedule(std::uint64_t seed,
         out.detail += " | job " + std::to_string(i) + " fitness diverged";
         return out;
       }
-      if (!counters_equal(got.counters, serial_counters(reg.snapshot()))) {
+      if (got.counters != core::counters_from(reg.snapshot())) {
         out.detail += " | job " + std::to_string(i) + " counters diverged";
         return out;
       }

@@ -21,32 +21,14 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "simcheck/case.hpp"
+#include "core/generation.hpp"
 
 namespace egt::serve {
 
-/// The seven "engine.*" event counters a job accounts across attempts
-/// (same layout simcheck diffs between engine variants).
-using EngineCounters = simcheck::EngineCounters;
-
-inline bool counters_equal(const EngineCounters& a, const EngineCounters& b) {
-  return a.generations == b.generations && a.pc_events == b.pc_events &&
-         a.adoptions == b.adoptions && a.moran_events == b.moran_events &&
-         a.mutations == b.mutations &&
-         a.pairs_evaluated == b.pairs_evaluated &&
-         a.games_played == b.games_played;
-}
-
-inline EngineCounters counters_add(const EngineCounters& a,
-                                   const EngineCounters& b) {
-  return EngineCounters{a.generations + b.generations,
-                        a.pc_events + b.pc_events,
-                        a.adoptions + b.adoptions,
-                        a.moran_events + b.moran_events,
-                        a.mutations + b.mutations,
-                        a.pairs_evaluated + b.pairs_evaluated,
-                        a.games_played + b.games_played};
-}
+/// The seven "engine.*" event counters a job accounts across attempts.
+using core::counters_add;
+using core::counters_from;
+using core::EngineCounters;
 
 enum class JobState : std::uint8_t {
   Queued,

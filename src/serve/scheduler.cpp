@@ -20,18 +20,6 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-EngineCounters counters_from(const obs::MetricsSnapshot& s) {
-  EngineCounters c;
-  c.generations = s.counter_value("engine.generations");
-  c.pc_events = s.counter_value("engine.pc_events");
-  c.adoptions = s.counter_value("engine.adoptions");
-  c.moran_events = s.counter_value("engine.moran_events");
-  c.mutations = s.counter_value("engine.mutations");
-  c.pairs_evaluated = s.counter_value("engine.pairs_evaluated");
-  c.games_played = s.counter_value("engine.games_played");
-  return c;
-}
-
 /// Internal control-flow signals for the cooperative cancellation points.
 struct AttemptAborted {
   Scheduler::FaultAction action;

@@ -19,20 +19,9 @@ namespace egt::simcheck {
 
 namespace {
 
+using core::counters_from;
 using core::FitnessMode;
 using core::InteractionSpec;
-
-EngineCounters counters_from(const obs::MetricsSnapshot& s) {
-  EngineCounters c;
-  c.generations = s.counter_value("engine.generations");
-  c.pc_events = s.counter_value("engine.pc_events");
-  c.adoptions = s.counter_value("engine.adoptions");
-  c.moran_events = s.counter_value("engine.moran_events");
-  c.mutations = s.counter_value("engine.mutations");
-  c.pairs_evaluated = s.counter_value("engine.pairs_evaluated");
-  c.games_played = s.counter_value("engine.games_played");
-  return c;
-}
 
 void finish_from_population(EngineOutcome& out, const pop::Population& pop) {
   out.table_hash = pop.table_hash();
@@ -234,21 +223,7 @@ void compare_outcome(CaseResult& result, EngineKind kind,
     }
   }
   if (out.counters_comparable) {
-    auto diff = [&](const char* name, std::uint64_t a, std::uint64_t b) {
-      if (a != b) {
-        fail(std::string("counter ") + name + " differs: " +
-             std::to_string(b) + " vs reference " + std::to_string(a));
-      }
-    };
-    diff("engine.generations", ref.counters.generations,
-         out.counters.generations);
-    diff("engine.pc_events", ref.counters.pc_events, out.counters.pc_events);
-    diff("engine.adoptions", ref.counters.adoptions, out.counters.adoptions);
-    diff("engine.moran_events", ref.counters.moran_events,
-         out.counters.moran_events);
-    diff("engine.mutations", ref.counters.mutations, out.counters.mutations);
-    diff("engine.pairs_evaluated", ref.counters.pairs_evaluated,
-         out.counters.pairs_evaluated);
+    core::EngineCounters want = ref.counters;
     // games_played is partition-dependent under dedup: a rank reuses
     // values only from rows it owns, so a class spanning blocks is
     // evaluated once per rank.
@@ -263,9 +238,12 @@ void compare_outcome(CaseResult& result, EngineKind kind,
                             kind == EngineKind::ParallelReplicated ||
                             kind == EngineKind::ParallelFt ||
                             kind == EngineKind::ParallelFtFaulty;
-    if (!(dedup_active && multi_rank)) {
-      diff("engine.games_played", ref.counters.games_played,
-           out.counters.games_played);
+    if (dedup_active && multi_rank) {
+      want.games_played = out.counters.games_played;
+    }
+    if (out.counters != want) {
+      fail("engine counters differ: " + core::to_string(out.counters) +
+           " vs reference " + core::to_string(want));
     }
   }
 }

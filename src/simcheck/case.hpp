@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/generation.hpp"
 #include "core/trace.hpp"
 #include "ft/fault_plan.hpp"
 
@@ -45,17 +46,6 @@ struct CaseSpec {
   std::vector<EngineKind> engines;  ///< variants to compare (no Serial)
 };
 
-/// The merged per-run event/work counters every engine reports.
-struct EngineCounters {
-  std::uint64_t generations = 0;
-  std::uint64_t pc_events = 0;
-  std::uint64_t adoptions = 0;
-  std::uint64_t moran_events = 0;
-  std::uint64_t mutations = 0;
-  std::uint64_t pairs_evaluated = 0;
-  std::uint64_t games_played = 0;
-};
-
 struct EngineOutcome {
   bool ok = false;    ///< ran to completion without throwing
   std::string error;  ///< exception text when !ok
@@ -67,7 +57,7 @@ struct EngineOutcome {
   /// agree only to rounding (the trajectory stays table-exact; the serial
   /// checkpoint test asserts the same DOUBLE_EQ tolerance).
   bool fitness_exact = true;
-  EngineCounters counters;
+  core::EngineCounters counters;
   /// Counters are only diffed when the variant makes them meaningful: a
   /// checkpoint/restore re-initializes (extra pairs), and ft recovery off
   /// the checkpoint fast path recomputes (extra games).

@@ -1,10 +1,12 @@
 #include "simcheck/selftest.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "core/fitness.hpp"
 #include "simcheck/shrink.hpp"
+#include "simcheck/trace.hpp"
 #include "util/rng.hpp"
 
 namespace egt::simcheck {
@@ -98,66 +100,63 @@ class BrokenDedupFitness {
   std::vector<double> matrix_;  // ssets x ssets payoffs
 };
 
+// The local transport over the broken copy: the same generation step the
+// real engines run (core/generation.hpp), minus the instrumentation.
+class BrokenDedupEngine final : public core::GenerationTransport {
+ public:
+  explicit BrokenDedupEngine(const core::SimConfig& config)
+      : pop(core::make_initial_population(config)),
+        nature(config.nature_config()),
+        fit_(config) {
+    fit_.recompute_all(pop, 0);
+  }
+
+  void play(std::uint64_t) override {
+    std::ranges::copy(fit_.all(), pop.mutable_fitness().begin());
+  }
+  std::uint64_t games_played() const override { return 0; }
+  std::array<double, 2> pc_fitness(const pop::GenerationPlan::Pc& pc) override {
+    return {fit_.fitness(pc.teacher), fit_.fitness(pc.learner)};
+  }
+  std::span<const double> gather_fitness(
+      const pop::GenerationPlan&, const core::GenerationDecision&) override {
+    return fit_.all();
+  }
+  void strategy_changed(pop::SSetId, const pop::Population&,
+                        std::uint64_t) override {
+    changed_ = true;
+  }
+  void finish(const core::GenerationOutcome& out) override {
+    // Analytic values are generation-independent, so a full recompute
+    // equals the real engine's incremental refresh — except for the bug.
+    if (changed_) fit_.recompute_all(pop, out.decision.gen);
+    changed_ = false;
+  }
+
+  pop::Population pop;
+  pop::NatureAgent nature;
+
+ private:
+  BrokenDedupFitness fit_;
+  bool changed_ = false;
+};
+
 }  // namespace
 
 EngineOutcome run_broken_dedup(const core::SimConfig& config) {
   EngineOutcome out;
   config.validate();
-  pop::Population pop = core::make_initial_population(config);
-  pop::NatureAgent nature(config.nature_config());
-  BrokenDedupFitness fit(config);
-  fit.recompute_all(pop, 0);
-
+  BrokenDedupEngine engine(config);
+  const core::EngineInstruments unobserved;
+  TraceRecorder rec;
+  const core::GenerationContext ctx{engine, engine.pop, unobserved,
+                                    &engine.nature, &rec, true};
   for (std::uint64_t gen = 0; gen < config.generations; ++gen) {
-    // Mirror of core::Engine::step, minus the instrumentation.
-    for (pop::SSetId i = 0; i < config.ssets; ++i) {
-      pop.set_fitness(i, fit.fitness(i));
-    }
-    core::TracePoint point;
-    point.generation = gen;
-    bool changed = false;
-
-    auto plan = nature.plan_generation(&pop);
-    if (plan.pc) {
-      point.pc = true;
-      point.teacher = plan.pc->teacher;
-      point.learner = plan.pc->learner;
-      point.adopted = nature.decide_adoption(fit.fitness(plan.pc->teacher),
-                                             fit.fitness(plan.pc->learner));
-      if (point.adopted) {
-        pop.set_strategy(plan.pc->learner, pop.strategy(plan.pc->teacher));
-        changed = true;
-      }
-    }
-    if (plan.moran) {
-      const auto pick = nature.select_moran(fit.all());
-      point.moran = true;
-      point.reproducer = pick.reproducer;
-      point.dying = pick.dying;
-      point.adopted = pick.is_change();
-      if (pick.is_change()) {
-        pop.set_strategy(pick.dying, pop.strategy(pick.reproducer));
-        changed = true;
-      }
-    }
-    if (plan.mutation) {
-      point.mutated = true;
-      point.mutation_target = plan.mutation->target;
-      pop.set_strategy(plan.mutation->target, plan.mutation->strategy);
-      changed = true;
-    }
-    // Analytic values are generation-independent, so a full recompute
-    // equals the real engine's incremental refresh — except for the bug.
-    if (changed) fit.recompute_all(pop, gen);
-
-    point.nature = nature.save_state();
-    point.table_hash = pop.table_hash();
-    point.fitness_hash = core::hash_fitness(pop.fitness());
-    out.trace.push_back(point);
+    core::run_generation(ctx, gen);
   }
-
-  out.table_hash = pop.table_hash();
-  const auto final_fit = pop.fitness();
+  out.trace = rec.contiguous_points();
+  out.table_hash = engine.pop.table_hash();
+  const auto final_fit = engine.pop.fitness();
   out.fitness.assign(final_fit.begin(), final_fit.end());
   out.counters_comparable = false;  // the fixture keeps no event counters
   out.ok = true;

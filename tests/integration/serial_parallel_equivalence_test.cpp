@@ -6,6 +6,7 @@
 #include "core/engine.hpp"
 #include "core/parallel_engine.hpp"
 #include "ft/ft_engine.hpp"
+#include "simcheck/trace.hpp"
 
 namespace egt::core {
 namespace {
@@ -22,21 +23,66 @@ SimConfig base_config() {
   return cfg;
 }
 
+/// Whole-run and per-generation equality of every transport of the shared
+/// generation step against the serial engine (the local transport):
+/// run_parallel (tree-bcast or replicated-Nature, per cfg.comm_pattern)
+/// and a fault-free run_parallel_ft (ft-star) at the same rank count.
 void expect_equal_outcome(const SimConfig& cfg, int nranks) {
-  Engine serial(cfg);
+  obs::MetricsRegistry serial_metrics;
+  simcheck::TraceRecorder serial_trace, parallel_trace, ft_trace;
+  Engine serial(cfg, &serial_metrics);
+  serial.set_trace(&serial_trace);
   serial.run_all();
-  const auto parallel = run_parallel(cfg, nranks);
+  ParallelRunOptions parallel_options;
+  parallel_options.trace = &parallel_trace;
+  const auto parallel = run_parallel(cfg, nranks, parallel_options);
+  ft::FtRunOptions ft_options;
+  ft_options.trace = &ft_trace;
+  const auto ft = ft::run_parallel_ft(cfg, nranks, ft_options);
 
-  ASSERT_EQ(parallel.population.size(), serial.population().size());
-  EXPECT_EQ(parallel.population.table_hash(), serial.population().table_hash())
-      << "strategy tables diverged at nranks=" << nranks;
-  for (pop::SSetId i = 0; i < serial.population().size(); ++i) {
-    ASSERT_DOUBLE_EQ(parallel.population.fitness(i),
-                     serial.population().fitness(i))
-        << "fitness diverged at SSet " << i << ", nranks=" << nranks;
-    ASSERT_TRUE(parallel.population.strategy(i) ==
-                serial.population().strategy(i))
-        << "strategy diverged at SSet " << i << ", nranks=" << nranks;
+  // Per generation: decisions, Nature state and table hash (fitness_hash
+  // only where both sides record it; the parallel recorders leave it 0).
+  const auto want_trace = serial_trace.contiguous_points();
+  ASSERT_EQ(want_trace.size(), cfg.generations);
+  for (const auto* got : {&parallel_trace, &ft_trace}) {
+    const auto div =
+        simcheck::compare_traces(want_trace, got->contiguous_points());
+    EXPECT_FALSE(div.has_value())
+        << (got == &ft_trace ? "run_parallel_ft" : "run_parallel")
+        << " trace diverges at generation " << div->generation << ": "
+        << div->detail << ", nranks=" << nranks;
+  }
+
+  // Merged counters. games_played is partition-dependent under dedup (a
+  // class spanning blocks is evaluated once per rank), as in simcheck.
+  EngineCounters want = counters_from(serial_metrics.snapshot());
+  for (const auto& [name, metrics] :
+       {std::pair{"run_parallel", &parallel.metrics},
+        std::pair{"run_parallel_ft", &ft.metrics}}) {
+    EngineCounters got = counters_from(*metrics);
+    if (cfg.dedup && cfg.fitness_mode == FitnessMode::Analytic && nranks > 1) {
+      got.games_played = want.games_played;
+    }
+    EXPECT_EQ(to_string(got), to_string(want))
+        << name << " counters, nranks=" << nranks;
+  }
+
+  // Final state (after the per-generation checks, which name the first
+  // diverging generation).
+  const pop::Population& want_pop = serial.population();
+  for (const auto& [name, got] :
+       {std::pair{"run_parallel", &parallel.population},
+        std::pair{"run_parallel_ft", &ft.population}}) {
+    ASSERT_EQ(got->size(), want_pop.size()) << name;
+    EXPECT_EQ(got->table_hash(), want_pop.table_hash())
+        << name << " strategy tables diverged at nranks=" << nranks;
+    for (pop::SSetId i = 0; i < want_pop.size(); ++i) {
+      ASSERT_DOUBLE_EQ(got->fitness(i), want_pop.fitness(i))
+          << name << " fitness diverged at SSet " << i << ", nranks=" << nranks;
+      ASSERT_TRUE(got->strategy(i) == want_pop.strategy(i))
+          << name << " strategy diverged at SSet " << i
+          << ", nranks=" << nranks;
+    }
   }
 }
 

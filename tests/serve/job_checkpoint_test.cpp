@@ -31,16 +31,7 @@ core::SimConfig small_config(core::FitnessMode mode) {
 }
 
 EngineCounters counters_of(const obs::MetricsRegistry& reg) {
-  const obs::MetricsSnapshot s = reg.snapshot();
-  EngineCounters c;
-  c.generations = s.counter_value("engine.generations");
-  c.pc_events = s.counter_value("engine.pc_events");
-  c.adoptions = s.counter_value("engine.adoptions");
-  c.moran_events = s.counter_value("engine.moran_events");
-  c.mutations = s.counter_value("engine.mutations");
-  c.pairs_evaluated = s.counter_value("engine.pairs_evaluated");
-  c.games_played = s.counter_value("engine.games_played");
-  return c;
+  return counters_from(reg.snapshot());
 }
 
 class JobCheckpointModes
@@ -86,7 +77,7 @@ TEST_P(JobCheckpointModes, ResumeIsBitIdenticalIncludingCounters) {
 
   // The headline property: base (saved) + resumed growth == undisturbed.
   const EngineCounters total = counters_add(base, counters_of(resumed_reg));
-  EXPECT_TRUE(counters_equal(total, want_counters))
+  EXPECT_TRUE(total == want_counters)
       << "pairs " << total.pairs_evaluated << " vs "
       << want_counters.pairs_evaluated << ", games " << total.games_played
       << " vs " << want_counters.games_played;

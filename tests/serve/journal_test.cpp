@@ -77,7 +77,7 @@ bool records_equal(const JournalRecord& a, const JournalRecord& b) {
          a.result.table_hash == b.result.table_hash &&
          a.result.fitness_hash == b.result.fitness_hash &&
          a.result.fitness == b.result.fitness &&
-         counters_equal(a.result.counters, b.result.counters) &&
+         a.result.counters == b.result.counters &&
          a.result.attempts == b.result.attempts &&
          a.result.preemptions == b.result.preemptions;
 }

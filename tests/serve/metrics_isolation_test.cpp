@@ -32,16 +32,7 @@ EngineCounters serial_counters(const core::SimConfig& cfg) {
   obs::MetricsRegistry reg;
   core::Engine engine(cfg, &reg);
   engine.run(cfg.generations);
-  const obs::MetricsSnapshot s = reg.snapshot();
-  EngineCounters c;
-  c.generations = s.counter_value("engine.generations");
-  c.pc_events = s.counter_value("engine.pc_events");
-  c.adoptions = s.counter_value("engine.adoptions");
-  c.moran_events = s.counter_value("engine.moran_events");
-  c.mutations = s.counter_value("engine.mutations");
-  c.pairs_evaluated = s.counter_value("engine.pairs_evaluated");
-  c.games_played = s.counter_value("engine.games_played");
-  return c;
+  return counters_from(reg.snapshot());
 }
 
 TEST(MetricsIsolation, ConcurrentJobsReportSoloRunCounters) {
@@ -69,11 +60,9 @@ TEST(MetricsIsolation, ConcurrentJobsReportSoloRunCounters) {
   ASSERT_EQ(sched.state(1), JobState::Completed);
   ASSERT_EQ(sched.state(2), JobState::Completed);
 
-  EXPECT_TRUE(counters_equal(sched.result(1)->counters,
-                             serial_counters(cfg_a)))
+  EXPECT_TRUE(sched.result(1)->counters == serial_counters(cfg_a))
       << "job 1 counters polluted by the concurrent job";
-  EXPECT_TRUE(counters_equal(sched.result(2)->counters,
-                             serial_counters(cfg_b)))
+  EXPECT_TRUE(sched.result(2)->counters == serial_counters(cfg_b))
       << "job 2 counters polluted by the concurrent job";
   sched.shutdown();
 }

@@ -86,7 +86,7 @@ void expect_matches_oracle(const JobResult& got, const std::string& spec) {
   EXPECT_EQ(std::memcmp(got.fitness.data(), want.fitness.data(),
                         got.fitness.size() * sizeof(double)),
             0);
-  EXPECT_TRUE(counters_equal(got.counters, want.counters))
+  EXPECT_TRUE(got.counters == want.counters)
       << got.counters.pairs_evaluated << " vs "
       << want.counters.pairs_evaluated;
 }
@@ -290,7 +290,7 @@ TEST(Scheduler, RestartReplaysResultsWithoutRerunning) {
   EXPECT_EQ(std::memcmp(replayed.fitness.data(), first_result.fitness.data(),
                         replayed.fitness.size() * sizeof(double)),
             0);
-  EXPECT_TRUE(counters_equal(replayed.counters, first_result.counters));
+  EXPECT_TRUE(replayed.counters == first_result.counters);
   expect_matches_oracle(replayed, spec);
 }
 

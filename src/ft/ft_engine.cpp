@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -125,12 +126,20 @@ struct FtInstruments : core::EngineInstruments {
 // and per-generation work count to "engine.pairs_evaluated" (so the merged
 // total matches a fault-free run under kill-only plans); work that only
 // exists because of recovery counts to "ft.recovery.pairs_evaluated".
+//
+// Strategy changes go through an ordered per-generation change log. A
+// worker folds each change at once; the master only logs it and folds when
+// something reads its blocks, so its PLAN leaves first (see share_plan).
+// Two replicas advance by replaying the log, never by copy: `top_` (the
+// top of the generation, which mid-generation adoption rebuilds from) and
+// `at_` (as of the last folded change, which every fold reads).
 class BlockSet {
  public:
   BlockSet(const core::SimConfig& config,
            std::shared_ptr<const pop::InteractionGraph> graph,
-           FtInstruments& ins)
-      : config_(config), graph_(std::move(graph)), ins_(ins) {}
+           FtInstruments& ins, const pop::Population& pop)
+      : config_(config), graph_(std::move(graph)), ins_(ins), top_(pop),
+        at_(pop) {}
 
   bool cached_mode() const noexcept {
     return config_.fitness_mode != core::FitnessMode::Sampled;
@@ -149,29 +158,47 @@ class BlockSet {
 
   /// Fault-free startup block: initialization counts to engine.pairs, as
   /// in the base engines.
-  void add_initial(pop::SSetId begin, pop::SSetId end,
-                   const pop::Population& pop) {
+  void add_initial(pop::SSetId begin, pop::SSetId end) {
     Block blk{core::BlockFitness(config_, begin, end, graph_, ins_.registry),
                {},
                {}};
-    ins_.initialize(blk.fit, pop, blk.seen);
+    ins_.initialize(blk.fit, at_, blk.seen);
     blk.snapshot.assign(blk.fit.block().size(), 0.0);
     blocks_.push_back(std::move(blk));
   }
 
-  void begin_generation(const pop::Population& pop, std::uint64_t gen) {
+  /// Top of generation `gen`: advance `top_` past the last generation's
+  /// changes (O(changes)), then play.
+  void begin_generation(std::uint64_t gen) {
+    fold();
+    for (const Change& c : changes_) top_.set_strategy(c.k, c.strategy);
+    changes_.clear();
+    folded_ = 0;
     for (Block& b : blocks_) {
-      b.fit.begin_generation(pop, gen);
+      b.fit.begin_generation(top_, gen);
       b.snapshot.assign(b.fit.block().begin(), b.fit.block().end());
     }
-    changed_this_gen_.clear();
     account_engine_pairs();
+  }
+
+  void log_change(pop::SSetId k, const pop::Population& pop,
+                  std::uint64_t gen) {
+    changes_.push_back({k, pop.strategy(k), gen});
   }
 
   void strategy_changed(pop::SSetId k, const pop::Population& pop,
                         std::uint64_t gen) {
-    for (Block& b : blocks_) b.fit.strategy_changed(k, pop, gen);
-    changed_this_gen_.push_back(k);
+    log_change(k, pop, gen);
+    fold_changes();
+  }
+
+  /// Fold the deferred changes into every block, timed as apply, and
+  /// account their work. Every reader of the blocks calls this first.
+  void fold() {
+    if (folded_ == changes_.size()) return;
+    core::PhaseScope phase(ins_.apply, obs::phase::kApplyUpdate);
+    fold_changes();
+    account_engine_pairs();
   }
 
   std::uint64_t games_played() const noexcept {
@@ -187,7 +214,8 @@ class BlockSet {
     return false;
   }
 
-  double fitness(pop::SSetId i) const {
+  double fitness(pop::SSetId i) {
+    fold();
     for (const Block& b : blocks_) {
       if (i >= b.fit.row_begin() && i < b.fit.row_end()) {
         return b.fit.fitness(i);
@@ -199,7 +227,8 @@ class BlockSet {
 
   /// Every owned block into `full` (indexed by SSet): the top-of-generation
   /// `snapshot` or the current values.
-  void fill(std::vector<double>& full, bool snapshot) const {
+  void fill(std::vector<double>& full, bool snapshot) {
+    fold();
     for (const Block& b : blocks_) {
       std::ranges::copy(values(b, snapshot), full.begin() + b.fit.row_begin());
     }
@@ -220,11 +249,11 @@ class BlockSet {
     return w.take();
   }
 
-  /// Adopt range [begin, end) from a dead rank. `pop` is the current
-  /// population replica.
+  /// Adopt range [begin, end) from a dead rank, after folding every
+  /// deferred change (so the new block starts from the current replica).
   ///
-  /// `mid_gen`: generation `gen` is in flight and `pop_gen_start` is the
-  /// replica at its top (before this generation's updates). Fast path: an
+  /// `mid_gen`: generation `gen` is in flight; `top_` is the replica at
+  /// its top (before this generation's updates). Fast path: an
   /// intact covering block checkpoint restores the exact doubles
   /// (bit-exact, zero games). Recompute path: Sampled re-plays the block
   /// with this generation's streams from the top-of-generation population
@@ -239,17 +268,17 @@ class BlockSet {
   /// builds on: a checkpoint restore (cached modes; any intact entry whose
   /// table hash matches is bit-exact) or a from-scratch initialize; Sampled
   /// blocks need nothing at all, the next begin_generation replays them.
-  void adopt(pop::SSetId begin, pop::SSetId end, const pop::Population& pop,
-             const pop::Population& pop_gen_start, std::uint64_t gen,
+  void adopt(pop::SSetId begin, pop::SSetId end, std::uint64_t gen,
              bool mid_gen, const CheckpointStore& store,
              std::uint64_t fingerprint) {
+    fold();
     obs::ScopedTimer t(ins_.recovery);
     obs::TraceSpan span("phase.ft_recovery", obs::kCatFt, "begin", begin);
     Block blk{core::BlockFitness(config_, begin, end, graph_, ins_.registry),
                {},
                {}};
     const std::optional<BlockCheckpoint> hit =
-        lookup(store, begin, end, gen, pop);
+        lookup(store, begin, end, gen);
     if (hit && cached_mode() && hit->matrix_cols == expected_matrix_cols() &&
         hit->config_fingerprint == fingerprint) {
       blk.fit.restore_state(hit->fitness_slice(begin, end),
@@ -258,23 +287,23 @@ class BlockSet {
       FtInstruments::inc(ins_.blocks_restored);
     } else {
       if (cached_mode()) {
-        blk.fit.initialize(mid_gen ? pop_gen_start : pop);
+        blk.fit.initialize(mid_gen ? top_ : at_);
         FtInstruments::inc(ins_.recovery_pairs, blk.fit.pairs_evaluated());
         FtInstruments::inc(ins_.recovery_games, blk.fit.games_played());
         blk.seen = tally(blk.fit);
       }
       if (mid_gen) {
-        blk.fit.begin_generation(pop_gen_start, gen);
+        blk.fit.begin_generation(top_, gen);
         ins_.account(blk.fit, blk.seen);
         // Snapshot = top-of-generation values, before this generation's
         // updates (which are replayed on top for the cached modes below).
         blk.snapshot.assign(blk.fit.block().begin(), blk.fit.block().end());
         // Replay each change against the population as of that change:
         // strategy_changed reads every column but k's as current.
-        pop::Population replay = pop_gen_start;
-        for (pop::SSetId k : changed_this_gen_) {
-          replay.set_strategy(k, pop.strategy(k));
-          blk.fit.strategy_changed(k, replay, gen);
+        pop::Population replay = top_;
+        for (const Change& c : changes_) {
+          replay.set_strategy(c.k, c.strategy);
+          blk.fit.strategy_changed(c.k, replay, c.gen);
         }
         FtInstruments::inc(ins_.recovery_pairs,
                            blk.fit.pairs_evaluated() - blk.seen.pairs);
@@ -293,7 +322,8 @@ class BlockSet {
   /// gen). `torn` injects a truncated write (FaultPlan torn_checkpoints).
   void checkpoint_to(CheckpointStore& store, int rank, std::uint64_t next_gen,
                      std::uint64_t table_hash, std::uint64_t fingerprint,
-                     bool torn) const {
+                     bool torn) {
+    fold();
     obs::ScopedTimer t(ins_.ckpt);
     obs::TraceSpan span("phase.ft_checkpoint", obs::kCatFt);
     for (const Block& b : blocks_) {
@@ -329,6 +359,22 @@ class BlockSet {
     core::WorkTally seen;          // work already flushed to a counter
   };
 
+  struct Change {
+    pop::SSetId k;
+    game::Strategy strategy;  // k's strategy from this change on
+    std::uint64_t gen;
+  };
+
+  /// Each unfolded change against the replica as of that change:
+  /// strategy_changed reads every column but k's as current.
+  void fold_changes() {
+    for (; folded_ < changes_.size(); ++folded_) {
+      const Change& c = changes_[folded_];
+      at_.set_strategy(c.k, c.strategy);
+      for (Block& b : blocks_) b.fit.strategy_changed(c.k, at_, c.gen);
+    }
+  }
+
   static core::WorkTally tally(const core::BlockFitness& fit) {
     return {fit.pairs_evaluated(), fit.games_played()};
   }
@@ -342,10 +388,9 @@ class BlockSet {
   /// an older intact one counts to ft.checkpoint.fallbacks.
   std::optional<BlockCheckpoint> lookup(const CheckpointStore& store,
                                         pop::SSetId begin, pop::SSetId end,
-                                        std::uint64_t gen,
-                                        const pop::Population& pop) {
+                                        std::uint64_t gen) {
     if (!cached_mode()) return std::nullopt;
-    return store.find_covering(begin, end, gen, pop.table_hash(),
+    return store.find_covering(begin, end, gen, at_.table_hash(),
                                [this](const std::string&) {
                                  FtInstruments::inc(ins_.ckpt_fallback);
                                  obs::trace_instant("ft.checkpoint_fallback",
@@ -357,9 +402,12 @@ class BlockSet {
   std::shared_ptr<const pop::InteractionGraph> graph_;
   FtInstruments& ins_;
   std::vector<Block> blocks_;
-  // Strategy changes applied in the current generation, in order —
-  // replayed onto blocks adopted mid-generation.
-  std::vector<pop::SSetId> changed_this_gen_;
+  pop::Population top_;  // the population at the top of the generation
+  pop::Population at_;   // top_ plus changes_[0, folded_)
+  // The current generation's strategy changes, in order; replayed onto
+  // blocks adopted mid-generation.
+  std::vector<Change> changes_;
+  std::size_t folded_ = 0;  // changes_ already folded into the blocks
 };
 
 // -- message codecs -----------------------------------------------------------
@@ -496,13 +544,12 @@ class RankProgram : private core::GenerationTransport {
         config_(shared.config),
         rank_(comm.rank()),
         pop_(core::make_initial_population(config_)),
-        pop_gen_start_(pop_),
         graph_(core::make_shared_graph(config_)),
         table_(OwnershipTable::initial(config_.ssets, comm.size())),
-        blocks_(config_, graph_, ins_),
+        blocks_(config_, graph_, ins_, pop_),
         kill_gen_(shared.options.plan.kill_generation(rank_)) {
     for (const auto& [b, e] : table_.ranges_of(rank_)) {
-      blocks_.add_initial(b, e, pop_);
+      blocks_.add_initial(b, e);
     }
   }
 
@@ -630,8 +677,7 @@ class RankProgram : private core::GenerationTransport {
   void adopt_missing_ranges(std::uint64_t gen, bool mid_gen) {
     for (const auto& [b, e] : table_.ranges_of(rank_)) {
       if (blocks_.owns_range(b, e)) continue;
-      blocks_.adopt(b, e, pop_, pop_gen_start_, gen, mid_gen, shared_.store,
-                    shared_.fingerprint);
+      blocks_.adopt(b, e, gen, mid_gen, shared_.store, shared_.fingerprint);
     }
   }
 
@@ -1112,13 +1158,16 @@ class RankProgram : private core::GenerationTransport {
     }
   }
 
-  // Send `wire` to every alive rank and await each one's `reply_tag`
+  // Send `wire` to every alive rank, run `sent` (the master's own work,
+  // overlapped with the round trips), then await each one's `reply_tag`
   // (await_from semantics); a rank that stays silent is declared dead.
   // False when any rank died during the round.
   template <class Accept>
   bool broadcast_acked(int tagv, const std::vector<std::byte>& wire,
-                       int reply_tag, Accept&& accept) {
+                       int reply_tag, Accept&& accept,
+                       const std::function<void()>& sent = {}) {
     for (int w : alive_) comm_.send(w, tagv, wire);
+    if (sent) sent();
     bool complete = true;
     const std::vector<int> expected = alive_;
     for (int w : expected) {
@@ -1204,7 +1253,6 @@ class RankProgram : private core::GenerationTransport {
     const int req_tag = snapshot ? tag::kStop : tag::kReqBlocks;
     for (;;) {
       std::vector<double> full(config_.ssets, 0.0);
-      blocks_.fill(full, snapshot);
       const std::uint64_t req = ++req_seq_;
       Writer rw;
       rw.u64(req);
@@ -1227,7 +1275,8 @@ class RankProgram : private core::GenerationTransport {
             }
             r.expect_exhausted();
             return true;
-          });
+          },
+          [&] { blocks_.fill(full, snapshot); });
       // A death mid-gather invalidates the round (the new owner's values
       // were not requested) — rerun it with a fresh request id; late
       // replies to the old id are discarded as stale.
@@ -1287,9 +1336,9 @@ class RankProgram : private core::GenerationTransport {
 
   void play(std::uint64_t gen) override {
     current_gen_ = gen;
-    blocks_.begin_generation(pop_, gen);
-    pop_gen_start_ = pop_;
     in_generation_ = true;
+    // The master plays in share_plan, once its PLAN is out.
+    if (master_ != rank_) blocks_.begin_generation(gen);
   }
 
   std::uint64_t games_played() const override {
@@ -1299,12 +1348,22 @@ class RankProgram : private core::GenerationTransport {
   void share_plan(std::uint64_t gen, pop::GenerationPlan& plan) override {
     const auto wire = encode_plan_msg(gen, prev_decision_,
                                       core::encode_generation_plan(plan));
-    // Collect acks — the per-generation heartbeat. A killed rank is
-    // detected here, before any of this generation's decisions.
-    broadcast_acked(tag::kPlan, wire, tag::kPlanAck,
-                    [&](const par::Message& m) {
-                      return decode_u64(m, "acked generation") == gen;
-                    });
+    // PLAN goes out first. While the workers play, the master folds the
+    // last generation's changes into its blocks and plays its own; then it
+    // collects the acks — the per-generation heartbeat. A killed rank is
+    // detected there, before any of this generation's decisions.
+    broadcast_acked(
+        tag::kPlan, wire, tag::kPlanAck,
+        [&](const par::Message& m) {
+          return decode_u64(m, "acked generation") == gen;
+        },
+        [&] {
+          blocks_.fold();
+          core::PhaseScope phase(ins_.game_play, obs::phase::kGamePlay);
+          const std::uint64_t games = blocks_.games_played();
+          blocks_.begin_generation(gen);
+          phase.span().set_arg("games", blocks_.games_played() - games);
+        });
     prev_decision_.reset();
   }
 
@@ -1327,7 +1386,7 @@ class RankProgram : private core::GenerationTransport {
 
   void strategy_changed(pop::SSetId k, const pop::Population& pop,
                         std::uint64_t gen) override {
-    blocks_.strategy_changed(k, pop, gen);
+    blocks_.log_change(k, pop, gen);  // folded once PLAN is out (share_plan)
   }
 
   void finish(const core::GenerationOutcome& out) override {
@@ -1352,6 +1411,7 @@ class RankProgram : private core::GenerationTransport {
         // The injected crash, at the generation boundary: the previous
         // generation is fully replicated, this one was never planned — the
         // successor's restored RNG replans it identically.
+        blocks_.fold();  // the last generation's work, counted as fault-free
         FtInstruments::inc(ins_.kills);
         obs::trace_instant("ft.kill", obs::kCatFt, "gen", gen);
         return;
@@ -1373,7 +1433,8 @@ class RankProgram : private core::GenerationTransport {
     }
 
     // Final snapshot gather (top-of-last-generation fitness, matching the
-    // base engines). Workers keep serving until the explicit release, so a
+    // base engines; its fill folds and counts the last generation's
+    // changes). Workers keep serving until the explicit release, so a
     // dropped FINAL reply is simply re-requested.
     current_gen_ = config_.generations > 0 ? config_.generations - 1 : 0;
     std::ranges::copy(collect_full(/*snapshot=*/true),
@@ -1401,7 +1462,6 @@ class RankProgram : private core::GenerationTransport {
   const core::SimConfig& config_;
   const int rank_;
   pop::Population pop_;
-  pop::Population pop_gen_start_;
   std::shared_ptr<const pop::InteractionGraph> graph_;
   OwnershipTable table_;
   BlockSet blocks_;

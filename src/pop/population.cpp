@@ -125,8 +125,10 @@ void Population::release(ClassId c) {
 }
 
 std::uint64_t Population::table_hash() const noexcept {
+  // The same fold as over strategies_[i].hash(): each class slot holds its
+  // strategy's hash, so no strategy is rehashed.
   std::uint64_t h = util::mix64(size());
-  for (const auto& s : strategies_) h = util::mix64(h ^ s.hash());
+  for (const ClassId c : class_of_) h = util::mix64(h ^ classes_[c].hash);
   return h;
 }
 

@@ -1,9 +1,11 @@
 #include "analysis/heatmap.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <sstream>
 
 #include "game/named.hpp"
@@ -13,7 +15,12 @@ namespace {
 
 class HeatmapTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "egt_heatmap.ppm";
+  // One file per test and process: ctest -j runs every TEST as its own
+  // process, so a shared name would collide.
+  std::string path_ =
+      ::testing::TempDir() + "egt_heatmap_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      "_" + std::to_string(::getpid()) + ".ppm";
   void TearDown() override { std::remove(path_.c_str()); }
 
   std::string slurp() {

@@ -6,10 +6,16 @@
 // machinery actually did.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "core/engine.hpp"
+#include "core/generation.hpp"
+#include "core/trace.hpp"
 #include "ft/ft_engine.hpp"
+#include "ft/ownership.hpp"
 #include "ft/protocol.hpp"
 #include "obs/metrics.hpp"
 
@@ -266,6 +272,146 @@ TEST(FtEngine, FalsePositiveEvictionPreservesTrajectory) {
     EXPECT_EQ(ft.metrics.counter_value(name), ref.metrics.counter_value(name))
         << "counter " << name << " diverged";
   }
+}
+
+// -- the master's overlapped generation --------------------------------------
+//
+// The master sends PLAN before it folds the previous generation's strategy
+// changes into its own blocks and plays its own game, so its blocks lag the
+// replica between generations. These pin the fault paths that read them
+// (a death during the PLAN round, a checkpoint, the master's own kill) and
+// the protocol's message count.
+
+/// Collects the per-generation trace points of a run.
+struct PointLog : core::TraceSink {
+  std::vector<core::TracePoint> points;
+  void on_point(const core::TracePoint& p) override { points.push_back(p); }
+};
+
+std::vector<core::TracePoint> serial_points(const SimConfig& cfg) {
+  PointLog log;
+  Engine serial(cfg);
+  serial.set_trace(&log);
+  serial.run_all();
+  return log.points;
+}
+
+/// The first generation g >= 1 right after one (g - 1) that `hit` accepts.
+template <class Pred>
+std::optional<std::uint64_t> generation_after(
+    const std::vector<core::TracePoint>& points, Pred&& hit) {
+  for (const core::TracePoint& p : points) {
+    if (hit(p) && p.generation + 1 < points.size()) return p.generation + 1;
+  }
+  return std::nullopt;
+}
+
+/// All seven engine.* counters, games_played included: without dedup
+/// every pair is one game on every partition.
+void expect_all_engine_counters_equal(const FtResult& ft, const Reference& ref) {
+  EXPECT_EQ(core::counters_from(ft.metrics), core::counters_from(ref.metrics))
+      << "ft " << core::to_string(core::counters_from(ft.metrics))
+      << "\nserial " << core::to_string(core::counters_from(ref.metrics));
+}
+
+TEST(FtEngine, WorkerKillAfterMasterRowChangeIsBitExact) {
+  auto cfg = base_config();
+  cfg.dedup = false;
+  const OwnershipTable table = OwnershipTable::initial(cfg.ssets, 4);
+  const auto master_owned = [&](std::uint32_t k) {
+    return table.owner_of(k) == 0;
+  };
+  const auto gen =
+      generation_after(serial_points(cfg), [&](const core::TracePoint& p) {
+        return (p.pc && p.adopted && master_owned(p.learner)) ||
+               (p.mutated && master_owned(p.mutation_target));
+      });
+  ASSERT_TRUE(gen.has_value()) << "no change to a master-owned SSet";
+  // End right after the recovery, before a later change can repair a
+  // stale matrix column.
+  cfg.generations = *gen + 2;
+  const auto ref = serial_reference(cfg);
+  // The worker dies on this generation's PLAN, so the master adopts part
+  // of its range mid-generation, right after folding generation gen - 1.
+  // The checkpoint written at the end of gen - 1 covers the adoption.
+  FtRunOptions opt;
+  opt.plan.kill(2, *gen);
+  opt.checkpoint_every = *gen;
+  const auto ft = run_parallel_ft(cfg, 4, opt);
+  expect_table_equal(ft, ref);
+  expect_fitness_equal(ft, ref);
+  expect_all_engine_counters_equal(ft, ref);
+  EXPECT_EQ(ft.ranks_lost, 1);
+  EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_restored"), 1u);
+  EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 0u);
+}
+
+TEST(FtEngine, MasterKillAfterMutationCountsTheDeadMastersFold) {
+  auto cfg = base_config();
+  cfg.dedup = false;
+  const auto gen = generation_after(
+      serial_points(cfg), [](const core::TracePoint& p) { return p.mutated; });
+  ASSERT_TRUE(gen.has_value()) << "no mutation generation";
+  cfg.generations = *gen + 2;  // as above: no later repair of a stale block
+  const auto ref = serial_reference(cfg);
+  // The master dies at the top of `gen` with generation gen - 1's changes
+  // still unfolded: it must fold (and count) them before it goes, or the
+  // merged engine.pairs_evaluated falls short of the serial run. With a
+  // checkpoint at the end of gen - 1, that checkpoint must hold them too:
+  // the successor restores the dead master's range from it bit for bit.
+  for (const std::uint64_t every : {std::uint64_t{0}, *gen}) {
+    SCOPED_TRACE(every == 0 ? "no checkpoint" : "checkpoint at the kill");
+    FtRunOptions opt;
+    opt.plan.kill(0, *gen);
+    opt.standby_replicas = 1;
+    opt.checkpoint_every = every;
+    opt.detect_timeout_ms = 150.0;
+    opt.ping_timeout_ms = 60.0;
+    opt.max_pings = 2;
+    opt.master_silence_ms = 450.0;
+    opt.election_window_ms = 80.0;
+    const auto ft = run_parallel_ft(cfg, 4, opt);
+    expect_table_equal(ft, ref);
+    expect_all_engine_counters_equal(ft, ref);
+    if (every != 0) {
+      expect_fitness_equal(ft, ref);
+      EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_restored"), 1u);
+    }
+    EXPECT_EQ(ft.failovers, 1);
+    EXPECT_EQ(ft.metrics.counter_value("ft.faults.kills"), 1u);
+  }
+}
+
+TEST(FtEngine, FaultFreeMessageCountIsTheProtocols) {
+  // No message added or removed: every one is accounted for by the
+  // protocol, given the generation's plan.
+  const auto cfg = base_config();
+  constexpr int kRanks = 4;
+  constexpr std::uint64_t kWorkers = kRanks - 1;
+  PointLog log;
+  FtRunOptions opt;
+  opt.trace = &log;
+  const auto ft = run_parallel_ft(cfg, kRanks, opt);
+  ASSERT_EQ(log.points.size(), cfg.generations);
+  const OwnershipTable table = OwnershipTable::initial(cfg.ssets, kRanks);
+  const auto standbys = std::min<std::uint64_t>(
+      static_cast<std::uint64_t>(opt.standby_replicas), kWorkers);
+  std::uint64_t want = 0;
+  for (const core::TracePoint& p : log.points) {
+    want += 2 * kWorkers;   // PLAN + PLAN_ACK
+    want += 2 * standbys;   // LOG_APPEND + LOG_ACK
+    if (p.pc) {
+      for (const std::uint32_t k : {p.teacher, p.learner}) {
+        if (table.owner_of(k) != 0) want += 2;  // REQ_FIT + FIT
+      }
+      want += kWorkers;  // DECIDE
+    }
+  }
+  want += 3 * kWorkers;  // STOP + FINAL + BYE
+  EXPECT_EQ(ft.traffic.messages, want);
+  EXPECT_EQ(ft.metrics.counter_value("ft.heals"), 0u);
+  EXPECT_EQ(ft.metrics.counter_value("ft.resends"), 0u);
+  EXPECT_EQ(ft.metrics.counter_value("ft.false_alarms"), 0u);
 }
 
 TEST(FtEngine, FtCountersArePreRegistered) {

@@ -1,9 +1,11 @@
 #include "pop/population_io.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "game/named.hpp"
 
@@ -12,7 +14,12 @@ namespace {
 
 class PopulationIoTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "egt_pop.bin";
+  // One file per test and process: ctest -j runs every TEST as its own
+  // process, so a shared name would collide.
+  std::string path_ =
+      ::testing::TempDir() + "egt_pop_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      "_" + std::to_string(::getpid()) + ".bin";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <vector>
+
 #include "game/named.hpp"
 
 namespace egt::pop {
@@ -124,6 +128,56 @@ TEST(Population, ClassHashMatchesStrategyHash) {
     const StrategyClass& c = p.classes()[p.strategy_class(i)];
     EXPECT_TRUE(c.strategy == p.strategy(i));
     EXPECT_EQ(c.hash, p.strategy(i).hash());
+  }
+}
+
+// table_hash folds the interned class hashes; it must equal the fold over
+// every SSet's own Strategy::hash(), whatever slots the churn recycled.
+std::uint64_t per_strategy_fold(const Population& p) {
+  std::uint64_t h = util::mix64(p.size());
+  for (const auto& s : p.strategies()) h = util::mix64(h ^ s.hash());
+  return h;
+}
+
+TEST(Population, TableHashEqualsPerStrategyFoldUnderChurn) {
+  util::Xoshiro256 rng(11);
+  struct Kind {
+    const char* name;
+    std::function<Population(SSetId)> make;
+  };
+  const std::vector<Kind> kinds = {
+      {"pure", [&](SSetId n) { return Population::random_pure(n, 1, rng); }},
+      {"mixed", [&](SSetId n) { return Population::random_mixed(n, 1, rng); }},
+      {"nway pure",
+       [&](SSetId n) { return Population::random_nway(n, 4, true, rng); }},
+      {"nway mixed",
+       [&](SSetId n) { return Population::random_nway(n, 4, false, rng); }},
+  };
+  for (const Kind& kind : kinds) {
+    Population p = kind.make(8);
+    ASSERT_EQ(p.table_hash(), per_strategy_fold(p)) << kind.name;
+    int reused = 0;
+    for (int step = 0; step < 600; ++step) {
+      const auto i = static_cast<SSetId>(util::uniform_below(rng, p.size()));
+      if (step % 2 == 0) {
+        // Imitation: may free i's old class slot.
+        const auto j = static_cast<SSetId>(util::uniform_below(rng, p.size()));
+        p.set_strategy(i, p.strategy(j));
+      } else {
+        // A fresh strategy: interned into a recycled slot when one is free.
+        std::vector<ClassId> free;
+        for (ClassId c = 0; c < p.classes().size(); ++c) {
+          if (p.classes()[c].members == 0) free.push_back(c);
+        }
+        p.set_strategy(i, kind.make(1).strategy(0));
+        if (std::ranges::find(free, p.strategy_class(i)) != free.end()) {
+          ++reused;
+        }
+      }
+      ASSERT_EQ(p.table_hash(), per_strategy_fold(p))
+          << kind.name << " step " << step;
+    }
+    EXPECT_GT(reused, 0) << kind.name << ": churn never recycled a slot";
   }
 }
 

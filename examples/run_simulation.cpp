@@ -9,7 +9,7 @@
 //       --space mixed --noise 0.02 --series run.csv --checkpoint run.ckpt
 //   ./run_simulation ... --resume run.ckpt       # continue after a kill
 //   ./run_simulation ... --checkpoint-dir ckpts --checkpoint-every 1000
-//   ./run_simulation ... --restore ckpts         # newest intact checkpoint
+//   ./run_simulation ... --resume ckpts          # newest intact checkpoint
 //   ./run_simulation ... --metrics-out m.json    # egt.run_manifest/v4
 //   ./run_simulation ... --trace-out run.trace.json  # Perfetto flight record
 //   ./run_simulation ... --metrics-stream live.ndjson  # per-gen telemetry
@@ -188,8 +188,6 @@ egt::core::SimConfig build_config(egt::util::Cli& cli, int argc, char** argv,
       "resume", "",
       "checkpoint to resume from: a file, or a --checkpoint-dir directory "
       "(restores the newest intact generation, skipping corrupt files)");
-  auto restore_opt = cli.opt<std::string>(
-      "restore", "", "synonym of --resume (restore a checkpoint)");
   auto fault_plan_opt = cli.opt<std::string>(
       "fault-plan", "",
       "egt.fault_plan/v1 JSON of failures to inject; runs the "
@@ -314,13 +312,6 @@ egt::core::SimConfig build_config(egt::util::Cli& cli, int argc, char** argv,
   out.checkpoint = *ckpt_opt;
   out.checkpoint_dir = *ckpt_dir;
   out.resume = *resume_opt;
-  if (!restore_opt->empty()) {
-    if (!out.resume.empty() && *restore_opt != out.resume) {
-      throw std::invalid_argument(
-          "--resume and --restore name different checkpoints; pass one");
-    }
-    out.resume = *restore_opt;
-  }
   out.fault_plan = *fault_plan_opt;
   out.ft_detect_ms = *ft_detect;
   out.ft_ping_ms = *ft_ping;
@@ -668,7 +659,7 @@ int run_cli(int argc, char** argv) {
   }
   if (out.ranks > 0 && !out.resume.empty()) {
     throw std::invalid_argument(
-        "--resume/--restore is a serial-engine feature; the parallel "
+        "--resume is a serial-engine feature; the parallel "
         "engines replay from generation 0");
   }
 
@@ -832,7 +823,7 @@ int run_cli(int argc, char** argv) {
   // Serial generation loop with graceful-shutdown points: SIGTERM/SIGINT
   // and the --max-wall-seconds deadline both stop the run at the next
   // generation boundary, commit a final checkpoint, and exit cleanly —
-  // never mid-write. The run is then resumable with --resume/--restore.
+  // never mid-write. The run is then resumable with --resume.
   std::signal(SIGTERM, request_stop);
   std::signal(SIGINT, request_stop);
   std::string stop_reason;

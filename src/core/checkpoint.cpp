@@ -58,25 +58,27 @@ std::vector<std::byte> save_checkpoint(const Engine& engine) {
   w.u32(kCheckpointVersion);
   w.u64(config_fingerprint(engine.config()));
   w.u64(engine.generation());
-  const auto nature = engine.nature_agent().save_state();
-  for (auto word : nature.rng) w.u64(word);
-  w.u64(nature.planned);
+  wire::put_nature(w, engine.nature_agent().save_state());
   const auto& pop = engine.population();
   w.u32(pop.size());
   for (pop::SSetId i = 0; i < pop.size(); ++i) {
     w.bytes(pop.strategy(i).serialize());
   }
+  engine.fitness_block().state().encode(w);
   return w.take();
 }
+
+namespace {
 
 Engine::RestoredState decode_checkpoint(const SimConfig& config,
                                         const std::vector<std::byte>& blob) {
   wire::Reader r(blob, "checkpoint");
   if (r.u64("magic") != kMagic) r.fail("not an egtsim checkpoint");
   const std::uint32_t version = r.u32("version");
-  if (version != kCheckpointVersion) {
+  if (version != kCheckpointVersion && version != kOldestCheckpointVersion) {
     r.fail("unsupported checkpoint version " + std::to_string(version) +
-           " (this build reads version " +
+           " (this build reads versions " +
+           std::to_string(kOldestCheckpointVersion) + " to " +
            std::to_string(kCheckpointVersion) + ")");
   }
   if (r.u64("config fingerprint") != config_fingerprint(config)) {
@@ -84,9 +86,7 @@ Engine::RestoredState decode_checkpoint(const SimConfig& config,
         "checkpoint was written under a different configuration");
   }
   const std::uint64_t generation = r.u64("generation");
-  pop::NatureAgent::State nature;
-  for (auto& word : nature.rng) word = r.u64("nature rng state");
-  nature.planned = r.u64("nature planned count");
+  const pop::NatureAgent::State nature = wire::get_nature(r);
   const std::uint32_t ssets = r.u32("population size");
   if (ssets != config.ssets) {
     throw CheckpointError("checkpoint population size mismatch (blob has " +
@@ -106,10 +106,20 @@ Engine::RestoredState decode_checkpoint(const SimConfig& config,
       r.fail(std::string("strategy ") + std::to_string(i) + ": " + e.what());
     }
   }
+  // A v3 blob ends here. Without a state — or with one saved under
+  // another fitness mode — the engine re-evaluates every pair.
+  std::optional<BlockFitness::State> fitness;
+  if (version == kCheckpointVersion) {
+    fitness = BlockFitness::State::decode(r);
+    if (fitness->mode != config.fitness_mode) fitness.reset();
+  }
   r.expect_exhausted();
   return Engine::RestoredState{generation, nature,
-                               pop::Population(std::move(strategies))};
+                               pop::Population(std::move(strategies)),
+                               std::move(fitness)};
 }
+
+}  // namespace
 
 Engine restore_checkpoint(const SimConfig& config,
                           const std::vector<std::byte>& blob,

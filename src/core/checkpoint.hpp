@@ -3,21 +3,22 @@
 // The paper's production runs span 10^7 generations; on shared machines
 // such runs need to survive job-time limits. A checkpoint captures the
 // engine's complete mutable state — generation counter, Nature Agent RNG,
-// and the strategy table — so a restored engine continues the *exact*
-// trajectory of an uninterrupted run.
-//
-// Exactness caveat: FitnessMode::SampledFrozen keys its frozen samples by
-// the generation each pair was last (re)played, which a restart cannot
-// recover; restored frozen-mode runs are statistically equivalent but not
-// bit-identical. Sampled and Analytic modes restart bit-exactly (asserted
-// in tests/core/checkpoint_test.cpp).
+// the strategy table and the fitness block's evaluation state
+// (core::BlockFitness::State) — so a restored engine adopts its fitness
+// instead of re-evaluating and continues the *exact* trajectory of an
+// uninterrupted run in every fitness mode: strategy table, fitness bits,
+// every trace point and the growth of all seven engine.* counters
+// (asserted in tests/core/checkpoint_test.cpp). Two restores re-evaluate
+// instead: a v3 blob (no fitness state) and a resume under another fitness
+// mode than the saving run's.
 //
 // Format: magic + explicit version field (kCheckpointVersion), then the
-// payload. Truncated, corrupt or version-mismatched blobs throw
-// CheckpointError (a std::runtime_error, see core/wire.hpp) — never UB.
-// The fault-tolerance layer's per-rank block checkpoints
-// (ft/block_checkpoint.hpp) share the same wire helpers and versioning
-// convention.
+// payload. Truncated, corrupt or unsupported-version blobs, and a fitness
+// state whose shape does not match the config, throw CheckpointError (a
+// std::runtime_error, see core/wire.hpp) — never UB. The job checkpoint
+// (serve/job_checkpoint.hpp) wraps this blob; the fault-tolerance layer's
+// per-rank block checkpoints (ft/block_checkpoint.hpp) carry the same
+// BlockFitness::State.
 #pragma once
 
 #include <cstddef>
@@ -35,27 +36,24 @@ class MetricsRegistry;
 namespace egt::core {
 
 /// Bumped whenever the checkpoint payload layout changes; readers reject
-/// any other value with a clear CheckpointError. v3: the config
-/// fingerprint covers the full GameSpec (matrix_hash — n-way tables,
-/// play mode, public-goods parameters) and strategy payloads may carry
-/// the n-way kind byte (game/strategy.hpp wire format).
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+/// any value outside [kOldestCheckpointVersion, kCheckpointVersion] with a
+/// clear CheckpointError. v3: the config fingerprint covers the full
+/// GameSpec (matrix_hash — n-way tables, play mode, public-goods
+/// parameters) and strategy payloads may carry the n-way kind byte
+/// (game/strategy.hpp wire format). v4 appends the fitness block's
+/// BlockFitness::State; a v3 blob restores by re-evaluating every pair.
+inline constexpr std::uint32_t kCheckpointVersion = 4;
+inline constexpr std::uint32_t kOldestCheckpointVersion = 3;
 
 /// Serialize the engine's state. The blob embeds a fingerprint of the
 /// configuration; restoring under a different config is rejected.
 std::vector<std::byte> save_checkpoint(const Engine& engine);
 
-/// Decode a checkpoint blob into the engine's restored state without
-/// constructing the engine — callers that carry extra state alongside the
-/// core checkpoint (serve/job_checkpoint.hpp pairs it with the fitness
-/// block) decode here and pick the Engine constructor themselves.
-/// Validation is identical to restore_checkpoint.
-Engine::RestoredState decode_checkpoint(const SimConfig& config,
-                                        const std::vector<std::byte>& blob);
-
 /// Reconstruct an engine mid-run. `config` must match the saving run's
-/// configuration (validated via the embedded fingerprint). `metrics`
-/// optionally instruments the restored engine (see Engine's constructor).
+/// configuration (validated via the embedded fingerprint, which leaves the
+/// fitness mode out: a state saved under another mode is dropped and every
+/// pair re-evaluated). `metrics` optionally instruments the restored
+/// engine (see Engine's constructor).
 Engine restore_checkpoint(const SimConfig& config,
                           const std::vector<std::byte>& blob,
                           obs::MetricsRegistry* metrics = nullptr);

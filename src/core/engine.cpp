@@ -41,36 +41,20 @@ Engine::Engine(const SimConfig& config, obs::MetricsRegistry* metrics)
   ins_.initialize(fitness_, pop_, tally_);
 }
 
-void Engine::restore(const RestoredState& state) {
+Engine::Engine(const SimConfig& config, RestoredState state,
+               obs::MetricsRegistry* metrics)
+    : Engine(config, std::move(state.population), metrics) {
   EGT_REQUIRE_MSG(pop_.size() == config_.ssets,
                   "checkpoint population size does not match the config");
   EGT_REQUIRE_MSG(pop_.memory() == config_.memory,
                   "checkpoint memory depth does not match the config");
   generation_ = state.generation;
   nature_.restore_state(state.nature);
-}
-
-Engine::Engine(const SimConfig& config, RestoredState state,
-               obs::MetricsRegistry* metrics)
-    : Engine(config, std::move(state.population), metrics) {
-  restore(state);
-  ins_.initialize(fitness_, pop_, tally_);
-}
-
-Engine::Engine(const SimConfig& config, RestoredState state, FitnessRestore fit,
-               obs::MetricsRegistry* metrics)
-    : Engine(config, std::move(state.population), metrics) {
-  restore(state);
-  // No initial evaluation: the cached modes adopt the captured block state
-  // verbatim; Sampled recomputes everything at the next step()'s
-  // begin_generation. Either way pairs_evaluated / games_played stay at
-  // zero here — the saving run's totals travel with the job, not the
-  // engine — so a resumed run's counter *growth* matches an undisturbed
-  // run generation for generation.
-  if (config_.fitness_mode != FitnessMode::Sampled) {
-    fitness_.restore_state(std::move(fit.fitness), std::move(fit.matrix));
+  if (state.fitness) {
+    fitness_.restore(std::move(*state.fitness));
+  } else {
+    ins_.initialize(fitness_, pop_, tally_);
   }
-  ins_.account(fitness_, tally_);
 }
 
 void Engine::step() {

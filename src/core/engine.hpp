@@ -14,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "core/config.hpp"
 #include "pop/graph.hpp"
@@ -44,28 +45,16 @@ class Engine : private GenerationTransport {
     std::uint64_t generation = 0;
     pop::NatureAgent::State nature;
     pop::Population population;
+    /// The fitness block as saved. The engine adopts it instead of
+    /// evaluating, so the resumed run is bit-identical to an undisturbed
+    /// one — fitness, trajectory and engine.* counter growth. Without it
+    /// (a hand-built starting state) the engine evaluates every pair.
+    std::optional<BlockFitness::State> fitness = std::nullopt;
   };
 
-  /// Resume from a checkpointed state.
+  /// Resume from a checkpointed state. Throws CheckpointError when the
+  /// fitness state's shape does not match this config's block.
   Engine(const SimConfig& config, RestoredState state,
-         obs::MetricsRegistry* metrics = nullptr);
-
-  /// The fitness block's evaluation state as captured alongside a
-  /// checkpoint (serve/job_checkpoint.hpp): the per-row fitness and the
-  /// cached payoff matrix (empty for Sampled / public goods).
-  struct FitnessRestore {
-    std::vector<double> fitness;
-    std::vector<double> matrix;
-  };
-
-  /// Resume from a checkpointed state *and* a captured fitness block —
-  /// unlike the plain restore constructor this performs no initial
-  /// all-pairs evaluation, so engine.pairs_evaluated / games_played
-  /// continue exactly where the saving run stopped: a preempted run
-  /// resumed this way is bit-identical to an undisturbed one, counters
-  /// included. Sampled mode ignores `fit` (begin_generation replays
-  /// everything next step anyway).
-  Engine(const SimConfig& config, RestoredState state, FitnessRestore fit,
          obs::MetricsRegistry* metrics = nullptr);
 
   /// The Nature Agent (checkpointing, inspection).
@@ -113,10 +102,6 @@ class Engine : private GenerationTransport {
  private:
   Engine(const SimConfig& config, pop::Population pop,
          obs::MetricsRegistry* metrics);
-  /// Adopt a checkpoint's generation and Nature state (after its
-  /// population, which the delegated constructor takes).
-  void restore(const RestoredState& state);
-
   // GenerationTransport: the local transport — nothing travels.
   void play(std::uint64_t gen) override;
   std::array<double, 2> pc_fitness(const pop::GenerationPlan::Pc& pc) override {

@@ -1,6 +1,7 @@
 #include "core/fitness.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "util/check.hpp"
 
@@ -27,6 +28,16 @@ struct ClassSlots {
     }
   }
 };
+
+std::string rows_text(pop::SSetId b, pop::SSetId e) {
+  return "[" + std::to_string(b) + ", " + std::to_string(e) + ")";
+}
+
+std::string shape_text(pop::SSetId b, pop::SSetId e, FitnessMode mode,
+                       std::uint32_t cols) {
+  return rows_text(b, e) + " x " + std::to_string(cols) + " cols, mode " +
+         std::to_string(static_cast<int>(mode));
+}
 
 }  // namespace
 
@@ -199,10 +210,7 @@ BlockFitness::BlockFitness(const SimConfig& config, pop::SSetId row_begin,
     ct_restores_ = &metrics->counter("fitness.state_restores");
   }
   fitness_.assign(end_ - begin_, 0.0);
-  if (pairwise_cached()) {
-    matrix_.assign(static_cast<std::size_t>(end_ - begin_) * config_.ssets,
-                   0.0);
-  }
+  matrix_.assign(static_cast<std::size_t>(end_ - begin_) * matrix_cols(), 0.0);
   if (config.agent_threads > 0) {
     agent_pool_ = std::make_unique<par::ThreadPool>(config.agent_threads);
   }
@@ -527,17 +535,66 @@ void BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
   games_ += counts.games;
 }
 
-void BlockFitness::restore_state(std::vector<double> fitness,
-                                 std::vector<double> matrix) {
-  EGT_REQUIRE_MSG(cached(),
-                  "restore_state only applies to cached fitness modes "
-                  "(Sampled mode recomputes from the population)");
-  EGT_REQUIRE_MSG(fitness.size() == fitness_.size(),
-                  "restored fitness size mismatch");
-  EGT_REQUIRE_MSG(matrix.size() == matrix_.size(),
-                  "restored payoff matrix size mismatch");
-  fitness_ = std::move(fitness);
-  matrix_ = std::move(matrix);
+void BlockFitness::State::encode(wire::Writer& w) const {
+  EGT_REQUIRE(begin <= end);
+  EGT_REQUIRE(fitness.size() == static_cast<std::size_t>(end - begin));
+  EGT_REQUIRE(matrix.size() == fitness.size() * cols);
+  w.u32(begin);
+  w.u32(end);
+  w.u8(static_cast<std::uint8_t>(mode));
+  w.u32(cols);
+  w.doubles(fitness.data(), fitness.size());
+  w.doubles(matrix.data(), matrix.size());
+}
+
+BlockFitness::State BlockFitness::State::decode(wire::Reader& r) {
+  State s;
+  s.begin = r.u32("row begin");
+  s.end = r.u32("row end");
+  const std::uint8_t mode = r.u8("fitness mode");
+  if (mode > static_cast<std::uint8_t>(FitnessMode::Analytic)) {
+    r.fail("unknown fitness mode " + std::to_string(mode));
+  }
+  s.mode = static_cast<FitnessMode>(mode);
+  s.cols = r.u32("matrix cols");
+  if (s.end < s.begin) r.fail("row range is inverted");
+  const std::size_t rows = s.end - s.begin;
+  s.fitness = r.doubles(rows, "fitness vector");
+  s.matrix = r.doubles(rows * s.cols, "payoff matrix");
+  return s;
+}
+
+BlockFitness::State BlockFitness::State::slice(pop::SSetId b,
+                                               pop::SSetId e) const {
+  if (b > e || b < begin || e > end) {
+    throw CheckpointError("rows " + rows_text(b, e) +
+                          " lie outside the block state's " +
+                          rows_text(begin, end));
+  }
+  const auto row = [&](pop::SSetId i) {
+    return static_cast<std::ptrdiff_t>(i - begin);
+  };
+  return State{b, e, mode, cols,
+               {fitness.begin() + row(b), fitness.begin() + row(e)},
+               {matrix.begin() + row(b) * cols, matrix.begin() + row(e) * cols}};
+}
+
+BlockFitness::State BlockFitness::state() const {
+  return State{begin_, end_, config_.fitness_mode, matrix_cols(), fitness_,
+               matrix_};
+}
+
+void BlockFitness::restore(State s) {
+  if (s.begin != begin_ || s.end != end_ || s.mode != config_.fitness_mode ||
+      s.cols != matrix_cols() || s.fitness.size() != fitness_.size() ||
+      s.matrix.size() != matrix_.size()) {
+    throw CheckpointError(
+        "fitness state " + shape_text(s.begin, s.end, s.mode, s.cols) +
+        " does not fit block " +
+        shape_text(begin_, end_, config_.fitness_mode, matrix_cols()));
+  }
+  fitness_ = std::move(s.fitness);
+  matrix_ = std::move(s.matrix);
   if (ct_restores_ != nullptr) ct_restores_->inc();
 }
 

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/wire.hpp"
 #include "game/batch.hpp"
 #include "game/markov.hpp"
 #include "game/spec/chain.hpp"
@@ -154,19 +155,42 @@ class BlockFitness {
   /// Fitness of the whole block, indexed by (i - row_begin).
   std::span<const double> block() const noexcept { return fitness_; }
 
-  /// Cached payoff matrix (rows x ssets, cached modes only; empty for
-  /// Sampled). Exposed so the ft layer can checkpoint a block's full
-  /// evaluation state.
-  std::span<const double> payoff_matrix() const noexcept { return matrix_; }
+  /// The block's whole evaluation state, as every checkpoint carries it:
+  /// the row range, the fitness mode that computed it, the matrix width
+  /// (ssets for pairwise cached blocks, 0 for Sampled and public goods),
+  /// the per-row fitness and the payoff
+  /// matrix — which is also the whole dedup state and, for SampledFrozen,
+  /// the only record of when each pair was last played. A block restored
+  /// from it continues exactly as the block that produced it would have.
+  struct State {
+    pop::SSetId begin = 0;
+    pop::SSetId end = 0;
+    FitnessMode mode = FitnessMode::Sampled;
+    std::uint32_t cols = 0;       ///< matrix width
+    std::vector<double> fitness;  ///< end - begin entries
+    std::vector<double> matrix;   ///< (end - begin) * cols entries
 
-  /// Recovery fast path (cached modes only): adopt a previously computed
-  /// block state instead of re-evaluating. `fitness` must have one entry
-  /// per owned row and `matrix` rows x ssets entries. The values must come
-  /// from a block computed over the same population — the ft layer
-  /// guarantees this with a population hash check. The matrix is the whole
-  /// dedup state, so a restored block reuses values exactly as the block
-  /// that produced them would have.
-  void restore_state(std::vector<double> fitness, std::vector<double> matrix);
+    /// Wire layout: u32 begin, u32 end, u8 mode, u32 cols, then the
+    /// fitness and matrix doubles.
+    void encode(wire::Writer& w) const;
+    /// Throws CheckpointError on truncation, an inverted range or an
+    /// unknown mode.
+    static State decode(wire::Reader& r);
+    /// Rows [b, e); throws CheckpointError unless they lie inside
+    /// [begin, end).
+    State slice(pop::SSetId b, pop::SSetId e) const;
+  };
+
+  State state() const;
+
+  /// Adopt a captured state instead of evaluating. The values must come
+  /// from a block computed over the same population and history — the
+  /// checkpoint headers (config fingerprint, table hash) guarantee this.
+  /// Throws CheckpointError when the state's shape (row range, fitness
+  /// mode, matrix width, vector sizes) does not match this block: the
+  /// values of one mode mean something else in another (Analytic and
+  /// SampledFrozen blocks have the same matrix width).
+  void restore(State s);
 
   /// True when this block deduplicates strategy-pure pairs.
   bool dedup_active() const noexcept { return dedup_; }
@@ -199,6 +223,9 @@ class BlockFitness {
   /// goods, whose fitness is group-pooled, not pairwise (no matrix; a
   /// strategy change recomputes every owned row instead of a column).
   bool pairwise_cached() const noexcept { return cached() && !pgg_; }
+  std::uint32_t matrix_cols() const noexcept {
+    return pairwise_cached() ? config_.ssets : 0;
+  }
   bool structured() const noexcept {
     return graph_ != nullptr && !graph_->is_complete();
   }

@@ -1,7 +1,6 @@
 #include "core/generation.hpp"
 
 #include "core/fitness.hpp"
-#include "core/wire.hpp"
 
 namespace egt::core {
 
@@ -114,6 +113,35 @@ pop::GenerationPlan decode_generation_plan(const std::vector<std::byte>& in) {
   }
   r.expect_exhausted();
   return plan;
+}
+
+void wire::put_nature(Writer& w, const pop::NatureAgent::State& s) {
+  for (const auto word : s.rng) w.u64(word);
+  w.u64(s.planned);
+}
+
+pop::NatureAgent::State wire::get_nature(Reader& r) {
+  pop::NatureAgent::State s;
+  for (auto& word : s.rng) word = r.u64("nature rng state");
+  s.planned = r.u64("nature planned count");
+  return s;
+}
+
+void wire::put_decision(Writer& w, const GenerationDecision& d) {
+  w.u8(d.adopted ? 1 : 0);
+  w.u8(d.has_moran ? 1 : 0);
+  w.u32(d.pick.reproducer);
+  w.u32(d.pick.dying);
+}
+
+GenerationDecision wire::get_decision(Reader& r, std::uint64_t gen) {
+  GenerationDecision d;
+  d.gen = gen;
+  d.adopted = r.u8("adopted flag") != 0;
+  d.has_moran = r.u8("moran flag") != 0;
+  d.pick.reproducer = r.u32("moran reproducer");
+  d.pick.dying = r.u32("moran dying");
+  return d;
 }
 
 // -- the generation step ------------------------------------------------------

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/trace.hpp"
+#include "core/wire.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "pop/nature.hpp"
@@ -63,15 +64,30 @@ struct WorkTally {
   std::uint64_t games = 0;
 };
 
-/// A phase timer and its flight-recorder span, opened and closed together.
+/// A phase timer and its flight-recorder span over one pair of clock
+/// readings: the histogram and the span record the same duration, and
+/// the span's own recording cost (a thread's first record attaches its
+/// ring slab) lands outside both.
 class PhaseScope {
  public:
   PhaseScope(obs::Histogram* h, const char* name)
-      : timer_(h), span_(name, obs::kCatPhase) {}
+      : hist_(h),
+        start_ns_(obs::Tracer::now_ns()),
+        span_(name, obs::kCatPhase, start_ns_) {}
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+  ~PhaseScope() {
+    const std::int64_t end_ns = obs::Tracer::now_ns();
+    if (hist_ != nullptr) {
+      hist_->record_seconds(static_cast<double>(end_ns - start_ns_) * 1e-9);
+    }
+    span_.finish(end_ns);
+  }
   obs::TraceSpan& span() noexcept { return span_; }
 
  private:
-  obs::ScopedTimer timer_;
+  obs::Histogram* hist_;
+  std::int64_t start_ns_;
   obs::TraceSpan span_;
 };
 
@@ -122,6 +138,20 @@ struct GenerationDecision {
   bool has_moran = false;
   pop::MoranPick pick;
 };
+
+namespace wire {
+
+/// Nature's state, as every checkpoint-family blob carries it:
+/// u64 rng[4], u64 planned.
+void put_nature(Writer& w, const pop::NatureAgent::State& s);
+pop::NatureAgent::State get_nature(Reader& r);
+
+/// A generation's decision without its generation number (the carrier
+/// knows it): u8 adopted, u8 has_moran, u32 reproducer, u32 dying.
+void put_decision(Writer& w, const GenerationDecision& d);
+GenerationDecision get_decision(Reader& r, std::uint64_t gen);
+
+}  // namespace wire
 
 struct GenerationOutcome {
   pop::GenerationPlan plan;

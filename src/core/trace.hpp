@@ -47,6 +47,8 @@ struct TracePoint {
   /// vector, or 0 when the recorder only owns a block of it (parallel
   /// ranks): compared only when both sides recorded it.
   std::uint64_t fitness_hash = 0;
+
+  bool operator==(const TracePoint&) const = default;
 };
 
 /// Receiver of per-generation trace points. Implementations must tolerate

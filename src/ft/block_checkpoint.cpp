@@ -14,21 +14,13 @@ constexpr std::uint64_t kMagic = 0x4547544654424c4bull;
 }  // namespace
 
 std::vector<std::byte> BlockCheckpoint::encode() const {
-  EGT_REQUIRE(begin <= end);
-  EGT_REQUIRE(fitness.size() == static_cast<std::size_t>(end - begin));
-  EGT_REQUIRE(matrix.size() ==
-              static_cast<std::size_t>(end - begin) * matrix_cols);
   core::wire::Writer w;
   w.u64(kMagic);
   w.u32(kBlockCheckpointVersion);
   w.u64(config_fingerprint);
   w.u64(generation);
   w.u64(table_hash);
-  w.u32(begin);
-  w.u32(end);
-  w.u32(matrix_cols);
-  w.doubles(fitness.data(), fitness.size());
-  w.doubles(matrix.data(), matrix.size());
+  state.encode(w);
   return w.take();
 }
 
@@ -47,32 +39,9 @@ BlockCheckpoint BlockCheckpoint::decode(const std::vector<std::byte>& blob) {
   c.config_fingerprint = r.u64("config fingerprint");
   c.generation = r.u64("generation");
   c.table_hash = r.u64("table hash");
-  c.begin = r.u32("row begin");
-  c.end = r.u32("row end");
-  c.matrix_cols = r.u32("matrix cols");
-  if (c.end < c.begin) {
-    r.fail("row range is inverted");
-  }
-  const std::size_t rows = c.end - c.begin;
-  c.fitness = r.doubles(rows, "fitness vector");
-  c.matrix = r.doubles(rows * c.matrix_cols, "payoff matrix");
+  c.state = core::BlockFitness::State::decode(r);
   r.expect_exhausted();
   return c;
-}
-
-std::vector<double> BlockCheckpoint::fitness_slice(pop::SSetId b,
-                                                   pop::SSetId e) const {
-  EGT_REQUIRE_MSG(covers(b, e), "fitness slice outside checkpointed block");
-  return std::vector<double>(fitness.begin() + (b - begin),
-                             fitness.begin() + (e - begin));
-}
-
-std::vector<double> BlockCheckpoint::matrix_slice(pop::SSetId b,
-                                                  pop::SSetId e) const {
-  EGT_REQUIRE_MSG(covers(b, e), "matrix slice outside checkpointed block");
-  const std::size_t cols = matrix_cols;
-  return std::vector<double>(matrix.begin() + (b - begin) * cols,
-                             matrix.begin() + (e - begin) * cols);
 }
 
 CheckpointStore::CheckpointStore(int keep) : keep_(keep) {
@@ -139,7 +108,7 @@ std::optional<BlockCheckpoint> CheckpointStore::find_covering(
       // Sampled fitness depends on the generation; cached fitness and
       // matrix are pure functions of the strategy table, so any intact
       // older generation with the same table hash restores bit-exactly.
-      if (c.generation == generation || c.matrix_cols > 0) return c;
+      if (c.generation == generation || c.state.cols > 0) return c;
     } catch (const core::CheckpointError& err) {
       // A damaged entry must not fail recovery — the next (older) entry or
       // the recompute path covers.

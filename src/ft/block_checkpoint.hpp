@@ -1,8 +1,10 @@
 // Per-rank block checkpoints: the recovery substrate of the ft engine.
 //
 // Every checkpoint interval each rank serializes the evaluation state of
-// its owned fitness blocks — fitness vector plus, in the cached modes, the
-// full payoff matrix — into a versioned blob (same wire helpers and
+// its owned fitness blocks — core::BlockFitness::State, the same state the
+// engine checkpoint carries: fitness vector plus, in the pairwise cached
+// modes, the full payoff matrix — behind a header (config fingerprint,
+// generation, table hash) into a versioned blob (same wire helpers and
 // versioning convention as core/checkpoint.hpp) and publishes it to a
 // CheckpointStore. When a rank dies, the rank adopting one of its ranges
 // first looks for a *fresh* covering blob (same generation, same strategy
@@ -33,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fitness.hpp"
 #include "core/wire.hpp"
 #include "pop/population.hpp"
 
@@ -41,19 +44,16 @@ namespace egt::ft {
 /// Bumped whenever the block-checkpoint layout changes; readers reject any
 /// other value with a clear CheckpointError.
 /// v2 carried a dedup class-pair payoff table after the matrix; v3 drops
-/// it — the matrix is the block's whole dedup state.
-inline constexpr std::uint32_t kBlockCheckpointVersion = 3;
+/// it — the matrix is the block's whole dedup state. v4: the body is
+/// core::BlockFitness::State's encoding.
+inline constexpr std::uint32_t kBlockCheckpointVersion = 4;
 
 /// Evaluation state of one fitness block at one instant.
 struct BlockCheckpoint {
   std::uint64_t config_fingerprint = 0;
   std::uint64_t generation = 0;  ///< next generation to run when captured
   std::uint64_t table_hash = 0;  ///< pop::Population::table_hash at capture
-  pop::SSetId begin = 0;
-  pop::SSetId end = 0;
-  std::uint32_t matrix_cols = 0;  ///< ssets for cached modes, 0 for Sampled
-  std::vector<double> fitness;    ///< end - begin entries
-  std::vector<double> matrix;     ///< (end - begin) * matrix_cols entries
+  core::BlockFitness::State state;
 
   std::vector<std::byte> encode() const;
   /// Throws CheckpointError on truncation, bad magic, unsupported version
@@ -61,12 +61,8 @@ struct BlockCheckpoint {
   static BlockCheckpoint decode(const std::vector<std::byte>& blob);
 
   bool covers(pop::SSetId b, pop::SSetId e) const noexcept {
-    return begin <= b && e <= end;
+    return state.begin <= b && e <= state.end;
   }
-
-  /// Extract the rows of sub-range [b, e) (must be covered).
-  std::vector<double> fitness_slice(pop::SSetId b, pop::SSetId e) const;
-  std::vector<double> matrix_slice(pop::SSetId b, pop::SSetId e) const;
 };
 
 /// Thread-safe blob store, keyed by (publishing rank, range, generation),
@@ -90,7 +86,7 @@ class CheckpointStore {
   /// Newest usable blob covering [begin, end): CRC-verified, cleanly
   /// decoded, and passing the freshness gate that makes the restore fast
   /// path bit-exact — `table_hash` must match, and the generation must
-  /// either equal `generation` or, for cached modes (matrix_cols > 0,
+  /// either equal `generation` or, for cached modes (state.cols > 0,
   /// where fitness and matrix are pure functions of the strategy table),
   /// may be older: a torn newest entry then falls back to the newest
   /// intact older generation instead of forcing a recompute. Corrupt

@@ -14,14 +14,8 @@
 namespace egt::ft {
 namespace {
 
-std::uint64_t pick(util::Xoshiro256& rng, std::uint64_t lo, std::uint64_t hi) {
-  return lo + rng() % (hi - lo + 1);
-}
-
-double pick_real(util::Xoshiro256& rng, double lo, double hi) {
-  const double u = static_cast<double>(rng() >> 11) * 0x1.0p-53;
-  return lo + u * (hi - lo);
-}
+using util::pick;
+using util::pick_real;
 
 /// Tags chaos may drop or delay: the per-generation data traffic. Control
 /// traffic (log replication, election, takeover, eviction, abort, and the

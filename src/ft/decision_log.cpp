@@ -16,13 +16,9 @@ void DecisionLogRecord::encode(core::wire::Writer& w) const {
   w.u64(kMagic);
   w.u32(kDecisionLogVersion);
   w.u64(view);
-  w.u64(generation);
-  for (auto word : nature.rng) w.u64(word);
-  w.u64(nature.planned);
-  w.u8(adopted ? 1 : 0);
-  w.u8(has_moran ? 1 : 0);
-  w.u32(pick.reproducer);
-  w.u32(pick.dying);
+  w.u64(decision.gen);
+  core::wire::put_nature(w, nature);
+  core::wire::put_decision(w, decision);
   w.u64(epoch);
   table.encode(w);
   w.u32(static_cast<std::uint32_t>(alive.size()));
@@ -42,13 +38,9 @@ DecisionLogRecord DecisionLogRecord::decode(core::wire::Reader& r) {
   }
   DecisionLogRecord rec;
   rec.view = r.u64("view");
-  rec.generation = r.u64("generation");
-  for (auto& word : rec.nature.rng) word = r.u64("nature rng state");
-  rec.nature.planned = r.u64("nature planned count");
-  rec.adopted = r.u8("adopted flag") != 0;
-  rec.has_moran = r.u8("moran flag") != 0;
-  rec.pick.reproducer = r.u32("moran reproducer");
-  rec.pick.dying = r.u32("moran dying");
+  const std::uint64_t generation = r.u64("generation");
+  rec.nature = core::wire::get_nature(r);
+  rec.decision = core::wire::get_decision(r, generation);
   rec.epoch = r.u64("ownership epoch");
   rec.table = OwnershipTable::decode(r);
   const std::uint32_t nalive = r.u32("alive count");
@@ -77,13 +69,13 @@ DecisionLogRecord DecisionLogRecord::decode_blob(
 void DecisionLog::append(DecisionLogRecord rec) {
   // Idempotent per generation: a resend after a lost ack replaces its twin.
   for (DecisionLogRecord& existing : records_) {
-    if (existing.generation == rec.generation) {
+    if (existing.decision.gen == rec.decision.gen) {
       existing = std::move(rec);
       return;
     }
   }
   EGT_REQUIRE_MSG(records_.empty() ||
-                      rec.generation > records_.back().generation,
+                      rec.decision.gen > records_.back().decision.gen,
                   "decision log: records must arrive in generation order");
   records_.push_back(std::move(rec));
   if (records_.size() > kRetained) {

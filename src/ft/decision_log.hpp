@@ -22,6 +22,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/generation.hpp"
 #include "core/wire.hpp"
 #include "ft/ownership.hpp"
 #include "pop/nature.hpp"
@@ -35,17 +36,15 @@ inline constexpr std::uint32_t kDecisionLogVersion = 1;
 /// The global tier's state after one completed generation. See file
 /// comment: self-contained — the newest record is all a successor needs.
 struct DecisionLogRecord {
-  std::uint64_t view = 0;        ///< master view (election count) at append
-  std::uint64_t generation = 0;  ///< the generation this record completes
-  /// Nature's state AFTER planning (and deciding) `generation`: restore it
-  /// and the next plan_generation() consumes the same draws the dead
+  std::uint64_t view = 0;  ///< master view (election count) at append
+  /// Nature's state AFTER planning (and deciding) `decision.gen`: restore
+  /// it and the next plan_generation() consumes the same draws the dead
   /// master would have.
   pop::NatureAgent::State nature{};
-  /// The generation's final decision — what the next PLAN's prev-decision
-  /// field must carry so workers that missed the broadcast can heal.
-  bool adopted = false;
-  bool has_moran = false;
-  pop::MoranPick pick{};
+  /// The final decision of the generation this record completes
+  /// (`decision.gen`) — what the next PLAN's prev-decision field must
+  /// carry so workers that missed the broadcast can heal.
+  core::GenerationDecision decision;
   /// Ownership view at append time: epoch-numbered table plus the ranks
   /// the master believed alive (master included). The successor seeds its
   /// reconfiguration from these instead of a fault-free initial table.
@@ -80,7 +79,7 @@ class DecisionLog {
   /// the newest completed generation, or 0 for an empty log (master died
   /// before completing generation 0 — the successor starts from scratch).
   std::uint64_t next_generation() const noexcept {
-    return records_.empty() ? 0 : records_.back().generation + 1;
+    return records_.empty() ? 0 : records_.back().decision.gen + 1;
   }
 
   bool empty() const noexcept { return records_.empty(); }

@@ -145,17 +145,6 @@ class BlockSet {
     return config_.fitness_mode != core::FitnessMode::Sampled;
   }
 
-  /// Matrix width a valid checkpoint of this config carries: ssets for the
-  /// pairwise cached modes, 0 for Sampled — and 0 for cached public-goods
-  /// blocks, whose fitness is group-pooled (no pairwise matrix; see
-  /// core::BlockFitness::pairwise_cached). The fast paths below must match
-  /// on this, not on ssets, or cached PGG checkpoints would never restore.
-  std::uint32_t expected_matrix_cols() const noexcept {
-    if (!cached_mode()) return 0;
-    if (config_.game.kind == game::GameKind::PublicGoods) return 0;
-    return config_.ssets;
-  }
-
   /// Fault-free startup block: initialization counts to engine.pairs, as
   /// in the base engines.
   void add_initial(pop::SSetId begin, pop::SSetId end) {
@@ -277,12 +266,7 @@ class BlockSet {
     Block blk{core::BlockFitness(config_, begin, end, graph_, ins_.registry),
                {},
                {}};
-    const std::optional<BlockCheckpoint> hit =
-        lookup(store, begin, end, gen);
-    if (hit && cached_mode() && hit->matrix_cols == expected_matrix_cols() &&
-        hit->config_fingerprint == fingerprint) {
-      blk.fit.restore_state(hit->fitness_slice(begin, end),
-                            hit->matrix_slice(begin, end));
+    if (restore_from(blk.fit, lookup(store, begin, end, gen), fingerprint)) {
       blk.snapshot.assign(blk.fit.block().begin(), blk.fit.block().end());
       FtInstruments::inc(ins_.blocks_restored);
     } else {
@@ -327,21 +311,14 @@ class BlockSet {
     obs::ScopedTimer t(ins_.ckpt);
     obs::TraceSpan span("phase.ft_checkpoint", obs::kCatFt);
     for (const Block& b : blocks_) {
-      BlockCheckpoint c;
-      c.config_fingerprint = fingerprint;
-      c.generation = next_gen;
-      c.table_hash = table_hash;
-      c.begin = b.fit.row_begin();
-      c.end = b.fit.row_end();
-      const auto matrix = b.fit.payoff_matrix();
-      c.matrix_cols = matrix.empty() ? 0 : config_.ssets;
-      c.fitness.assign(b.fit.block().begin(), b.fit.block().end());
-      c.matrix.assign(matrix.begin(), matrix.end());
-      auto blob = c.encode();
+      auto blob = BlockCheckpoint{fingerprint, next_gen, table_hash,
+                                  b.fit.state()}
+                      .encode();
       FtInstruments::inc(ins_.ckpt_writes);
       FtInstruments::inc(ins_.ckpt_bytes, blob.size());
       if (torn) FtInstruments::inc(ins_.ckpt_torn);
-      store.put(rank, c.begin, c.end, next_gen, std::move(blob), torn);
+      store.put(rank, b.fit.row_begin(), b.fit.row_end(), next_gen,
+                std::move(blob), torn);
     }
   }
 
@@ -384,6 +361,21 @@ class BlockSet {
     return snapshot ? std::span<const double>(b.snapshot) : b.fit.block();
   }
 
+  /// Restore `fit` from the rows it owns of `hit`; false (recompute) when
+  /// there is no hit, it was written under another config, or its shape
+  /// does not match the block.
+  static bool restore_from(core::BlockFitness& fit,
+                           const std::optional<BlockCheckpoint>& hit,
+                           std::uint64_t fingerprint) {
+    if (!hit || hit->config_fingerprint != fingerprint) return false;
+    try {
+      fit.restore(hit->state.slice(fit.row_begin(), fit.row_end()));
+      return true;
+    } catch (const core::CheckpointError&) {
+      return false;
+    }
+  }
+
   /// CRC-verified checkpoint lookup; a corrupt entry skipped on the way to
   /// an older intact one counts to ft.checkpoint.fallbacks.
   std::optional<BlockCheckpoint> lookup(const CheckpointStore& store,
@@ -418,36 +410,19 @@ constexpr const char* kWhat = "ft protocol message";
 // next PLAN's heal fields and by a TAKEOVER's heal fields.
 using Decision = core::GenerationDecision;
 
-void put_decision_body(Writer& w, const Decision& d) {
-  w.u8(d.adopted ? 1 : 0);
-  w.u8(d.has_moran ? 1 : 0);
-  w.u32(d.pick.reproducer);
-  w.u32(d.pick.dying);
-}
-
-Decision get_decision_body(Reader& r, std::uint64_t gen) {
-  Decision d;
-  d.gen = gen;
-  d.adopted = r.u8("adopted") != 0;
-  d.has_moran = r.u8("has moran") != 0;
-  d.pick.reproducer = r.u32("moran reproducer");
-  d.pick.dying = r.u32("moran dying");
-  return d;
-}
-
 // The heal fields of PLAN and TAKEOVER: an optional previous decision.
 void put_prev(Writer& w, const std::optional<Decision>& prev) {
   w.u8(prev ? 1 : 0);
   if (prev) {
     w.u64(prev->gen);
-    put_decision_body(w, *prev);
+    core::wire::put_decision(w, *prev);
   }
 }
 
 std::optional<Decision> get_prev(Reader& r) {
   if (r.u8("has prev decision") == 0) return std::nullopt;
   const std::uint64_t gen = r.u64("prev generation");
-  return get_decision_body(r, gen);
+  return core::wire::get_decision(r, gen);
 }
 
 std::vector<std::byte> encode_plan_msg(std::uint64_t gen,
@@ -480,7 +455,7 @@ std::vector<std::byte> encode_decide(DecideStage stage, const Decision& d) {
   Writer w;
   w.u64(d.gen);
   w.u8(static_cast<std::uint8_t>(stage));
-  put_decision_body(w, d);
+  core::wire::put_decision(w, d);
   return w.take();
 }
 
@@ -751,7 +726,7 @@ class RankProgram : private core::GenerationTransport {
         Reader r(m.payload, kWhat);
         const std::uint64_t gen = r.u64("generation");
         const auto stage = static_cast<DecideStage>(r.u8("stage"));
-        const Decision d = get_decision_body(r, gen);
+        const Decision d = core::wire::get_decision(r, gen);
         r.expect_exhausted();
         if (!pending_ || pending_->gen != gen) break;  // stale duplicate
         // A PC-stage decide of a Moran generation waits for the gather.
@@ -818,8 +793,8 @@ class RankProgram : private core::GenerationTransport {
         // the past (a deposed master still streaming) are acknowledged but
         // not kept — the log stays in generation order.
         DecisionLogRecord rec = DecisionLogRecord::decode_blob(m.payload);
-        const std::uint64_t gen = rec.generation;
-        if (log_.empty() || gen >= log_.newest()->generation) {
+        const std::uint64_t gen = rec.decision.gen;
+        if (log_.empty() || gen >= log_.newest()->decision.gen) {
           log_.append(std::move(rec));
           FtInstruments::inc(ins_.log_appends);
         }
@@ -1026,14 +1001,10 @@ class RankProgram : private core::GenerationTransport {
     std::uint64_t start_gen = 0;
     prev_decision_.reset();
     if (const DecisionLogRecord* rec = log_.newest()) {
-      Decision last;
-      last.gen = rec->generation;
-      last.adopted = rec->adopted;
-      last.has_moran = rec->has_moran;
-      last.pick = rec->pick;
+      const Decision last = rec->decision;
       if (pending_) {
         // The record *is* the decision this rank never received.
-        EGT_ASSERT(pending_->gen == rec->generation);
+        EGT_ASSERT(pending_->gen == last.gen);
         heal_pending(last);
       }
       // The record's table hash is the integrity check on our replica: a
@@ -1041,7 +1012,7 @@ class RankProgram : private core::GenerationTransport {
       // downstream can be trusted.
       EGT_ASSERT(pop_.table_hash() == rec->table_hash);
       nature_->restore_state(rec->nature);
-      start_gen = rec->generation + 1;
+      start_gen = last.gen + 1;
       prev_decision_ = last;
       if (rec->epoch > epoch_) {
         table_ = rec->table;
@@ -1295,11 +1266,8 @@ class RankProgram : private core::GenerationTransport {
     for (;;) {
       DecisionLogRecord rec;
       rec.view = view_;
-      rec.generation = d.gen;
       rec.nature = nature_->save_state();
-      rec.adopted = d.adopted;
-      rec.has_moran = d.has_moran;
-      rec.pick = d.pick;
+      rec.decision = d;
       rec.epoch = epoch_;
       rec.table = table_;
       rec.alive = members();

@@ -154,6 +154,15 @@ class TraceSpan {
     arg_name_ = arg_name;
     arg_ = arg;
   }
+  /// A span starting at `start_ns`, a Tracer::now_ns() reading the caller
+  /// also uses elsewhere (see core::PhaseScope).
+  TraceSpan(const char* name, const char* cat, std::int64_t start_ns) {
+    if (Tracer::enabled()) {
+      name_ = name;
+      cat_ = cat;
+      start_ns_ = start_ns;
+    }
+  }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
   ~TraceSpan() { finish(); }
@@ -168,11 +177,17 @@ class TraceSpan {
 
   /// Record now instead of at scope exit. Idempotent.
   void finish() noexcept {
+    if (name_ != nullptr) finish(Tracer::now_ns());
+  }
+
+  /// Record with the end time `end_ns` (a Tracer::now_ns() reading).
+  /// Idempotent.
+  void finish(std::int64_t end_ns) noexcept {
     if (name_ == nullptr) return;
     TraceEvent ev;
     ev.kind = TraceEvent::Kind::Span;
     ev.ts_ns = start_ns_;
-    ev.dur_ns = Tracer::now_ns() - start_ns_;
+    ev.dur_ns = end_ns - start_ns_;
     ev.name = name_;
     ev.cat = cat_;
     ev.arg_name = arg_name_;

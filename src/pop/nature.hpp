@@ -156,6 +156,8 @@ class NatureAgent {
   struct State {
     util::Xoshiro256::StateArray rng;
     std::uint64_t planned = 0;
+
+    bool operator==(const State&) const = default;
   };
   State save_state() const noexcept { return {rng_.state(), planned_}; }
   void restore_state(const State& s) noexcept {

@@ -21,14 +21,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::uint64_t pick(util::Xoshiro256& rng, std::uint64_t lo, std::uint64_t hi) {
-  return lo + rng() % (hi - lo + 1);
-}
-
-double pick_real(util::Xoshiro256& rng, double lo, double hi) {
-  const double u = static_cast<double>(rng() >> 11) * 0x1.0p-53;
-  return lo + u * (hi - lo);
-}
+using util::pick;
+using util::pick_real;
 
 constexpr const char* kTenants[] = {"alice", "bob", "carol"};
 

@@ -18,10 +18,6 @@ std::vector<std::byte> encode_job_checkpoint(const JobCheckpoint& ckpt) {
   w.u64(ckpt.counters.pairs_evaluated);
   w.u64(ckpt.counters.games_played);
   w.bytes(ckpt.core);
-  w.u32(static_cast<std::uint32_t>(ckpt.fitness.size()));
-  w.doubles(ckpt.fitness.data(), ckpt.fitness.size());
-  w.u32(static_cast<std::uint32_t>(ckpt.matrix.size()));
-  w.doubles(ckpt.matrix.data(), ckpt.matrix.size());
   return w.take();
 }
 
@@ -45,10 +41,6 @@ JobCheckpoint decode_job_checkpoint(const std::vector<std::byte>& blob) {
   ckpt.counters.pairs_evaluated = r.u64("counter pairs_evaluated");
   ckpt.counters.games_played = r.u64("counter games_played");
   ckpt.core = r.bytes("core checkpoint");
-  const std::uint32_t nf = r.u32("fitness count");
-  ckpt.fitness = r.doubles(nf, "fitness values");
-  const std::uint32_t nm = r.u32("matrix count");
-  ckpt.matrix = r.doubles(nm, "matrix values");
   r.expect_exhausted();
   return ckpt;
 }
@@ -62,19 +54,13 @@ JobCheckpoint capture_job_checkpoint(const core::Engine& engine,
   ckpt.preemptions = preemptions;
   ckpt.counters = counters;
   ckpt.core = core::save_checkpoint(engine);
-  const core::BlockFitness& fit = engine.fitness_block();
-  ckpt.fitness.assign(fit.block().begin(), fit.block().end());
-  ckpt.matrix.assign(fit.payoff_matrix().begin(), fit.payoff_matrix().end());
   return ckpt;
 }
 
 core::Engine resume_job_engine(const core::SimConfig& config,
                                JobCheckpoint ckpt,
                                obs::MetricsRegistry* metrics) {
-  core::Engine::RestoredState state = core::decode_checkpoint(config, ckpt.core);
-  core::Engine::FitnessRestore fit{std::move(ckpt.fitness),
-                                   std::move(ckpt.matrix)};
-  return core::Engine(config, std::move(state), std::move(fit), metrics);
+  return core::restore_checkpoint(config, ckpt.core, metrics);
 }
 
 }  // namespace egt::serve

@@ -15,7 +15,7 @@
 //                 another job is waiting: a job checkpoint is committed
 //                 (serve/job_checkpoint.hpp) and the job requeues. Resume
 //                 is bit-identical — table, fitness AND engine.* counters —
-//                 via the Engine block-restore path.
+//                 because the engine checkpoint carries the fitness block.
 //   watchdog      per-attempt deadlines, checked cooperatively at
 //                 generation boundaries (the only safe in-process
 //                 cancellation points). An expired attempt is abandoned

@@ -1,7 +1,6 @@
 #include "simcheck/case.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <exception>
 
@@ -59,17 +58,8 @@ EngineOutcome run_restore_variant(const core::SimConfig& config,
   second.set_trace(&rec);
   second.run(config.generations - restore_at);
   finish_from_population(out, second.population());
-  // The restore re-runs the initial all-pairs evaluation, so work counters
-  // legitimately exceed an uninterrupted run's.
-  out.counters_comparable = false;
+  out.counters = counters_from(reg.snapshot());
   out.trace = rec.contiguous_points();
-  if (config.fitness_mode == core::FitnessMode::Analytic) {
-    // Full-row recompute vs incremental class-delta updates: fitness
-    // matches to rounding only (see EngineOutcome::fitness_exact), so the
-    // per-generation fitness hashes are meaningless too.
-    out.fitness_exact = false;
-    for (auto& p : out.trace) p.fitness_hash = 0;
-  }
   out.ok = true;
   return out;
 }
@@ -202,14 +192,7 @@ void compare_outcome(CaseResult& result, EngineKind kind,
     for (std::size_t i = 0; i < ref.fitness.size(); ++i) {
       const double a = ref.fitness[i];
       const double b = out.fitness[i];
-      bool same = a == b;
-      if (!same && !out.fitness_exact) {
-        // Rounding-tolerant variants (see EngineOutcome::fitness_exact):
-        // accept a relative error a handful of ulps wide.
-        same = std::abs(a - b) <=
-               1e-12 * std::max({1.0, std::abs(a), std::abs(b)});
-      }
-      if (!same) {
+      if (a != b) {
         fail("fitness of SSet " + std::to_string(i) + " differs: " +
              format_double(b) + " vs reference " + format_double(a));
         break;
@@ -273,16 +256,6 @@ std::optional<EngineKind> engine_kind_from_name(const std::string& name) {
     if (name == engine_kind_name(kind)) return kind;
   }
   return std::nullopt;
-}
-
-bool checkpoint_exact(const core::SimConfig& config) {
-  if (config.fitness_mode == FitnessMode::Sampled) return true;
-  if (config.fitness_mode == FitnessMode::Analytic) {
-    return config.memory <= 1 ||
-           (config.space == pop::StrategySpace::Pure &&
-            config.game.noise == 0.0);
-  }
-  return false;
 }
 
 CaseSpec sample_case(std::uint64_t fuzz_seed) {
@@ -386,7 +359,7 @@ CaseSpec sample_case(std::uint64_t fuzz_seed) {
   if (spec.sset_threads > 0 || spec.agent_threads > 0) {
     spec.engines.push_back(EngineKind::SerialThreads);
   }
-  if (checkpoint_exact(c) && chance(0.6)) {
+  if (chance(0.6)) {
     spec.restore_at = pick(1, c.generations - 1);
     spec.engines.push_back(EngineKind::SerialRestore);
   }
@@ -503,7 +476,7 @@ bool normalize_spec(CaseSpec& spec) {
         if (spec.sset_threads == 0 && spec.agent_threads == 0) continue;
         break;
       case EngineKind::SerialRestore:
-        if (!checkpoint_exact(c) || spec.restore_at == 0) continue;
+        if (spec.restore_at == 0) continue;
         break;
       case EngineKind::ParallelFtFaulty:
         if (spec.kills.empty() && spec.torn.empty()) continue;

@@ -51,16 +51,9 @@ struct EngineOutcome {
   std::string error;  ///< exception text when !ok
   std::uint64_t table_hash = 0;
   std::vector<double> fitness;  ///< final (top-of-last-generation) fitness
-  /// False relaxes the fitness diff to a few-ulp relative tolerance: an
-  /// Analytic restore recomputes full row sums where the uninterrupted run
-  /// applied incremental class-delta updates (core/fitness.cpp), so values
-  /// agree only to rounding (the trajectory stays table-exact; the serial
-  /// checkpoint test asserts the same DOUBLE_EQ tolerance).
-  bool fitness_exact = true;
   core::EngineCounters counters;
-  /// Counters are only diffed when the variant makes them meaningful: a
-  /// checkpoint/restore re-initializes (extra pairs), and ft recovery off
-  /// the checkpoint fast path recomputes (extra games).
+  /// Counters are only diffed when the variant makes them meaningful: ft
+  /// recovery off the checkpoint fast path recomputes (extra games).
   bool counters_comparable = true;
   std::vector<core::TracePoint> trace;
   bool trace_comparable = true;
@@ -78,13 +71,6 @@ struct CaseResult {
   std::vector<CaseFailure> failures;
   bool passed() const noexcept { return failures.empty(); }
 };
-
-/// True when a serial checkpoint restore of `config` is bit-exact (the
-/// precondition of the SerialRestore variant): Sampled always; Analytic
-/// when no pair can hit the frozen-sampling fall-through (memory one, or a
-/// noise-free pure space). SampledFrozen never (generation-keyed frozen
-/// samples are unrecoverable — see core/checkpoint.hpp).
-bool checkpoint_exact(const core::SimConfig& config);
 
 /// Draw a valid spec from a fuzz seed (deterministic).
 CaseSpec sample_case(std::uint64_t fuzz_seed);

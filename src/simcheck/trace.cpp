@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "core/wire.hpp"
+#include "core/generation.hpp"
 
 namespace egt::simcheck {
 
@@ -62,8 +62,7 @@ std::optional<TraceDivergence> compare_traces(
     std::string why;
     if (pa.generation != pb.generation) {
       why = "generation number mismatch";
-    } else if (pa.nature.rng != pb.nature.rng ||
-               pa.nature.planned != pb.nature.planned) {
+    } else if (pa.nature != pb.nature) {
       why = "nature RNG state differs";
     } else if (pa.pc != pb.pc || pa.teacher != pb.teacher ||
                pa.learner != pb.learner) {
@@ -103,8 +102,7 @@ std::vector<std::byte> encode_trace(std::span<const core::TracePoint> points) {
   w.u64(points.size());
   for (const auto& p : points) {
     w.u64(p.generation);
-    for (const auto word : p.nature.rng) w.u64(word);
-    w.u64(p.nature.planned);
+    core::wire::put_nature(w, p.nature);
     std::uint8_t flags = 0;
     if (p.pc) flags |= kFlagPc;
     if (p.adopted) flags |= kFlagAdopted;
@@ -135,8 +133,7 @@ std::vector<core::TracePoint> decode_trace(const std::vector<std::byte>& bytes) 
   std::vector<core::TracePoint> points(static_cast<std::size_t>(n));
   for (auto& p : points) {
     p.generation = r.u64("generation");
-    for (auto& word : p.nature.rng) word = r.u64("nature rng");
-    p.nature.planned = r.u64("nature planned");
+    p.nature = core::wire::get_nature(r);
     const std::uint8_t flags = r.u8("flags");
     p.pc = (flags & kFlagPc) != 0;
     p.adopted = (flags & kFlagAdopted) != 0;

@@ -154,6 +154,20 @@ std::uint64_t uniform_below(Rng& rng, std::uint64_t n) {
   }
 }
 
+/// Integer in [lo, hi] as lo + draw % (hi - lo + 1). Slightly
+/// modulo-biased (use uniform_below for statistics); kept because the
+/// seeded chaos schedules are pinned to this exact draw sequence.
+template <class Rng>
+std::uint64_t pick(Rng& rng, std::uint64_t lo, std::uint64_t hi) {
+  return lo + rng() % (hi - lo + 1);
+}
+
+/// Real in [lo, hi) from one draw (the chaos schedules' companion of pick).
+template <class Rng>
+double pick_real(Rng& rng, double lo, double hi) {
+  return lo + to_unit_double(rng()) * (hi - lo);
+}
+
 /// Bernoulli trial with success probability p.
 template <class Rng>
 bool bernoulli(Rng& rng, double p) {

@@ -6,7 +6,10 @@
 #include <cstring>
 
 #include "core/engine.hpp"
+#include "core/generation.hpp"
+#include "core/trace.hpp"
 #include "game/spec/registry.hpp"
+#include "obs/metrics.hpp"
 
 namespace egt::core {
 namespace {
@@ -23,25 +26,78 @@ SimConfig config(FitnessMode mode) {
   return cfg;
 }
 
-void expect_same_trajectory(FitnessMode mode) {
-  const auto cfg = config(mode);
-  Engine uninterrupted(cfg);
-  uninterrupted.run(120);
+/// Every generation's trace point, in order.
+class PointLog : public TraceSink {
+ public:
+  void on_point(const TracePoint& p) override { points.push_back(p); }
+  std::vector<TracePoint> points;
+};
 
-  Engine first_half(cfg);
-  first_half.run(60);
-  const auto blob = save_checkpoint(first_half);
-  Engine resumed = restore_checkpoint(cfg, blob);
-  EXPECT_EQ(resumed.generation(), 60u);
-  resumed.run(60);
+std::uint64_t bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// An engine checkpoint restore must equal the uninterrupted run: the
+/// strategy table, the fitness bits, every trace point (fitness hash
+/// included) and all seven engine.* counters, with one registry across the
+/// split as simcheck's restore variant keeps it.
+void expect_same_trajectory(const SimConfig& cfg, std::uint64_t split) {
+  obs::MetricsRegistry whole_reg;
+  PointLog whole_log;
+  Engine uninterrupted(cfg, &whole_reg);
+  uninterrupted.set_trace(&whole_log);
+  uninterrupted.run(cfg.generations);
+
+  obs::MetricsRegistry split_reg;
+  PointLog split_log;
+  std::vector<std::byte> blob;
+  {
+    Engine first_half(cfg, &split_reg);
+    first_half.set_trace(&split_log);
+    first_half.run(split);
+    blob = save_checkpoint(first_half);
+  }
+  Engine resumed = restore_checkpoint(cfg, blob, &split_reg);
+  EXPECT_EQ(resumed.generation(), split);
+  resumed.set_trace(&split_log);
+  resumed.run(cfg.generations - split);
 
   EXPECT_EQ(resumed.population().table_hash(),
             uninterrupted.population().table_hash());
   for (pop::SSetId i = 0; i < cfg.ssets; ++i) {
-    ASSERT_DOUBLE_EQ(resumed.population().fitness(i),
-                     uninterrupted.population().fitness(i))
-        << i;
+    ASSERT_EQ(bits(resumed.population().fitness(i)),
+              bits(uninterrupted.population().fitness(i)))
+        << "fitness of SSet " << i;
   }
+  const EngineCounters want = counters_from(whole_reg.snapshot());
+  const EngineCounters got = counters_from(split_reg.snapshot());
+  EXPECT_EQ(got, want) << to_string(got) << " vs " << to_string(want);
+  ASSERT_EQ(split_log.points.size(), whole_log.points.size());
+  for (std::size_t g = 0; g < whole_log.points.size(); ++g) {
+    ASSERT_TRUE(split_log.points[g] == whole_log.points[g])
+        << "trace diverges at generation " << g;
+  }
+}
+
+void expect_same_trajectory(FitnessMode mode) {
+  expect_same_trajectory(config(mode), 60);
+}
+
+/// 48 SSets of mixed memory-one strategies under 2% noise, 300 generations
+/// split at 150: a restore that re-evaluated every pair drifted the
+/// fitness bits here in Analytic and SampledFrozen mode, and the work
+/// counters in every mode.
+SimConfig mixed_noisy_probe(FitnessMode mode) {
+  SimConfig cfg = config(mode);
+  cfg.ssets = 48;
+  cfg.space = pop::StrategySpace::Mixed;
+  cfg.game.noise = 0.02;
+  cfg.game.rounds = 50;
+  cfg.generations = 300;
+  cfg.seed = 6 * 7919;
+  return cfg;
 }
 
 TEST(Checkpoint, ResumeIsBitExactForAnalyticMode) {
@@ -52,17 +108,25 @@ TEST(Checkpoint, ResumeIsBitExactForSampledMode) {
   expect_same_trajectory(FitnessMode::Sampled);
 }
 
+TEST(Checkpoint, ResumeIsBitExactForSampledFrozenMode) {
+  expect_same_trajectory(FitnessMode::SampledFrozen);
+}
+
+TEST(Checkpoint, ResumeIsBitExactForTheMixedNoisyProbe) {
+  for (const FitnessMode mode : {FitnessMode::Analytic,
+                                 FitnessMode::SampledFrozen,
+                                 FitnessMode::Sampled}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    expect_same_trajectory(mixed_noisy_probe(mode), 150);
+  }
+}
+
 TEST(Checkpoint, ResumeWorksForMixedStrategies) {
   auto cfg = config(FitnessMode::Analytic);
   cfg.space = pop::StrategySpace::Mixed;
   cfg.game.noise = 0.05;
-  Engine whole(cfg);
-  whole.run(100);
-  Engine half(cfg);
-  half.run(50);
-  Engine resumed = restore_checkpoint(cfg, save_checkpoint(half));
-  resumed.run(50);
-  EXPECT_EQ(resumed.population().table_hash(), whole.population().table_hash());
+  cfg.generations = 100;
+  expect_same_trajectory(cfg, 50);
 }
 
 TEST(Checkpoint, ResumeWorksForNWayGames) {
@@ -72,26 +136,72 @@ TEST(Checkpoint, ResumeWorksForNWayGames) {
   cfg.memory = 0;
   cfg.game = *game::find_game("rps");
   cfg.space = pop::StrategySpace::Mixed;
-  Engine whole(cfg);
-  whole.run(100);
-  Engine half(cfg);
-  half.run(50);
-  Engine resumed = restore_checkpoint(cfg, save_checkpoint(half));
-  resumed.run(50);
-  EXPECT_EQ(resumed.population().table_hash(), whole.population().table_hash());
+  cfg.generations = 100;
+  expect_same_trajectory(cfg, 50);
 }
 
 TEST(Checkpoint, ResumeWorksForPublicGoodsGames) {
+  // Public goods blocks keep no matrix (their state has zero columns).
   auto cfg = config(FitnessMode::Analytic);
   cfg.memory = 0;
   cfg.game = game::GameSpec::public_goods("pgg", 3.0, 1.0, /*k=*/4);
-  Engine whole(cfg);
-  whole.run(100);
-  Engine half(cfg);
-  half.run(50);
-  Engine resumed = restore_checkpoint(cfg, save_checkpoint(half));
-  resumed.run(50);
-  EXPECT_EQ(resumed.population().table_hash(), whole.population().table_hash());
+  cfg.generations = 100;
+  expect_same_trajectory(cfg, 50);
+}
+
+TEST(Checkpoint, RejectsAFitnessStateOfTheWrongShape) {
+  // A block adopts only a state of its own shape. The mode is part of it:
+  // an Analytic and a SampledFrozen block have the same matrix width, but
+  // their values mean different things.
+  const auto cfg = config(FitnessMode::Analytic);
+  Engine engine(cfg);
+  engine.run(10);
+  const BlockFitness::State saved = engine.fitness_block().state();
+  for (const FitnessMode mode :
+       {FitnessMode::Sampled, FitnessMode::SampledFrozen}) {
+    BlockFitness block(config(mode), 0, cfg.ssets);
+    EXPECT_THROW(block.restore(saved), CheckpointError)
+        << static_cast<int>(mode);
+  }
+  BlockFitness narrower(cfg, 0, cfg.ssets - 1);
+  EXPECT_THROW(narrower.restore(saved), CheckpointError);
+}
+
+/// The engine `saved` resumed under `cfg` without a fitness state: every
+/// pair evaluated afresh.
+Engine reevaluated(const SimConfig& cfg, const Engine& saved) {
+  return Engine(cfg, Engine::RestoredState{saved.generation(),
+                                           saved.nature_agent().save_state(),
+                                           saved.population()});
+}
+
+void expect_same_fitness(const Engine& got, const Engine& want) {
+  EXPECT_EQ(got.generation(), want.generation());
+  EXPECT_EQ(got.population().table_hash(), want.population().table_hash());
+  const auto got_fitness = got.fitness_block().block();
+  const auto want_fitness = want.fitness_block().block();
+  ASSERT_EQ(got_fitness.size(), want_fitness.size());
+  for (std::size_t i = 0; i < want_fitness.size(); ++i) {
+    ASSERT_EQ(bits(got_fitness[i]), bits(want_fitness[i]))
+        << "fitness of SSet " << i;
+  }
+}
+
+TEST(Checkpoint, ResumeUnderAnotherFitnessModeReevaluates) {
+  // The fingerprint leaves the mode out, so an Analytic checkpoint may
+  // resume a SampledFrozen or Sampled run. The saved state is dropped and
+  // every pair is evaluated in the new mode, never adopted. Noisy mixed
+  // strategies make the modes' values differ.
+  Engine engine(mixed_noisy_probe(FitnessMode::Analytic));
+  engine.run(10);
+  const auto blob = save_checkpoint(engine);
+  for (const FitnessMode mode :
+       {FitnessMode::SampledFrozen, FitnessMode::Sampled}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    const auto other = mixed_noisy_probe(mode);
+    expect_same_fitness(restore_checkpoint(other, blob),
+                        reevaluated(other, engine));
+  }
 }
 
 TEST(Checkpoint, RejectsDifferentConfig) {
@@ -140,20 +250,48 @@ TEST(Checkpoint, RejectsTruncationAtEveryLength) {
   }
 }
 
+/// `blob` (a v4 checkpoint of `cfg`) cut back to the v3 layout: v4 without
+/// the trailing fitness state (u32 begin, u32 end, u8 mode, u32 cols, then
+/// ssets + ssets^2 doubles), version field set to 3.
+std::vector<std::byte> as_v3(const SimConfig& cfg,
+                             std::vector<std::byte> blob) {
+  blob.resize(blob.size() - 13 - 8 * (cfg.ssets + cfg.ssets * cfg.ssets));
+  const std::uint32_t v3 = 3;
+  std::memcpy(blob.data() + 8, &v3, sizeof v3);  // after the magic
+  return blob;
+}
+
 TEST(Checkpoint, RejectsUnsupportedVersionWithClearMessage) {
   const auto cfg = config(FitnessMode::Analytic);
   Engine engine(cfg);
   engine.run(5);
-  auto blob = save_checkpoint(engine);
-  const std::uint32_t bogus = kCheckpointVersion + 7;
-  std::memcpy(blob.data() + 8, &bogus, sizeof bogus);  // after the u64 magic
-  try {
-    (void)restore_checkpoint(cfg, blob);
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("version"), std::string::npos) << what;
+  const auto blob = save_checkpoint(engine);
+  for (const std::uint32_t version : {kCheckpointVersion + 7, 2u}) {
+    auto bad = version == 2 ? as_v3(cfg, blob) : blob;
+    std::memcpy(bad.data() + 8, &version, sizeof version);  // after the magic
+    try {
+      (void)restore_checkpoint(cfg, bad);
+      FAIL() << "expected CheckpointError for version " << version;
+    } catch (const CheckpointError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("version " + std::to_string(version)),
+                std::string::npos)
+          << what;
+    }
   }
+}
+
+TEST(Checkpoint, V3CheckpointResumesByReevaluating) {
+  // A v3 blob carries no fitness state; it still resumes, and the engine
+  // evaluates every pair as v3 restores always did.
+  const auto cfg = config(FitnessMode::Analytic);
+  Engine engine(cfg);
+  engine.run(30);
+  const auto v3 = as_v3(cfg, save_checkpoint(engine));
+  expect_same_fitness(restore_checkpoint(cfg, v3), reevaluated(cfg, engine));
+  auto trailing = v3;
+  trailing.push_back(std::byte{0});
+  EXPECT_THROW((void)restore_checkpoint(cfg, trailing), CheckpointError);
 }
 
 TEST(Checkpoint, CorruptStrategyLengthDoesNotOverAllocate) {
@@ -177,27 +315,15 @@ TEST(Checkpoint, ResumeWorksOnStructuredPopulations) {
   cfg.ssets = 18;
   cfg.interaction.kind = InteractionSpec::Kind::Ring;
   cfg.interaction.ring_k = 2;
-  Engine whole(cfg);
-  whole.run(100);
-  Engine half(cfg);
-  half.run(50);
-  Engine resumed = restore_checkpoint(cfg, save_checkpoint(half));
-  resumed.run(50);
-  EXPECT_EQ(resumed.population().table_hash(),
-            whole.population().table_hash());
+  cfg.generations = 100;
+  expect_same_trajectory(cfg, 50);
 }
 
 TEST(Checkpoint, ResumeWorksUnderMoranRule) {
   auto cfg = config(FitnessMode::Analytic);
   cfg.update_rule = pop::UpdateRule::Moran;
-  Engine whole(cfg);
-  whole.run(100);
-  Engine half(cfg);
-  half.run(50);
-  Engine resumed = restore_checkpoint(cfg, save_checkpoint(half));
-  resumed.run(50);
-  EXPECT_EQ(resumed.population().table_hash(),
-            whole.population().table_hash());
+  cfg.generations = 100;
+  expect_same_trajectory(cfg, 50);
 }
 
 TEST(Checkpoint, FileRoundTrip) {
@@ -226,7 +352,9 @@ TEST(Checkpoint, FingerprintSensitivity) {
   EXPECT_NE(config_fingerprint(cfg), base);
   // The fitness *mode* is an implementation choice, not dynamics: for
   // deterministic games trajectories agree across modes, so the
-  // fingerprint deliberately excludes it.
+  // fingerprint deliberately excludes it. A resume under another mode
+  // re-evaluates instead of adopting the saved fitness state (see
+  // ResumeUnderAnotherFitnessModeReevaluates).
   EXPECT_EQ(config_fingerprint(config(FitnessMode::Sampled)),
             config_fingerprint(config(FitnessMode::Analytic)));
   // Structure and update rule ARE dynamics.

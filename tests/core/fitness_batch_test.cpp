@@ -254,8 +254,8 @@ Evaluated evaluate(const SimConfig& cfg, const pop::Population& before,
     }
     out.fitness.insert(out.fitness.end(), block.block().begin(),
                        block.block().end());
-    out.matrix.insert(out.matrix.end(), block.payoff_matrix().begin(),
-                      block.payoff_matrix().end());
+    const std::vector<double> matrix = block.state().matrix;
+    out.matrix.insert(out.matrix.end(), matrix.begin(), matrix.end());
     out.pairs += block.pairs_evaluated();
     out.games += block.games_played();
   }

@@ -42,9 +42,11 @@ void expect_blocks_identical(const BlockFitness& a, const BlockFitness& b) {
   for (std::size_t i = 0; i < a.block().size(); ++i) {
     ASSERT_EQ(a.block()[i], b.block()[i]) << "row " << i;
   }
-  ASSERT_EQ(a.payoff_matrix().size(), b.payoff_matrix().size());
-  for (std::size_t i = 0; i < a.payoff_matrix().size(); ++i) {
-    ASSERT_EQ(a.payoff_matrix()[i], b.payoff_matrix()[i]) << "cell " << i;
+  const std::vector<double> ma = a.state().matrix;
+  const std::vector<double> mb = b.state().matrix;
+  ASSERT_EQ(ma.size(), mb.size());
+  for (std::size_t i = 0; i < ma.size(); ++i) {
+    ASSERT_EQ(ma[i], mb[i]) << "cell " << i;
   }
 }
 
@@ -299,8 +301,8 @@ TEST(FitnessDedup, SsetThreadsBitIdenticalForSampledReplay) {
 }
 
 TEST(FitnessDedup, RestoreStateRoundTripsCache) {
-  // The payoff matrix is the whole dedup state: a block restored from
-  // (fitness, matrix) alone reuses values exactly like its source.
+  // The payoff matrix is the whole dedup state: a block restored from its
+  // State (fitness, matrix) alone reuses values exactly like its source.
   SimConfig cfg = analytic_config(16, 1);
   auto pop = random_population(cfg, false, 12);
   for (pop::SSetId i = 0; i < pop.size(); i += 2) {
@@ -310,10 +312,7 @@ TEST(FitnessDedup, RestoreStateRoundTripsCache) {
   source.initialize(pop);
 
   BlockFitness restored(cfg, 0, cfg.ssets);
-  restored.restore_state(
-      std::vector<double>(source.block().begin(), source.block().end()),
-      std::vector<double>(source.payoff_matrix().begin(),
-                          source.payoff_matrix().end()));
+  restored.restore(source.state());
   expect_blocks_identical(restored, source);
   // A change into a live class costs zero fresh games: the new column and
   // row are read from the other members of that class.

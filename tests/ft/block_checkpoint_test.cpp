@@ -18,15 +18,15 @@ BlockCheckpoint sample(pop::SSetId begin = 4, pop::SSetId end = 8,
   c.config_fingerprint = 0xfeedbeef;
   c.generation = 12;
   c.table_hash = 0xabcdef;
-  c.begin = begin;
-  c.end = end;
-  c.matrix_cols = cols;
+  c.state.begin = begin;
+  c.state.end = end;
+  c.state.cols = cols;
   for (pop::SSetId i = begin; i < end; ++i) {
-    c.fitness.push_back(0.5 * i);
+    c.state.fitness.push_back(0.5 * i);
   }
-  c.matrix.resize(static_cast<std::size_t>(end - begin) * cols);
-  for (std::size_t i = 0; i < c.matrix.size(); ++i) {
-    c.matrix[i] = 0.25 * static_cast<double>(i) - 3.0;
+  c.state.matrix.resize(static_cast<std::size_t>(end - begin) * cols);
+  for (std::size_t i = 0; i < c.state.matrix.size(); ++i) {
+    c.state.matrix[i] = 0.25 * static_cast<double>(i) - 3.0;
   }
   return c;
 }
@@ -37,17 +37,23 @@ TEST(BlockCheckpoint, EncodeDecodeRoundTrip) {
   EXPECT_EQ(back.config_fingerprint, c.config_fingerprint);
   EXPECT_EQ(back.generation, c.generation);
   EXPECT_EQ(back.table_hash, c.table_hash);
-  EXPECT_EQ(back.begin, c.begin);
-  EXPECT_EQ(back.end, c.end);
-  EXPECT_EQ(back.matrix_cols, c.matrix_cols);
-  EXPECT_EQ(back.fitness, c.fitness);
-  EXPECT_EQ(back.matrix, c.matrix);
+  EXPECT_EQ(back.state.begin, c.state.begin);
+  EXPECT_EQ(back.state.end, c.state.end);
+  EXPECT_EQ(back.state.cols, c.state.cols);
+  EXPECT_EQ(back.state.fitness, c.state.fitness);
+  EXPECT_EQ(back.state.matrix, c.state.matrix);
 }
 
 TEST(BlockCheckpoint, RejectsVersion2BlobWithDedupList) {
+  // Older versions are refused by version, so ft recovery falls back to
+  // recomputation. A v3 blob has the v4 bytes (v4 only re-expressed the
+  // body as core::BlockFitness::State's encoding).
+  auto v3 = sample().encode();
+  const std::uint32_t three = 3;
+  std::memcpy(v3.data() + 8, &three, sizeof three);  // magic is 8 bytes
+  EXPECT_THROW((void)BlockCheckpoint::decode(v3), core::CheckpointError);
   // A v2 blob is the v3 layout plus a trailing dedup class-pair list
-  // (u64 count, then u64 a, u64 b, f64 payoff per entry). The decoder must
-  // refuse it by version, so ft recovery falls back to recomputation.
+  // (u64 count, then u64 a, u64 b, f64 payoff per entry).
   auto blob = sample().encode();
   core::wire::Writer tail;
   tail.u64(1);
@@ -70,9 +76,9 @@ TEST(BlockCheckpoint, RejectsVersion2BlobWithDedupList) {
 TEST(BlockCheckpoint, SampledModeHasNoMatrix) {
   const auto c = sample(0, 5, /*cols=*/0);
   const auto back = BlockCheckpoint::decode(c.encode());
-  EXPECT_EQ(back.matrix_cols, 0u);
-  EXPECT_TRUE(back.matrix.empty());
-  EXPECT_EQ(back.fitness, c.fitness);
+  EXPECT_EQ(back.state.cols, 0u);
+  EXPECT_TRUE(back.state.matrix.empty());
+  EXPECT_EQ(back.state.fitness, c.state.fitness);
 }
 
 TEST(BlockCheckpoint, RejectsTruncationAtEveryLength) {
@@ -141,29 +147,33 @@ TEST(BlockCheckpoint, SlicesExtractSubRanges) {
   const auto c = sample(4, 8, 3);
   EXPECT_TRUE(c.covers(5, 7));
   EXPECT_FALSE(c.covers(3, 7));
-  const auto f = c.fitness_slice(5, 7);
-  ASSERT_EQ(f.size(), 2u);
-  EXPECT_DOUBLE_EQ(f[0], c.fitness[1]);
-  EXPECT_DOUBLE_EQ(f[1], c.fitness[2]);
-  const auto m = c.matrix_slice(5, 7);
-  ASSERT_EQ(m.size(), 6u);
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    EXPECT_DOUBLE_EQ(m[i], c.matrix[3 + i]);
+  const auto s = c.state.slice(5, 7);
+  EXPECT_EQ(s.begin, 5u);
+  EXPECT_EQ(s.end, 7u);
+  EXPECT_EQ(s.cols, 3u);
+  ASSERT_EQ(s.fitness.size(), 2u);
+  EXPECT_EQ(s.fitness[0], c.state.fitness[1]);
+  EXPECT_EQ(s.fitness[1], c.state.fitness[2]);
+  ASSERT_EQ(s.matrix.size(), 6u);
+  for (std::size_t i = 0; i < s.matrix.size(); ++i) {
+    EXPECT_EQ(s.matrix[i], c.state.matrix[3 + i]);
   }
+  EXPECT_THROW((void)c.state.slice(3, 7), core::CheckpointError);
+  EXPECT_THROW((void)c.state.slice(6, 5), core::CheckpointError);
 }
 
 TEST(CheckpointStore, FindCoveringChecksFreshness) {
   CheckpointStore store;
   const auto c = sample(4, 8, 6);
-  store.put(2, c.begin, c.end, c.generation, c.encode());
+  store.put(2, c.state.begin, c.state.end, c.generation, c.encode());
   EXPECT_EQ(store.entries(), 1u);
 
   // Exact generation + table hash: hit.
   auto hit = store.find_covering(5, 7, c.generation, c.table_hash);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->begin, 4u);
+  EXPECT_EQ(hit->state.begin, 4u);
 
-  // Cached fitness (matrix_cols > 0) is a pure function of the strategy
+  // Cached fitness (state.cols > 0) is a pure function of the strategy
   // table: an older generation with the same table hash is still bit-exact,
   // so it hits — that is what makes torn-newest fallback possible.
   auto older = store.find_covering(5, 7, c.generation + 3, c.table_hash);
@@ -215,7 +225,7 @@ TEST(CheckpointStore, CorruptEntriesAreSkippedNotFatal) {
   const auto hit =
       store.find_covering(0, 8, good.generation, good.table_hash);
   ASSERT_TRUE(hit.has_value()) << "damaged entry must not mask the good one";
-  EXPECT_EQ(hit->fitness, good.fitness);
+  EXPECT_EQ(hit->state.fitness, good.state.fitness);
 }
 
 TEST(CheckpointStore, TornNewestFallsBackToOlderIntactGeneration) {

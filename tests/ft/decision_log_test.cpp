@@ -15,15 +15,15 @@ namespace {
 DecisionLogRecord sample(std::uint64_t gen) {
   DecisionLogRecord rec;
   rec.view = 3;
-  rec.generation = gen;
+  rec.decision.gen = gen;
   for (std::size_t i = 0; i < rec.nature.rng.size(); ++i) {
     rec.nature.rng[i] = 0x9e3779b97f4a7c15ull * (i + 1) + gen;
   }
   rec.nature.planned = gen + 1;
-  rec.adopted = true;
-  rec.has_moran = (gen % 2) == 0;
-  rec.pick.reproducer = 5;
-  rec.pick.dying = 9;
+  rec.decision.adopted = true;
+  rec.decision.has_moran = (gen % 2) == 0;
+  rec.decision.pick.reproducer = 5;
+  rec.decision.pick.dying = 9;
   rec.epoch = 7;
   rec.table = OwnershipTable::initial(12, 3);
   rec.alive = {0, 2, 3};
@@ -35,13 +35,13 @@ TEST(DecisionLogRecord, EncodeDecodeRoundTrip) {
   const auto rec = sample(41);
   const auto back = DecisionLogRecord::decode_blob(rec.encode_blob());
   EXPECT_EQ(back.view, rec.view);
-  EXPECT_EQ(back.generation, rec.generation);
+  EXPECT_EQ(back.decision.gen, rec.decision.gen);
   EXPECT_EQ(back.nature.rng, rec.nature.rng);
   EXPECT_EQ(back.nature.planned, rec.nature.planned);
-  EXPECT_EQ(back.adopted, rec.adopted);
-  EXPECT_EQ(back.has_moran, rec.has_moran);
-  EXPECT_EQ(back.pick.reproducer, rec.pick.reproducer);
-  EXPECT_EQ(back.pick.dying, rec.pick.dying);
+  EXPECT_EQ(back.decision.adopted, rec.decision.adopted);
+  EXPECT_EQ(back.decision.has_moran, rec.decision.has_moran);
+  EXPECT_EQ(back.decision.pick.reproducer, rec.decision.pick.reproducer);
+  EXPECT_EQ(back.decision.pick.dying, rec.decision.pick.dying);
   EXPECT_EQ(back.epoch, rec.epoch);
   EXPECT_EQ(back.alive, rec.alive);
   EXPECT_EQ(back.table_hash, rec.table_hash);
@@ -97,7 +97,7 @@ TEST(DecisionLog, NewestAndNextGeneration) {
   log.append(sample(0));
   log.append(sample(1));
   ASSERT_NE(log.newest(), nullptr);
-  EXPECT_EQ(log.newest()->generation, 1u);
+  EXPECT_EQ(log.newest()->decision.gen, 1u);
   EXPECT_EQ(log.next_generation(), 2u);
 }
 
@@ -122,7 +122,7 @@ TEST(DecisionLog, PrunesToRetentionWindow) {
   DecisionLog log;
   for (std::uint64_t gen = 0; gen < 10; ++gen) log.append(sample(gen));
   EXPECT_LE(log.size(), 4u);
-  EXPECT_EQ(log.newest()->generation, 9u);
+  EXPECT_EQ(log.newest()->decision.gen, 9u);
   EXPECT_EQ(log.next_generation(), 10u);
 }
 

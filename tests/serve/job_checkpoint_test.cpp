@@ -1,8 +1,7 @@
 // The preemption/resume unit: a job checkpointed mid-run and resumed
-// through the Engine block-restore path must finish bit-identical to an
-// undisturbed run — strategy table, fitness doubles, AND the accumulated
-// engine.* counters (the property plain core checkpoints cannot give,
-// since their restore pays a fresh initialization pass).
+// from the engine checkpoint it wraps (which carries the fitness block)
+// must finish bit-identical to an undisturbed run — strategy table,
+// fitness doubles, AND the engine.* counters accumulated across attempts.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -145,25 +144,36 @@ TEST(JobCheckpoint, EveryBitFlipOfACommittedBlobIsRejected) {
 }
 
 TEST(JobCheckpoint, RejectsVersion1BlobWithDedupList) {
-  // A v1 blob is the v2 layout plus a trailing dedup class-pair list
-  // (u32 count, then u64 a, u64 b, f64 payoff per entry). It must be
-  // refused by version, which sends the scheduler to a fresh start.
+  // Older blobs must be refused by version, which sends the scheduler to a
+  // fresh start. A v2 blob is the v3 layout plus the fitness block's
+  // fitness and matrix (u32 count + doubles each); a v1 blob adds a
+  // dedup class-pair list (u32 count, then u64 a, u64 b, f64 payoff per
+  // entry) after those.
+  core::wire::Writer block;
+  const std::vector<double> values = {1.0, 2.0};
+  block.u32(2);
+  block.doubles(values.data(), values.size());
+  block.u32(0);
+  core::wire::Writer dedup;
+  dedup.u32(1);
+  dedup.u64(0x1111);
+  dedup.u64(0x2222);
+  dedup.f64(2.5);
   std::vector<std::byte> blob = analytic_blob_at_gen5();
-  core::wire::Writer tail;
-  tail.u32(1);
-  tail.u64(0x1111);
-  tail.u64(0x2222);
-  tail.f64(2.5);
-  const std::vector<std::byte> extra = tail.take();
-  blob.insert(blob.end(), extra.begin(), extra.end());
-  const std::uint32_t v1 = 1;
-  std::memcpy(blob.data() + 8, &v1, sizeof v1);  // magic is 8 bytes
-  try {
-    (void)decode_job_checkpoint(blob);
-    FAIL() << "expected CheckpointError";
-  } catch (const core::CheckpointError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+  for (const std::uint32_t version : {2u, 1u}) {
+    const std::vector<std::byte> extra =
+        version == 2 ? block.take() : dedup.take();
+    blob.insert(blob.end(), extra.begin(), extra.end());
+    std::memcpy(blob.data() + 8, &version, sizeof version);  // after magic
+    try {
+      (void)decode_job_checkpoint(blob);
+      FAIL() << "expected CheckpointError for version " << version;
+    } catch (const core::CheckpointError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("version " + std::to_string(version)),
+                std::string::npos)
+          << what;
+    }
   }
 }
 

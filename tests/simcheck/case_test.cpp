@@ -18,20 +18,32 @@ core::SimConfig small_config() {
   return c;
 }
 
-TEST(CheckpointExact, FollowsModeRules) {
-  auto c = small_config();
-  c.fitness_mode = core::FitnessMode::Sampled;
-  EXPECT_TRUE(checkpoint_exact(c));
-  c.fitness_mode = core::FitnessMode::SampledFrozen;
-  EXPECT_FALSE(checkpoint_exact(c));
-  c.fitness_mode = core::FitnessMode::Analytic;
-  EXPECT_TRUE(checkpoint_exact(c));  // memory 1
-  c.memory = 2;
-  c.space = pop::StrategySpace::Pure;
-  c.game.noise = 0.0;
-  EXPECT_TRUE(checkpoint_exact(c));  // deterministic pure pairs
-  c.game.noise = 0.05;
-  EXPECT_FALSE(checkpoint_exact(c));  // stochastic memory-2: frozen fallback
+TEST(RunCase, SerialRestoreIsExactInEveryMode) {
+  // The checkpoint carries the fitness block, so the split run must match
+  // the reference strictly — table, fitness bits, trace and counters — in
+  // every mode, including the frozen-sampling fall-through of stochastic
+  // memory-2 Analytic pairs.
+  for (const auto mode :
+       {core::FitnessMode::Sampled, core::FitnessMode::SampledFrozen,
+        core::FitnessMode::Analytic}) {
+    for (const int memory : {1, 2}) {
+      CaseSpec spec;
+      spec.config = small_config();
+      spec.config.fitness_mode = mode;
+      spec.config.memory = memory;
+      spec.config.space = pop::StrategySpace::Mixed;
+      spec.config.game.noise = 0.05;
+      spec.restore_at = 5;
+      spec.engines = {EngineKind::SerialRestore};
+      ASSERT_TRUE(normalize_spec(spec));
+      ASSERT_EQ(spec.engines.size(), 1u) << "restore variant dropped";
+      const auto result = run_case(spec);
+      for (const auto& f : result.failures) {
+        ADD_FAILURE() << "mode " << static_cast<int>(mode) << " memory "
+                      << memory << ": " << f.what;
+      }
+    }
+  }
 }
 
 TEST(RunCase, AllEnginesAgreeOnAFixedSpec) {

@@ -358,7 +358,8 @@ void BlockFitness::pair_values(const pop::Population& pop,
 
 void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
                                  std::uint64_t gen_key, Counts& counts,
-                                 bool nested, pop::SSetId source) {
+                                 bool nested, const SourceRow* copy,
+                                 pop::SSetId mirror) {
   if (pgg_) {
     recompute_row_pgg(i, pop, gen_key, counts);
     return;
@@ -380,19 +381,21 @@ void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
   }
   vals.resize(pairs.size());
   par::ThreadPool* pool = nested ? nullptr : agent_pool_.get();
-  if (source == kNoSSet) {
+  if (copy == nullptr) {
     pair_values(pop, pairs, /*vary_row=*/false, gen_key, vals, counts.games,
                 pool);
   } else {
-    // Same class as `source`, so every strategy-pure value is already in
-    // its row; only the (gen_key, i, j)-keyed pairs are evaluated.
+    // Same class as the copy's SSet, so every strategy-pure value is
+    // already in its row; only the (gen_key, i, j)-keyed pairs, and
+    // (i, sset) when no entry mirrors it, are evaluated.
     const game::Strategy& si = pop.strategy(i);
     rest.clear();
     slot.clear();
     for (std::size_t t = 0; t < pairs.size(); ++t) {
       const pop::SSetId j = pairs[t].second;
-      if (eval_.strategy_pure(si, pop.strategy(j))) {
-        vals[t] = cell(source, j == source ? i : j);
+      const pop::SSetId col = j == copy->sset ? mirror : j;
+      if (col != kNoSSet && eval_.strategy_pure(si, pop.strategy(j))) {
+        vals[t] = copy->values[col];
       } else {
         rest.push_back(pairs[t]);
         slot.push_back(t);
@@ -438,8 +441,13 @@ void BlockFitness::evaluate_rows(const pop::Population& pop,
     const auto phase = [&](std::uint64_t b, std::uint64_t e) {
       for (std::uint64_t r = b; r < e; ++r) {
         if ((source[r] != kNoSSet) != copies) continue;
-        recompute_row(begin_ + static_cast<pop::SSetId>(r), pop, gen_key,
-                      per_row[r], nested, source[r]);
+        const pop::SSetId i = begin_ + static_cast<pop::SSetId>(r);
+        if (copies) {
+          const SourceRow own{source[r], source_row(source[r])};
+          recompute_row(i, pop, gen_key, per_row[r], nested, &own, i);
+        } else {
+          recompute_row(i, pop, gen_key, per_row[r], nested);
+        }
       }
     };
     if (nested) {
@@ -464,9 +472,10 @@ void BlockFitness::begin_generation(const pop::Population& pop,
   evaluate_rows(pop, generation);
 }
 
-void BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
-                                    std::uint64_t generation) {
-  if (!cached()) return;  // next begin_generation re-plays everything anyway
+bool BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
+                                    std::uint64_t generation,
+                                    const SourceRow* source) {
+  if (!cached()) return false;  // next begin_generation re-plays everything
   Counts counts;
   if (pgg_) {
     // A single strategy change moves every group pool the SSet touches
@@ -478,7 +487,7 @@ void BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
     }
     pairs_ += counts.pairs;
     games_ += counts.games;
-    return;
+    return false;
   }
   // Up to two other members s1 < s2 of k's new class. Column s1 already
   // holds every fresh strategy-pure (i, k) but (s1, k), which column s2
@@ -521,18 +530,37 @@ void BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
     refresh(pairs[t].first, fresh[t]);
   }
   // Row k last, so a copy from an owned row of its class reads a current
-  // (source, k).
-  if (k >= begin_ && k < end_) {
-    pop::SSetId source = kNoSSet;
-    if (reuse_matrix()) {
-      for (pop::SSetId r = begin_; r < end_ && source == kNoSSet; ++r) {
-        if (r != k && pop.strategy_class(r) == ck) source = r;
+  // (owned, k). A shipped row's (sset, k) predates the change, so
+  // (k, sset) mirrors another member of the class: s1 or s2, whichever is
+  // not the shipped row's SSet.
+  const bool shipped = k >= begin_ && k < end_ && reuse_matrix() &&
+                       source != nullptr && source->sset != k &&
+                       pop.strategy_class(source->sset) == ck;
+  if (shipped) {
+    EGT_REQUIRE(source->values.size() == config_.ssets);
+    recompute_row(k, pop, generation, counts, false, source,
+                  source->sset != s1 ? s1 : s2);
+  } else if (k >= begin_ && k < end_) {
+    SourceRow own{kNoSSet, {}};
+    for (pop::SSetId r = begin_; r < end_ && reuse_matrix(); ++r) {
+      if (r != k && pop.strategy_class(r) == ck) {
+        own = {r, source_row(r)};
+        break;
       }
     }
-    recompute_row(k, pop, generation, counts, false, source);
+    recompute_row(k, pop, generation, counts, false,
+                  own.sset != kNoSSet ? &own : nullptr, k);
   }
   pairs_ += counts.pairs;
   games_ += counts.games;
+  return shipped;
+}
+
+std::span<const double> BlockFitness::source_row(pop::SSetId i) const {
+  EGT_REQUIRE_MSG(i >= begin_ && i < end_, "row query outside block");
+  if (!reuse_matrix()) return {};
+  return {matrix_.data() + static_cast<std::size_t>(i - begin_) * config_.ssets,
+          config_.ssets};
 }
 
 void BlockFitness::State::encode(wire::Writer& w) const {

@@ -142,12 +142,35 @@ class BlockFitness {
   /// cached modes are no-ops here.
   void begin_generation(const pop::Population& pop, std::uint64_t generation);
 
+  /// A payoff row held by another block: row `sset` of its matrix, all
+  /// ssets entries, current for every column but possibly `sset`'s own.
+  struct SourceRow {
+    pop::SSetId sset = 0;
+    std::span<const double> values;
+  };
+
   /// Called after SSet `k` changed strategy in `generation`. Cached modes
   /// refresh row k (if owned) and every owned entry against k. `pop` may
   /// differ from the population the block last saw only at SSet k: the
   /// dedup reuse rules read every other matrix column as current.
-  void strategy_changed(pop::SSetId k, const pop::Population& pop,
-                        std::uint64_t generation);
+  ///
+  /// `source` (the teacher's row in an ft adoption whose teacher lives on
+  /// another rank) must have been read before this change, with every
+  /// earlier change folded in. When the matrix reuses rows, k is owned
+  /// and `source->sset` is in k's new class, row k copies its
+  /// strategy-pure entries from it (as it would from an owned row of the
+  /// class) instead of replaying them: (k, j) = values[j] for j not in
+  /// {k, sset}, and (k, sset) = values[m] for another member m of the
+  /// class, else one game (values[k] is stale). Values and pair counts
+  /// are exactly those of a rebuild; only games_played drops. Returns
+  /// true when row k was built from `source`.
+  bool strategy_changed(pop::SSetId k, const pop::Population& pop,
+                        std::uint64_t generation,
+                        const SourceRow* source = nullptr);
+
+  /// Row i of the payoff matrix in the form strategy_changed's `source`
+  /// takes; empty unless this block reuses rows (well-mixed dedup).
+  std::span<const double> source_row(pop::SSetId i) const;
 
   /// Fitness of an owned SSet.
   double fitness(pop::SSetId i) const;
@@ -269,14 +292,16 @@ class BlockFitness {
                    std::uint64_t gen_key, std::span<double> out,
                    std::uint64_t& games, par::ThreadPool* pool) const;
 
-  /// Rebuild owned row i. With a `source` (an owned SSet of i's class
-  /// whose row is current) the strategy-pure entries are copied from it:
-  /// (i, j) = (source, j) for j not in {i, source}, (i, source) =
-  /// (source, i); everything else is evaluated. `nested` is set inside the
-  /// SSet-row pool, which must not use the agent tier.
+  /// Rebuild owned row i. With a `copy` (the row of an SSet of i's
+  /// class) the strategy-pure entries come from it: (i, j) = values[j]
+  /// for j not in {i, sset}, (i, sset) = values[mirror] — mirror is i for
+  /// a current owned row, kNoSSet when no entry equals (i, sset);
+  /// everything else is evaluated. `nested` is set inside the SSet-row
+  /// pool, which must not use the agent tier.
   void recompute_row(pop::SSetId i, const pop::Population& pop,
                      std::uint64_t gen_key, Counts& counts, bool nested,
-                     pop::SSetId source = kNoSSet);
+                     const SourceRow* copy = nullptr,
+                     pop::SSetId mirror = kNoSSet);
 
   /// initialize / begin_generation body: all owned rows, through the
   /// SSet-row pool when configured.

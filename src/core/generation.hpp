@@ -207,15 +207,18 @@ void play_generation(GenerationTransport& t, const EngineInstruments& ins,
 GenerationOutcome run_generation(const GenerationContext& ctx,
                                  std::uint64_t gen);
 
-/// Replica updates, timed as apply. `Blocks` is anything with
-/// strategy_changed(k, pop, gen): a transport, or ft's worker blocks.
+/// Replica updates, timed as apply; the span's `games` arg is what the
+/// change paid in games. `Blocks` is anything with strategy_changed(k, pop,
+/// gen) and games_played(): a transport, or ft's worker blocks.
 template <class Blocks>
 void apply_change(pop::Population& pop, Blocks& blocks, pop::SSetId k,
                   const game::Strategy& s, std::uint64_t gen,
                   const EngineInstruments& ins) {
   PhaseScope phase(ins.apply, obs::phase::kApplyUpdate);
+  const std::uint64_t games = blocks.games_played();
   pop.set_strategy(k, s);
   blocks.strategy_changed(k, pop, gen);
+  phase.span().set_arg("games", blocks.games_played() - games);
 }
 
 /// A generation's adoption stage.

@@ -85,16 +85,22 @@ class CheckpointStore {
 
   /// Newest usable blob covering [begin, end): CRC-verified, cleanly
   /// decoded, and passing the freshness gate that makes the restore fast
-  /// path bit-exact — `table_hash` must match, and the generation must
-  /// either equal `generation` or, for cached modes (state.cols > 0,
-  /// where fitness and matrix are pure functions of the strategy table),
-  /// may be older: a torn newest entry then falls back to the newest
-  /// intact older generation instead of forcing a recompute. Corrupt
-  /// entries are skipped (reported through `on_corrupt`, e.g. to bump
-  /// ft.checkpoint_fallback) — recovery never fails on a damaged entry.
+  /// path bit-exact. `table_hash` must match, and no strategy may have
+  /// changed since the entry was captured: its generation must be at
+  /// least `unchanged_since`, the first generation after the last
+  /// strategy change (a cached block's state moves only when a strategy
+  /// changes; a matching hash alone does not prove that, since an A→B→A
+  /// change restores the hash but not Analytic's incrementally updated
+  /// sums or SampledFrozen's sample keys). The generation must then
+  /// either equal `generation` or, for pairwise cached modes
+  /// (state.cols > 0), may be older: a torn newest entry then falls back
+  /// to the newest intact older generation instead of forcing a
+  /// recompute. Corrupt entries are skipped (reported through
+  /// `on_corrupt`, e.g. to bump ft.checkpoint_fallback) — recovery never
+  /// fails on a damaged entry.
   std::optional<BlockCheckpoint> find_covering(
       pop::SSetId begin, pop::SSetId end, std::uint64_t generation,
-      std::uint64_t table_hash,
+      std::uint64_t table_hash, std::uint64_t unchanged_since,
       const std::function<void(const std::string& why)>& on_corrupt =
           nullptr) const;
 

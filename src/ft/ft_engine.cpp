@@ -62,6 +62,7 @@ struct FtInstruments : core::EngineInstruments {
   obs::Counter* blocks_restored = nullptr;
   obs::Counter* blocks_recomputed = nullptr;
   obs::Counter* heals = nullptr;
+  obs::Counter* rows_shipped = nullptr;  // learner rows copied from a FIT's
   obs::Counter* kills = nullptr;
   obs::Counter* log_appends = nullptr;  // standby side: records accepted
   obs::Counter* elections = nullptr;    // election rounds entered
@@ -94,6 +95,7 @@ struct FtInstruments : core::EngineInstruments {
     blocks_restored = &reg.counter("ft.recovery.blocks_restored");
     blocks_recomputed = &reg.counter("ft.recovery.blocks_recomputed");
     heals = &reg.counter("ft.heals");
+    rows_shipped = &reg.counter("ft.rows_shipped");
     kills = &reg.counter("ft.faults.kills");
     log_appends = &reg.counter("ft.log.appends");
     elections = &reg.counter("ft.elections");
@@ -120,6 +122,14 @@ struct FtInstruments : core::EngineInstruments {
 
 // -- owned fitness blocks -----------------------------------------------------
 
+// An adoption's teacher row on its way to the learner's owner: `values` is
+// `teacher`'s payoff row, read before the adoption made `learner` a copy.
+struct TeacherRow {
+  pop::SSetId teacher;
+  pop::SSetId learner;
+  std::vector<double> values;
+};
+
 // A rank's set of owned fitness blocks. Starts as the single fault-free
 // BlockPartition range; grows when ranges are adopted from dead ranks.
 // Pairs accounting follows the fault-free ledger: startup initialization
@@ -132,7 +142,9 @@ struct FtInstruments : core::EngineInstruments {
 // something reads its blocks, so its PLAN leaves first (see share_plan).
 // Two replicas advance by replaying the log, never by copy: `top_` (the
 // top of the generation, which mid-generation adoption rebuilds from) and
-// `at_` (as of the last folded change, which every fold reads).
+// `at_` (as of the last folded change, which every fold reads). An
+// adoption whose teacher lives on another rank carries the teacher's row
+// (offer_row), so the learner's row is a copy, not a replay.
 class BlockSet {
  public:
   BlockSet(const core::SimConfig& config,
@@ -163,6 +175,7 @@ class BlockSet {
     for (const Change& c : changes_) top_.set_strategy(c.k, c.strategy);
     changes_.clear();
     folded_ = 0;
+    offer_.reset();
     for (Block& b : blocks_) {
       b.fit.begin_generation(top_, gen);
       b.snapshot.assign(b.fit.block().begin(), b.fit.block().end());
@@ -170,9 +183,21 @@ class BlockSet {
     account_engine_pairs();
   }
 
+  /// A teacher row read with every change before this generation's
+  /// folded in. Only the next logged change can take it, and only when
+  /// that change is the learner's and the generation's first.
+  void offer_row(TeacherRow row) { offer_ = std::move(row); }
+
   void log_change(pop::SSetId k, const pop::Population& pop,
                   std::uint64_t gen) {
-    changes_.push_back({k, pop.strategy(k), gen});
+    Change c{k, pop.strategy(k), gen, 0, {}};
+    if (offer_ && offer_->learner == k && changes_.empty()) {
+      c.teacher = offer_->teacher;
+      c.row = std::move(offer_->values);
+    }
+    offer_.reset();
+    changes_.push_back(std::move(c));
+    unchanged_since_ = gen + 1;
   }
 
   void strategy_changed(pop::SSetId k, const pop::Population& pop,
@@ -186,7 +211,9 @@ class BlockSet {
   void fold() {
     if (folded_ == changes_.size()) return;
     core::PhaseScope phase(ins_.apply, obs::phase::kApplyUpdate);
+    const std::uint64_t games = games_played();
     fold_changes();
+    phase.span().set_arg("games", games_played() - games);
     account_engine_pairs();
   }
 
@@ -203,12 +230,17 @@ class BlockSet {
     return false;
   }
 
-  double fitness(pop::SSetId i) {
+  /// With `row`, also row i as a FIT ships it (empty unless the blocks
+  /// reuse rows).
+  double fitness(pop::SSetId i, std::vector<double>* row = nullptr) {
     fold();
     for (const Block& b : blocks_) {
-      if (i >= b.fit.row_begin() && i < b.fit.row_end()) {
-        return b.fit.fitness(i);
+      if (i < b.fit.row_begin() || i >= b.fit.row_end()) continue;
+      if (row != nullptr) {
+        const std::span<const double> r = b.fit.source_row(i);
+        row->assign(r.begin(), r.end());
       }
+      return b.fit.fitness(i);
     }
     EGT_REQUIRE_MSG(false, "ft protocol: fitness request for unowned SSet");
     return 0.0;
@@ -340,6 +372,8 @@ class BlockSet {
     pop::SSetId k;
     game::Strategy strategy;  // k's strategy from this change on
     std::uint64_t gen;
+    pop::SSetId teacher;      // whose row `row` is
+    std::vector<double> row;  // the teacher's shipped row, or empty
   };
 
   /// Each unfolded change against the replica as of that change:
@@ -348,7 +382,13 @@ class BlockSet {
     for (; folded_ < changes_.size(); ++folded_) {
       const Change& c = changes_[folded_];
       at_.set_strategy(c.k, c.strategy);
-      for (Block& b : blocks_) b.fit.strategy_changed(c.k, at_, c.gen);
+      const core::BlockFitness::SourceRow row{c.teacher, c.row};
+      for (Block& b : blocks_) {
+        if (b.fit.strategy_changed(c.k, at_, c.gen,
+                                   c.row.empty() ? nullptr : &row)) {
+          FtInstruments::inc(ins_.rows_shipped);
+        }
+      }
     }
   }
 
@@ -383,6 +423,7 @@ class BlockSet {
                                         std::uint64_t gen) {
     if (!cached_mode()) return std::nullopt;
     return store.find_covering(begin, end, gen, at_.table_hash(),
+                               unchanged_since_,
                                [this](const std::string&) {
                                  FtInstruments::inc(ins_.ckpt_fallback);
                                  obs::trace_instant("ft.checkpoint_fallback",
@@ -400,6 +441,10 @@ class BlockSet {
   // blocks adopted mid-generation.
   std::vector<Change> changes_;
   std::size_t folded_ = 0;  // changes_ already folded into the blocks
+  std::optional<TeacherRow> offer_;  // offer_row's, until the next change
+  // First generation with no strategy change since: only a checkpoint
+  // captured at or after it holds the blocks' current state.
+  std::uint64_t unchanged_since_ = 0;
 };
 
 // -- message codecs -----------------------------------------------------------
@@ -446,17 +491,6 @@ std::uint64_t decode_u64(const par::Message& m, const char* field) {
   const std::uint64_t v = r.u64(field);
   r.expect_exhausted();
   return v;
-}
-
-// PC-stage decide (adoption only) vs final-stage decide (moran + done).
-enum class DecideStage : std::uint8_t { Pc = 0, Final = 1 };
-
-std::vector<std::byte> encode_decide(DecideStage stage, const Decision& d) {
-  Writer w;
-  w.u64(d.gen);
-  w.u8(static_cast<std::uint8_t>(stage));
-  core::wire::put_decision(w, d);
-  return w.take();
 }
 
 // -- shared run state ---------------------------------------------------------
@@ -723,25 +757,27 @@ class RankProgram : private core::GenerationTransport {
         break;
       }
       case tag::kDecide: {
-        Reader r(m.payload, kWhat);
-        const std::uint64_t gen = r.u64("generation");
-        const auto stage = static_cast<DecideStage>(r.u8("stage"));
-        const Decision d = core::wire::get_decision(r, gen);
-        r.expect_exhausted();
-        if (!pending_ || pending_->gen != gen) break;  // stale duplicate
+        DecideMsg msg = decode_decide(m.payload, config_.ssets);
+        const Decision& d = msg.decision;
+        if (!pending_ || pending_->gen != d.gen) break;  // stale duplicate
+        if (!msg.row.empty() && d.adopted && pending_->plan.pc) {
+          blocks_.offer_row({pending_->plan.pc->teacher,
+                             pending_->plan.pc->learner, std::move(msg.row)});
+        }
         // A PC-stage decide of a Moran generation waits for the gather.
-        apply_pending(d, stage == DecideStage::Final || !pending_->plan.moran);
+        apply_pending(d, msg.stage == DecideStage::Final ||
+                             !pending_->plan.moran);
         break;
       }
       case tag::kReqFit: {
         Reader r(m.payload, kWhat);
         const std::uint64_t req = r.u64("request id");
         const pop::SSetId k = r.u32("sset");
+        const bool with_row = r.u8("with row") != 0;
         r.expect_exhausted();
-        Writer w;
-        w.u64(req);
-        w.f64(blocks_.fitness(k));
-        comm_.send(m.source, tag::kFit, w.take());
+        std::vector<double> row;
+        const double f = blocks_.fitness(k, with_row ? &row : nullptr);
+        comm_.send(m.source, tag::kFit, encode_fit(req, f, row));
         break;
       }
       case tag::kReqBlocks: {
@@ -1184,27 +1220,27 @@ class RankProgram : private core::GenerationTransport {
                     });
   }
 
-  // Current fitness of one SSet, wherever it lives.
-  double fitness_of(pop::SSetId k) {
+  // Current fitness of one SSet, wherever it lives; with `row`, also its
+  // payoff row as BlockSet::fitness gives it.
+  double fitness_of(pop::SSetId k, std::vector<double>* row = nullptr) {
     for (;;) {
       const int owner = table_.owner_of(k);
-      if (owner == rank_) return blocks_.fitness(k);
+      if (owner == rank_) return blocks_.fitness(k, row);
       const std::uint64_t req = ++req_seq_;
       Writer w;
       w.u64(req);
       w.u32(k);
+      w.u8(row != nullptr ? 1 : 0);
       const auto wire = w.take();
       comm_.send(owner, tag::kReqFit, wire);
       double value = 0.0;
       const bool ok = await_from(
           owner, tag::kFit,
           [&](const par::Message& m) {
-            Reader r(m.payload, kWhat);
-            const std::uint64_t id = r.u64("request id");
-            const double v = r.f64("fitness");
-            r.expect_exhausted();
-            if (id != req) return false;
-            value = v;
+            FitReply fit = decode_fit(m.payload, config_.ssets);
+            if (fit.req != req) return false;
+            value = fit.fitness;
+            if (row != nullptr) *row = std::move(fit.row);
             return true;
           },
           [&] { comm_.send(owner, tag::kReqFit, wire); });
@@ -1336,7 +1372,42 @@ class RankProgram : private core::GenerationTransport {
   }
 
   std::array<double, 2> pc_fitness(const pop::GenerationPlan::Pc& pc) override {
-    return {fitness_of(pc.teacher), fitness_of(pc.learner)};
+    // Teacher and learner on different ranks: the teacher's row comes
+    // along, so the learner's owner can copy it if the learner adopts.
+    teacher_row_.reset();
+    std::vector<double> row;
+    const bool ship = table_.owner_of(pc.teacher) != table_.owner_of(pc.learner);
+    const double teacher = fitness_of(pc.teacher, ship ? &row : nullptr);
+    if (!row.empty()) {
+      teacher_row_ = TeacherRow{pc.teacher, pc.learner, std::move(row)};
+    }
+    return {teacher, fitness_of(pc.learner)};
+  }
+
+  // An adopted learner the master owns takes the row now; a worker's
+  // rides its DECIDE (send_decide).
+  void share_adoption(bool& adopted) override {
+    if (!teacher_row_ ||
+        (adopted && table_.owner_of(teacher_row_->learner) != rank_)) {
+      return;
+    }
+    if (adopted) blocks_.offer_row(std::move(*teacher_row_));
+    teacher_row_.reset();
+  }
+
+  /// DECIDE to every alive worker; the learner's owner's copy also
+  /// carries the teacher's row, once per generation.
+  void send_decide(DecideStage stage, const Decision& d) {
+    const auto wire = encode_decide(stage, d, {});
+    const int learner_owner =
+        teacher_row_ ? table_.owner_of(teacher_row_->learner) : -1;
+    for (int w : alive_) {
+      comm_.send(w, tag::kDecide,
+                 w == learner_owner
+                     ? encode_decide(stage, d, teacher_row_->values)
+                     : wire);
+    }
+    teacher_row_.reset();
   }
 
   std::span<const double> gather_fitness(const pop::GenerationPlan& plan,
@@ -1345,8 +1416,7 @@ class RankProgram : private core::GenerationTransport {
       // The Moran gather needs post-adoption fitness on every rank, so
       // this intermediate decision cannot wait for the generation's
       // write-ahead record; the final (committing) one in finish() does.
-      const auto wire = encode_decide(DecideStage::Pc, d);
-      for (int w : alive_) comm_.send(w, tag::kDecide, wire);
+      send_decide(DecideStage::Pc, d);
     }
     full_ = collect_full(/*snapshot=*/false, d.gen, d.adopted);
     return full_;
@@ -1363,9 +1433,8 @@ class RankProgram : private core::GenerationTransport {
     replicate(out.decision);
     if (out.plan.pc || out.plan.moran) {
       core::PhaseScope phase(ins_.decision, obs::phase::kDecisionBcast);
-      const auto wire = encode_decide(
-          out.plan.moran ? DecideStage::Final : DecideStage::Pc, out.decision);
-      for (int w : alive_) comm_.send(w, tag::kDecide, wire);
+      send_decide(out.plan.moran ? DecideStage::Final : DecideStage::Pc,
+                  out.decision);
       prev_decision_ = out.decision;
     }
     finish_generation(out.decision.gen);
@@ -1454,6 +1523,9 @@ class RankProgram : private core::GenerationTransport {
   std::uint64_t req_seq_ = 0;
   std::uint64_t current_gen_ = 0;
   std::optional<Decision> prev_decision_;
+  // This generation's teacher row, when teacher and learner live on
+  // different ranks: for the learner owner's DECIDE.
+  std::optional<TeacherRow> teacher_row_;
   bool in_generation_ = false;
   std::vector<double> full_;  // the Moran gather's result
 };

@@ -17,7 +17,13 @@
 // makes every rank throw instead of deadlocking.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string_view>
+#include <vector>
+
+#include "core/generation.hpp"
 
 namespace egt::ft::tag {
 
@@ -54,3 +60,41 @@ inline constexpr int kAbort = 0x1015;        ///< any -> all: unrecoverable, thr
 int from_name(std::string_view name);
 
 }  // namespace egt::ft::tag
+
+namespace egt::ft {
+
+// -- the two messages that carry a payoff row ---------------------------------
+//
+// An adoption makes the learner a copy of its teacher, so the learner's
+// payoff row is the teacher's (core::BlockFitness::SourceRow). When the two
+// live on different ranks, the teacher's FIT carries its row and the
+// master forwards it on the learner owner's DECIDE. A row field is a u32
+// length, 0 (no row) or exactly `ssets`, then that many doubles. Decoders
+// throw CheckpointError on truncation, any other length, or trailing bytes.
+
+/// FIT: u64 request id, f64 fitness, row.
+struct FitReply {
+  std::uint64_t req = 0;
+  double fitness = 0.0;
+  std::vector<double> row;
+};
+std::vector<std::byte> encode_fit(std::uint64_t req, double fitness,
+                                  std::span<const double> row);
+FitReply decode_fit(const std::vector<std::byte>& in, std::uint32_t ssets);
+
+/// PC-stage decide (adoption only) vs final-stage decide (moran + done).
+enum class DecideStage : std::uint8_t { Pc = 0, Final = 1 };
+
+/// DECIDE: u64 generation, u8 stage, the decision (core::wire::put_decision),
+/// row — the teacher's, on the copy an adoption's learner owner receives.
+struct DecideMsg {
+  DecideStage stage = DecideStage::Pc;
+  core::GenerationDecision decision;
+  std::vector<double> row;
+};
+std::vector<std::byte> encode_decide(DecideStage stage,
+                                     const core::GenerationDecision& d,
+                                     std::span<const double> row);
+DecideMsg decode_decide(const std::vector<std::byte>& in, std::uint32_t ssets);
+
+}  // namespace egt::ft

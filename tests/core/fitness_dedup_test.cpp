@@ -368,3 +368,60 @@ TEST(FitnessDedup, SerialEngineTrajectoryUnchangedBySsetThreads) {
 
 }  // namespace
 }  // namespace egt::core
+
+namespace egt::core {
+namespace {
+
+TEST(FitnessDedup, ShippedSourceRowCopiesTheLearnerRow) {
+  // The ft adoption path: the teacher's row lives in another block, so
+  // the learner's block owns no member of the teacher's class. With the
+  // teacher's row, read before the change, the learner's row is a copy:
+  // same matrix, fitness and pairs as the replay, one game for
+  // (learner, teacher), which no third class member mirrors here.
+  const SimConfig cfg = analytic_config(24, 1);
+  pop::Population pop = random_population(cfg, /*mixed=*/true, 5);
+  const pop::SSetId teacher = 3, learner = 17;
+  BlockFitness left(cfg, 0, 12), replay(cfg, 12, 24), copy(cfg, 12, 24);
+  for (BlockFitness* b : {&left, &replay, &copy}) b->initialize(pop);
+  const std::span<const double> shipped = left.source_row(teacher);
+  const std::vector<double> row(shipped.begin(), shipped.end());
+  ASSERT_EQ(row.size(), cfg.ssets);
+  EXPECT_TRUE(replay.source_row(learner).size() == cfg.ssets);
+
+  pop.set_strategy(learner, pop.strategy(teacher));
+  const std::uint64_t replay_games = replay.games_played();
+  const std::uint64_t copy_games = copy.games_played();
+  const BlockFitness::SourceRow source{teacher, row};
+  EXPECT_FALSE(left.strategy_changed(learner, pop, 1, &source))
+      << "the learner's row is not in this block";
+  EXPECT_FALSE(replay.strategy_changed(learner, pop, 1));
+  EXPECT_TRUE(copy.strategy_changed(learner, pop, 1, &source));
+  expect_blocks_identical(copy, replay);
+  EXPECT_EQ(copy.pairs_evaluated(), replay.pairs_evaluated());
+  EXPECT_EQ(copy.games_played() - copy_games, 1u);
+  EXPECT_GT(replay.games_played() - replay_games, 1u);
+
+  // A row of another class is never copied: the change below makes
+  // SSet 20 a copy of SSet 5, not of the shipped row's SSet 3.
+  pop.set_strategy(20, pop.strategy(5));
+  const std::uint64_t before = copy.games_played();
+  EXPECT_FALSE(copy.strategy_changed(20, pop, 2, &source));
+  replay.strategy_changed(20, pop, 2);
+  expect_blocks_identical(copy, replay);
+  EXPECT_GT(copy.games_played() - before, 1u);
+}
+
+TEST(FitnessDedup, BlocksThatDoNotReuseRowsShipNone) {
+  SimConfig cfg = analytic_config(12, 1);
+  cfg.dedup = false;
+  BlockFitness plain(cfg, 0, 12);
+  plain.initialize(random_population(cfg, /*mixed=*/true, 5));
+  EXPECT_TRUE(plain.source_row(4).empty());
+  cfg.dedup = true;
+  cfg.fitness_mode = FitnessMode::Sampled;
+  BlockFitness sampled(cfg, 0, 12);
+  EXPECT_TRUE(sampled.source_row(4).empty());
+}
+
+}  // namespace
+}  // namespace egt::core

@@ -169,23 +169,26 @@ TEST(CheckpointStore, FindCoveringChecksFreshness) {
   EXPECT_EQ(store.entries(), 1u);
 
   // Exact generation + table hash: hit.
-  auto hit = store.find_covering(5, 7, c.generation, c.table_hash);
+  auto hit = store.find_covering(5, 7, c.generation, c.table_hash, 0);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->state.begin, 4u);
 
-  // Cached fitness (state.cols > 0) is a pure function of the strategy
-  // table: an older generation with the same table hash is still bit-exact,
-  // so it hits — that is what makes torn-newest fallback possible.
-  auto older = store.find_covering(5, 7, c.generation + 3, c.table_hash);
+  // A cached block's state (state.cols > 0) moves only when a strategy
+  // changes: an older generation captured since the last change (here
+  // the last change fell in generation c.generation - 1) is still
+  // bit-exact, so it hits — that is what makes torn-newest fallback
+  // possible.
+  auto older = store.find_covering(5, 7, c.generation + 3, c.table_hash,
+                                   /*unchanged_since=*/c.generation);
   ASSERT_TRUE(older.has_value());
   EXPECT_EQ(older->generation, c.generation);
 
   // Foreign table: miss.
   EXPECT_FALSE(
-      store.find_covering(5, 7, c.generation, c.table_hash ^ 1).has_value());
+      store.find_covering(5, 7, c.generation, c.table_hash ^ 1, 0).has_value());
   // Range not covered: miss.
   EXPECT_FALSE(
-      store.find_covering(2, 7, c.generation, c.table_hash).has_value());
+      store.find_covering(2, 7, c.generation, c.table_hash, 0).has_value());
 }
 
 TEST(CheckpointStore, SampledBlobsRequireExactGeneration) {
@@ -194,8 +197,8 @@ TEST(CheckpointStore, SampledBlobsRequireExactGeneration) {
   store.put(1, 0, 5, c.generation, c.encode());
   // Sampled fitness depends on the generation's RNG draws: only the exact
   // generation restores bit-exactly.
-  EXPECT_TRUE(store.find_covering(0, 5, c.generation, c.table_hash));
-  EXPECT_FALSE(store.find_covering(0, 5, c.generation + 1, c.table_hash));
+  EXPECT_TRUE(store.find_covering(0, 5, c.generation, c.table_hash, 0));
+  EXPECT_FALSE(store.find_covering(0, 5, c.generation + 1, c.table_hash, 0));
 }
 
 TEST(CheckpointStore, RetainsNewestGenerationsPerRange) {
@@ -206,9 +209,9 @@ TEST(CheckpointStore, RetainsNewestGenerationsPerRange) {
     store.put(1, 0, 4, gen, c.encode());
   }
   EXPECT_EQ(store.entries(), 2u);
-  EXPECT_FALSE(store.find_covering(0, 4, 5, c.table_hash).has_value());
-  EXPECT_TRUE(store.find_covering(0, 4, 10, c.table_hash).has_value());
-  EXPECT_TRUE(store.find_covering(0, 4, 15, c.table_hash).has_value());
+  EXPECT_FALSE(store.find_covering(0, 4, 5, c.table_hash, 0).has_value());
+  EXPECT_TRUE(store.find_covering(0, 4, 10, c.table_hash, 0).has_value());
+  EXPECT_TRUE(store.find_covering(0, 4, 15, c.table_hash, 0).has_value());
 
   // A resend of the same generation replaces its twin, never duplicates.
   store.put(1, 0, 4, 15, c.encode());
@@ -223,7 +226,7 @@ TEST(CheckpointStore, CorruptEntriesAreSkippedNotFatal) {
   store.put(1, 0, 8, good.generation, corrupt);  // rank 1's blob is damaged
   store.put(2, 0, 8, good.generation, good.encode());  // rank 2's is fine
   const auto hit =
-      store.find_covering(0, 8, good.generation, good.table_hash);
+      store.find_covering(0, 8, good.generation, good.table_hash, 0);
   ASSERT_TRUE(hit.has_value()) << "damaged entry must not mask the good one";
   EXPECT_EQ(hit->state.fitness, good.state.fitness);
 }
@@ -236,9 +239,11 @@ TEST(CheckpointStore, TornNewestFallsBackToOlderIntactGeneration) {
   c.generation = 20;
   store.put(1, 0, 8, 20, c.encode(), /*torn=*/true);
 
+  // No strategy changed after generation 9, so generation 10's entry
+  // still holds the block's state.
   int corrupt_calls = 0;
   const auto hit = store.find_covering(
-      0, 8, 20, c.table_hash,
+      0, 8, 20, c.table_hash, /*unchanged_since=*/10,
       [&](const std::string& why) {
         ++corrupt_calls;
         EXPECT_FALSE(why.empty());
@@ -246,6 +251,33 @@ TEST(CheckpointStore, TornNewestFallsBackToOlderIntactGeneration) {
   ASSERT_TRUE(hit.has_value()) << "torn newest must degrade, not fail";
   EXPECT_EQ(hit->generation, 10u);
   EXPECT_EQ(corrupt_calls, 1);
+}
+
+TEST(CheckpointStore, OlderEntryWithALaterChangeIsRefused) {
+  // An A→B→A change after generation 10's capture restores the table hash
+  // but not the block's state (Analytic sums moved through incremental
+  // updates, SampledFrozen samples carry other generation keys): the
+  // older same-hash entry must be refused, and the caller recomputes.
+  CheckpointStore store;
+  auto c = sample(0, 8, 4);
+  c.generation = 10;
+  store.put(1, 0, 8, 10, c.encode());
+  c.generation = 20;
+  store.put(1, 0, 8, 20, c.encode(), /*torn=*/true);
+  int corrupt_calls = 0;
+  EXPECT_FALSE(store
+                   .find_covering(0, 8, 20, c.table_hash,
+                                  /*unchanged_since=*/15,
+                                  [&](const std::string&) { ++corrupt_calls; })
+                   .has_value());
+  EXPECT_EQ(corrupt_calls, 1);
+  // The exact generation is refused too when a change followed it.
+  EXPECT_FALSE(
+      store.find_covering(0, 8, 10, c.table_hash, /*unchanged_since=*/11)
+          .has_value());
+  EXPECT_TRUE(
+      store.find_covering(0, 8, 10, c.table_hash, /*unchanged_since=*/10)
+          .has_value());
 }
 
 TEST(CheckpointStore, TracksTotalBytesIncludingCrcFooters) {

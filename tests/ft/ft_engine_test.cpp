@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -18,6 +20,8 @@
 #include "ft/ownership.hpp"
 #include "ft/protocol.hpp"
 #include "obs/metrics.hpp"
+#include "obs/tracer.hpp"
+#include "util/json.hpp"
 
 namespace egt::ft {
 namespace {
@@ -423,10 +427,170 @@ TEST(FtEngine, FtCountersArePreRegistered) {
         "ft.false_alarms", "ft.resends", "ft.heals", "ft.faults.kills",
         "ft.checkpoint.writes", "ft.checkpoint.bytes",
         "ft.recovery.blocks_restored", "ft.recovery.blocks_recomputed",
-        "ft.recovery.pairs_evaluated"}) {
+        "ft.recovery.pairs_evaluated", "ft.rows_shipped"}) {
     EXPECT_NE(ft.metrics.find_counter(name), nullptr)
         << name << " missing from merged metrics";
   }
+}
+
+// -- shipped teacher rows ------------------------------------------------------
+//
+// An adoption whose teacher and learner live on different ranks carries the
+// teacher's payoff row on the teacher's FIT and the learner owner's DECIDE,
+// so the learner's row is copied instead of replayed: fitness and the
+// trajectory stay the serial engine's, only games_played drops. A lost
+// carrier falls back to the rebuild.
+
+/// Analytic mixed memory-one with dedup and no mutation: every pair is
+/// strategy-pure and no change opens a new class, so an adoption costs at
+/// most two games — (teacher, learner) on the teacher's owner when no
+/// third member of the class mirrors it, and (learner, teacher) likewise.
+SimConfig mixed_dedup_config() {
+  SimConfig cfg;
+  cfg.ssets = 64;
+  cfg.memory = 1;
+  cfg.generations = 150;
+  cfg.pc_rate = 1.0;
+  cfg.mutation_rate = 0.0;
+  cfg.space = pop::StrategySpace::Mixed;
+  cfg.game.noise = 0.02;
+  cfg.seed = 11;
+  cfg.fitness_mode = FitnessMode::Analytic;
+  cfg.dedup = true;
+  return cfg;
+}
+
+bool remote_adoption(const core::TracePoint& p, const OwnershipTable& table) {
+  return p.pc && p.adopted &&
+         table.owner_of(p.teacher) != table.owner_of(p.learner);
+}
+
+void expect_fitness_bits_equal(const FtResult& ft, const Reference& ref) {
+  for (pop::SSetId i = 0; i < ref.population.size(); ++i) {
+    ASSERT_EQ(ft.population.fitness(i), ref.population.fitness(i))
+        << "fitness diverged at SSet " << i;
+  }
+}
+
+TEST(FtEngine, RemoteAdoptionCopiesTheShippedTeacherRow) {
+  const auto cfg = mixed_dedup_config();
+  constexpr int kRanks = 4;
+  const auto ref = serial_reference(cfg);
+  PointLog log;
+  FtRunOptions opt;
+  opt.trace = &log;
+  const auto ft = run_parallel_ft(cfg, kRanks, opt);
+  expect_table_equal(ft, ref);
+  expect_fitness_bits_equal(ft, ref);
+  expect_engine_counters_equal(ft, ref);
+
+  const OwnershipTable table = OwnershipTable::initial(cfg.ssets, kRanks);
+  const auto remote = static_cast<std::uint64_t>(
+      std::ranges::count_if(log.points, [&](const core::TracePoint& p) {
+        return remote_adoption(p, table);
+      }));
+  ASSERT_GT(remote, 0u) << "no adoption crossed ranks";
+  EXPECT_EQ(ft.metrics.counter_value("ft.rows_shipped"), remote);
+
+  auto init = cfg;
+  init.generations = 0;
+  const std::uint64_t init_games =
+      run_parallel_ft(init, kRanks).metrics.counter_value("engine.games_played");
+  const std::uint64_t adoptions = ft.metrics.counter_value("engine.adoptions");
+  EXPECT_LE(ft.metrics.counter_value("engine.games_played") - init_games,
+            2 * adoptions)
+      << "a remote adoption replayed the learner's row";
+}
+
+TEST(FtEngine, LostRowCarrierFallsBackToTheRebuild) {
+  auto cfg = mixed_dedup_config();
+  constexpr int kRanks = 4;
+  const OwnershipTable table = OwnershipTable::initial(cfg.ssets, kRanks);
+  const auto points = serial_points(cfg);
+  // A remote adoption between two workers, so both the teacher's FIT and
+  // the learner owner's DECIDE cross the network.
+  const auto hit = std::ranges::find_if(points, [&](const core::TracePoint& p) {
+    return p.generation >= 1 && p.generation + 2 < points.size() &&
+           remote_adoption(p, table) && table.owner_of(p.teacher) != 0 &&
+           table.owner_of(p.learner) != 0;
+  });
+  ASSERT_NE(hit, points.end()) << "no worker-to-worker adoption";
+  const std::uint64_t gen = hit->generation;
+  const int teacher_owner = table.owner_of(hit->teacher);
+  const int learner_owner = table.owner_of(hit->learner);
+  // The fault-free sends before `gen`: one FIT per remote PC fitness, one
+  // DECIDE per PC generation to every worker.
+  std::uint64_t fits = 0, decides = 0;
+  for (const core::TracePoint& p : points) {
+    if (p.generation >= gen || !p.pc) continue;
+    ++decides;
+    for (const std::uint32_t k : {p.teacher, p.learner}) {
+      if (table.owner_of(k) == teacher_owner) ++fits;
+    }
+  }
+  const auto ref = serial_reference(cfg);
+  const std::uint64_t remote = static_cast<std::uint64_t>(
+      std::ranges::count_if(points, [&](const core::TracePoint& p) {
+        return remote_adoption(p, table);
+      }));
+
+  {
+    SCOPED_TRACE("teacher's FIT dropped: the resent FIT carries the row");
+    FtRunOptions opt;
+    opt.plan.drop({teacher_owner, 0, tag::kFit, fits, 1, 0});
+    opt.detect_timeout_ms = 80.0;
+    opt.ping_timeout_ms = 40.0;
+    const auto ft = run_parallel_ft(cfg, kRanks, opt);
+    expect_table_equal(ft, ref);
+    expect_fitness_bits_equal(ft, ref);
+    expect_engine_counters_equal(ft, ref);
+    EXPECT_EQ(ft.metrics.counter_value("ft.faults.messages_dropped"), 1u);
+    EXPECT_GE(ft.metrics.counter_value("ft.resends"), 1u);
+    EXPECT_EQ(ft.metrics.counter_value("ft.rows_shipped"), remote);
+  }
+  {
+    SCOPED_TRACE("learner owner's DECIDE dropped: the PLAN heal rebuilds");
+    FtRunOptions opt;
+    opt.plan.drop({0, learner_owner, tag::kDecide, decides, 1, 0});
+    const auto ft = run_parallel_ft(cfg, kRanks, opt);
+    expect_table_equal(ft, ref);
+    expect_fitness_bits_equal(ft, ref);
+    expect_engine_counters_equal(ft, ref);
+    EXPECT_EQ(ft.metrics.counter_value("ft.faults.messages_dropped"), 1u);
+    EXPECT_GE(ft.metrics.counter_value("ft.heals"), 1u);
+    EXPECT_EQ(ft.metrics.counter_value("ft.rows_shipped"), remote - 1);
+  }
+}
+
+TEST(FtEngine, EveryGameIsChargedToAPhaseSpan) {
+  // game_play and apply_update spans carry the games they paid for, so a
+  // trace shows which change replayed a row: together they account for
+  // every game of a fault-free run.
+  const auto cfg = mixed_dedup_config();
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.start();
+  const auto ft = run_parallel_ft(cfg, 4);
+  tracer.stop();
+  std::ostringstream os;
+  tracer.write_chrome_trace(os);
+  tracer.clear();
+  const util::JsonValue doc = util::JsonValue::parse(os.str());
+  ASSERT_EQ(doc.at("otherData").at("dropped_events").as_u64(), 0u);
+  std::uint64_t games = 0;
+  std::uint64_t apply_spans_with_games = 0;
+  for (const auto& e : doc.at("traceEvents").items()) {
+    if (e.at("ph").as_string() != "X") continue;
+    const std::string name = e.at("name").as_string();
+    if (name != obs::phase::kGamePlay && name != obs::phase::kApplyUpdate) {
+      continue;
+    }
+    const util::JsonValue* args = e.find("args");
+    ASSERT_NE(args, nullptr) << name << " span without a games arg";
+    games += args->at("games").as_u64();
+    if (name == obs::phase::kApplyUpdate) ++apply_spans_with_games;
+  }
+  EXPECT_GT(apply_spans_with_games, 0u);
+  EXPECT_EQ(games, ft.metrics.counter_value("engine.games_played"));
 }
 
 TEST(FtEngine, SingleRankRunWorks) {

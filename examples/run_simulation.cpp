@@ -156,11 +156,10 @@ egt::core::SimConfig build_config(egt::util::Cli& cli, int argc, char** argv,
   auto seed = cli.opt<std::uint64_t>("seed", 1234, "random seed");
   auto gate = cli.flag("teacher-better-gate",
                        "paper's gate: only adopt strictly better teachers");
-  auto threads = cli.opt<int>("agent-threads", 0,
-                              "agent-tier worker threads (0 = serial)");
-  auto sset_threads = cli.opt<int>(
-      "sset-threads", 0,
-      "SSet-tier worker threads for whole-block fitness passes (0 = serial)");
+  auto threads = cli.opt<int>(
+      "threads", 0,
+      "fitness worker threads per block (0 = serial): whole-block passes "
+      "split rows, a strategy change's row rebuild splits its games");
   auto no_dedup = cli.flag(
       "no-dedup",
       "disable strategy-interned dedup (analytic fitness then plays "
@@ -275,8 +274,7 @@ egt::core::SimConfig build_config(egt::util::Cli& cli, int argc, char** argv,
   cfg.beta = *beta;
   cfg.seed = *seed;
   cfg.require_teacher_better = *gate;
-  cfg.agent_threads = static_cast<unsigned>(*threads);
-  cfg.sset_threads = static_cast<unsigned>(*sset_threads);
+  cfg.threads = static_cast<unsigned>(*threads);
   cfg.dedup = !*no_dedup;
   cfg.space = *space == "mixed" ? egt::pop::StrategySpace::Mixed
                                 : egt::pop::StrategySpace::Pure;
@@ -408,6 +406,20 @@ double headline_cooperation(const egt::pop::Population& pop,
   return coop.mean_coop_rate;
 }
 
+/// The config fields both manifests record.
+void write_config_fields(egt::util::JsonWriter& w,
+                         const egt::core::SimConfig& cfg) {
+  w.field("memory", cfg.memory);
+  w.field("ssets", static_cast<std::uint64_t>(cfg.ssets));
+  w.field("generations", cfg.generations);
+  w.field("rounds", static_cast<std::uint64_t>(cfg.game.rounds));
+  w.field("noise", cfg.game.noise);
+  w.field("pc_rate", cfg.pc_rate);
+  w.field("mutation_rate", cfg.mutation_rate);
+  w.field("beta", cfg.beta);
+  w.field("seed", cfg.seed);
+}
+
 void write_legacy_manifest(const std::string& path,
                            const egt::core::SimConfig& cfg,
                            const egt::pop::Population& pop,
@@ -420,15 +432,7 @@ void write_legacy_manifest(const std::string& path,
   w.key("tool").value("egtsim/run_simulation");
   w.key("config").begin_object();
   w.field("summary", cfg.summary());
-  w.field("memory", cfg.memory);
-  w.field("ssets", static_cast<std::uint64_t>(cfg.ssets));
-  w.field("generations", cfg.generations);
-  w.field("rounds", static_cast<std::uint64_t>(cfg.game.rounds));
-  w.field("noise", cfg.game.noise);
-  w.field("pc_rate", cfg.pc_rate);
-  w.field("mutation_rate", cfg.mutation_rate);
-  w.field("beta", cfg.beta);
-  w.field("seed", cfg.seed);
+  write_config_fields(w, cfg);
   w.field("config_fingerprint", core::config_fingerprint(cfg));
   w.end_object();
   double mean_payoff = 0.0;
@@ -458,15 +462,7 @@ egt::obs::ManifestInfo manifest_info(const egt::core::SimConfig& cfg,
   info.config_fingerprint = core::config_fingerprint(cfg);
   info.game = &cfg.game;  // cfg outlives every manifest write in run_cli
   info.config_fields = [cfg](util::JsonWriter& w) {
-    w.field("memory", cfg.memory);
-    w.field("ssets", static_cast<std::uint64_t>(cfg.ssets));
-    w.field("generations", cfg.generations);
-    w.field("rounds", static_cast<std::uint64_t>(cfg.game.rounds));
-    w.field("noise", cfg.game.noise);
-    w.field("pc_rate", cfg.pc_rate);
-    w.field("mutation_rate", cfg.mutation_rate);
-    w.field("beta", cfg.beta);
-    w.field("seed", cfg.seed);
+    write_config_fields(w, cfg);
   };
   info.ranks = ranks;
   info.generations = cfg.generations;
@@ -630,6 +626,38 @@ void report(const egt::pop::Population& pop, const egt::core::SimConfig& cfg) {
               coop.mean_coop_rate, coop.mean_payoff);
 }
 
+/// The tail of a run_parallel or run_parallel_ft run: report, stream line,
+/// both manifests (metrics include any ft.* family) and wall time.
+template <typename Result>
+int finish_ranked_run(const egt::core::SimConfig& cfg, const OutputPaths& out,
+                      const egt::util::Timer& timer,
+                      const egt::obs::MetricsStreamWriter* stream,
+                      egt::obs::MetricsRegistry& metrics,
+                      const Result& result) {
+  using namespace egt;
+  report(result.population, cfg);
+  const double wall = timer.seconds();
+  if (stream) {
+    std::printf("metrics stream written: %s (%llu lines)\n",
+                stream->path().c_str(),
+                static_cast<unsigned long long>(stream->lines_written()));
+  }
+  if (!out.metrics_out.empty()) {
+    obs::ManifestInfo info = manifest_info(cfg, out.ranks, wall);
+    info.metrics = &result.metrics;
+    info.traffic = &result.traffic;
+    try_write_metrics_manifest(out.metrics_out, info, metrics);
+  }
+  if (!out.manifest.empty()) {
+    write_legacy_manifest(out.manifest, cfg, result.population, wall,
+                          result.metrics.counter_value(
+                              "engine.pairs_evaluated"));
+    std::printf("manifest written: %s\n", out.manifest.c_str());
+  }
+  std::printf("wall time: %.2f s\n", wall);
+  return 0;
+}
+
 }  // namespace
 
 int run_cli(int argc, char** argv) {
@@ -690,27 +718,7 @@ int run_cli(int argc, char** argv) {
             result.metrics.counter_value("ft.recovery.blocks_restored")),
         static_cast<unsigned long long>(
             result.metrics.counter_value("ft.recovery.blocks_recomputed")));
-    report(result.population, cfg);
-    const double wall = timer.seconds();
-    if (stream) {
-      std::printf("metrics stream written: %s (%llu lines)\n",
-                  stream->path().c_str(),
-                  static_cast<unsigned long long>(stream->lines_written()));
-    }
-    if (!out.metrics_out.empty()) {
-      obs::ManifestInfo info = manifest_info(cfg, out.ranks, wall);
-      info.metrics = &result.metrics;  // includes the ft.* family
-      info.traffic = &result.traffic;
-      try_write_metrics_manifest(out.metrics_out, info, metrics);
-    }
-    if (!out.manifest.empty()) {
-      write_legacy_manifest(out.manifest, cfg, result.population, wall,
-                            result.metrics.counter_value(
-                                "engine.pairs_evaluated"));
-      std::printf("manifest written: %s\n", out.manifest.c_str());
-    }
-    std::printf("wall time: %.2f s\n", wall);
-    return 0;
+    return finish_ranked_run(cfg, out, timer, stream.get(), metrics, result);
   }
 
   if (out.ranks > 0) {
@@ -731,27 +739,7 @@ int run_cli(int argc, char** argv) {
         static_cast<unsigned long long>(t.bcast_bytes),
         static_cast<unsigned long long>(t.p2p_messages),
         static_cast<unsigned long long>(t.p2p_bytes));
-    report(result.population, cfg);
-    const double wall = timer.seconds();
-    if (stream) {
-      std::printf("metrics stream written: %s (%llu lines)\n",
-                  stream->path().c_str(),
-                  static_cast<unsigned long long>(stream->lines_written()));
-    }
-    if (!out.metrics_out.empty()) {
-      obs::ManifestInfo info = manifest_info(cfg, out.ranks, wall);
-      info.metrics = &result.metrics;
-      info.traffic = &result.traffic;
-      try_write_metrics_manifest(out.metrics_out, info, metrics);
-    }
-    if (!out.manifest.empty()) {
-      write_legacy_manifest(out.manifest, cfg, result.population, wall,
-                            result.metrics.counter_value(
-                                "engine.pairs_evaluated"));
-      std::printf("manifest written: %s\n", out.manifest.c_str());
-    }
-    std::printf("wall time: %.2f s\n", wall);
-    return 0;
+    return finish_ranked_run(cfg, out, timer, stream.get(), metrics, result);
   }
 
   core::Engine engine =

@@ -73,14 +73,8 @@ namespace {
 Engine::RestoredState decode_checkpoint(const SimConfig& config,
                                         const std::vector<std::byte>& blob) {
   wire::Reader r(blob, "checkpoint");
-  if (r.u64("magic") != kMagic) r.fail("not an egtsim checkpoint");
-  const std::uint32_t version = r.u32("version");
-  if (version != kCheckpointVersion && version != kOldestCheckpointVersion) {
-    r.fail("unsupported checkpoint version " + std::to_string(version) +
-           " (this build reads versions " +
-           std::to_string(kOldestCheckpointVersion) + " to " +
-           std::to_string(kCheckpointVersion) + ")");
-  }
+  const std::uint32_t version = r.header(
+      kMagic, "checkpoint", kOldestCheckpointVersion, kCheckpointVersion);
   if (r.u64("config fingerprint") != config_fingerprint(config)) {
     throw CheckpointError(
         "checkpoint was written under a different configuration");
@@ -109,8 +103,8 @@ Engine::RestoredState decode_checkpoint(const SimConfig& config,
   // A v3 blob ends here. Without a state — or with one saved under
   // another fitness mode — the engine re-evaluates every pair.
   std::optional<BlockFitness::State> fitness;
-  if (version == kCheckpointVersion) {
-    fitness = BlockFitness::State::decode(r);
+  if (version > kOldestCheckpointVersion) {
+    fitness = BlockFitness::State::decode(r, /*with_fitness=*/version == 4);
     if (fitness->mode != config.fitness_mode) fitness.reset();
   }
   r.expect_exhausted();

@@ -42,7 +42,9 @@ namespace egt::core {
 /// parameters) and strategy payloads may carry the n-way kind byte
 /// (game/strategy.hpp wire format). v4 appends the fitness block's
 /// BlockFitness::State; a v3 blob restores by re-evaluating every pair.
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+/// v5: a matrix block saves the matrix alone (its exact row sums define
+/// the fitness); a v4 blob's per-row fitness beside it is dropped.
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 inline constexpr std::uint32_t kOldestCheckpointVersion = 3;
 
 /// Serialize the engine's state. The blob embeds a fingerprint of the

@@ -1,5 +1,6 @@
 #include "core/config.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -39,6 +40,17 @@ void SimConfig::validate() const {
     EGT_REQUIRE_MSG(ssets <= 16384,
                     "cached fitness modes support at most 16384 SSets");
   }
+  // A row of ssets games must fit ExactSum's 2^63 (core/fitness.hpp); the
+  // sum of all |entries| bounds a stage payoff and stays NaN if one is.
+  double bound = std::abs(game.payoff.reward) + std::abs(game.payoff.sucker) +
+                 std::abs(game.payoff.temptation) +
+                 std::abs(game.payoff.punishment);
+  for (const auto* table : {&game.row_payoff, &game.col_payoff}) {
+    for (const double v : *table) bound += std::abs(v);
+  }
+  EGT_REQUIRE_MSG(bound * game.rounds * ssets < 0x1p62,
+                  "payoffs too large for exact row sums (ssets x rounds x "
+                  "sum of |payoff entries| must stay below 2^62)");
   switch (mutation_kernel) {
     case pop::MutationKernel::UniformProbs:
       break;

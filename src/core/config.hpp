@@ -95,20 +95,10 @@ struct SimConfig {
 
   std::uint64_t seed = 1234;
 
-  /// Agent-tier shared-memory parallelism (the paper's second level:
-  /// concurrent game play of the agents within a strategy group): extra
-  /// worker threads evaluating one SSet's games. 0 = serial. Results are
-  /// bit-identical for any value (games are keyed streams; row sums are
-  /// accumulated in a fixed order). Works for both the well-mixed and the
-  /// structured populations (neighbour lists reduce in fixed order too).
-  unsigned agent_threads = 0;
-
-  /// SSet-row tier: extra worker threads evaluating whole fitness rows of
-  /// a block concurrently during BlockFitness::initialize /
-  /// begin_generation (rows are independent; each row's sum keeps its
-  /// fixed j order). 0 = serial. Bit-identical for any value, in every
-  /// engine (serial, run_parallel, run_parallel_ft).
-  unsigned sset_threads = 0;
+  /// Worker threads in each fitness block's one pool (the paper's second
+  /// level of parallelism; 0 = serial). Bit-identical for any value, in
+  /// every engine: games are keyed streams and row sums are exact.
+  unsigned threads = 0;
 
   /// Strategy-interned fitness dedup: whenever the pairwise payoff is a
   /// pure function of the strategy pair (Analytic mode where an exact

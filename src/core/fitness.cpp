@@ -211,11 +211,9 @@ BlockFitness::BlockFitness(const SimConfig& config, pop::SSetId row_begin,
   }
   fitness_.assign(end_ - begin_, 0.0);
   matrix_.assign(static_cast<std::size_t>(end_ - begin_) * matrix_cols(), 0.0);
-  if (config.agent_threads > 0) {
-    agent_pool_ = std::make_unique<par::ThreadPool>(config.agent_threads);
-  }
-  if (config.sset_threads > 0 && end_ > begin_) {
-    sset_pool_ = std::make_unique<par::ThreadPool>(config.sset_threads);
+  if (pairwise_cached()) sums_.assign(end_ - begin_, ExactSum{});
+  if (config.threads > 0) {
+    pool_ = std::make_unique<par::ThreadPool>(config.threads);
   }
 }
 
@@ -358,14 +356,13 @@ void BlockFitness::pair_values(const pop::Population& pop,
 
 void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
                                  std::uint64_t gen_key, Counts& counts,
-                                 bool nested, const SourceRow* copy,
+                                 par::ThreadPool* pool, const SourceRow* copy,
                                  pop::SSetId mirror) {
   if (pgg_) {
     recompute_row_pgg(i, pop, gen_key, counts);
     return;
   }
-  // The row's pairs in the fixed order its sum walks: neighbours in list
-  // order (structured), or every j != i ascending (well-mixed).
+  // The row's pairs: neighbours (structured), or every j != i.
   thread_local std::vector<PairEvaluator::Pair> pairs;
   thread_local std::vector<double> vals;
   thread_local std::vector<PairEvaluator::Pair> rest;
@@ -380,7 +377,6 @@ void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
     }
   }
   vals.resize(pairs.size());
-  par::ThreadPool* pool = nested ? nullptr : agent_pool_.get();
   if (copy == nullptr) {
     pair_values(pop, pairs, /*vary_row=*/false, gen_key, vals, counts.games,
                 pool);
@@ -407,12 +403,13 @@ void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
     for (std::size_t k = 0; k < slot.size(); ++k) vals[slot[k]] = rest_vals[k];
   }
   counts.pairs += pairs.size();
-  double sum = 0.0;
+  ExactSum sum;
   for (std::size_t t = 0; t < pairs.size(); ++t) {
     if (cached()) cell(i, pairs[t].second) = vals[t];
-    sum += vals[t];
+    sum.add(vals[t]);
   }
-  fitness_[i - begin_] = sum * row_scale(i);
+  if (pairwise_cached()) sums_[i - begin_] = sum;
+  fitness_[i - begin_] = sum.value() * row_scale(i);
 }
 
 void BlockFitness::evaluate_rows(const pop::Population& pop,
@@ -420,8 +417,8 @@ void BlockFitness::evaluate_rows(const pop::Population& pop,
   const std::uint64_t rows = end_ - begin_;
   // Well-mixed dedup: the first owned row of each class is evaluated and
   // every later row of that class copies it. Sources run in phase one and
-  // copies in phase two, so SSet-pool workers never read a row another
-  // worker is writing and the counters are thread-count-invariant.
+  // copies in phase two, so pool workers never read a row another worker
+  // is writing and the counters are thread-count-invariant.
   std::vector<pop::SSetId> source(rows, kNoSSet);
   if (reuse_matrix()) {
     std::vector<pop::SSetId> first(pop.classes().size(), kNoSSet);
@@ -435,7 +432,6 @@ void BlockFitness::evaluate_rows(const pop::Population& pop,
     }
   }
   std::vector<Counts> per_row(rows);
-  const bool nested = sset_pool_ != nullptr;
   for (const bool copies : {false, true}) {
     if (copies && !reuse_matrix()) break;
     const auto phase = [&](std::uint64_t b, std::uint64_t e) {
@@ -444,14 +440,14 @@ void BlockFitness::evaluate_rows(const pop::Population& pop,
         const pop::SSetId i = begin_ + static_cast<pop::SSetId>(r);
         if (copies) {
           const SourceRow own{source[r], source_row(source[r])};
-          recompute_row(i, pop, gen_key, per_row[r], nested, &own, i);
+          recompute_row(i, pop, gen_key, per_row[r], nullptr, &own, i);
         } else {
-          recompute_row(i, pop, gen_key, per_row[r], nested);
+          recompute_row(i, pop, gen_key, per_row[r], nullptr);
         }
       }
     };
-    if (nested) {
-      sset_pool_->parallel_for(rows, phase);
+    if (pool_ != nullptr) {
+      pool_->parallel_for(rows, phase);
     } else {
       phase(0, rows);
     }
@@ -476,19 +472,15 @@ bool BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
                                     std::uint64_t generation,
                                     const SourceRow* source) {
   if (!cached()) return false;  // next begin_generation re-plays everything
-  Counts counts;
   if (pgg_) {
     // A single strategy change moves every group pool the SSet touches
     // (and, well-mixed, every row): recompute all owned rows. Row-local
     // and deterministic, so serial and parallel partitions agree on both
     // values and counters.
-    for (pop::SSetId i = begin_; i < end_; ++i) {
-      recompute_row(i, pop, generation, counts, false);
-    }
-    pairs_ += counts.pairs;
-    games_ += counts.games;
+    evaluate_rows(pop, generation);
     return false;
   }
+  Counts counts;
   // Up to two other members s1 < s2 of k's new class. Column s1 already
   // holds every fresh strategy-pure (i, k) but (s1, k), which column s2
   // holds.
@@ -500,16 +492,19 @@ bool BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
       (s1 == kNoSSet ? s1 : s2) = j;
     }
   }
-  // Column refresh: matrix_ still holds the pre-change (i, k), so the
-  // fitness delta needs no old-class bookkeeping. The pairs no column
-  // answers share one call.
+  // Column refresh: matrix_ still holds the pre-change (i, k), which the
+  // row's exact sum swaps for the new value. The pairs no column answers
+  // share one call.
   thread_local std::vector<PairEvaluator::Pair> pairs;
   thread_local std::vector<double> fresh;
   pairs.clear();
   const auto refresh = [&](pop::SSetId i, double value) {
     double& m = cell(i, k);
-    fitness_[i - begin_] += (value - m) * row_scale(i);
+    ExactSum& sum = sums_[i - begin_];
+    sum.add(value);
+    sum.add(-m);
     m = value;
+    fitness_[i - begin_] = sum.value() * row_scale(i);
   };
   const game::Strategy& sk = pop.strategy(k);
   for (pop::SSetId i = begin_; i < end_; ++i) {
@@ -538,7 +533,7 @@ bool BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
                        pop.strategy_class(source->sset) == ck;
   if (shipped) {
     EGT_REQUIRE(source->values.size() == config_.ssets);
-    recompute_row(k, pop, generation, counts, false, source,
+    recompute_row(k, pop, generation, counts, pool_.get(), source,
                   source->sset != s1 ? s1 : s2);
   } else if (k >= begin_ && k < end_) {
     SourceRow own{kNoSSet, {}};
@@ -548,7 +543,7 @@ bool BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
         break;
       }
     }
-    recompute_row(k, pop, generation, counts, false,
+    recompute_row(k, pop, generation, counts, pool_.get(),
                   own.sset != kNoSSet ? &own : nullptr, k);
   }
   pairs_ += counts.pairs;
@@ -565,17 +560,16 @@ std::span<const double> BlockFitness::source_row(pop::SSetId i) const {
 
 void BlockFitness::State::encode(wire::Writer& w) const {
   EGT_REQUIRE(begin <= end);
-  EGT_REQUIRE(fitness.size() == static_cast<std::size_t>(end - begin));
-  EGT_REQUIRE(matrix.size() == fitness.size() * cols);
+  EGT_REQUIRE(values.size() == (end - begin) * width());
   w.u32(begin);
   w.u32(end);
   w.u8(static_cast<std::uint8_t>(mode));
   w.u32(cols);
-  w.doubles(fitness.data(), fitness.size());
-  w.doubles(matrix.data(), matrix.size());
+  w.doubles(values.data(), values.size());
 }
 
-BlockFitness::State BlockFitness::State::decode(wire::Reader& r) {
+BlockFitness::State BlockFitness::State::decode(wire::Reader& r,
+                                                bool with_fitness) {
   State s;
   s.begin = r.u32("row begin");
   s.end = r.u32("row end");
@@ -587,8 +581,8 @@ BlockFitness::State BlockFitness::State::decode(wire::Reader& r) {
   s.cols = r.u32("matrix cols");
   if (s.end < s.begin) r.fail("row range is inverted");
   const std::size_t rows = s.end - s.begin;
-  s.fitness = r.doubles(rows, "fitness vector");
-  s.matrix = r.doubles(rows * s.cols, "payoff matrix");
+  if (with_fitness && s.cols > 0) (void)r.doubles(rows, "fitness vector");
+  s.values = r.doubles(rows * s.width(), "block values");
   return s;
 }
 
@@ -599,30 +593,37 @@ BlockFitness::State BlockFitness::State::slice(pop::SSetId b,
                           " lie outside the block state's " +
                           rows_text(begin, end));
   }
-  const auto row = [&](pop::SSetId i) {
-    return static_cast<std::ptrdiff_t>(i - begin);
+  const auto at = [&](pop::SSetId i) {
+    return values.begin() +
+           static_cast<std::ptrdiff_t>((i - begin) * width());
   };
-  return State{b, e, mode, cols,
-               {fitness.begin() + row(b), fitness.begin() + row(e)},
-               {matrix.begin() + row(b) * cols, matrix.begin() + row(e) * cols}};
+  return State{b, e, mode, cols, {at(b), at(e)}};
 }
 
 BlockFitness::State BlockFitness::state() const {
-  return State{begin_, end_, config_.fitness_mode, matrix_cols(), fitness_,
-               matrix_};
+  return State{begin_, end_, config_.fitness_mode, matrix_cols(),
+               pairwise_cached() ? matrix_ : fitness_};
 }
 
 void BlockFitness::restore(State s) {
   if (s.begin != begin_ || s.end != end_ || s.mode != config_.fitness_mode ||
-      s.cols != matrix_cols() || s.fitness.size() != fitness_.size() ||
-      s.matrix.size() != matrix_.size()) {
+      s.cols != matrix_cols() ||
+      s.values.size() != fitness_.size() * s.width()) {
     throw CheckpointError(
         "fitness state " + shape_text(s.begin, s.end, s.mode, s.cols) +
         " does not fit block " +
         shape_text(begin_, end_, config_.fitness_mode, matrix_cols()));
   }
-  fitness_ = std::move(s.fitness);
-  matrix_ = std::move(s.matrix);
+  if (pairwise_cached()) {
+    matrix_ = std::move(s.values);
+    for (pop::SSetId i = begin_; i < end_; ++i) {
+      ExactSum& sum = sums_[i - begin_] = ExactSum{};
+      for (pop::SSetId j = 0; j < config_.ssets; ++j) sum.add(cell(i, j));
+      fitness_[i - begin_] = sum.value() * row_scale(i);
+    }
+  } else {
+    fitness_ = std::move(s.values);
+  }
   if (ct_restores_ != nullptr) ct_restores_->inc();
 }
 

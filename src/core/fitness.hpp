@@ -10,30 +10,22 @@
 // BlockFitness maintains the fitness of a contiguous row block [begin, end)
 // of SSets. The serial engine uses one block covering everything; each
 // parallel rank owns one block (memory then scales as rows/rank * ssets,
-// mirroring the paper's per-node strategy-space storage).
+// mirroring the paper's per-node strategy-space storage). A row's fitness
+// is its exact payoff sum (ExactSum) rounded once, times the row's scale;
+// the payoff matrix of the cached modes is the block's only state.
 //
 // Two orthogonal accelerations sit on top of the brute-force block:
 //
-//  * Strategy-interned dedup (config.dedup, Analytic mode): whenever the
-//    pairwise payoff is a *pure function of the strategy pair* — the
-//    dedup-eligibility rule, satisfied exactly where an exact method
-//    applies (deterministic pure pair via exact_pure_game, or memory-one
-//    via expected_game_mem1) — the block reuses one value for every SSet
-//    pair in the same (class_i, class_j) of the population's interned
-//    class table. The payoff matrix is the only cache: a call evaluates
-//    each strategy-pure pair once per distinct ClassId on the side that
-//    varies, a well-mixed row copies an owned row of the same class, and
-//    a strategy change reads the fresh column from the column of another
-//    member of the new class. Row sums still walk every j in fixed order,
-//    so fitness, matrix and trajectories are bit-identical to brute force;
-//    only games_played drops. Pairs whose payoff is (i, j)-keyed
-//    (Sampled/SampledFrozen streams, the Analytic fall-through for
-//    stochastic memory>=2) are never deduplicated.
+//  * Strategy-interned dedup (config.dedup, Analytic mode): a payoff that
+//    is a pure function of the strategy pair (strategy_pure) is evaluated
+//    once per class pair of the population's interned class table and
+//    reused from the payoff matrix, the only cache (the reuse rules are in
+//    DESIGN.md §5). Fitness, matrix and trajectories are bit-identical to
+//    brute force; only games_played drops.
 //
-//  * SSet-row tier (config.sset_threads): initialize / begin_generation
-//    evaluate independent rows concurrently on a par::ThreadPool; each
-//    row's sum keeps its fixed j order, so results stay bit-identical for
-//    any thread count.
+//  * One thread pool (config.threads): whole-block passes split rows, a
+//    strategy change's row rebuild splits that row's pairs; bit-identical
+//    for any thread count.
 #pragma once
 
 #include <cstdint>
@@ -117,6 +109,28 @@ class PairEvaluator {
   game::IpdEngine engine_;
 };
 
+/// A payoff sum in 2^-64 fixed point, exact for terms of magnitude >= 2^-11
+/// (smaller ones truncate) within SimConfig::validate's bound: it does not
+/// depend on the order or history of its terms. value() rounds it once.
+class ExactSum {
+ public:
+  __extension__ typedef __int128 Fixed;
+
+  /// v * 2^64 truncated toward zero, from the integer part and the
+  /// fraction (which is exact in a double) converted apart; |v| < 2^63.
+  static Fixed fixed(double v) noexcept {
+    const auto whole = static_cast<std::int64_t>(v);
+    const auto frac = static_cast<std::int64_t>(
+        (v - static_cast<double>(whole)) * 0x1p63);
+    return (Fixed(whole) << 64) + (Fixed(frac) << 1);
+  }
+  void add(double v) noexcept { acc_ += fixed(v); }
+  double value() const noexcept { return static_cast<double>(acc_) * 0x1p-64; }
+
+ private:
+  Fixed acc_ = 0;
+};
+
 class BlockFitness {
  public:
   /// `graph` restricts game play to neighbours (null = well-mixed, the
@@ -133,9 +147,13 @@ class BlockFitness {
   pop::SSetId row_begin() const noexcept { return begin_; }
   pop::SSetId row_end() const noexcept { return end_; }
 
-  /// Full evaluation of the block (generation key = current generation for
-  /// Sampled, 0 for the cached modes).
+  /// Full evaluation of the block (generation key 0).
   void initialize(const pop::Population& pop);
+
+  /// Values persist across generations (Sampled re-plays every pair).
+  bool cached() const noexcept {
+    return config_.fitness_mode != FitnessMode::Sampled;
+  }
 
   /// Called at the top of every generation *before* Nature acts.
   /// Sampled mode re-plays all games with this generation's streams; the
@@ -180,25 +198,27 @@ class BlockFitness {
 
   /// The block's whole evaluation state, as every checkpoint carries it:
   /// the row range, the fitness mode that computed it, the matrix width
-  /// (ssets for pairwise cached blocks, 0 for Sampled and public goods),
-  /// the per-row fitness and the payoff
-  /// matrix — which is also the whole dedup state and, for SampledFrozen,
-  /// the only record of when each pair was last played. A block restored
-  /// from it continues exactly as the block that produced it would have.
+  /// (ssets for pairwise cached blocks, 0 for Sampled and public goods)
+  /// and the values: the payoff matrix when there is one — it defines the
+  /// fitness, and is also the whole dedup state and, for SampledFrozen,
+  /// the only record of when each pair was last played — else the per-row
+  /// fitness. A block restored from it continues exactly as the block
+  /// that produced it would have.
   struct State {
     pop::SSetId begin = 0;
     pop::SSetId end = 0;
     FitnessMode mode = FitnessMode::Sampled;
-    std::uint32_t cols = 0;       ///< matrix width
-    std::vector<double> fitness;  ///< end - begin entries
-    std::vector<double> matrix;   ///< (end - begin) * cols entries
+    std::uint32_t cols = 0;      ///< matrix width
+    std::vector<double> values;  ///< (end - begin) * width(), row-major
 
-    /// Wire layout: u32 begin, u32 end, u8 mode, u32 cols, then the
-    /// fitness and matrix doubles.
+    std::size_t width() const noexcept { return cols == 0 ? 1 : cols; }
+
+    /// Wire layout: u32 begin, u32 end, u8 mode, u32 cols, the values.
     void encode(wire::Writer& w) const;
     /// Throws CheckpointError on truncation, an inverted range or an
-    /// unknown mode.
-    static State decode(wire::Reader& r);
+    /// unknown mode. `with_fitness` reads the v4 engine-checkpoint layout,
+    /// whose per-row fitness before a matrix is dropped.
+    static State decode(wire::Reader& r, bool with_fitness = false);
     /// Rows [b, e); throws CheckpointError unless they lie inside
     /// [begin, end).
     State slice(pop::SSetId b, pop::SSetId e) const;
@@ -206,13 +226,13 @@ class BlockFitness {
 
   State state() const;
 
-  /// Adopt a captured state instead of evaluating. The values must come
-  /// from a block computed over the same population and history — the
-  /// checkpoint headers (config fingerprint, table hash) guarantee this.
-  /// Throws CheckpointError when the state's shape (row range, fitness
-  /// mode, matrix width, vector sizes) does not match this block: the
-  /// values of one mode mean something else in another (Analytic and
-  /// SampledFrozen blocks have the same matrix width).
+  /// Adopt a captured state instead of evaluating (a matrix is re-summed).
+  /// The values must come from a block computed over the same population
+  /// and history — the checkpoint headers (config fingerprint, table hash)
+  /// guarantee this. Throws CheckpointError when the state's shape (row
+  /// range, fitness mode, matrix width, value count) does not match this
+  /// block: the values of one mode mean something else in another
+  /// (Analytic and SampledFrozen blocks have the same matrix width).
   void restore(State s);
 
   /// True when this block deduplicates strategy-pure pairs.
@@ -229,8 +249,8 @@ class BlockFitness {
   std::uint64_t games_played() const noexcept { return games_; }
 
  private:
-  /// Work done by one row evaluation, accumulated thread-locally so the
-  /// SSet-row tier never races on the block counters.
+  /// Work done by one row evaluation, accumulated thread-locally so pool
+  /// workers never race on the block counters.
   struct Counts {
     std::uint64_t pairs = 0;
     std::uint64_t games = 0;
@@ -239,9 +259,6 @@ class BlockFitness {
   /// "No SSet": recompute_row without a source row to copy.
   static constexpr pop::SSetId kNoSSet = ~pop::SSetId{0};
 
-  bool cached() const noexcept {
-    return config_.fitness_mode != FitnessMode::Sampled;
-  }
   /// Cached modes keep the rows x ssets payoff matrix — except public
   /// goods, whose fitness is group-pooled, not pairwise (no matrix; a
   /// strategy change recomputes every owned row instead of a column).
@@ -276,7 +293,7 @@ class BlockFitness {
                      std::uint64_t gen_key) const;
 
   /// Row evaluation for the public goods kind: row-local and deterministic
-  /// (safe from SSet-pool workers; never touches the matrix).
+  /// (safe from pool workers; never touches the matrix).
   void recompute_row_pgg(pop::SSetId i, const pop::Population& pop,
                          std::uint64_t gen_key, Counts& counts);
 
@@ -292,19 +309,17 @@ class BlockFitness {
                    std::uint64_t gen_key, std::span<double> out,
                    std::uint64_t& games, par::ThreadPool* pool) const;
 
-  /// Rebuild owned row i. With a `copy` (the row of an SSet of i's
-  /// class) the strategy-pure entries come from it: (i, j) = values[j]
-  /// for j not in {i, sset}, (i, sset) = values[mirror] — mirror is i for
-  /// a current owned row, kNoSSet when no entry equals (i, sset);
-  /// everything else is evaluated. `nested` is set inside the SSet-row
-  /// pool, which must not use the agent tier.
+  /// Rebuild owned row i, its pairs split across `pool` when given. With
+  /// a `copy` (the row of an SSet of i's class) the strategy-pure entries
+  /// come from it: (i, j) = values[j] for j not in {i, sset},
+  /// (i, sset) = values[mirror] — mirror is i for a current owned row,
+  /// kNoSSet when no entry equals (i, sset); everything else is evaluated.
   void recompute_row(pop::SSetId i, const pop::Population& pop,
-                     std::uint64_t gen_key, Counts& counts, bool nested,
-                     const SourceRow* copy = nullptr,
+                     std::uint64_t gen_key, Counts& counts,
+                     par::ThreadPool* pool, const SourceRow* copy = nullptr,
                      pop::SSetId mirror = kNoSSet);
 
-  /// initialize / begin_generation body: all owned rows, through the
-  /// SSet-row pool when configured.
+  /// Every owned row, rows split across the pool.
   void evaluate_rows(const pop::Population& pop, std::uint64_t gen_key);
 
   SimConfig config_;
@@ -314,10 +329,10 @@ class BlockFitness {
   pop::SSetId end_;
   bool dedup_ = false;
   bool pgg_ = false;  ///< GameKind::PublicGoods: group-pooled fitness
-  std::vector<double> fitness_;         // per owned row (scaled sums)
-  std::vector<double> matrix_;          // cached modes: rows x ssets payoffs
-  std::unique_ptr<par::ThreadPool> agent_pool_;  // paper's second tier
-  std::unique_ptr<par::ThreadPool> sset_pool_;   // SSet-row tier
+  std::vector<double> fitness_;  // per owned row (scaled sums)
+  std::vector<double> matrix_;   // pairwise cached: rows x ssets payoffs
+  std::vector<ExactSum> sums_;   // pairwise cached: each matrix row's sum
+  std::unique_ptr<par::ThreadPool> pool_;  // config.threads workers
   std::uint64_t pairs_ = 0;
   std::uint64_t games_ = 0;
   // Cold-path instrumentation (null when the block runs unobserved).

@@ -66,6 +66,8 @@ void EngineInstruments::account(const BlockFitness& fit,
 void EngineInstruments::initialize(BlockFitness& fit,
                                    const pop::Population& pop,
                                    WorkTally& seen) const {
+  // Sampled blocks re-play every pair at each generation, 0's included.
+  if (!fit.cached()) return;
   {
     PhaseScope phase(game_play, obs::phase::kGamePlay);
     fit.initialize(pop);

@@ -120,7 +120,8 @@ struct EngineInstruments {
   }
   /// Move `fit`'s pairs/games growth since `seen` into the counters.
   void account(const BlockFitness& fit, WorkTally& seen) const;
-  /// The initial all-pairs evaluation, timed and traced as game play.
+  /// The initial all-pairs evaluation of a cached block, timed and traced
+  /// as game play; a Sampled block waits for generation 0's play.
   void initialize(BlockFitness& fit, const pop::Population& pop,
                   WorkTally& seen) const;
 };

@@ -99,6 +99,22 @@ class Reader {
     return v;
   }
 
+  /// The magic and version a checkpoint-family blob starts with: fails
+  /// unless the magic matches and the version is in [oldest, newest].
+  std::uint32_t header(std::uint64_t magic, const std::string& kind,
+                       std::uint32_t oldest, std::uint32_t newest) {
+    if (u64("magic") != magic) fail("not a " + kind + " (bad magic)");
+    const std::uint32_t v = u32("version");
+    if (v < oldest || v > newest) {
+      fail("unsupported " + kind + " version " + std::to_string(v) +
+           " (this build reads " +
+           (oldest == newest ? "version "
+                             : "versions " + std::to_string(oldest) + " to ") +
+           std::to_string(newest) + ")");
+    }
+    return v;
+  }
+
   /// Every byte must be consumed; anything left over means the blob does
   /// not match the expected layout.
   void expect_exhausted() const {

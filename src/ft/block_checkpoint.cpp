@@ -26,15 +26,8 @@ std::vector<std::byte> BlockCheckpoint::encode() const {
 
 BlockCheckpoint BlockCheckpoint::decode(const std::vector<std::byte>& blob) {
   core::wire::Reader r(blob, "block checkpoint");
-  if (r.u64("magic") != kMagic) {
-    r.fail("not a block checkpoint (bad magic)");
-  }
-  const std::uint32_t version = r.u32("version");
-  if (version != kBlockCheckpointVersion) {
-    r.fail("unsupported block checkpoint version " + std::to_string(version) +
-           " (this build reads version " +
-           std::to_string(kBlockCheckpointVersion) + ")");
-  }
+  r.header(kMagic, "block checkpoint", kBlockCheckpointVersion,
+           kBlockCheckpointVersion);
   BlockCheckpoint c;
   c.config_fingerprint = r.u64("config fingerprint");
   c.generation = r.u64("generation");

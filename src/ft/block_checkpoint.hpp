@@ -1,17 +1,14 @@
 // Per-rank block checkpoints: the recovery substrate of the ft engine.
 //
 // Every checkpoint interval each rank serializes the evaluation state of
-// its owned fitness blocks — core::BlockFitness::State, the same state the
-// engine checkpoint carries: fitness vector plus, in the pairwise cached
-// modes, the full payoff matrix — behind a header (config fingerprint,
-// generation, table hash) into a versioned blob (same wire helpers and
-// versioning convention as core/checkpoint.hpp) and publishes it to a
-// CheckpointStore. When a rank dies, the rank adopting one of its ranges
-// first looks for a *fresh* covering blob (same generation, same strategy
-// table hash): a hit restores the block without replaying a single game; a
-// miss falls back to recomputation from the replicated strategy table —
-// recovery is then slower but still bit-exact, because fitness is a pure
-// function of (population, generation).
+// its owned fitness blocks (core::BlockFitness::State, as the engine
+// checkpoint carries it) behind a header (config fingerprint, generation,
+// table hash) into a versioned blob and publishes it to a CheckpointStore.
+// When a rank dies, the rank adopting one of its ranges first looks for a
+// *fresh* covering blob (same generation, same strategy table hash): a hit
+// restores the block without replaying a single game; a miss recomputes
+// it from the replicated strategy table — slower, and still bit-exact
+// wherever fitness is a function of (population, generation).
 //
 // The store is in-memory (the runtime's ranks are threads in one process —
 // a surviving "node" can read a dead one's last published state, playing
@@ -19,7 +16,7 @@
 // to). The blob format itself is location-independent and hardened:
 // truncated, corrupt or version-mismatched blobs throw CheckpointError.
 //
-// Crash consistency (PR 3): every stored blob carries the shared CRC-32
+// Crash consistency: every stored blob carries the shared CRC-32
 // footer from core/checkpoint_store.hpp, and the store retains the newest
 // `keep` generations per (rank, range) instead of only the latest. A torn
 // write (injected via FaultPlan torn_checkpoints, or a real crash on a
@@ -45,8 +42,9 @@ namespace egt::ft {
 /// other value with a clear CheckpointError.
 /// v2 carried a dedup class-pair payoff table after the matrix; v3 drops
 /// it — the matrix is the block's whole dedup state. v4: the body is
-/// core::BlockFitness::State's encoding.
-inline constexpr std::uint32_t kBlockCheckpointVersion = 4;
+/// core::BlockFitness::State's encoding. v5: a block with a matrix saves
+/// the matrix alone (its exact row sums define the fitness).
+inline constexpr std::uint32_t kBlockCheckpointVersion = 5;
 
 /// Evaluation state of one fitness block at one instant.
 struct BlockCheckpoint {
@@ -90,8 +88,9 @@ class CheckpointStore {
   /// least `unchanged_since`, the first generation after the last
   /// strategy change (a cached block's state moves only when a strategy
   /// changes; a matching hash alone does not prove that, since an A→B→A
-  /// change restores the hash but not Analytic's incrementally updated
-  /// sums or SampledFrozen's sample keys). The generation must then
+  /// change restores the hash but not the generation keys of SampledFrozen
+  /// samples, nor of the Analytic fall-through for stochastic memory>=2
+  /// pairs). The generation must then
   /// either equal `generation` or, for pairwise cached modes
   /// (state.cols > 0), may be older: a torn newest entry then falls back
   /// to the newest intact older generation instead of forcing a

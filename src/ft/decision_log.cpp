@@ -27,15 +27,8 @@ void DecisionLogRecord::encode(core::wire::Writer& w) const {
 }
 
 DecisionLogRecord DecisionLogRecord::decode(core::wire::Reader& r) {
-  if (r.u64("magic") != kMagic) {
-    r.fail("not a decision-log record (bad magic)");
-  }
-  const std::uint32_t version = r.u32("version");
-  if (version != kDecisionLogVersion) {
-    r.fail("unsupported decision-log version " + std::to_string(version) +
-           " (this build reads version " +
-           std::to_string(kDecisionLogVersion) + ")");
-  }
+  r.header(kMagic, "decision-log record", kDecisionLogVersion,
+           kDecisionLogVersion);
   DecisionLogRecord rec;
   rec.view = r.u64("view");
   const std::uint64_t generation = r.u64("generation");

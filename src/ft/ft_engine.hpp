@@ -39,17 +39,14 @@
 // log is replicated ahead of every decision broadcast, and kills land at
 // generation boundaries (a worker dies receiving a PLAN, a master at the
 // top of its loop), so the successor's restored RNG consumes draws exactly
-// as the dead master would have. Fitness is a pure function of
-// (population, generation) for Sampled and pure-Analytic configurations,
-// so a recovered run's strategy trajectory — and, for kill-only fault
-// plans, its merged "engine.*" counters — are bit-identical to the
-// fault-free run with the same seed. Caveats (see DESIGN.md §7): Analytic
-// recovery is bit-exact when an intact block checkpoint covers the failure
-// and exact-up-to-FP-summation-order otherwise; SampledFrozen recovery is
-// statistically equivalent only; drop-induced false-positive evictions
+// as the dead master would have. Fitness is a function of (population,
+// generation) for Sampled and closed-form Analytic configurations, so a
+// recovered run's table and fitness — and, for kill-only plans, its merged
+// "engine.*" counters — are bit-identical to the fault-free run. Caveats
+// (DESIGN.md §7): generation-keyed samples (SampledFrozen) recover exactly
+// only from a covering checkpoint; drop-induced false-positive evictions
 // keep the trajectory exact but can over-count pairs; elections assume
-// control messages (ELECT/TAKEOVER/EVICTED/ABORT, log replication) are
-// delivered within the silence timeout.
+// control messages are delivered within the silence timeout.
 #pragma once
 
 #include <cstdint>

@@ -49,7 +49,7 @@ void ThreadPool::run_chunks(Job& job) {
 
 void ThreadPool::worker_loop() {
   // Pool workers serve whichever rank submitted the job; attribute their
-  // chunks to the shared-pool pseudo-rank instead of a wrong real rank.
+  // chunks to the pool pseudo-rank instead of a wrong real rank.
   obs::Tracer::set_thread_name("pool.worker");
   const obs::TraceRankScope pool_scope(obs::kPoolPid);
   std::uint64_t seen_epoch = 0;
@@ -121,12 +121,6 @@ void ThreadPool::parallel_for(
     });
   }
   if (job.failed.load()) std::rethrow_exception(job.error);
-}
-
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()) -
-                         1u);
-  return pool;
 }
 
 }  // namespace egt::par

@@ -1,5 +1,5 @@
-// Agent-tier shared-memory parallelism (the paper's second level: concurrent
-// game play of the agents inside a strategy group).
+// The fitness block's thread pool: the paper's second, shared-memory level
+// of parallelism (concurrent game play inside a rank's block).
 //
 // A minimal OpenMP-parallel-for equivalent: a fixed pool of workers executes
 // contiguous index chunks; the calling thread participates, so a pool of
@@ -34,9 +34,6 @@ class ThreadPool {
   /// until all chunks finish. Exceptions from chunks propagate (first one).
   void parallel_for(std::uint64_t n,
                     const std::function<void(std::uint64_t, std::uint64_t)>& body);
-
-  /// A pool sized for this machine (hardware_concurrency - 1 workers).
-  static ThreadPool& shared();
 
  private:
   struct Job {

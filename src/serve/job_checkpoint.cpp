@@ -23,13 +23,8 @@ std::vector<std::byte> encode_job_checkpoint(const JobCheckpoint& ckpt) {
 
 JobCheckpoint decode_job_checkpoint(const std::vector<std::byte>& blob) {
   core::wire::Reader r(blob, "job checkpoint");
-  if (r.u64("magic") != kJobCheckpointMagic) {
-    r.fail("not a job checkpoint");
-  }
-  const std::uint32_t version = r.u32("version");
-  if (version != kJobCheckpointVersion) {
-    r.fail("unsupported job checkpoint version " + std::to_string(version));
-  }
+  r.header(kJobCheckpointMagic, "job checkpoint", kJobCheckpointVersion,
+           kJobCheckpointVersion);
   JobCheckpoint ckpt;
   ckpt.attempts = r.u32("attempts");
   ckpt.preemptions = r.u32("preemptions");

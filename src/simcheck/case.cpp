@@ -22,63 +22,71 @@ using core::counters_from;
 using core::FitnessMode;
 using core::InteractionSpec;
 
-void finish_from_population(EngineOutcome& out, const pop::Population& pop) {
-  out.table_hash = pop.table_hash();
-  const auto fit = pop.fitness();
-  out.fitness.assign(fit.begin(), fit.end());
+/// Every pair this config can produce has a closed form (strategy_pure):
+/// fitness is a function of the population alone.
+bool closed_form(const core::SimConfig& c) {
+  return c.fitness_mode == FitnessMode::Analytic &&
+         (c.game.kind == game::GameKind::PublicGoods || c.game.uses_nway() ||
+          c.memory == 1 ||
+          (c.space == pop::StrategySpace::Pure && c.game.noise == 0.0));
 }
 
-EngineOutcome run_serial_variant(const core::SimConfig& config) {
+/// Throws on a history-free oracle failure (every 8th generation, last).
+core::CallbackObserver fresh_fitness_check(const core::Engine& engine) {
+  return core::CallbackObserver(
+      [&engine](const pop::Population&, const core::GenerationRecord& r) {
+        const std::uint64_t g = r.generation;
+        if (g % 8 != 7 && g + 1 != engine.config().generations) return;
+        const std::string why = fresh_fitness_mismatch(engine);
+        if (!why.empty()) {
+          throw std::runtime_error("after generation " + std::to_string(g) +
+                                   ": " + why);
+        }
+      });
+}
+
+/// A completed run's outcome: final table and fitness, merged counters and
+/// the recorded trace.
+EngineOutcome finished(const pop::Population& pop,
+                       const obs::MetricsSnapshot& metrics,
+                       const TraceRecorder& rec) {
   EngineOutcome out;
+  out.table_hash = pop.table_hash();
+  out.fitness.assign(pop.fitness().begin(), pop.fitness().end());
+  out.counters = counters_from(metrics);
+  out.trace = rec.contiguous_points();
+  out.ok = true;
+  return out;
+}
+
+/// The serial engine; with `restore_at`, split there by a checkpoint and a
+/// restore that shares the registry, as a resumed run would.
+EngineOutcome run_serial_variant(const core::SimConfig& config,
+                                 std::uint64_t restore_at = 0) {
   obs::MetricsRegistry reg;
   TraceRecorder rec;
   core::Engine engine(config, &reg);
   engine.set_trace(&rec);
-  engine.run_all();
-  finish_from_population(out, engine.population());
-  out.counters = counters_from(reg.snapshot());
-  out.trace = rec.contiguous_points();
-  out.ok = true;
-  return out;
-}
-
-EngineOutcome run_restore_variant(const core::SimConfig& config,
-                                  std::uint64_t restore_at) {
-  EngineOutcome out;
-  obs::MetricsRegistry reg;
-  TraceRecorder rec;
-  std::vector<std::byte> blob;
-  {
-    core::Engine first(config, &reg);
-    first.set_trace(&rec);
-    first.run(restore_at);
-    blob = core::save_checkpoint(first);
+  auto check = fresh_fitness_check(engine);
+  if (restore_at > 0) {
+    engine.run(restore_at, &check);
+    engine = core::restore_checkpoint(config, core::save_checkpoint(engine),
+                                      &reg);
+    engine.set_trace(&rec);
   }
-  core::Engine second = core::restore_checkpoint(config, blob, &reg);
-  second.set_trace(&rec);
-  second.run(config.generations - restore_at);
-  finish_from_population(out, second.population());
-  out.counters = counters_from(reg.snapshot());
-  out.trace = rec.contiguous_points();
-  out.ok = true;
-  return out;
+  engine.run(config.generations - engine.generation(), &check);
+  return finished(engine.population(), reg.snapshot(), rec);
 }
 
 EngineOutcome run_parallel_variant(const core::SimConfig& config, int nranks) {
-  EngineOutcome out;
   TraceRecorder rec;
   core::ParallelRunOptions opts;
   opts.trace = &rec;
   const auto result = core::run_parallel(config, nranks, opts);
-  finish_from_population(out, result.population);
-  out.counters = counters_from(result.metrics);
-  out.trace = rec.contiguous_points();
-  out.ok = true;
-  return out;
+  return finished(result.population, result.metrics, rec);
 }
 
 EngineOutcome run_ft_variant(const CaseSpec& spec, bool faulty) {
-  EngineOutcome out;
   TraceRecorder rec;
   ft::FtRunOptions opts;
   opts.checkpoint_every = spec.ft_checkpoint_every;
@@ -97,14 +105,13 @@ EngineOutcome run_ft_variant(const CaseSpec& spec, bool faulty) {
     }
   }
   const auto result = ft::run_parallel_ft(spec.config, spec.nranks, opts);
-  finish_from_population(out, result.population);
-  out.counters = counters_from(result.metrics);
-  out.trace = rec.contiguous_points();
+  EngineOutcome out = finished(result.population, result.metrics, rec);
   if (faulty) {
     // Recovery off the block-checkpoint fast path recomputes fitness the
     // fault-free run never evaluated; the counters then legitimately
-    // over-count. Sampled re-plays every generation anyway, so recovery
-    // work is indistinguishable from normal work there.
+    // over-count (table, fitness and trace stay exact). Sampled re-plays
+    // every generation anyway, so recovery work is indistinguishable from
+    // normal work there.
     bool comparable = spec.torn.empty();
     if (spec.config.fitness_mode == FitnessMode::SampledFrozen) {
       // Frozen samples are (re)played lazily, so which pairs the dead rank
@@ -122,7 +129,6 @@ EngineOutcome run_ft_variant(const CaseSpec& spec, bool faulty) {
     }
     out.counters_comparable = comparable;
   }
-  out.ok = true;
   return out;
 }
 
@@ -133,12 +139,11 @@ EngineOutcome run_variant(EngineKind kind, const CaseSpec& spec) {
         return run_serial_variant(spec.config);
       case EngineKind::SerialThreads: {
         auto cfg = spec.config;
-        cfg.sset_threads = spec.sset_threads;
-        cfg.agent_threads = spec.agent_threads;
+        cfg.threads = spec.threads;
         return run_serial_variant(cfg);
       }
       case EngineKind::SerialRestore:
-        return run_restore_variant(spec.config, spec.restore_at);
+        return run_serial_variant(spec.config, spec.restore_at);
       case EngineKind::Parallel: {
         auto cfg = spec.config;
         cfg.comm_pattern = core::CommPattern::PaperBcast;
@@ -199,11 +204,9 @@ void compare_outcome(CaseResult& result, EngineKind kind,
       }
     }
   }
-  if (out.trace_comparable && ref.trace_comparable) {
-    if (const auto div = compare_traces(ref.trace, out.trace)) {
-      fail("trace diverges at generation " +
-           std::to_string(div->generation) + ": " + div->detail);
-    }
+  if (const auto div = compare_traces(ref.trace, out.trace)) {
+    fail("trace diverges at generation " + std::to_string(div->generation) +
+         ": " + div->detail);
   }
   if (out.counters_comparable) {
     core::EngineCounters want = ref.counters;
@@ -232,6 +235,21 @@ void compare_outcome(CaseResult& result, EngineKind kind,
 }
 
 }  // namespace
+
+std::string fresh_fitness_mismatch(const core::Engine& engine) {
+  const core::SimConfig& cfg = engine.config();
+  const auto got = engine.fitness_block().block();
+  core::BlockFitness fresh(cfg, 0, cfg.ssets, core::make_shared_graph(cfg));
+  if (closed_form(cfg)) {
+    fresh.initialize(engine.population());
+  } else {
+    fresh.restore(engine.fitness_block().state());
+  }
+  const auto [a, b] = std::ranges::mismatch(got, fresh.block());
+  if (a == got.end()) return {};
+  return "fitness of SSet " + std::to_string(a - got.begin()) + " is " +
+         format_double(*a) + ", a fresh evaluation gives " + format_double(*b);
+}
 
 const char* engine_kind_name(EngineKind kind) {
   switch (kind) {
@@ -346,19 +364,15 @@ CaseSpec sample_case(std::uint64_t fuzz_seed) {
       chance(0.2) ? game::LookupMode::LinearSearch : game::LookupMode::Indexed;
   c.dedup = chance(0.7);
   c.seed = rng() & 0xffffffffULL;
-  c.sset_threads = 0;
-  c.agent_threads = 0;
+  c.threads = 0;
 
-  spec.sset_threads = static_cast<unsigned>(pick(0, 2));
-  spec.agent_threads = chance(0.3) ? static_cast<unsigned>(pick(1, 2)) : 0;
+  spec.threads = static_cast<unsigned>(pick(0, 2));
   spec.nranks = static_cast<int>(
       std::min<std::uint64_t>(pick(2, 4), c.ssets));
 
   spec.engines.push_back(EngineKind::Parallel);
   if (chance(0.6)) spec.engines.push_back(EngineKind::ParallelReplicated);
-  if (spec.sset_threads > 0 || spec.agent_threads > 0) {
-    spec.engines.push_back(EngineKind::SerialThreads);
-  }
+  if (spec.threads > 0) spec.engines.push_back(EngineKind::SerialThreads);
   if (chance(0.6)) {
     spec.restore_at = pick(1, c.generations - 1);
     spec.engines.push_back(EngineKind::SerialRestore);
@@ -372,8 +386,8 @@ CaseSpec sample_case(std::uint64_t fuzz_seed) {
   if (want_faulty) {
     // Kills land on checkpoint boundaries so recovery takes the
     // block-restore fast path and the work counters stay diffable; torn
-    // checkpoints (Sampled only — see run_ft_variant) then exercise the
-    // CRC fallback at the cost of that comparability.
+    // checkpoints (where normalize_spec keeps them) then exercise the CRC
+    // fallback at the cost of that comparability.
     const std::uint64_t last_boundary =
         (c.generations - 1) / spec.ft_checkpoint_every;
     const std::uint64_t kill_gen =
@@ -381,9 +395,7 @@ CaseSpec sample_case(std::uint64_t fuzz_seed) {
                                                1, last_boundary));
     const int kill_rank = static_cast<int>(pick(1, spec.nranks - 1));
     spec.kills.push_back({kill_rank, kill_gen});
-    if (c.fitness_mode == FitnessMode::Sampled && chance(0.3)) {
-      spec.torn.push_back({kill_rank, kill_gen});
-    }
+    if (chance(0.3)) spec.torn.push_back({kill_rank, kill_gen});
     spec.engines.push_back(EngineKind::ParallelFtFaulty);
   }
   const bool valid = normalize_spec(spec);
@@ -395,8 +407,7 @@ bool normalize_spec(CaseSpec& spec) {
   auto& c = spec.config;
   if (c.ssets < 2) c.ssets = 2;
   if (c.generations < 1) c.generations = 1;
-  c.sset_threads = 0;
-  c.agent_threads = 0;
+  c.threads = 0;
 
   // Interaction constraints (see SimConfig::validate); fall back to the
   // well-mixed population when a shrink broke them.
@@ -455,8 +466,10 @@ bool normalize_spec(CaseSpec& spec) {
     kills.push_back(k);
   }
   spec.kills = std::move(kills);
+  // Torn checkpoints force a recompute, which is exact where fitness is a
+  // function of (population, generation): Sampled and closed-form Analytic.
   std::vector<ft::TornCheckpointFault> torn;
-  if (c.fitness_mode == FitnessMode::Sampled &&
+  if ((c.fitness_mode == FitnessMode::Sampled || closed_form(c)) &&
       spec.ft_checkpoint_every > 0) {
     for (auto t : spec.torn) {
       if (t.rank < 0 || t.rank >= spec.nranks) continue;
@@ -473,7 +486,7 @@ bool normalize_spec(CaseSpec& spec) {
       case EngineKind::Serial:
         continue;  // always run as the reference
       case EngineKind::SerialThreads:
-        if (spec.sset_threads == 0 && spec.agent_threads == 0) continue;
+        if (spec.threads == 0) continue;
         break;
       case EngineKind::SerialRestore:
         if (spec.restore_at == 0) continue;

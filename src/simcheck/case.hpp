@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/engine.hpp"
 #include "core/generation.hpp"
 #include "core/trace.hpp"
 #include "ft/fault_plan.hpp"
@@ -21,7 +22,7 @@ namespace egt::simcheck {
 /// The execution paths the harness can differentially compare.
 enum class EngineKind {
   Serial,              ///< core::Engine — the reference
-  SerialThreads,       ///< serial engine with sset/agent thread tiers
+  SerialThreads,       ///< serial engine with the fitness thread pool
   SerialRestore,       ///< serial run split by a checkpoint/restore
   Parallel,            ///< core::run_parallel, PaperBcast
   ParallelReplicated,  ///< core::run_parallel, ReplicatedNature
@@ -37,8 +38,7 @@ struct CaseSpec {
   std::uint64_t case_seed = 0;  ///< the fuzz seed that produced this spec
   core::SimConfig config;       ///< threads forced to 0 for the reference
   int nranks = 2;               ///< rank count of the parallel variants
-  unsigned sset_threads = 0;    ///< SerialThreads overrides
-  unsigned agent_threads = 0;
+  unsigned threads = 0;         ///< SerialThreads: config.threads
   std::uint64_t restore_at = 0;          ///< SerialRestore: split generation
   std::uint64_t ft_checkpoint_every = 0;  ///< ft variants
   std::vector<ft::KillFault> kills;       ///< ParallelFtFaulty
@@ -56,7 +56,6 @@ struct EngineOutcome {
   /// recovery off the checkpoint fast path recomputes (extra games).
   bool counters_comparable = true;
   std::vector<core::TracePoint> trace;
-  bool trace_comparable = true;
 };
 
 struct CaseFailure {
@@ -82,5 +81,10 @@ bool normalize_spec(CaseSpec& spec);
 
 /// Run the reference and every listed variant; compare.
 CaseResult run_case(const CaseSpec& spec);
+
+/// The history-free oracle: which SSet's fitness differs from a fresh block
+/// (playing every pair where all have a closed form, else re-summing the
+/// engine's state, since stream values are history by design), or empty.
+std::string fresh_fitness_mismatch(const core::Engine& engine);
 
 }  // namespace egt::simcheck

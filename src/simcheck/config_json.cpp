@@ -184,8 +184,7 @@ void write_config(util::JsonWriter& w, const core::SimConfig& c) {
   w.field("lookup", name_of(c.lookup));
   w.field("comm_pattern", name_of(c.comm_pattern));
   w.field("seed", c.seed);
-  w.field("agent_threads", c.agent_threads);
-  w.field("sset_threads", c.sset_threads);
+  w.field("threads", c.threads);
   w.field("dedup", c.dedup);
   w.end_object();
 }
@@ -272,8 +271,7 @@ core::SimConfig config_from_json(const util::JsonValue& v) {
   read_e(v, "lookup", c.lookup, lookup_of);
   read_e(v, "comm_pattern", c.comm_pattern, comm_pattern_of);
   read_u(v, "seed", c.seed);
-  read_u(v, "agent_threads", c.agent_threads);
-  read_u(v, "sset_threads", c.sset_threads);
+  read_u(v, "threads", c.threads);
   read_b(v, "dedup", c.dedup);
   return c;
 }

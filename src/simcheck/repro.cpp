@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "simcheck/config_json.hpp"
 #include "util/json.hpp"
@@ -16,8 +17,7 @@ std::string repro_to_json(const CaseResult& result, bool include_trace) {
   w.field("schema", kReproSchema);
   w.field("case_seed", spec.case_seed);
   w.field("nranks", spec.nranks);
-  w.field("sset_threads", spec.sset_threads);
-  w.field("agent_threads", spec.agent_threads);
+  w.field("threads", spec.threads);
   w.field("restore_at", spec.restore_at);
   w.field("ft_checkpoint_every", spec.ft_checkpoint_every);
   w.key("kills").begin_array();
@@ -69,20 +69,15 @@ ParsedRepro parse_repro(const std::string& json_text) {
   }
   ParsedRepro parsed;
   auto& spec = parsed.spec;
-  if (const auto* v = doc.find("case_seed")) spec.case_seed = v->as_u64();
-  if (const auto* v = doc.find("nranks")) {
-    spec.nranks = static_cast<int>(v->as_u64());
-  }
-  if (const auto* v = doc.find("sset_threads")) {
-    spec.sset_threads = static_cast<unsigned>(v->as_u64());
-  }
-  if (const auto* v = doc.find("agent_threads")) {
-    spec.agent_threads = static_cast<unsigned>(v->as_u64());
-  }
-  if (const auto* v = doc.find("restore_at")) spec.restore_at = v->as_u64();
-  if (const auto* v = doc.find("ft_checkpoint_every")) {
-    spec.ft_checkpoint_every = v->as_u64();
-  }
+  const auto read_u = [&doc](const char* key, auto& field) {
+    using T = std::remove_reference_t<decltype(field)>;
+    if (const auto* v = doc.find(key)) field = static_cast<T>(v->as_u64());
+  };
+  read_u("case_seed", spec.case_seed);
+  read_u("nranks", spec.nranks);
+  read_u("threads", spec.threads);
+  read_u("restore_at", spec.restore_at);
+  read_u("ft_checkpoint_every", spec.ft_checkpoint_every);
   if (const auto* v = doc.find("kills")) {
     for (const auto& item : v->items()) {
       spec.kills.push_back({static_cast<int>(item.at("rank").as_u64()),

@@ -17,7 +17,7 @@ namespace {
 // off-by-one: the row sum loops `j + 1 < ssets`, silently dropping the
 // last opponent column. Everything else mirrors the real path (a row
 // evaluates each strategy-pure pair once per column ClassId, later rows of
-// a class copy the first row of that class, sums walk j in fixed order),
+// a class copy the first row of that class, row sums are exact),
 // so the only divergence the harness can find is the bug itself.
 class BrokenDedupFitness {
  public:
@@ -38,13 +38,13 @@ class BrokenDedupFitness {
       } else {
         copy_row(pop, i, source, gen_key);
       }
-      double sum = 0.0;
+      core::ExactSum sum;
       // BUG (deliberate): one opponent column short of the real loop.
       for (pop::SSetId j = 0; j + 1 < config_.ssets; ++j) {
         if (j == i) continue;
-        sum += cell(i, j);
+        sum.add(cell(i, j));
       }
-      fitness_[i] = sum * row_scale();
+      fitness_[i] = sum.value() * row_scale();
     }
   }
 

@@ -92,9 +92,8 @@ std::vector<Transform> transforms() {
     return true;
   });
   t.push_back([](CaseSpec& s) {
-    if (s.sset_threads == 0 && s.agent_threads == 0) return false;
-    s.sset_threads = 0;
-    s.agent_threads = 0;
+    if (s.threads == 0) return false;
+    s.threads = 0;
     return true;
   });
   t.push_back([](CaseSpec& s) {

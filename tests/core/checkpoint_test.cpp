@@ -10,6 +10,7 @@
 #include "core/trace.hpp"
 #include "game/spec/registry.hpp"
 #include "obs/metrics.hpp"
+#include "simcheck/case.hpp"
 
 namespace egt::core {
 namespace {
@@ -42,13 +43,20 @@ std::uint64_t bits(double v) {
 /// An engine checkpoint restore must equal the uninterrupted run: the
 /// strategy table, the fitness bits, every trace point (fitness hash
 /// included) and all seven engine.* counters, with one registry across the
-/// split as simcheck's restore variant keeps it.
+/// split as simcheck's restore variant keeps it. The uninterrupted run's
+/// fitness must also equal a fresh evaluation every 8th generation.
 void expect_same_trajectory(const SimConfig& cfg, std::uint64_t split) {
   obs::MetricsRegistry whole_reg;
   PointLog whole_log;
   Engine uninterrupted(cfg, &whole_reg);
   uninterrupted.set_trace(&whole_log);
-  uninterrupted.run(cfg.generations);
+  for (std::uint64_t g = 0; g < cfg.generations; ++g) {
+    uninterrupted.step();
+    if (g % 8 == 7) {
+      ASSERT_EQ(simcheck::fresh_fitness_mismatch(uninterrupted), "")
+          << "after generation " << g;
+    }
+  }
 
   obs::MetricsRegistry split_reg;
   PointLog split_log;
@@ -187,6 +195,51 @@ void expect_same_fitness(const Engine& got, const Engine& want) {
   }
 }
 
+/// Fitness depends only on the population: an engine rebuilt at
+/// generation 500 from its RestoredState without the fitness state (which
+/// evaluates every pair afresh) agrees bit for bit with the continued
+/// engine at the rebuild, and on the strategy table 2000 generations later.
+void expect_history_free(SimConfig cfg) {
+  cfg.ssets = 64;
+  cfg.memory = 1;
+  cfg.fitness_mode = FitnessMode::Analytic;
+  cfg.mutation_rate = 0.1;
+  // Seeds 101-150 include 117, 126 and 145, whose tables diverged under
+  // the paper's teacher-better gate while row sums were kept by
+  // incremental floating-point updates.
+  for (std::uint64_t seed = 101; seed <= 150; ++seed) {
+    SCOPED_TRACE(seed);
+    cfg.seed = seed;
+    Engine continued(cfg);
+    continued.run(500);
+    Engine rebuilt = reevaluated(cfg, continued);
+    expect_same_fitness(rebuilt, continued);
+    continued.run(2000);
+    rebuilt.run(2000);
+    ASSERT_EQ(rebuilt.population().table_hash(),
+              continued.population().table_hash());
+  }
+}
+
+TEST(Checkpoint, FitnessIsHistoryFreeForMixedNoisyMemoryOne) {
+  SimConfig cfg;
+  cfg.space = pop::StrategySpace::Mixed;
+  cfg.game.noise = 0.02;
+  cfg.pc_rate = 0.5;
+  expect_history_free(cfg);
+}
+
+TEST(Checkpoint, FitnessIsHistoryFreeUnderTheTeacherBetterGate) {
+  // Imitation makes equal payoffs the normal case, and the gate's strict
+  // comparison then decides ties by the last bits of the two values.
+  SimConfig cfg;
+  cfg.require_teacher_better = true;
+  cfg.space = pop::StrategySpace::Pure;
+  cfg.game.noise = 0.0;
+  cfg.pc_rate = 1.0;
+  expect_history_free(cfg);
+}
+
 TEST(Checkpoint, ResumeUnderAnotherFitnessModeReevaluates) {
   // The fingerprint leaves the mode out, so an Analytic checkpoint may
   // resume a SampledFrozen or Sampled run. The saved state is dropped and
@@ -250,12 +303,12 @@ TEST(Checkpoint, RejectsTruncationAtEveryLength) {
   }
 }
 
-/// `blob` (a v4 checkpoint of `cfg`) cut back to the v3 layout: v4 without
-/// the trailing fitness state (u32 begin, u32 end, u8 mode, u32 cols, then
-/// ssets + ssets^2 doubles), version field set to 3.
+/// `blob` (a current checkpoint of an Analytic `cfg`) cut back to the v3
+/// layout: without the trailing fitness state (u32 begin, u32 end, u8 mode,
+/// u32 cols, then the ssets^2 matrix doubles), version field set to 3.
 std::vector<std::byte> as_v3(const SimConfig& cfg,
                              std::vector<std::byte> blob) {
-  blob.resize(blob.size() - 13 - 8 * (cfg.ssets + cfg.ssets * cfg.ssets));
+  blob.resize(blob.size() - 13 - 8 * cfg.ssets * cfg.ssets);
   const std::uint32_t v3 = 3;
   std::memcpy(blob.data() + 8, &v3, sizeof v3);  // after the magic
   return blob;
@@ -292,6 +345,22 @@ TEST(Checkpoint, V3CheckpointResumesByReevaluating) {
   auto trailing = v3;
   trailing.push_back(std::byte{0});
   EXPECT_THROW((void)restore_checkpoint(cfg, trailing), CheckpointError);
+}
+
+TEST(Checkpoint, V4CheckpointResumesFromItsMatrix) {
+  // A v4 blob also carried each row's fitness beside the matrix. It is
+  // read and dropped: the restored block re-sums the matrix.
+  const auto cfg = config(FitnessMode::Analytic);
+  Engine engine(cfg);
+  engine.run(30);
+  auto v4 = save_checkpoint(engine);
+  const std::vector<double> stale(cfg.ssets, -1.0);
+  const auto at = v4.end() - 8 * cfg.ssets * cfg.ssets;  // the matrix
+  v4.insert(at, reinterpret_cast<const std::byte*>(stale.data()),
+            reinterpret_cast<const std::byte*>(stale.data() + stale.size()));
+  const std::uint32_t four = 4;
+  std::memcpy(v4.data() + 8, &four, sizeof four);  // after the magic
+  expect_same_fitness(restore_checkpoint(cfg, v4), engine);
 }
 
 TEST(Checkpoint, CorruptStrategyLengthDoesNotOverAllocate) {

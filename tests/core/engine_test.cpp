@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/generation.hpp"
 #include "game/named.hpp"
+#include "obs/metrics.hpp"
 #include "pop/stats.hpp"
 
 namespace egt::core {
@@ -168,16 +172,17 @@ TEST(Engine, HighBetaSelectsForFitness) {
 }
 
 TEST(Engine, AgentTierThreadsProduceIdenticalTrajectories) {
-  // The paper's second parallel tier: concurrent agent game play inside a
-  // strategy group. Must be bit-identical to the serial path.
+  // The paper's second parallel tier, the fitness block's thread pool:
+  // concurrent game play inside a block. Must be bit-identical to the
+  // serial path.
   for (const auto mode : {FitnessMode::Sampled, FitnessMode::Analytic}) {
     auto cfg = small_config();
     cfg.generations = 25;
     cfg.fitness_mode = mode;
-    cfg.agent_threads = 0;
+    cfg.threads = 0;
     Engine serial(cfg);
     serial.run_all();
-    cfg.agent_threads = 3;
+    cfg.threads = 3;
     Engine threaded(cfg);
     threaded.run_all();
     ASSERT_EQ(serial.population().table_hash(),
@@ -185,6 +190,37 @@ TEST(Engine, AgentTierThreadsProduceIdenticalTrajectories) {
     for (pop::SSetId i = 0; i < cfg.ssets; ++i) {
       ASSERT_DOUBLE_EQ(serial.population().fitness(i),
                        threaded.population().fitness(i));
+    }
+  }
+}
+
+TEST(Engine, ThreadPoolLeavesFitnessMatrixAndCountersUntouched) {
+  // Any thread count gives the serial bits in every mode: fitness, the
+  // block's state (the payoff matrix of the cached modes) and all seven
+  // engine.* counters.
+  for (const auto mode : {FitnessMode::Sampled, FitnessMode::SampledFrozen,
+                          FitnessMode::Analytic}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    auto cfg = small_config();
+    cfg.generations = 40;
+    cfg.fitness_mode = mode;
+    cfg.space = pop::StrategySpace::Mixed;
+    cfg.game.noise = 0.02;
+    obs::MetricsRegistry serial_reg;
+    Engine serial(cfg, &serial_reg);
+    serial.run_all();
+    for (const unsigned threads : {1u, 3u}) {
+      cfg.threads = threads;
+      obs::MetricsRegistry reg;
+      Engine threaded(cfg, &reg);
+      threaded.run_all();
+      EXPECT_EQ(counters_from(reg.snapshot()),
+                counters_from(serial_reg.snapshot()));
+      const auto a = threaded.fitness_block().block();
+      const auto b = serial.fitness_block().block();
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+      EXPECT_EQ(threaded.fitness_block().state().values,
+                serial.fitness_block().state().values);
     }
   }
 }

@@ -254,8 +254,11 @@ Evaluated evaluate(const SimConfig& cfg, const pop::Population& before,
     }
     out.fitness.insert(out.fitness.end(), block.block().begin(),
                        block.block().end());
-    const std::vector<double> matrix = block.state().matrix;
-    out.matrix.insert(out.matrix.end(), matrix.begin(), matrix.end());
+    const BlockFitness::State state = block.state();
+    if (state.cols > 0) {
+      out.matrix.insert(out.matrix.end(), state.values.begin(),
+                        state.values.end());
+    }
     out.pairs += block.pairs_evaluated();
     out.games += block.games_played();
   }
@@ -299,16 +302,11 @@ TEST(SampledLaneFitness, EveryRowPathBitIdenticalWithEqualCounters) {
                                 (graph ? " ring" : " well-mixed");
         const Evaluated serial =
             evaluate(cfg, before, after, changes, 1, graph);
-        SimConfig rows = cfg;
-        rows.sset_threads = 3;
+        SimConfig pooled = cfg;
+        pooled.threads = 3;
         expect_identical(serial,
-                         evaluate(rows, before, after, changes, 1, graph),
-                         tag + " sset tier");
-        SimConfig agents = cfg;
-        agents.agent_threads = 3;
-        expect_identical(serial,
-                         evaluate(agents, before, after, changes, 1, graph),
-                         tag + " agent tier");
+                         evaluate(pooled, before, after, changes, 1, graph),
+                         tag + " thread pool");
         expect_identical(serial,
                          evaluate(cfg, before, after, changes, 3, graph),
                          tag + " three blocks");

@@ -42,8 +42,8 @@ void expect_blocks_identical(const BlockFitness& a, const BlockFitness& b) {
   for (std::size_t i = 0; i < a.block().size(); ++i) {
     ASSERT_EQ(a.block()[i], b.block()[i]) << "row " << i;
   }
-  const std::vector<double> ma = a.state().matrix;
-  const std::vector<double> mb = b.state().matrix;
+  const std::vector<double> ma = a.state().values;
+  const std::vector<double> mb = b.state().values;
   ASSERT_EQ(ma.size(), mb.size());
   for (std::size_t i = 0; i < ma.size(); ++i) {
     ASSERT_EQ(ma[i], mb[i]) << "cell " << i;
@@ -51,13 +51,12 @@ void expect_blocks_identical(const BlockFitness& a, const BlockFitness& b) {
 }
 
 /// Where and how a block under test evaluates: its row range, thread
-/// tiers and interaction graph.
+/// pool and interaction graph.
 struct Layout {
   const char* name;
   pop::SSetId begin = 0;
   pop::SSetId end = 24;  ///< all rows of the 24-SSet population
-  unsigned sset_threads = 0;
-  unsigned agent_threads = 0;
+  unsigned threads = 0;
   bool ring = false;  ///< structured: a ring of 2 neighbours a side
 };
 
@@ -90,8 +89,7 @@ game::Strategy absent_strategy(const SimConfig& cfg,
 /// strategy, so nothing may be keyed on a stale class id.
 void run_property_sequence(int memory, bool mixed, const Layout& layout) {
   SimConfig dedup_cfg = analytic_config(24, memory);
-  dedup_cfg.sset_threads = layout.sset_threads;
-  dedup_cfg.agent_threads = layout.agent_threads;
+  dedup_cfg.threads = layout.threads;
   SimConfig brute_cfg = dedup_cfg;
   brute_cfg.dedup = false;
   SimConfig serial_cfg = analytic_config(24, memory);
@@ -173,8 +171,10 @@ TEST(FitnessDedup, PropertyMixedMemory2) { run_property_sequence(2, true, {"full
 TEST(FitnessDedup, PropertyMixedMemory3) { run_property_sequence(3, true, {"full"}); }
 
 /// The same property over every block layout the engines use: a partial
-/// row block (a parallel rank's), the SSet-row and agent thread tiers, and
-/// a structured graph (within-call dedup only).
+/// row block (a parallel rank's), the thread pool over many rows ("sset3")
+/// and over fewer rows than threads ("agent3": whole-block passes leave
+/// threads idle, row rebuilds split pairs), and a structured graph
+/// (within-call dedup only).
 class FitnessDedupLayouts
     : public ::testing::TestWithParam<std::tuple<Layout, int, bool>> {};
 
@@ -187,11 +187,11 @@ INSTANTIATE_TEST_SUITE_P(
     AllLayouts, FitnessDedupLayouts,
     ::testing::Combine(
         ::testing::Values(Layout{"partial", 5, 17},
-                          Layout{"sset3", 0, 24, 3, 0},
-                          Layout{"agent3", 0, 24, 0, 3},
-                          Layout{"partial_sset3_agent3", 5, 17, 3, 3},
-                          Layout{"ring", 0, 24, 0, 0, true},
-                          Layout{"ring_partial_agent3", 5, 17, 0, 3, true}),
+                          Layout{"sset3", 0, 24, 3},
+                          Layout{"agent3", 11, 13, 3},
+                          Layout{"partial_sset3_agent3", 5, 17, 3},
+                          Layout{"ring", 0, 24, 0, true},
+                          Layout{"ring_partial_agent3", 5, 17, 3, true}),
         ::testing::Values(1, 2, 3), ::testing::Bool()),
     [](const auto& info) {
       return std::string(std::get<0>(info.param).name) + "_m" +
@@ -262,9 +262,9 @@ TEST(FitnessDedup, StochasticMemory2PairsAreNotCached) {
 TEST(FitnessDedup, SsetThreadsBitIdenticalToSerial) {
   for (const unsigned threads : {1u, 2u, 5u}) {
     SimConfig par_cfg = analytic_config(48, 1);
-    par_cfg.sset_threads = threads;
+    par_cfg.threads = threads;
     SimConfig ser_cfg = par_cfg;
-    ser_cfg.sset_threads = 0;
+    ser_cfg.threads = 0;
 
     auto pop = random_population(par_cfg, true, 400);
     for (pop::SSetId i = 0; i < pop.size(); i += 2) {
@@ -284,9 +284,9 @@ TEST(FitnessDedup, SsetThreadsBitIdenticalForSampledReplay) {
   SimConfig par_cfg = analytic_config(32, 1);
   par_cfg.fitness_mode = FitnessMode::Sampled;
   par_cfg.space = pop::StrategySpace::Mixed;
-  par_cfg.sset_threads = 3;
+  par_cfg.threads = 3;
   SimConfig ser_cfg = par_cfg;
-  ser_cfg.sset_threads = 0;
+  ser_cfg.threads = 0;
 
   const auto pop = random_population(par_cfg, true, 88);
   BlockFitness par(par_cfg, 0, par_cfg.ssets);
@@ -302,7 +302,7 @@ TEST(FitnessDedup, SsetThreadsBitIdenticalForSampledReplay) {
 
 TEST(FitnessDedup, RestoreStateRoundTripsCache) {
   // The payoff matrix is the whole dedup state: a block restored from its
-  // State (fitness, matrix) alone reuses values exactly like its source.
+  // State (the matrix) alone reuses values exactly like its source.
   SimConfig cfg = analytic_config(16, 1);
   auto pop = random_population(cfg, false, 12);
   for (pop::SSetId i = 0; i < pop.size(); i += 2) {
@@ -353,7 +353,7 @@ TEST(FitnessDedup, SerialEngineTrajectoryUnchangedBySsetThreads) {
   cfg.pc_rate = 0.4;
   cfg.mutation_rate = 0.05;
   SimConfig threaded = cfg;
-  threaded.sset_threads = 4;
+  threaded.threads = 4;
 
   Engine a(cfg);
   Engine b(threaded);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "core/engine.hpp"
 #include "game/named.hpp"
+#include "util/rng.hpp"
 
 namespace egt::core {
 namespace {
@@ -159,6 +163,55 @@ TEST(BlockFitness, QueriesOutsideBlockThrow) {
   BlockFitness fit(cfg, 2, 5);
   EXPECT_THROW((void)fit.fitness(1), std::invalid_argument);
   EXPECT_THROW((void)fit.fitness(5), std::invalid_argument);
+}
+
+}  // namespace
+}  // namespace egt::core
+
+namespace egt::core {
+namespace {
+
+TEST(ExactSum, FixedIsTheScaledValueTruncatedTowardZero) {
+  util::Xoshiro256 rng(2024);
+  for (int k = 0; k < 200000; ++k) {
+    const int exp = static_cast<int>(rng() % 52) - 11;  // |v| in [2^-11, 2^41)
+    const double v =
+        std::ldexp(1.0 + static_cast<double>(rng() >> 12) * 0x1p-52, exp) *
+        (rng() % 2 == 0 ? 1.0 : -1.0);
+    ASSERT_TRUE(ExactSum::fixed(v) ==
+                static_cast<ExactSum::Fixed>(std::ldexp(v, 64)))
+        << v;
+    ASSERT_TRUE(ExactSum::fixed(-v) == -ExactSum::fixed(v)) << v;
+  }
+  EXPECT_TRUE(ExactSum::fixed(0.0) == 0);
+  EXPECT_TRUE(ExactSum::fixed(-0.0) == 0);
+}
+
+TEST(ExactSum, ValueIgnoresOrderAndHistory) {
+  // Terms whose double sum depends on the order: the exact sum does not,
+  // and a term swapped out and back in leaves no trace.
+  std::vector<double> terms;
+  util::Xoshiro256 rng(7);
+  for (int k = 0; k < 1000; ++k) {
+    terms.push_back(static_cast<double>(rng() >> 11) * 0x1p-53 * 600.0 -
+                    300.0);
+  }
+  ExactSum forward, backward, churned;
+  for (const double t : terms) forward.add(t);
+  for (auto it = terms.rbegin(); it != terms.rend(); ++it) backward.add(*it);
+  for (const double t : terms) {
+    churned.add(t * 3.7);
+    churned.add(t);
+    churned.add(-(t * 3.7));
+  }
+  EXPECT_EQ(forward.value(), backward.value());
+  EXPECT_EQ(forward.value(), churned.value());
+  double naive_forward = 0.0, naive_backward = 0.0;
+  for (const double t : terms) naive_forward += t;
+  for (auto it = terms.rbegin(); it != terms.rend(); ++it) {
+    naive_backward += *it;
+  }
+  EXPECT_NE(naive_forward, naive_backward) << "pick terms the order moves";
 }
 
 }  // namespace

@@ -21,12 +21,9 @@ BlockCheckpoint sample(pop::SSetId begin = 4, pop::SSetId end = 8,
   c.state.begin = begin;
   c.state.end = end;
   c.state.cols = cols;
-  for (pop::SSetId i = begin; i < end; ++i) {
-    c.state.fitness.push_back(0.5 * i);
-  }
-  c.state.matrix.resize(static_cast<std::size_t>(end - begin) * cols);
-  for (std::size_t i = 0; i < c.state.matrix.size(); ++i) {
-    c.state.matrix[i] = 0.25 * static_cast<double>(i) - 3.0;
+  c.state.values.resize((end - begin) * c.state.width());
+  for (std::size_t i = 0; i < c.state.values.size(); ++i) {
+    c.state.values[i] = 0.25 * static_cast<double>(i) - 3.0;
   }
   return c;
 }
@@ -40,8 +37,7 @@ TEST(BlockCheckpoint, EncodeDecodeRoundTrip) {
   EXPECT_EQ(back.state.begin, c.state.begin);
   EXPECT_EQ(back.state.end, c.state.end);
   EXPECT_EQ(back.state.cols, c.state.cols);
-  EXPECT_EQ(back.state.fitness, c.state.fitness);
-  EXPECT_EQ(back.state.matrix, c.state.matrix);
+  EXPECT_EQ(back.state.values, c.state.values);
 }
 
 TEST(BlockCheckpoint, RejectsVersion2BlobWithDedupList) {
@@ -77,8 +73,8 @@ TEST(BlockCheckpoint, SampledModeHasNoMatrix) {
   const auto c = sample(0, 5, /*cols=*/0);
   const auto back = BlockCheckpoint::decode(c.encode());
   EXPECT_EQ(back.state.cols, 0u);
-  EXPECT_TRUE(back.state.matrix.empty());
-  EXPECT_EQ(back.state.fitness, c.state.fitness);
+  ASSERT_EQ(back.state.values.size(), 5u);  // the per-row fitness
+  EXPECT_EQ(back.state.values, c.state.values);
 }
 
 TEST(BlockCheckpoint, RejectsTruncationAtEveryLength) {
@@ -151,13 +147,15 @@ TEST(BlockCheckpoint, SlicesExtractSubRanges) {
   EXPECT_EQ(s.begin, 5u);
   EXPECT_EQ(s.end, 7u);
   EXPECT_EQ(s.cols, 3u);
-  ASSERT_EQ(s.fitness.size(), 2u);
-  EXPECT_EQ(s.fitness[0], c.state.fitness[1]);
-  EXPECT_EQ(s.fitness[1], c.state.fitness[2]);
-  ASSERT_EQ(s.matrix.size(), 6u);
-  for (std::size_t i = 0; i < s.matrix.size(); ++i) {
-    EXPECT_EQ(s.matrix[i], c.state.matrix[3 + i]);
+  ASSERT_EQ(s.values.size(), 6u);
+  for (std::size_t i = 0; i < s.values.size(); ++i) {
+    EXPECT_EQ(s.values[i], c.state.values[3 + i]);
   }
+  const auto per_row = sample(4, 8, /*cols=*/0).state;
+  const auto rows = per_row.slice(5, 7);
+  ASSERT_EQ(rows.values.size(), 2u);  // one fitness value per row
+  EXPECT_EQ(rows.values[0], per_row.values[1]);
+  EXPECT_EQ(rows.values[1], per_row.values[2]);
   EXPECT_THROW((void)c.state.slice(3, 7), core::CheckpointError);
   EXPECT_THROW((void)c.state.slice(6, 5), core::CheckpointError);
 }
@@ -228,7 +226,7 @@ TEST(CheckpointStore, CorruptEntriesAreSkippedNotFatal) {
   const auto hit =
       store.find_covering(0, 8, good.generation, good.table_hash, 0);
   ASSERT_TRUE(hit.has_value()) << "damaged entry must not mask the good one";
-  EXPECT_EQ(hit->state.fitness, good.state.fitness);
+  EXPECT_EQ(hit->state.values, good.state.values);
 }
 
 TEST(CheckpointStore, TornNewestFallsBackToOlderIntactGeneration) {

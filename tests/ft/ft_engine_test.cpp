@@ -6,6 +6,8 @@
 // machinery actually did.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include <algorithm>
 #include <optional>
 #include <sstream>
@@ -78,9 +80,12 @@ void expect_table_equal(const FtResult& ft, const Reference& ref) {
   }
 }
 
+/// Bitwise: row sums are exact, so every recovery path reproduces the
+/// reference's bits.
 void expect_fitness_equal(const FtResult& ft, const Reference& ref) {
   for (pop::SSetId i = 0; i < ref.population.size(); ++i) {
-    ASSERT_DOUBLE_EQ(ft.population.fitness(i), ref.population.fitness(i))
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(ft.population.fitness(i)),
+              std::bit_cast<std::uint64_t>(ref.population.fitness(i)))
         << "fitness diverged at SSet " << i;
   }
 }
@@ -154,20 +159,49 @@ TEST(FtEngine, KillInSampledModeRecomputesBitExact) {
   EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_restored"), 0u);
 }
 
+/// base_config with mixed memory-one strategies under 2% noise: every
+/// pair still has a closed form (the memory-one Markov chain).
+SimConfig mixed_noisy_config() {
+  auto cfg = base_config();
+  cfg.space = pop::StrategySpace::Mixed;
+  cfg.game.noise = 0.02;
+  return cfg;
+}
+
 TEST(FtEngine, KillWithoutCheckpointPreservesTrajectory) {
   // Analytic recovery without a covering checkpoint recomputes the block
-  // from the replicated strategy table: same values up to FP summation
-  // order, so the decision trajectory (and the strategy table) still
-  // matches the reference exactly.
-  const auto cfg = base_config();
-  const auto ref = serial_reference(cfg);
-  FtRunOptions opt;
-  opt.plan.kill(3, 20);
-  const auto ft = run_parallel_ft(cfg, 5, opt);
-  expect_table_equal(ft, ref);
-  expect_engine_counters_equal(ft, ref);
-  EXPECT_EQ(ft.metrics.counter_value("ft.recoveries"), 1u);
-  EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
+  // from the replicated strategy table. Row sums are exact, so the
+  // recompute's summation order does not matter: table and fitness match
+  // the reference bit for bit.
+  for (const SimConfig& cfg : {base_config(), mixed_noisy_config()}) {
+    const auto ref = serial_reference(cfg);
+    FtRunOptions opt;
+    opt.plan.kill(3, 20);
+    const auto ft = run_parallel_ft(cfg, 5, opt);
+    expect_table_equal(ft, ref);
+    expect_fitness_equal(ft, ref);
+    expect_engine_counters_equal(ft, ref);
+    EXPECT_EQ(ft.metrics.counter_value("ft.recoveries"), 1u);
+    EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
+  }
+}
+
+TEST(FtEngine, KillWithTornCheckpointRecomputesBitExact) {
+  // The covering checkpoint is torn and every older one predates a
+  // strategy change, so the adopter recomputes; the result is still the
+  // reference's, bit for bit.
+  for (const SimConfig& cfg : {base_config(), mixed_noisy_config()}) {
+    const auto ref = serial_reference(cfg);
+    FtRunOptions opt;
+    opt.checkpoint_every = 4;
+    opt.plan.kill(2, 12);
+    opt.plan.torn_checkpoint(2, 12);
+    const auto ft = run_parallel_ft(cfg, 4, opt);
+    expect_table_equal(ft, ref);
+    expect_fitness_equal(ft, ref);
+    EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_restored"), 0u);
+    EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
+  }
 }
 
 TEST(FtEngine, TwoSimultaneousKillsAreRecoveredNested) {

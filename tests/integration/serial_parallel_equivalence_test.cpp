@@ -161,10 +161,10 @@ TEST(SerialParallel, AgentThreadTierComposesWithRankTier) {
   // worker threads split each SSet's games. Still bit-identical.
   auto cfg = base_config();
   cfg.generations = 30;
-  cfg.agent_threads = 0;
+  cfg.threads = 0;
   Engine serial(cfg);
   serial.run_all();
-  cfg.agent_threads = 2;
+  cfg.threads = 2;
   const auto par = run_parallel(cfg, 3);
   EXPECT_EQ(par.population.table_hash(), serial.population().table_hash());
 }
@@ -219,14 +219,14 @@ TEST(SerialParallel, FaultTolerantEngineMatchesSerialThroughARankFailure) {
 }
 
 TEST(SerialParallel, SsetThreadTierMatchesSerialOnAllEngines) {
-  // The SSet-row tier must be invisible to the trajectory on every engine:
+  // The thread pool must be invisible to the trajectory on every engine:
   // serial reference (threads off) vs serial, rank-parallel and
-  // fault-tolerant runs with --sset-threads on, all bit-identical.
+  // fault-tolerant runs with --threads on, all bit-identical.
   auto cfg = base_config();
   Engine reference(cfg);
   reference.run_all();
 
-  cfg.sset_threads = 3;
+  cfg.threads = 3;
   Engine serial(cfg);
   serial.run_all();
   EXPECT_EQ(serial.population().table_hash(),

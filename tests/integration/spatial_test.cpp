@@ -154,25 +154,25 @@ TEST(Spatial, CompleteKindMatchesUnstructuredEngineExactly) {
 }
 
 TEST(Spatial, AgentThreadsNowComposeWithStructuredPopulations) {
-  // Previously --threads was hard-rejected for structured populations; the
-  // agent tier now routes graph neighbours through the pool with a
-  // fixed-order reduction, so it must validate and stay bit-identical.
+  // The thread pool routes graph neighbours through the pool with an
+  // exact row sum, so structured populations must validate and stay
+  // bit-identical.
   auto cfg = ring_config();
   EXPECT_NO_THROW([&] {
     auto c = cfg;
-    c.agent_threads = 2;
+    c.threads = 2;
     c.validate();
   }());
   Engine serial(cfg);
   serial.run_all();
   for (unsigned threads : {1u, 2u, 4u}) {
     auto threaded_cfg = cfg;
-    threaded_cfg.agent_threads = threads;
+    threaded_cfg.threads = threads;
     Engine threaded(threaded_cfg);
     threaded.run_all();
     ASSERT_EQ(threaded.population().table_hash(),
               serial.population().table_hash())
-        << "agent_threads=" << threads;
+        << "threads=" << threads;
     for (pop::SSetId i = 0; i < cfg.ssets; ++i) {
       ASSERT_DOUBLE_EQ(threaded.population().fitness(i),
                        serial.population().fitness(i));
@@ -184,7 +184,7 @@ TEST(Spatial, AgentThreadsNowComposeWithStructuredPopulations) {
   lattice.interaction.lattice_width = 6;
   Engine lattice_serial(lattice);
   lattice_serial.run_all();
-  lattice.agent_threads = 2;
+  lattice.threads = 2;
   const auto par = run_parallel(lattice, 4);
   EXPECT_EQ(par.population.table_hash(),
             lattice_serial.population().table_hash());
@@ -194,7 +194,7 @@ TEST(Spatial, SsetThreadsBitIdenticalOnRing) {
   auto cfg = ring_config();
   Engine serial(cfg);
   serial.run_all();
-  cfg.sset_threads = 3;
+  cfg.threads = 3;
   Engine threaded(cfg);
   threaded.run_all();
   EXPECT_EQ(threaded.population().table_hash(),

@@ -109,12 +109,6 @@ TEST(ThreadPool, ExceptionsPropagate) {
   EXPECT_EQ(ok.load(), 10);
 }
 
-TEST(ThreadPool, SharedPoolSingleton) {
-  ThreadPool& a = ThreadPool::shared();
-  ThreadPool& b = ThreadPool::shared();
-  EXPECT_EQ(&a, &b);
-}
-
 TEST(ThreadPool, OversubscribedPoolsCompleteWithoutSpinning) {
   // More workers than cores, several pools at once, many small jobs: with
   // the old busy-spin completion wait this configuration burned every core

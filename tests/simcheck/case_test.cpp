@@ -51,7 +51,7 @@ TEST(RunCase, AllEnginesAgreeOnAFixedSpec) {
   spec.config = small_config();
   spec.config.fitness_mode = core::FitnessMode::Sampled;
   spec.nranks = 3;
-  spec.sset_threads = 2;
+  spec.threads = 2;
   spec.restore_at = 4;
   spec.ft_checkpoint_every = 2;
   spec.engines = {EngineKind::Parallel, EngineKind::ParallelReplicated,

@@ -46,8 +46,7 @@ void expect_round_trip(const core::SimConfig& c) {
   EXPECT_EQ(back.lookup, c.lookup);
   EXPECT_EQ(back.comm_pattern, c.comm_pattern);
   EXPECT_EQ(back.seed, c.seed);
-  EXPECT_EQ(back.agent_threads, c.agent_threads);
-  EXPECT_EQ(back.sset_threads, c.sset_threads);
+  EXPECT_EQ(back.threads, c.threads);
   EXPECT_EQ(back.dedup, c.dedup);
 }
 
@@ -75,8 +74,7 @@ TEST(ConfigJson, NonDefaultFieldsRoundTrip) {
   c.lookup = game::LookupMode::LinearSearch;
   c.comm_pattern = core::CommPattern::ReplicatedNature;
   c.seed = 0xdeadbeefu;  // 32-bit: the documented JSON exactness range
-  c.agent_threads = 2;
-  c.sset_threads = 1;
+  c.threads = 2;
   c.dedup = false;
   expect_round_trip(c);
 }

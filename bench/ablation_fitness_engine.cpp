@@ -58,6 +58,7 @@ int main(int argc, char** argv) {
     core::SimConfig cfg;
     bool traced = false;        ///< run with the flight recorder enabled
     bool force_scalar = false;  ///< pin the scalar batch kernel for the run
+    bool time_setup = false;    ///< time the engine's initial evaluation too
   };
   std::vector<Variant> variants;
   {
@@ -111,6 +112,19 @@ int main(int argc, char** argv) {
         {"analytic mem1-markov scalar", mem1, false, /*force_scalar=*/true});
     mem1.dedup = true;
     variants.push_back({"analytic mem1-markov + dedup", mem1});
+    // The same kernel at the analytic_churn_ft shape (perfbench): 1024
+    // mixed memory-one SSets under 2% noise. Its timer includes the
+    // engine's construction, whose initial evaluation is ~10^6 distinct
+    // pairs, so the row is nearly all kernel and sits far above the perf
+    // gate's noise floor, where the 48-SSet rows above do not.
+    auto churn = mem1;
+    churn.ssets = 1024;
+    churn.game.noise = 0.02;
+    churn.pc_rate = 1.0;
+    churn.mutation_rate = 0.2;
+    churn.generations = 100;
+    variants.push_back({"analytic mem1-markov churn-1024", churn, false,
+                        false, /*time_setup=*/true});
     // The sampled lane kernel (DESIGN.md §12): the paper's noisy
     // memory-six pure play re-sampled every generation, where game play is
     // nearly all of the work. 40 generations put the row well above the
@@ -150,8 +164,9 @@ int main(int argc, char** argv) {
     for (int run = -std::max(0, *warmup); run < timed; ++run) {
       if (v.traced) obs::Tracer::instance().start();
       if (v.force_scalar) game::simd::set_force_scalar(true);
-      core::Engine engine(v.cfg);
       util::Timer t;
+      core::Engine engine(v.cfg);
+      if (!v.time_setup) t.reset();
       engine.run_all();
       const double wall = t.seconds();
       if (v.force_scalar) game::simd::set_force_scalar(false);

@@ -34,6 +34,10 @@ class Writer {
   void f64(double v) { raw(&v, sizeof v); }
   void bytes(const std::vector<std::byte>& b) {
     u32(static_cast<std::uint32_t>(b.size()));
+    append(b);
+  }
+  /// `b` verbatim, with no length prefix.
+  void append(const std::vector<std::byte>& b) {
     if (!b.empty()) raw(b.data(), b.size());
   }
   void doubles(const double* p, std::size_t n) {
@@ -44,11 +48,10 @@ class Writer {
   std::vector<std::byte> take() { return std::move(out_); }
 
  private:
-  void raw(const void* p, std::size_t n) {
-    const auto off = out_.size();
-    out_.resize(off + n);
-    std::memcpy(out_.data() + off, p, n);
-  }
+  // Out of line (wire.cpp): inlined into a run of fixed-size writes, the
+  // vector growth trips GCC 12's bounds analysis (-Warray-bounds,
+  // -Wstringop-overflow false positives in Release builds).
+  void raw(const void* p, std::size_t n);
   std::vector<std::byte> out_;
 };
 

@@ -278,10 +278,11 @@ class BlockSet {
   /// intact covering block checkpoint restores the exact doubles
   /// (bit-exact, zero games). Recompute path: Sampled re-plays the block
   /// with this generation's streams from the top-of-generation population
-  /// (bit-exact by purity; counts to engine.pairs exactly as the dead
-  /// rank's evaluation would have); cached modes re-initialize from
-  /// scratch and replay this generation's strategy changes (recovery work,
-  /// counts to ft.recovery.pairs_evaluated).
+  /// (bit-exact by purity); cached modes re-initialize from scratch
+  /// (recovery work, counts to ft.recovery.pairs_evaluated) and replay
+  /// this generation's strategy changes. The play and the replay are the
+  /// dead rank's own generation work, so they count to engine.pairs
+  /// exactly as its evaluation would have.
   ///
   /// Otherwise `gen` is the next generation to run, and the caller's main
   /// loop will run begin_generation over every block — including this one
@@ -310,7 +311,6 @@ class BlockSet {
       }
       if (mid_gen) {
         blk.fit.begin_generation(top_, gen);
-        ins_.account(blk.fit, blk.seen);
         // Snapshot = top-of-generation values, before this generation's
         // updates (which are replayed on top for the cached modes below).
         blk.snapshot.assign(blk.fit.block().begin(), blk.fit.block().end());
@@ -321,10 +321,10 @@ class BlockSet {
           replay.set_strategy(c.k, c.strategy);
           blk.fit.strategy_changed(c.k, replay, c.gen);
         }
-        FtInstruments::inc(ins_.recovery_pairs,
-                           blk.fit.pairs_evaluated() - blk.seen.pairs);
-        FtInstruments::inc(ins_.recovery_games,
-                           blk.fit.games_played() - blk.seen.games);
+        // This generation's play and changes on these rows are the work
+        // the dead owner would have done (it died before folding any of
+        // them): they count to engine.*, like every other rank's.
+        ins_.account(blk.fit, blk.seen);
       }
       FtInstruments::inc(ins_.blocks_recomputed);
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "game/mem1_lanes.hpp"
 #include "game/simd.hpp"
 #include "game/state.hpp"
 #include "util/check.hpp"
@@ -42,45 +43,55 @@ void Mem1Batch::push_probs(const double* ca, const double* cb, double eps) {
   }
 }
 
-void expected_totals_mem1_scalar(const Mem1Batch& batch,
+namespace {
+
+/// Per-pair replica of markov::finite_totals_mem1 (same expressions, same
+/// accumulation order, same zero-mass skip), reading pair k's SoA lanes: a
+/// scalar build of the batch kernel is bit-identical to the pre-batch
+/// engine. Inlined into a caller that keeps only payoff_a, the other three
+/// accumulators are dead code.
+inline BatchTotals scalar_totals(const Mem1Batch& batch, std::size_t k,
                                  const PayoffMatrix& payoff,
-                                 std::uint32_t rounds, BatchTotals* out) {
-  // Per-pair replica of markov::finite_totals_mem1 (same expressions, same
-  // accumulation order, same zero-mass skip), reading the SoA lanes: a
-  // scalar build of the batch kernel is bit-identical to the pre-batch
-  // engine.
+                                 std::uint32_t rounds) {
   const std::array<double, 4> va{payoff.reward, payoff.sucker,
                                  payoff.temptation, payoff.punishment};
   const std::array<double, 4> vb{payoff.reward, payoff.temptation,
                                  payoff.sucker, payoff.punishment};
-  const std::size_t n = batch.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::array<double, 4> pa{batch.pa(0)[k], batch.pa(1)[k],
-                                   batch.pa(2)[k], batch.pa(3)[k]};
-    const std::array<double, 4> pb{batch.pb(0)[k], batch.pb(1)[k],
-                                   batch.pb(2)[k], batch.pb(3)[k]};
-    BatchTotals t;
-    std::array<double, 4> prev{1.0, 0.0, 0.0, 0.0};
-    for (std::uint32_t r = 0; r < rounds; ++r) {
-      std::array<double, 4> d{};
-      for (std::size_t o = 0; o < 4; ++o) {
-        if (prev[o] == 0.0) continue;
-        const double ca = pa[o];
-        const double cb = pb[o];
-        d[0] += prev[o] * ca * cb;
-        d[1] += prev[o] * ca * (1.0 - cb);
-        d[2] += prev[o] * (1.0 - ca) * cb;
-        d[3] += prev[o] * (1.0 - ca) * (1.0 - cb);
-      }
-      for (std::size_t o = 0; o < 4; ++o) {
-        t.payoff_a += d[o] * va[o];
-        t.payoff_b += d[o] * vb[o];
-      }
-      t.coop_a += d[0] + d[1];
-      t.coop_b += d[0] + d[2];
-      prev = d;
+  const std::array<double, 4> pa{batch.pa(0)[k], batch.pa(1)[k],
+                                 batch.pa(2)[k], batch.pa(3)[k]};
+  const std::array<double, 4> pb{batch.pb(0)[k], batch.pb(1)[k],
+                                 batch.pb(2)[k], batch.pb(3)[k]};
+  BatchTotals t;
+  std::array<double, 4> prev{1.0, 0.0, 0.0, 0.0};
+  for (std::uint32_t r = 0; r < rounds; ++r) {
+    std::array<double, 4> d{};
+    for (std::size_t o = 0; o < 4; ++o) {
+      if (prev[o] == 0.0) continue;
+      const double ca = pa[o];
+      const double cb = pb[o];
+      d[0] += prev[o] * ca * cb;
+      d[1] += prev[o] * ca * (1.0 - cb);
+      d[2] += prev[o] * (1.0 - ca) * cb;
+      d[3] += prev[o] * (1.0 - ca) * (1.0 - cb);
     }
-    out[k] = t;
+    for (std::size_t o = 0; o < 4; ++o) {
+      t.payoff_a += d[o] * va[o];
+      t.payoff_b += d[o] * vb[o];
+    }
+    t.coop_a += d[0] + d[1];
+    t.coop_b += d[0] + d[2];
+    prev = d;
+  }
+  return t;
+}
+
+}  // namespace
+
+void expected_totals_mem1_scalar(const Mem1Batch& batch,
+                                 const PayoffMatrix& payoff,
+                                 std::uint32_t rounds, BatchTotals* out) {
+  for (std::size_t k = 0; k < batch.size(); ++k) {
+    out[k] = scalar_totals(batch, k, payoff, rounds);
   }
 }
 
@@ -98,22 +109,54 @@ void expected_totals_mem1(const Mem1Batch& batch, const PayoffMatrix& payoff,
 }
 
 #if !defined(EGT_SIMD_AVX2)
-// Link-time stub for -DEGT_SIMD=OFF / non-x86 builds: cross-kernel checks
-// (simcheck --kernels, the gtest suites) reference this symbol but gate the
-// call on simd::compiled_with_avx2(), which is false here.
+// Link-time stubs for -DEGT_SIMD=OFF / non-x86 builds: cross-kernel checks
+// (simcheck --kernels, the gtest suites) reference these symbols but gate
+// the call on simd::compiled_with_avx2(), which is false here.
 void expected_totals_mem1_avx2(const Mem1Batch&, const PayoffMatrix&,
                                std::uint32_t, BatchTotals*) {
   EGT_REQUIRE_MSG(false, "AVX2 batch kernel not compiled in (EGT_SIMD=OFF)");
 }
+void payoff_mem1_avx2(const Mem1Lanes&, std::size_t, double*) {
+  EGT_REQUIRE_MSG(false, "AVX2 batch kernel not compiled in (EGT_SIMD=OFF)");
+}
+void payoff_mem1_avx512(const Mem1Lanes&, std::size_t, double*) {
+  EGT_REQUIRE_MSG(false, "AVX-512 payoff kernel not compiled in "
+                         "(EGT_SIMD=OFF)");
+}
 #endif
+
+void expected_payoff_mem1_lanes(const Mem1Batch& batch,
+                                const PayoffMatrix& payoff,
+                                std::uint32_t rounds, int lanes,
+                                double* out) {
+  if (lanes == 1) {
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      out[k] = scalar_totals(batch, k, payoff, rounds).payoff_a;
+    }
+    return;
+  }
+  EGT_REQUIRE_MSG(lanes == 8 || lanes == 16,
+                  "payoff kernel width must be 1, 8 or 16 pairs");
+  const Mem1Lanes in{
+      {batch.pa(0).data(), batch.pa(1).data(), batch.pa(2).data(),
+       batch.pa(3).data()},
+      {batch.pb(0).data(), batch.pb(1).data(), batch.pb(2).data(),
+       batch.pb(3).data()},
+      {payoff.reward, payoff.sucker, payoff.temptation, payoff.punishment},
+      rounds};
+  if (lanes == 16) {
+    payoff_mem1_avx512(in, batch.size(), out);
+  } else {
+    payoff_mem1_avx2(in, batch.size(), out);
+  }
+}
 
 void expected_payoff_mem1(const Mem1Batch& batch, const PayoffMatrix& payoff,
                           std::uint32_t rounds, std::span<double> out) {
   EGT_REQUIRE(out.size() >= batch.size());
-  thread_local std::vector<BatchTotals> totals;
-  if (totals.size() < batch.size()) totals.resize(batch.size());
-  expected_totals_mem1(batch, payoff, rounds, totals);
-  for (std::size_t k = 0; k < batch.size(); ++k) out[k] = totals[k].payoff_a;
+  if (batch.empty()) return;
+  expected_payoff_mem1_lanes(batch, payoff, rounds, simd::mem1_lanes(),
+                             out.data());
 }
 
 bool integer_exact_payoff(const PayoffMatrix& payoff,

@@ -16,7 +16,10 @@
 //    threaded) survive batching. The scalar fallback replicates
 //    markov::finite_totals_mem1 operation-for-operation, so scalar builds
 //    are bit-identical to the pre-batch engine; the AVX2 kernel agrees with
-//    the scalar reference to 1e-12 relative (FMA rounding).
+//    the scalar reference to 1e-12 relative (FMA rounding). The fitness
+//    tier's entry, expected_payoff_mem1, runs a payoff-only twin with 8 or
+//    16 pairs in flight (game/mem1_lanes.hpp), bitwise equal to the AVX2
+//    kernel's payoff_a.
 //
 //  * exact_pure_game_fast / run_pure_game — zero-allocation bit-packed
 //    walkers over the deterministic joint trajectory of two pure
@@ -104,8 +107,10 @@ struct BatchTotals {
 void expected_totals_mem1(const Mem1Batch& batch, const PayoffMatrix& payoff,
                           std::uint32_t rounds, std::span<BatchTotals> out);
 
-/// Convenience: only the row player's expected total payoff (what the
-/// fitness tier consumes).
+/// Only the row player's expected total payoff (what the fitness tier
+/// consumes), through the payoff-only lane kernel (game/mem1_lanes.hpp) at
+/// the width simd::mem1_lanes() names: bitwise equal to
+/// expected_totals_mem1's payoff_a under the same kernel, at every width.
 void expected_payoff_mem1(const Mem1Batch& batch, const PayoffMatrix& payoff,
                           std::uint32_t rounds, std::span<double> out);
 
@@ -232,5 +237,13 @@ void expected_totals_mem1_avx2(const Mem1Batch& batch,
 void expected_totals_mem1_scalar(const Mem1Batch& batch,
                                  const PayoffMatrix& payoff,
                                  std::uint32_t rounds, BatchTotals* out);
+
+// Internal: expected_payoff_mem1 at an explicit width — `lanes` pairs in
+// flight, 1 (scalar), 8 (AVX2) or 16 (AVX-512) — exposed for kernel
+// cross-validation. A width the build lacks throws; callers gate 8 and 16
+// on simd::compiled_with_avx2(), and each on the CPU.
+void expected_payoff_mem1_lanes(const Mem1Batch& batch,
+                                const PayoffMatrix& payoff,
+                                std::uint32_t rounds, int lanes, double* out);
 
 }  // namespace egt::game::batch

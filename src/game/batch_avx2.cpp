@@ -1,8 +1,10 @@
 // AVX2+FMA lane kernels (DESIGN.md §12): the batch memory-one Markov solve
-// and the stream pre-draw of the sampled lane kernel. Compiled as its own
-// translation unit with -mavx2 -mfma; callers reach it only through the
-// runtime dispatch of expected_totals_mem1 and predraw_block
-// (game/simd.hpp), so the rest of the library stays baseline-ISA.
+// (all four totals, and the payoff-only kernel of game/mem1_lanes.hpp at
+// two 4-lane groups) and the stream pre-draw of the sampled lane kernel.
+// Compiled as its own translation unit with -mavx2 -mfma; callers reach it
+// only through the runtime dispatch of expected_totals_mem1,
+// expected_payoff_mem1 and predraw_block (game/simd.hpp), so the rest of
+// the library stays baseline-ISA.
 //
 // Four pairs (streams) ride the four lanes of each register. All
 // arithmetic is vertical (no cross-lane shuffles or horizontal
@@ -20,6 +22,8 @@
 
 #include <algorithm>
 #include <cstring>
+
+#include "game/mem1_lanes.hpp"
 
 namespace egt::game::batch {
 
@@ -136,6 +140,10 @@ void expected_totals_mem1_avx2(const Mem1Batch& batch,
     }
     kernel4(ca, cb, payoff, rounds, out + k, valid);
   }
+}
+
+void payoff_mem1_avx2(const Mem1Lanes& in, std::size_t n, double* out) {
+  payoff_batch<Ymm>(in, n, out);
 }
 
 namespace {

@@ -39,6 +39,21 @@ bool cpu_supports_avx2() noexcept {
 #endif
 }
 
+bool cpu_supports_avx512() noexcept {
+#if defined(__x86_64__) || defined(_M_X64)
+  static const bool ok = __builtin_cpu_supports("avx512f");
+  return ok;
+#else
+  return false;
+#endif
+}
+
+int mem1_lanes() noexcept {
+  if (active_kernel() == Kernel::Scalar) return 1;
+  static const int wide = cpu_supports_avx512() ? 16 : 8;
+  return wide;
+}
+
 Kernel active_kernel() noexcept {
   if (force_flag().load(std::memory_order_relaxed)) return Kernel::Scalar;
   if (compiled_with_avx2() && cpu_supports_avx2()) return Kernel::Avx2;

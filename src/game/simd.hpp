@@ -11,6 +11,12 @@
 //   * env/test gate — EGT_FORCE_SCALAR=1 in the environment, or
 //     set_force_scalar(true) from test code, forces the scalar path.
 //
+// Under the AVX2 kernel, the payoff-only memory-one kernel (the fitness
+// tier's, game/mem1_lanes.hpp) also has a width: 16 pairs in flight when
+// the CPU reports AVX-512F, 8 otherwise (mem1_lanes()). The widths are
+// bitwise equal to each other and to the AVX2 totals kernel's payoff, so
+// the width is not a numeric choice and has no gate of its own.
+//
 // One kernel per process: every analytic memory-one evaluation in a process
 // goes through the same kernel (batches of one included), so in-process
 // bitwise invariants (dedup on/off, serial vs threaded, copied vs
@@ -35,6 +41,15 @@ bool compiled_with_avx2() noexcept;
 
 /// True when the CPU supports the AVX2 kernel (regardless of the gates).
 bool cpu_supports_avx2() noexcept;
+
+/// True when the CPU supports AVX-512F (regardless of the gates). The
+/// AVX-512 width of the payoff kernel is compiled in with the AVX2 TU.
+bool cpu_supports_avx512() noexcept;
+
+/// Pairs the memory-one payoff kernel keeps in flight right now: 16 (two
+/// AVX-512 groups), 8 (two AVX2 groups) or 1 (the scalar kernel). The
+/// CPU probe runs on the first call, not at start-up.
+int mem1_lanes() noexcept;
 
 /// Test/bench hook: force the scalar kernel (true) or return to runtime
 /// detection (false). Flipping this mid-simulation breaks the

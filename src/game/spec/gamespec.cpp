@@ -31,7 +31,7 @@ double GameSpec::col_payoff_of(std::uint32_t theirs,
 std::string GameSpec::label(std::uint32_t a) const {
   if (a < labels.size()) return labels[a];
   if (actions == 2) return a == 0 ? "C" : "D";
-  return "a" + std::to_string(a);
+  return std::string("a").append(std::to_string(a));
 }
 
 std::uint64_t GameSpec::matrix_hash() const noexcept {

@@ -1,7 +1,9 @@
 #include "game/strategy.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <sstream>
 
 namespace egt::game {
@@ -194,28 +196,25 @@ std::uint64_t Strategy::hash() const noexcept {
 }
 
 std::vector<std::byte> Strategy::serialize() const {
-  std::vector<std::byte> out;
+  // Header bytes (kind, memory[, actions]), then the raw table.
+  std::array<std::byte, 3> head{};
+  std::size_t head_len = 2;
+  std::span<const std::byte> body;
   if (is_nway()) {
     const auto& n = as_nway();
-    out.push_back(static_cast<std::byte>(2));
-    out.push_back(static_cast<std::byte>(0));  // memory, always 0
-    out.push_back(static_cast<std::byte>(n.actions()));
-    const auto& probs = n.probs();
-    const auto* p = reinterpret_cast<const std::byte*>(probs.data());
-    out.insert(out.end(), p, p + probs.size() * sizeof(double));
-    return out;
-  }
-  out.push_back(static_cast<std::byte>(is_pure() ? 0 : 1));
-  out.push_back(static_cast<std::byte>(memory()));
-  if (is_pure()) {
-    const auto words = as_pure().table().words();
-    const auto* p = reinterpret_cast<const std::byte*>(words.data());
-    out.insert(out.end(), p, p + words.size() * sizeof(std::uint64_t));
+    head = {std::byte{2}, std::byte{0},  // memory, always 0
+            static_cast<std::byte>(n.actions())};
+    head_len = 3;
+    body = std::as_bytes(std::span(n.probs()));
   } else {
-    const auto& probs = as_mixed().probs();
-    const auto* p = reinterpret_cast<const std::byte*>(probs.data());
-    out.insert(out.end(), p, p + probs.size() * sizeof(double));
+    head = {static_cast<std::byte>(is_pure() ? 0 : 1),
+            static_cast<std::byte>(memory())};
+    body = is_pure() ? std::as_bytes(as_pure().table().words())
+                     : std::as_bytes(std::span(as_mixed().probs()));
   }
+  std::vector<std::byte> out(head_len + body.size());
+  std::copy_n(head.begin(), head_len, out.begin());
+  std::ranges::copy(body, out.begin() + static_cast<std::ptrdiff_t>(head_len));
   return out;
 }
 

@@ -29,9 +29,12 @@ void write_run_manifest(std::ostream& os, const ManifestInfo& info) {
   w.key("kernel").begin_object();
   w.field("avx2_compiled", game::simd::compiled_with_avx2());
   w.field("cpu_avx2", game::simd::cpu_supports_avx2());
+  w.field("cpu_avx512", game::simd::cpu_supports_avx512());
   w.field("forced_scalar", game::simd::force_scalar());
   w.field("dispatched",
           game::simd::kernel_name(game::simd::active_kernel()));
+  w.field("mem1_lanes",
+          static_cast<std::uint64_t>(game::simd::mem1_lanes()));
   w.end_object();
 
   w.key("config").begin_object();

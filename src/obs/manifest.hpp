@@ -9,14 +9,16 @@
 // GameSpec a simulation played (tools that run no simulation omit it); v4
 // adds the "kernel" block: which game::simd kernel the batch entry points
 // (Markov solve, sampled pre-draw) dispatched to when the manifest was
-// written, and why:
+// written, and why, plus the width the memory-one payoff kernel ran at
+// (mem1_lanes: pairs in flight, 16 / 8 under "avx2", 1 under "scalar"):
 //
 //   {
 //     "schema": "egt.run_manifest/v4",
 //     "tool": "<producing binary>",
 //     "git_describe": "<git describe --always --dirty, or 'unknown'>",
 //     "kernel": { "avx2_compiled": bool, "cpu_avx2": bool,
-//                 "forced_scalar": bool, "dispatched": "avx2" | "scalar" },
+//                 "cpu_avx512": bool, "forced_scalar": bool,
+//                 "dispatched": "avx2" | "scalar", "mem1_lanes": u64 },
 //     "config": { "summary": "...", "fingerprint": u64, ...tool extras },
 //     "game": {                              // v3, when ManifestInfo.game set
 //       "kind": "matrix" | "public_goods",

@@ -29,11 +29,23 @@ std::atomic<std::uint64_t> g_flow_id{0};
 std::atomic<std::uint64_t> g_session{0};
 
 struct Slab {
-  explicit Slab(std::size_t capacity, std::uint32_t tid_,
+  explicit Slab(std::size_t capacity_, std::uint32_t tid_,
                 std::uint64_t session_, const char* name)
-      : events(capacity), tid(tid_), session(session_), thread_name(name) {}
+      : events(std::allocator<TraceEvent>().allocate(capacity_)),
+        capacity(capacity_),
+        tid(tid_),
+        session(session_),
+        thread_name(name) {}
+  Slab(const Slab&) = delete;
+  Slab& operator=(const Slab&) = delete;
+  ~Slab() { std::allocator<TraceEvent>().deallocate(events, capacity); }
 
-  std::vector<TraceEvent> events;  ///< ring storage, capacity fixed
+  /// Ring storage, allocated but never initialized: a slot is constructed
+  /// by the first event stored in it, so the thread's first event does not
+  /// fault in the whole ring (18 MB at 2^18 events) and a session touches
+  /// only the pages it records into.
+  TraceEvent* events;
+  std::size_t capacity;
   std::atomic<std::uint64_t> count{0};  ///< events ever recorded
   std::uint32_t tid;
   std::uint64_t session;
@@ -41,11 +53,11 @@ struct Slab {
 
   std::uint64_t kept() const noexcept {
     const auto n = count.load(std::memory_order_acquire);
-    return std::min<std::uint64_t>(n, events.size());
+    return std::min<std::uint64_t>(n, capacity);
   }
   std::uint64_t dropped() const noexcept {
     const auto n = count.load(std::memory_order_acquire);
-    return n > events.size() ? n - events.size() : 0;
+    return n > capacity ? n - capacity : 0;
   }
 };
 
@@ -173,7 +185,7 @@ void Tracer::record(TraceEvent ev) noexcept {
   // Single-writer ring: the slot store needs no atomicity, the count
   // release-store publishes it to the (post-quiesce) serializer.
   const auto n = slab.count.load(std::memory_order_relaxed);
-  slab.events[static_cast<std::size_t>(n % slab.events.size())] = ev;
+  std::construct_at(slab.events + n % slab.capacity, ev);
   slab.count.store(n + 1, std::memory_order_release);
 }
 
@@ -190,7 +202,7 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
     events.reserve(total_kept);
     for (const auto& s : im.slabs) {
       const auto n = s->count.load(std::memory_order_acquire);
-      const auto cap = static_cast<std::uint64_t>(s->events.size());
+      const auto cap = static_cast<std::uint64_t>(s->capacity);
       const auto kept = std::min(n, cap);
       for (std::uint64_t i = n - kept; i < n; ++i) {
         events.push_back(s->events[static_cast<std::size_t>(i % cap)]);

@@ -135,13 +135,9 @@ std::vector<std::byte> frame_record(const JournalRecord& rec) {
   core::wire::Writer w;
   w.u32(kRecordMagic);
   w.u32(static_cast<std::uint32_t>(payload.size()));
-  auto frame = w.take();
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  core::wire::Writer tail;
-  tail.u32(util::crc32(payload.data(), payload.size()));
-  const auto crc = tail.take();
-  frame.insert(frame.end(), crc.begin(), crc.end());
-  return frame;
+  w.append(payload);
+  w.u32(util::crc32(payload.data(), payload.size()));
+  return w.take();
 }
 
 JobJournal::JobJournal(std::string path) : path_(std::move(path)) {

@@ -1,6 +1,7 @@
 #include "simcheck/kernels.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -109,6 +110,68 @@ void check_mem1(KernelReport& report, util::Xoshiro256& rng) {
   }
   report.checks.push_back(std::move(cross));
   report.checks.push_back(std::move(exact));
+}
+
+/// The payoff-only kernel at every width this build and CPU have (1, 8,
+/// 16 pairs in flight) vs the payoff_a of the totals kernel it mirrors
+/// (scalar totals for width 1, AVX2 totals otherwise), bitwise; each pair
+/// also alone, as a batch of one.
+void check_mem1_payoff(KernelReport& report, util::Xoshiro256& rng) {
+  constexpr std::uint32_t kRounds[] = {1, 2, 3, 7, 199, 200, 1000};
+  constexpr double kNoise[] = {0.0, 0.02, 0.25};
+  std::vector<int> widths{1};
+  if (report.avx2_available) widths.push_back(8);
+  if (report.avx512_available) widths.push_back(16);
+  for (const int lanes : widths) {
+    KernelCheck c{"mem1.payoff_vs_totals_bitwise." + std::to_string(lanes),
+                  true, 0, 0.0, {}};
+    for (int iter = 0; iter < 48 && c.passed; ++iter) {
+      const std::size_t n = util::uniform_below(rng, 41);  // 0..40 pairs
+      const double eps = kNoise[util::uniform_below(rng, 3)];
+      const std::uint32_t rounds = kRounds[util::uniform_below(rng, 7)];
+      const game::PayoffMatrix payoff = sample_payoff(rng, iter % 2 == 0);
+      game::batch::Mem1Batch batch;
+      std::vector<game::batch::Mem1Batch> solo(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        const game::Strategy a =
+            util::uniform_below(rng, 4) == 0
+                ? game::Strategy(game::PureStrategy::random(1, rng))
+                : game::Strategy(game::MixedStrategy::random(1, rng));
+        const game::Strategy b = game::MixedStrategy::random(1, rng);
+        batch.push_pair(a, b, eps);
+        solo[k].push_pair(a, b, eps);
+      }
+      std::vector<game::batch::BatchTotals> want(n);
+      if (lanes == 1) {
+        game::batch::expected_totals_mem1_scalar(batch, payoff, rounds,
+                                                 want.data());
+      } else {
+        game::batch::expected_totals_mem1_avx2(batch, payoff, rounds,
+                                               want.data());
+      }
+      std::vector<double> got(n);
+      game::batch::expected_payoff_mem1_lanes(batch, payoff, rounds, lanes,
+                                              got.data());
+      for (std::size_t k = 0; k < n; ++k) {
+        double one = 0.0;
+        game::batch::expected_payoff_mem1_lanes(solo[k], payoff, rounds,
+                                                lanes, &one);
+        c.cases++;
+        const auto bits = std::bit_cast<std::uint64_t>(got[k]);
+        if (bits != std::bit_cast<std::uint64_t>(want[k].payoff_a) ||
+            bits != std::bit_cast<std::uint64_t>(one)) {
+          std::ostringstream os;
+          os << "payoff kernel differs from totals at iter " << iter
+             << " pair " << k << " (batch " << n << ", rounds " << rounds
+             << ", noise " << eps << "): " << got[k] << " vs "
+             << want[k].payoff_a << ", alone " << one;
+          note_failure(c, os.str());
+          break;
+        }
+      }
+    }
+    report.checks.push_back(std::move(c));
+  }
 }
 
 /// Pure walkers vs markov::exact_pure_game / the legacy round loop —
@@ -276,10 +339,13 @@ KernelReport run_kernel_checks(std::uint64_t seed) {
   KernelReport report;
   report.avx2_available =
       game::simd::compiled_with_avx2() && game::simd::cpu_supports_avx2();
+  report.avx512_available =
+      report.avx2_available && game::simd::cpu_supports_avx512();
   util::Xoshiro256 rng(seed);
   check_mem1(report, rng);
   check_pure(report, rng);
   check_sampled(report, rng);
+  check_mem1_payoff(report, rng);
   return report;
 }
 

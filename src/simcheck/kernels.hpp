@@ -5,6 +5,10 @@
 //    without noise, remainder-lane sizes included) — the AVX2 lane kernel
 //    must agree with the scalar reference to 1e-12 relative, and the
 //    scalar reference must be bit-identical to markov::expected_game_mem1.
+//  * Mem1 payoff kernel: batches of 0-40 pairs at every width the build
+//    and CPU have (1, 8, 16 pairs in flight) — bit-identical to the
+//    payoff_a of the totals kernel it mirrors, and each pair alone to the
+//    same pair inside the batch.
 //  * Pure walker: random deterministic pure pairs across memory depths —
 //    batch::exact_pure_game_fast must be bit-identical to
 //    markov::exact_pure_game, and batch::run_pure_game to the legacy
@@ -36,6 +40,7 @@ struct KernelCheck {
 struct KernelReport {
   std::vector<KernelCheck> checks;
   bool avx2_available = false;  ///< compiled in and CPU-supported
+  bool avx512_available = false;  ///< AVX2 available and CPU has AVX-512F
   bool passed() const noexcept {
     for (const auto& c : checks) {
       if (!c.passed) return false;

@@ -420,6 +420,77 @@ TEST(FtEngine, MasterKillAfterMutationCountsTheDeadMastersFold) {
   }
 }
 
+// A kill on a checkpoint boundary whose range is split between two
+// adopters, one of which has already folded a change of the kill
+// generation: that adopter's copy of the checkpoint no longer covers, so
+// it recomputes its rows and replays the generation's changes on them.
+// The replay is the dead rank's own generation work and counts to
+// engine.*, so the counters match the fault-free run on the same ranks,
+// games_played included, and the serial run's pairs (they were one and
+// two pairs short). Configurations pinned from simcheck fuzz seeds 77 and
+// 323.
+void expect_aligned_kill_counts_like_fault_free(const SimConfig& cfg,
+                                                int rank, std::uint64_t gen) {
+  const auto ref = serial_reference(cfg);
+  FtRunOptions opt;
+  opt.checkpoint_every = 4;
+  opt.detect_timeout_ms = 150.0;
+  opt.ping_timeout_ms = 60.0;
+  opt.max_pings = 2;
+  const auto clean = run_parallel_ft(cfg, 4, opt);
+  opt.plan.kill(rank, gen);
+  const auto ft = run_parallel_ft(cfg, 4, opt);
+  expect_table_equal(ft, ref);
+  expect_fitness_equal(ft, ref);
+  expect_engine_counters_equal(ft, ref);
+  EXPECT_EQ(core::counters_from(ft.metrics),
+            core::counters_from(clean.metrics))
+      << "faulty " << core::to_string(core::counters_from(ft.metrics))
+      << "\nfault-free " << core::to_string(core::counters_from(clean.metrics));
+  EXPECT_EQ(ft.ranks_lost, 1);
+  EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
+}
+
+TEST(FtEngine, AlignedKillReplayCountsAsEngineWorkMixedDedup) {
+  SimConfig cfg;
+  cfg.memory = 1;
+  cfg.ssets = 10;
+  cfg.generations = 48;
+  cfg.game.payoff = {3.0, 2.0, 4.0, 0.0};
+  cfg.game.display_name = "snowdrift";
+  cfg.game.rounds = 16;
+  cfg.pc_rate = 0.46621106747181834;
+  cfg.mutation_rate = 0.38001755499280504;
+  cfg.beta = 0.91415356447778295;
+  cfg.require_teacher_better = true;
+  cfg.space = pop::StrategySpace::Mixed;
+  cfg.mutation_sigma = 0.15536949780205406;
+  cfg.fitness_mode = FitnessMode::Analytic;
+  cfg.fitness_scale = core::FitnessScale::Total;
+  cfg.seed = 1003702849;
+  cfg.dedup = true;
+  expect_aligned_kill_counts_like_fault_free(cfg, 2, 44);
+}
+
+TEST(FtEngine, AlignedKillReplayCountsAsEngineWorkPureMemoryThree) {
+  SimConfig cfg;
+  cfg.memory = 3;
+  cfg.ssets = 18;
+  cfg.generations = 44;
+  cfg.game.payoff = {3.0, 0.0, 4.0, 1.0};
+  cfg.game.rounds = 32;
+  cfg.pc_rate = 0.2693522534981772;
+  cfg.mutation_rate = 0.2794619323468576;
+  cfg.beta = 1.5007195302583947;
+  cfg.space = pop::StrategySpace::Pure;
+  cfg.mutation_sigma = 0.07734174441851781;
+  cfg.fitness_mode = FitnessMode::Analytic;
+  cfg.fitness_scale = core::FitnessScale::Total;
+  cfg.seed = 2157268499;
+  cfg.dedup = false;
+  expect_aligned_kill_counts_like_fault_free(cfg, 3, 40);
+}
+
 TEST(FtEngine, FaultFreeMessageCountIsTheProtocols) {
   // No message added or removed: every one is accounted for by the
   // protocol, given the generation's plan.

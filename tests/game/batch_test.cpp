@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "game/markov.hpp"
@@ -118,6 +120,97 @@ TEST(Mem1BatchKernel, Avx2AgreesWithScalarReference) {
     EXPECT_LT(rel_err(avx[k].coop_a, sca[k].coop_a), 1e-12) << "k=" << k;
     EXPECT_LT(rel_err(avx[k].coop_b, sca[k].coop_b), 1e-12) << "k=" << k;
   }
+}
+
+// The payoff-only kernel runs each lane through exactly the operations
+// that produce the AVX2 totals kernel's payoff_a, so at every width the
+// CPU has (8 and 16 pairs in flight) it must equal that payoff bitwise,
+// and the scalar width the scalar totals' payoff_a. Batch sizes 0..40
+// cover every full-group, remainder and narrowest-group shape of both
+// SIMD widths; a batch of one must equal the same pair inside a batch.
+TEST(Mem1BatchKernel, PayoffKernelBitIdenticalToTotals) {
+  const bool avx2 = simd::compiled_with_avx2() && simd::cpu_supports_avx2();
+  std::vector<int> widths{1};
+  if (avx2) widths.push_back(8);
+  if (avx2 && simd::cpu_supports_avx512()) widths.push_back(16);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const PayoffMatrix payoffs[] = {kPayoff, PayoffMatrix{3.25, -0.4, 4.7, 0.15}};
+  util::Xoshiro256 rng(2026);
+  std::uint64_t compared = 0;
+  for (const std::uint32_t rounds : {1u, 2u, 3u, 7u, 199u, 200u, 1000u}) {
+    for (const double eps : {0.0, 0.02, 0.25}) {
+      for (const PayoffMatrix& payoff : payoffs) {
+        for (std::size_t n = 0; n <= 40; ++n) {
+          Mem1Batch batch;
+          std::vector<Mem1Batch> solo(n);
+          for (std::size_t k = 0; k < n; ++k) {
+            const Strategy a =
+                k % 3 == 0 ? Strategy(PureStrategy::random(1, rng))
+                           : Strategy(MixedStrategy::random(1, rng));
+            const Strategy b = MixedStrategy::random(1, rng);
+            batch.push_pair(a, b, eps);
+            solo[k].push_pair(a, b, eps);
+          }
+          std::vector<BatchTotals> sca(n), vec(n);
+          expected_totals_mem1_scalar(batch, payoff, rounds, sca.data());
+          if (avx2) {
+            expected_totals_mem1_avx2(batch, payoff, rounds, vec.data());
+          }
+          for (const int lanes : widths) {
+            const std::vector<BatchTotals>& want = lanes == 1 ? sca : vec;
+            std::vector<double> got(n + 1, -1.0);
+            expected_payoff_mem1_lanes(batch, payoff, rounds, lanes,
+                                       got.data());
+            ASSERT_EQ(got[n], -1.0) << "wrote past the batch, n=" << n;
+            for (std::size_t k = 0; k < n; ++k) {
+              double one = 0.0;
+              expected_payoff_mem1_lanes(solo[k], payoff, rounds, lanes, &one);
+              ASSERT_EQ(bits(got[k]), bits(want[k].payoff_a))
+                  << "lanes=" << lanes << " rounds=" << rounds
+                  << " eps=" << eps << " n=" << n << " k=" << k;
+              ASSERT_EQ(bits(one), bits(got[k]))
+                  << "batch of one, lanes=" << lanes << " n=" << n
+                  << " k=" << k;
+              ++compared;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 0u);
+}
+
+// The dispatched entry point takes the width simd::mem1_lanes() names;
+// forced scalar is width 1 and equals the scalar totals' payoff_a.
+TEST(Mem1BatchKernel, PayoffDispatchFollowsMem1Lanes) {
+  util::Xoshiro256 rng(31);
+  std::vector<Strategy> as, bs;
+  const Mem1Batch batch = random_mixed_batch(21, 0.02, as, bs, rng);
+  const bool forced = simd::force_scalar();
+  for (const bool force : {false, true}) {
+    simd::set_force_scalar(forced || force);
+    const int lanes = simd::mem1_lanes();
+    if (forced || force) {
+      EXPECT_EQ(lanes, 1);
+    }
+    std::vector<double> got(batch.size()), want(batch.size());
+    expected_payoff_mem1(batch, kPayoff, 200, got);
+    expected_payoff_mem1_lanes(batch, kPayoff, 200, lanes, want.data());
+    std::vector<BatchTotals> sca(batch.size());
+    expected_totals_mem1_scalar(batch, kPayoff, 200, sca.data());
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+                std::bit_cast<std::uint64_t>(want[k]))
+          << "lanes=" << lanes << " k=" << k;
+      if (lanes == 1) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+                  std::bit_cast<std::uint64_t>(sca[k].payoff_a))
+            << "k=" << k;
+      }
+    }
+  }
+  simd::set_force_scalar(forced);
 }
 
 // The zero-allocation walker is a drop-in for markov::exact_pure_game:

@@ -213,9 +213,16 @@ TEST(Manifest, KernelBlockRecordsTheDispatchedKernel) {
     EXPECT_EQ(k.at("avx2_compiled").as_bool(),
               game::simd::compiled_with_avx2());
     EXPECT_EQ(k.at("cpu_avx2").as_bool(), game::simd::cpu_supports_avx2());
+    EXPECT_EQ(k.at("cpu_avx512").as_bool(),
+              game::simd::cpu_supports_avx512());
     EXPECT_EQ(k.at("dispatched").as_string(),
               game::simd::kernel_name(game::simd::active_kernel()));
-    if (force) EXPECT_EQ(k.at("dispatched").as_string(), "scalar");
+    EXPECT_EQ(k.at("mem1_lanes").as_u64(),
+              static_cast<std::uint64_t>(game::simd::mem1_lanes()));
+    if (force) {
+      EXPECT_EQ(k.at("dispatched").as_string(), "scalar");
+      EXPECT_EQ(k.at("mem1_lanes").as_u64(), 1u);
+    }
   }
   game::simd::set_force_scalar(was_forced);
 }

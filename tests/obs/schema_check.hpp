@@ -49,14 +49,21 @@ inline void expect_valid_manifest(const util::JsonValue& doc,
   const auto& k = doc.at("kernel");
   EXPECT_TRUE(k.at("avx2_compiled").is_bool());
   EXPECT_TRUE(k.at("cpu_avx2").is_bool());
+  EXPECT_TRUE(k.at("cpu_avx512").is_bool());
   EXPECT_TRUE(k.at("forced_scalar").is_bool());
   const std::string dispatched = k.at("dispatched").as_string();
   EXPECT_TRUE(dispatched == "avx2" || dispatched == "scalar") << dispatched;
+  const std::uint64_t lanes = k.at("mem1_lanes").as_u64();
   if (dispatched == "avx2") {
-    // AVX2 only runs when compiled in, supported and not forced off.
+    // AVX2 only runs when compiled in, supported and not forced off; the
+    // payoff kernel then keeps 8 or (with AVX-512) 16 pairs in flight.
     EXPECT_TRUE(k.at("avx2_compiled").as_bool());
     EXPECT_TRUE(k.at("cpu_avx2").as_bool());
     EXPECT_FALSE(k.at("forced_scalar").as_bool());
+    EXPECT_TRUE(lanes == 8 || lanes == 16) << lanes;
+    if (lanes == 16) EXPECT_TRUE(k.at("cpu_avx512").as_bool());
+  } else {
+    EXPECT_EQ(lanes, 1u);
   }
 
   expect_section_object(doc, "config");

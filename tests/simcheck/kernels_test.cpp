@@ -9,7 +9,11 @@ namespace {
 
 TEST(KernelChecks, FullSuitePasses) {
   const KernelReport report = run_kernel_checks(20120427);
-  ASSERT_EQ(report.checks.size(), 6u);
+  // Six checks, plus one payoff-kernel check per width this build and CPU
+  // have: scalar always, 8 pairs with AVX2, 16 with AVX-512 too.
+  const std::size_t widths = 1 + (report.avx2_available ? 1 : 0) +
+                             (report.avx512_available ? 1 : 0);
+  ASSERT_EQ(report.checks.size(), 6u + widths);
   for (const auto& c : report.checks) {
     EXPECT_TRUE(c.passed) << c.name << ": " << c.detail;
     // The cross-kernel checks run zero cases when the AVX2 kernel is
@@ -24,6 +28,8 @@ TEST(KernelChecks, FullSuitePasses) {
   EXPECT_TRUE(report.passed());
   EXPECT_EQ(report.avx2_available, game::simd::compiled_with_avx2() &&
                                        game::simd::cpu_supports_avx2());
+  EXPECT_EQ(report.avx512_available,
+            report.avx2_available && game::simd::cpu_supports_avx512());
 }
 
 TEST(KernelChecks, DeterministicForASeed) {

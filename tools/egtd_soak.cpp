@@ -205,7 +205,7 @@ int run_smoke(std::size_t njobs, const std::string& data_dir) {
   spec.config.fitness_mode = core::FitnessMode::Sampled;
   std::size_t accepted = 0;
   for (std::size_t i = 0; i < njobs; ++i) {
-    spec.tenant = "t" + std::to_string(i % 7);
+    spec.tenant = std::string("t").append(std::to_string(i % 7));
     spec.config.seed = 1000 + i;
     const serve::SubmitOutcome out =
         sched.submit(serve::job_spec_to_json(spec));

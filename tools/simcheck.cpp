@@ -133,9 +133,12 @@ int run_kernels(std::uint64_t seed) {
   const auto report = simcheck::run_kernel_checks(seed);
   std::cout << "kernels: avx2 "
             << (report.avx2_available ? "available" : "unavailable")
+            << ", avx512 "
+            << (report.avx512_available ? "available" : "unavailable")
             << ", dispatching "
             << game::simd::kernel_name(game::simd::active_kernel())
-            << (game::simd::force_scalar() ? " (forced)" : "") << "\n";
+            << (game::simd::force_scalar() ? " (forced)" : "")
+            << ", mem1_lanes " << game::simd::mem1_lanes() << "\n";
   int failures = 0;
   for (const auto& c : report.checks) {
     std::cout << (c.passed ? "ok   " : "FAIL ") << "[" << c.name << "]: "

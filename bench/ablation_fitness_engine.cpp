@@ -129,7 +129,8 @@ int main(int argc, char** argv) {
     // memory-six pure play re-sampled every generation, where game play is
     // nearly all of the work. 40 generations put the row well above the
     // perf gate's noise floor; the forced-scalar twin pins the scalar
-    // pre-draw's cost the same way the mem1-markov twin does.
+    // width's cost the same way the mem1-markov twin does, and
+    // tools/bench_check gates the pair's wall ratio within one run.
     auto m6 = base;
     m6.fitness_mode = core::FitnessMode::Sampled;
     m6.memory = 6;
@@ -219,6 +220,10 @@ int main(int argc, char** argv) {
     w.field("seed", base.seed);
     w.field("warmup", static_cast<std::uint64_t>(std::max(0, *warmup)));
     w.field("repeats", static_cast<std::uint64_t>(std::max(1, *repeats)));
+    // The sampled kernel's width on this host, for bench_check's twin
+    // ratio gate (rows forced scalar run at 1 whatever this says).
+    w.field("stream_lanes",
+            static_cast<std::uint64_t>(game::simd::stream_lanes()));
     w.end_object();
     w.key("rows");
     w.begin_array();

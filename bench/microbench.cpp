@@ -1,10 +1,11 @@
 // Google-benchmark microbenchmarks of the hot kernels: state push, IPD
-// rounds by memory depth and lookup mode, analytic evaluators, Fermi rule,
-// and the mini-runtime's broadcast.
+// rounds by memory depth and lookup mode, the sampled lane kernel,
+// analytic evaluators, Fermi rule, and the mini-runtime's broadcast.
 #include <benchmark/benchmark.h>
 
 #include "core/engine.hpp"
 #include "core/fitness.hpp"
+#include "game/batch.hpp"
 #include "game/ipd.hpp"
 #include "game/markov.hpp"
 #include "game/named.hpp"
@@ -71,6 +72,44 @@ void BM_MixedIpdRound(benchmark::State& state) {
                           params.rounds);
 }
 BENCHMARK(BM_MixedIpdRound);
+
+// The sampled lane kernel at the paper's setting (memory 6, 200 rounds,
+// 2% noise): a row's batch of 255 games, and a lone game; the third case
+// is a lone mixed memory-6 game. Items are games, so the report is the
+// route's ns/game.
+void BM_StreamGames(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const bool mixed = state.range(1) != 0;
+  game::IpdParams params;
+  params.noise = 0.02;
+  util::Xoshiro256 rng(4);
+  std::vector<game::Strategy> players;
+  for (std::size_t k = 0; k <= batch; ++k) {
+    if (mixed) {
+      players.emplace_back(game::MixedStrategy::random(6, rng));
+    } else {
+      players.emplace_back(game::PureStrategy::random(6, rng));
+    }
+  }
+  std::vector<game::batch::StreamGame> games;
+  games.reserve(batch);
+  std::vector<game::GameResult> out(batch);
+  std::uint64_t g = 0;
+  for (auto _ : state) {
+    games.clear();
+    for (std::size_t k = 0; k < batch; ++k) {
+      games.push_back({game::batch::Player::of(players[0]),
+                       game::batch::Player::of(players[k + 1]),
+                       util::StreamRng(0, ++g)});
+    }
+    game::batch::play_stream_games(games, 6, params, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_StreamGames)->Args({255, 0})->Args({1, 0})->Args({1, 1});
 
 void BM_ExactPureGame(benchmark::State& state) {
   const int memory = static_cast<int>(state.range(0));

@@ -41,18 +41,28 @@ bool cpu_supports_avx2() noexcept {
 
 bool cpu_supports_avx512() noexcept {
 #if defined(__x86_64__) || defined(_M_X64)
-  static const bool ok = __builtin_cpu_supports("avx512f");
+  static const bool ok = __builtin_cpu_supports("avx512f") &&
+                         __builtin_cpu_supports("avx512dq");
   return ok;
 #else
   return false;
 #endif
 }
 
-int mem1_lanes() noexcept {
+namespace {
+
+/// Lanes both kernels keep in flight: the probe runs at the first call.
+int lanes_in_flight() noexcept {
   if (active_kernel() == Kernel::Scalar) return 1;
   static const int wide = cpu_supports_avx512() ? 16 : 8;
   return wide;
 }
+
+}  // namespace
+
+int mem1_lanes() noexcept { return lanes_in_flight(); }
+
+int stream_lanes() noexcept { return lanes_in_flight(); }
 
 Kernel active_kernel() noexcept {
   if (force_flag().load(std::memory_order_relaxed)) return Kernel::Scalar;

@@ -12,10 +12,13 @@
 //     set_force_scalar(true) from test code, forces the scalar path.
 //
 // Under the AVX2 kernel, the payoff-only memory-one kernel (the fitness
-// tier's, game/mem1_lanes.hpp) also has a width: 16 pairs in flight when
-// the CPU reports AVX-512F, 8 otherwise (mem1_lanes()). The widths are
-// bitwise equal to each other and to the AVX2 totals kernel's payoff, so
-// the width is not a numeric choice and has no gate of its own.
+// tier's, game/mem1_lanes.hpp) and the fused sampled kernel
+// (game/stream_lanes.hpp) also have a width: 16 pairs or games in flight
+// when the CPU reports AVX-512F and AVX-512DQ, 8 otherwise (mem1_lanes(),
+// stream_lanes()); 1 under the scalar kernel. The widths are bitwise equal
+// to each other (and to the AVX2 totals kernel's payoff, or to the
+// IpdEngine round loop), so the width is not a numeric choice and has no
+// gate of its own.
 //
 // One kernel per process: every analytic memory-one evaluation in a process
 // goes through the same kernel (batches of one included), so in-process
@@ -42,14 +45,22 @@ bool compiled_with_avx2() noexcept;
 /// True when the CPU supports the AVX2 kernel (regardless of the gates).
 bool cpu_supports_avx2() noexcept;
 
-/// True when the CPU supports AVX-512F (regardless of the gates). The
-/// AVX-512 width of the payoff kernel is compiled in with the AVX2 TU.
+/// True when the CPU supports AVX-512F and AVX-512DQ (regardless of the
+/// gates): the sampled kernel's AVX-512 width needs DQ's 64-bit multiply
+/// and u64 -> double convert, and both kernels share this one probe. The
+/// AVX-512 widths are compiled in with the AVX2 TU.
 bool cpu_supports_avx512() noexcept;
 
 /// Pairs the memory-one payoff kernel keeps in flight right now: 16 (two
 /// AVX-512 groups), 8 (two AVX2 groups) or 1 (the scalar kernel). The
 /// CPU probe runs on the first call, not at start-up.
 int mem1_lanes() noexcept;
+
+/// Games the sampled lane kernel keeps in flight right now: 16 (two
+/// AVX-512 groups), 8 (two AVX2 groups) or 1 (the scalar width, eight
+/// games interleaved at one lane each). The CPU probe runs on the first
+/// call, not at start-up; EGT_FORCE_SCALAR gives 1.
+int stream_lanes() noexcept;
 
 /// Test/bench hook: force the scalar kernel (true) or return to runtime
 /// detection (false). Flipping this mid-simulation breaks the

@@ -35,6 +35,8 @@ void write_run_manifest(std::ostream& os, const ManifestInfo& info) {
           game::simd::kernel_name(game::simd::active_kernel()));
   w.field("mem1_lanes",
           static_cast<std::uint64_t>(game::simd::mem1_lanes()));
+  w.field("stream_lanes",
+          static_cast<std::uint64_t>(game::simd::stream_lanes()));
   w.end_object();
 
   w.key("config").begin_object();

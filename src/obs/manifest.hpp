@@ -8,9 +8,11 @@
 // to every histogram body; v3 adds the optional "game" block recording the
 // GameSpec a simulation played (tools that run no simulation omit it); v4
 // adds the "kernel" block: which game::simd kernel the batch entry points
-// (Markov solve, sampled pre-draw) dispatched to when the manifest was
-// written, and why, plus the width the memory-one payoff kernel ran at
-// (mem1_lanes: pairs in flight, 16 / 8 under "avx2", 1 under "scalar"):
+// (Markov solve, sampled lane kernel) dispatched to when the manifest was
+// written, and why, plus the widths the memory-one payoff kernel and the
+// sampled kernel ran at (mem1_lanes: pairs in flight, stream_lanes: games
+// in flight; 16 / 8 under "avx2", 1 under "scalar"). cpu_avx512 means the
+// CPU reports both AVX-512F and AVX-512DQ, which the 16-wide kernels need:
 //
 //   {
 //     "schema": "egt.run_manifest/v4",
@@ -18,7 +20,8 @@
 //     "git_describe": "<git describe --always --dirty, or 'unknown'>",
 //     "kernel": { "avx2_compiled": bool, "cpu_avx2": bool,
 //                 "cpu_avx512": bool, "forced_scalar": bool,
-//                 "dispatched": "avx2" | "scalar", "mem1_lanes": u64 },
+//                 "dispatched": "avx2" | "scalar", "mem1_lanes": u64,
+//                 "stream_lanes": u64 },
 //     "config": { "summary": "...", "fingerprint": u64, ...tool extras },
 //     "game": {                              // v3, when ManifestInfo.game set
 //       "kind": "matrix" | "public_goods",

@@ -226,13 +226,27 @@ bool same_game(const game::GameResult& x, const game::GameResult& y) {
          x.coop_a == y.coop_a && x.coop_b == y.coop_b && x.rounds == y.rounds;
 }
 
+/// Game k of as/bs on a random stream that has already made 0-2 draws
+/// (the kernel must read it from its current position).
+std::vector<game::batch::StreamGame> stream_games(
+    const std::vector<game::Strategy>& as,
+    const std::vector<game::Strategy>& bs, util::Xoshiro256& rng) {
+  std::vector<game::batch::StreamGame> games;
+  for (std::size_t k = 0; k < as.size(); ++k) {
+    util::StreamRng stream(rng(), rng());
+    for (std::uint64_t skip = util::uniform_below(rng, 3); skip > 0; --skip) {
+      stream();
+    }
+    games.push_back({game::batch::Player::of(as[k]),
+                     game::batch::Player::of(bs[k]), stream});
+  }
+  return games;
+}
+
 /// Sampled lane kernel vs the LinearSearch round loop, bitwise, under the
-/// active and the forced-scalar pre-draw; plus the AVX2 pre-draw vs its
-/// scalar twin, bitwise (skipped when the AVX2 kernel is unavailable).
+/// active and the forced-scalar kernel.
 void check_sampled(KernelReport& report, util::Xoshiro256& rng) {
   KernelCheck lanes{"sampled.lanes_vs_round_loop_bitwise", true, 0, 0.0, {}};
-  KernelCheck draw{"sampled.avx2_predraw_vs_scalar_bitwise", true, 0, 0.0,
-                   {}};
   constexpr double kNoise[] = {0.0, 0.02, 0.5, 1.0};
   constexpr std::uint32_t kRounds[] = {1, 63, 64, 65, 200, 1000};
   const bool forced = game::simd::force_scalar();
@@ -248,7 +262,6 @@ void check_sampled(KernelReport& report, util::Xoshiro256& rng) {
                                  noise};
     const std::size_t n = 1 + util::uniform_below(rng, 17);  // remainders
     std::vector<game::Strategy> as, bs;
-    std::vector<game::batch::StreamGame> games;
     for (std::size_t k = 0; k < n; ++k) {
       for (auto* side : {&as, &bs}) {
         if (util::uniform_below(rng, 2) == 0) {
@@ -258,14 +271,8 @@ void check_sampled(KernelReport& report, util::Xoshiro256& rng) {
         }
       }
     }
-    for (std::size_t k = 0; k < n; ++k) {
-      util::StreamRng stream(rng(), rng());
-      for (std::uint64_t skip = util::uniform_below(rng, 3); skip > 0; --skip) {
-        stream();
-      }
-      games.push_back({game::batch::Player::of(as[k]),
-                       game::batch::Player::of(bs[k]), stream});
-    }
+    const std::vector<game::batch::StreamGame> games =
+        stream_games(as, bs, rng);
     const game::IpdEngine loop(memory, params, game::LookupMode::LinearSearch);
     for (const bool scalar : {false, true}) {
       game::simd::set_force_scalar(forced || scalar);
@@ -284,53 +291,82 @@ void check_sampled(KernelReport& report, util::Xoshiro256& rng) {
       }
     }
     game::simd::set_force_scalar(forced);
-
-    if (!report.avx2_available) continue;
-    game::batch::DrawLayout layout;
-    int slot = 0;
-    if (util::uniform_below(rng, 2) == 0) layout.move_a = slot++;
-    if (util::uniform_below(rng, 2) == 0) layout.move_b = slot++;
-    if (slot == 0 || util::uniform_below(rng, 2) == 0) {
-      layout.noise_a = slot++;
-      layout.noise_b = slot++;
-    }
-    layout.per_round = static_cast<std::uint32_t>(slot);
-    std::uint64_t origin[game::batch::kLanes];
-    for (auto& o : origin) o = rng();
-    const std::size_t lanes_n =
-        1 + util::uniform_below(rng, game::batch::kLanes);
-    const auto block_rounds = static_cast<std::uint32_t>(
-        1 + util::uniform_below(rng, game::batch::kBlockRounds));
-    const std::uint64_t first = util::uniform_below(rng, 1000);
-    const std::uint64_t threshold = game::batch::unit_threshold(noise);
-    game::batch::DrawBlock sca{}, avx{};
-    game::batch::predraw_block_scalar(origin, lanes_n, layout, first,
-                                      block_rounds, threshold, sca);
-    game::batch::predraw_block_avx2(origin, lanes_n, layout, first,
-                                    block_rounds, threshold, avx);
-    bool same = true;
-    for (std::uint32_t t = 0; t < block_rounds; ++t) {
-      same = same && sca.flip[t] == avx.flip[t];
-      for (std::size_t l = 0; l < lanes_n; ++l) {
-        same = same && (layout.move_a < 0 ||
-                        sca.move_a[t][l] == avx.move_a[t][l]);
-        same = same && (layout.move_b < 0 ||
-                        sca.move_b[t][l] == avx.move_b[t][l]);
-      }
-    }
-    draw.cases++;
-    if (!same) {
-      std::ostringstream os;
-      os << "avx2 pre-draw differs from scalar at iter " << iter << " ("
-         << lanes_n << " lanes, " << layout.per_round << " draws/round)";
-      note_failure(draw, os.str());
-    }
-  }
-  if (!report.avx2_available && draw.detail.empty()) {
-    draw.detail = "skipped: AVX2 kernel unavailable";
   }
   report.checks.push_back(std::move(lanes));
-  report.checks.push_back(std::move(draw));
+}
+
+/// The sampled kernel at every width this build and CPU have (1, 8, 16
+/// games in flight) vs the LinearSearch round loop, bitwise, and each game
+/// alone vs the same game inside the batch. Batch sizes cycle through
+/// 1..40, so every full-group and remainder shape of each width runs, with
+/// all four player kinds (all-pure, all-mixed, each side mixed, and mixes
+/// of them).
+void check_sampled_widths(KernelReport& report, util::Xoshiro256& rng) {
+  constexpr double kNoise[] = {0.0, 0.02, 0.5, 1.0};
+  constexpr std::uint32_t kRounds[] = {1, 63, 64, 65, 200, 1000};
+  std::vector<int> widths{1};
+  if (report.avx2_available) widths.push_back(8);
+  if (report.avx512_available) widths.push_back(16);
+  std::vector<KernelCheck> checks;
+  for (const int lanes : widths) {
+    checks.push_back({"sampled.lanes_vs_round_loop_bitwise." +
+                          std::to_string(lanes),
+                      true, 0, 0.0, {}});
+  }
+  for (int iter = 0; iter < 80; ++iter) {
+    const std::size_t n = 1 + static_cast<std::size_t>(iter) % 40;
+    const int kind = iter % 5;  // 0-3: one player kind; 4: any per game
+    const int memory =
+        static_cast<int>(util::uniform_below(rng, game::kMaxMemory + 1));
+    const double noise = kNoise[util::uniform_below(rng, 4)];
+    std::uint32_t rounds = kRounds[util::uniform_below(rng, 6)];
+    if (memory >= 5) rounds = std::min(rounds, 200u);
+    const game::IpdParams params{sample_payoff(rng, iter % 2 == 0), rounds,
+                                 noise};
+    std::vector<game::Strategy> as, bs;
+    for (std::size_t k = 0; k < n; ++k) {
+      const int kk = kind < 4 ? kind
+                              : static_cast<int>(util::uniform_below(rng, 4));
+      for (auto* side : {&as, &bs}) {
+        const bool mixed = side == &as ? kk >= 2 : kk % 2 == 1;
+        if (mixed) {
+          side->emplace_back(game::MixedStrategy::random(memory, rng));
+        } else {
+          side->emplace_back(game::PureStrategy::random(memory, rng));
+        }
+      }
+    }
+    const std::vector<game::batch::StreamGame> games =
+        stream_games(as, bs, rng);
+    const game::IpdEngine loop(memory, params, game::LookupMode::LinearSearch);
+    std::vector<game::GameResult> want(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      want[k] = loop.play(as[k], bs[k], games[k].rng);
+    }
+    for (std::size_t w = 0; w < widths.size(); ++w) {
+      KernelCheck& c = checks[w];
+      if (!c.passed) continue;
+      std::vector<game::GameResult> got(n);
+      game::batch::play_stream_games_lanes(games, memory, params, widths[w],
+                                           got);
+      for (std::size_t k = 0; k < n; ++k) {
+        game::GameResult one;
+        game::batch::play_stream_games_lanes({&games[k], 1}, memory, params,
+                                             widths[w], {&one, 1});
+        c.cases++;
+        if (!same_game(got[k], want[k]) || !same_game(one, want[k])) {
+          std::ostringstream os;
+          os << "width " << widths[w] << " diverges from the round loop at "
+             << "iter " << iter << " game " << k << " (memory " << memory
+             << ", noise " << noise << ", rounds " << rounds << ", batch "
+             << n << (same_game(got[k], want[k]) ? ", alone)" : ")");
+          note_failure(c, os.str());
+          break;
+        }
+      }
+    }
+  }
+  for (auto& c : checks) report.checks.push_back(std::move(c));
 }
 
 }  // namespace
@@ -346,6 +382,7 @@ KernelReport run_kernel_checks(std::uint64_t seed) {
   check_pure(report, rng);
   check_sampled(report, rng);
   check_mem1_payoff(report, rng);
+  check_sampled_widths(report, rng);
   return report;
 }
 

@@ -14,13 +14,16 @@
 //    markov::exact_pure_game, and batch::run_pure_game to the legacy
 //    round loop.
 //  * Sampled lane kernel: random pure/mixed batches of 1-17 games across
-//    memory 0-6, noise {0, 0.02, 0.5, 1} and round counts around the
-//    64-round pre-draw block — batch::play_stream_games must be
-//    bit-identical to the LinearSearch round loop under the active and
-//    the forced-scalar pre-draw, and the AVX2 pre-draw to its scalar twin.
+//    memory 0-6, noise {0, 0.02, 0.5, 1} and round counts {1, 63, 64, 65,
+//    200, 1000} — batch::play_stream_games must be bit-identical to the
+//    LinearSearch round loop under the active and the forced-scalar
+//    kernel; and at every width the build and CPU have (1, 8, 16 games in
+//    flight), batches of 1-40 games of all four player kinds must be
+//    bit-identical to the loop, each game alone to itself in the batch.
 //
 // Exposed as `simcheck --kernels`; runs whatever kernels this build/CPU
-// provides (the AVX2 half is skipped, not failed, on scalar-only builds).
+// provides (the AVX2 and AVX-512 halves are skipped, not failed, on
+// scalar-only builds).
 #pragma once
 
 #include <cstdint>
@@ -40,7 +43,7 @@ struct KernelCheck {
 struct KernelReport {
   std::vector<KernelCheck> checks;
   bool avx2_available = false;  ///< compiled in and CPU-supported
-  bool avx512_available = false;  ///< AVX2 available and CPU has AVX-512F
+  bool avx512_available = false;  ///< AVX2 available, CPU has AVX-512F+DQ
   bool passed() const noexcept {
     for (const auto& c : checks) {
       if (!c.passed) return false;

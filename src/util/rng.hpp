@@ -102,7 +102,7 @@ class StreamRng {
   /// Base of the stream as seen from the current position: at(origin(), k)
   /// is the k-th value the generator will return from here on (k >= 1).
   /// Equals the stream base while nothing has been drawn. Batch kernels
-  /// pre-draw a stream's future values from it without advancing it.
+  /// compute a stream's future values from it without advancing it.
   constexpr std::uint64_t origin() const noexcept {
     return base_ + kGamma * ctr_;
   }

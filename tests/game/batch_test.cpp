@@ -323,8 +323,8 @@ struct StreamCase {
 
 // The lane kernel against the LinearSearch round loop, bitwise: random
 // pure and mixed pairs at memory 0-6, noise in {0, 0.02, 0.5, 1}, round
-// counts on both sides of the 64-round pre-draw block, under the active
-// and the forced-scalar pre-draw.
+// counts {1, 63, 64, 65, 200, 1000}, under the active and the
+// forced-scalar kernel.
 TEST(SampledLaneKernel, BitIdenticalToLinearSearchRoundLoop) {
   util::Xoshiro256 gen(2026);
   const PayoffMatrix fractional{2.5, -0.25, 4.125, 0.75};
@@ -402,36 +402,107 @@ TEST(SampledLaneKernel, EnginePlayDelegatesFromStreamPosition) {
   }
 }
 
-// The AVX2 pre-draw equals its scalar twin bit-for-bit (both are integer
-// arithmetic mod 2^64), for every lane count and layout.
-TEST(SampledLaneKernel, Avx2PreDrawBitIdenticalToScalar) {
-  if (!simd::compiled_with_avx2() || !simd::cpu_supports_avx2()) {
-    GTEST_SKIP() << "AVX2 kernel unavailable on this build/CPU";
+/// Every width this build and CPU have: 1 (eight interleaved scalar
+/// lanes), 8 (AVX2) and 16 (AVX-512) games in flight.
+std::vector<int> stream_widths() {
+  std::vector<int> widths{1};
+  if (simd::compiled_with_avx2() && simd::cpu_supports_avx2()) {
+    widths.push_back(8);
+    if (simd::cpu_supports_avx512()) widths.push_back(16);
   }
-  util::Xoshiro256 gen(77);
-  const DrawLayout layouts[] = {{2, -1, -1, 0, 1}, {4, 0, 1, 2, 3},
-                                {1, 0, -1, -1, -1}, {3, -1, 0, 1, 2}};
-  for (const DrawLayout& layout : layouts) {
-    for (std::size_t lanes = 1; lanes <= kLanes; ++lanes) {
-      std::uint64_t origin[kLanes];
-      for (auto& o : origin) o = gen();
-      const std::uint64_t threshold = unit_threshold(0.3);
-      DrawBlock sca{}, avx{};
-      predraw_block_scalar(origin, lanes, layout, 5, kBlockRounds, threshold,
-                           sca);
-      predraw_block_avx2(origin, lanes, layout, 5, kBlockRounds, threshold,
-                         avx);
-      for (std::uint32_t t = 0; t < kBlockRounds; ++t) {
-        ASSERT_EQ(sca.flip[t], avx.flip[t]) << "lanes=" << lanes;
-      }
-      for (std::size_t l = 0; l < lanes; ++l) {
-        for (std::uint32_t t = 0; t < kBlockRounds; ++t) {
-          if (layout.move_a >= 0) ASSERT_EQ(sca.move_a[t][l], avx.move_a[t][l]);
-          if (layout.move_b >= 0) ASSERT_EQ(sca.move_b[t][l], avx.move_b[t][l]);
+  return widths;
+}
+
+bool same_bits(const GameResult& x, const GameResult& y) {
+  return std::bit_cast<std::uint64_t>(x.payoff_a) ==
+             std::bit_cast<std::uint64_t>(y.payoff_a) &&
+         std::bit_cast<std::uint64_t>(x.payoff_b) ==
+             std::bit_cast<std::uint64_t>(y.payoff_b) &&
+         x.coop_a == y.coop_a && x.coop_b == y.coop_b && x.rounds == y.rounds;
+}
+
+// At every width, every player kind, and under integral and fractional
+// payoffs, each game equals the LinearSearch round loop bitwise: alone (a
+// batch of one), in every prefix batch of 1..40 games (full groups and
+// every remainder group) and in the reversed batch (another lane).
+TEST(SampledLaneKernel, EveryWidthBitIdenticalToRoundLoop) {
+  util::Xoshiro256 gen(4242);
+  const PayoffMatrix fractional{2.5, -0.25, 4.125, 0.75};
+  constexpr std::size_t kGames = 40;
+  std::uint64_t compared = 0;
+  for (const int memory : {0, 1, 3, 6}) {
+    for (const double noise : {0.0, 0.02, 1.0}) {
+      for (int kind = 0; kind < 4; ++kind) {
+        if (kind == 0 && noise == 0.0) continue;  // the cycle walker's games
+        const IpdParams params{kind % 2 ? fractional : kPayoff,
+                               memory == 6 ? 65u : 200u, noise};
+        const IpdEngine linear(memory, params, LookupMode::LinearSearch);
+        std::vector<Strategy> as, bs;
+        std::vector<StreamGame> games;
+        std::vector<GameResult> want;
+        for (std::size_t k = 0; k < kGames; ++k) {
+          as.push_back(random_player(memory, kind >= 2, gen));
+          bs.push_back(random_player(memory, kind % 2 == 1, gen));
+        }
+        for (std::size_t k = 0; k < kGames; ++k) {
+          util::StreamRng rng(gen(), gen());
+          for (std::size_t skip = k % 3; skip > 0; --skip) rng();
+          games.push_back({Player::of(as[k]), Player::of(bs[k]), rng});
+          want.push_back(linear.play(as[k], bs[k], rng));
+        }
+        const std::vector<StreamGame> rev(games.rbegin(), games.rend());
+        for (const int lanes : stream_widths()) {
+          for (std::size_t n = 1; n <= kGames; ++n) {
+            std::vector<GameResult> got(n);
+            play_stream_games_lanes({games.data(), n}, memory, params, lanes,
+                                    got);
+            for (std::size_t k = 0; k < n; ++k) {
+              ASSERT_TRUE(same_bits(got[k], want[k]))
+                  << "lanes=" << lanes << " memory=" << memory
+                  << " noise=" << noise << " kind=" << kind << " n=" << n
+                  << " k=" << k << ": " << got[k].payoff_a << " vs "
+                  << want[k].payoff_a;
+              ++compared;
+            }
+          }
+          std::vector<GameResult> got(kGames);
+          play_stream_games_lanes(rev, memory, params, lanes, got);
+          for (std::size_t k = 0; k < kGames; ++k) {
+            ASSERT_TRUE(same_bits(got[k], want[kGames - 1 - k]))
+                << "reversed, lanes=" << lanes << " k=" << k;
+          }
         }
       }
     }
   }
+  EXPECT_GT(compared, 0u);
+}
+
+// The dispatched entry point takes the width simd::stream_lanes() names:
+// 16 or 8 under the AVX2 kernel as the CPU allows, 1 when forced scalar.
+TEST(SampledLaneKernel, DispatchFollowsStreamLanes) {
+  util::Xoshiro256 gen(12);
+  const IpdParams params{kPayoff, 200, 0.02};
+  const StreamCase c(21, 4, gen);
+  const std::vector<StreamGame> games = c.games();
+  const bool forced = simd::force_scalar();
+  for (const bool force : {false, true}) {
+    simd::set_force_scalar(forced || force);
+    const int lanes = simd::stream_lanes();
+    if (forced || force) {
+      EXPECT_EQ(lanes, 1);
+    } else {
+      EXPECT_EQ(lanes, stream_widths().back());
+    }
+    std::vector<GameResult> got(games.size()), want(games.size());
+    play_stream_games(games, 4, params, got);
+    play_stream_games_lanes(games, 4, params, lanes, want);
+    for (std::size_t k = 0; k < games.size(); ++k) {
+      EXPECT_TRUE(same_bits(got[k], want[k])) << "lanes=" << lanes
+                                              << " k=" << k;
+    }
+  }
+  simd::set_force_scalar(forced);
 }
 
 // uniform01(x) < p <=> (x >> 11) < unit_threshold(p), at the edges of the

@@ -219,9 +219,12 @@ TEST(Manifest, KernelBlockRecordsTheDispatchedKernel) {
               game::simd::kernel_name(game::simd::active_kernel()));
     EXPECT_EQ(k.at("mem1_lanes").as_u64(),
               static_cast<std::uint64_t>(game::simd::mem1_lanes()));
+    EXPECT_EQ(k.at("stream_lanes").as_u64(),
+              static_cast<std::uint64_t>(game::simd::stream_lanes()));
     if (force) {
       EXPECT_EQ(k.at("dispatched").as_string(), "scalar");
       EXPECT_EQ(k.at("mem1_lanes").as_u64(), 1u);
+      EXPECT_EQ(k.at("stream_lanes").as_u64(), 1u);
     }
   }
   game::simd::set_force_scalar(was_forced);

@@ -54,16 +54,20 @@ inline void expect_valid_manifest(const util::JsonValue& doc,
   const std::string dispatched = k.at("dispatched").as_string();
   EXPECT_TRUE(dispatched == "avx2" || dispatched == "scalar") << dispatched;
   const std::uint64_t lanes = k.at("mem1_lanes").as_u64();
+  const std::uint64_t stream = k.at("stream_lanes").as_u64();
   if (dispatched == "avx2") {
     // AVX2 only runs when compiled in, supported and not forced off; the
-    // payoff kernel then keeps 8 or (with AVX-512) 16 pairs in flight.
+    // payoff and sampled kernels then keep 8 or (with AVX-512F+DQ) 16
+    // pairs or games in flight, from one CPU probe.
     EXPECT_TRUE(k.at("avx2_compiled").as_bool());
     EXPECT_TRUE(k.at("cpu_avx2").as_bool());
     EXPECT_FALSE(k.at("forced_scalar").as_bool());
     EXPECT_TRUE(lanes == 8 || lanes == 16) << lanes;
-    if (lanes == 16) EXPECT_TRUE(k.at("cpu_avx512").as_bool());
+    EXPECT_EQ(stream, lanes);
+    EXPECT_EQ(lanes == 16, k.at("cpu_avx512").as_bool());
   } else {
     EXPECT_EQ(lanes, 1u);
+    EXPECT_EQ(stream, 1u);
   }
 
   expect_section_object(doc, "config");

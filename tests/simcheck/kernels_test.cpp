@@ -9,20 +9,17 @@ namespace {
 
 TEST(KernelChecks, FullSuitePasses) {
   const KernelReport report = run_kernel_checks(20120427);
-  // Six checks, plus one payoff-kernel check per width this build and CPU
-  // have: scalar always, 8 pairs with AVX2, 16 with AVX-512 too.
+  // Five checks, plus one payoff-kernel and one sampled-kernel check per
+  // width this build and CPU have: scalar always, 8 with AVX2, 16 with
+  // AVX-512 too.
   const std::size_t widths = 1 + (report.avx2_available ? 1 : 0) +
                              (report.avx512_available ? 1 : 0);
-  ASSERT_EQ(report.checks.size(), 6u + widths);
+  ASSERT_EQ(report.checks.size(), 5u + 2 * widths);
   for (const auto& c : report.checks) {
     EXPECT_TRUE(c.passed) << c.name << ": " << c.detail;
-    // The cross-kernel checks run zero cases when the AVX2 kernel is
+    // The cross-kernel check runs zero cases when the AVX2 kernel is
     // compiled out or the CPU lacks it; every other check always runs.
-    if ((c.name == "mem1.avx2_vs_scalar" ||
-         c.name == "sampled.avx2_predraw_vs_scalar_bitwise") &&
-        !report.avx2_available) {
-      continue;
-    }
+    if (c.name == "mem1.avx2_vs_scalar" && !report.avx2_available) continue;
     EXPECT_GT(c.cases, 0u) << c.name;
   }
   EXPECT_TRUE(report.passed());

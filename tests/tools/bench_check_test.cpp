@@ -92,6 +92,67 @@ TEST(CheckBaseline, FailsOnMissingRowAndHashDivergence) {
   EXPECT_NE(err.str().find("missing"), std::string::npos);
 }
 
+util::JsonValue doc_with_lanes(std::uint64_t lanes, const std::string& rows) {
+  return util::JsonValue::parse(
+      R"({"schema":"egt.bench_fitness/v1","config":{"stream_lanes":)" +
+      std::to_string(lanes) + R"(},"rows":[)" + rows + "]}");
+}
+
+const TwinRatio kGate[] = {{"lanes", "lanes scalar", 0.8, 16}};
+
+TEST(CheckTwinRatios, PassesWithinBoundAndFailsPastIt) {
+  std::ostringstream out, err;
+  EXPECT_EQ(check_twin_ratios(doc_with_lanes(16, row("lanes", 0.05) + "," +
+                                                     row("lanes scalar", 0.1)),
+                              kGate, out, err),
+            0);
+  // 0.09 / 0.1 = 0.9 > 0.8: the lane kernel lost its edge on this host.
+  EXPECT_EQ(check_twin_ratios(doc_with_lanes(16, row("lanes", 0.09) + "," +
+                                                     row("lanes scalar", 0.1)),
+                              kGate, out, err),
+            1);
+  EXPECT_NE(err.str().find("wall ratio"), std::string::npos);
+}
+
+TEST(CheckTwinRatios, NarrowerHostReportsWithoutGating) {
+  std::ostringstream out, err;
+  // Scalar-only build or CPU: the twins run one kernel, ratio ~1.
+  EXPECT_EQ(check_twin_ratios(doc_with_lanes(1, row("lanes", 0.1) + "," +
+                                                    row("lanes scalar", 0.1)),
+                              kGate, out, err),
+            0);
+  EXPECT_NE(out.str().find("not gated"), std::string::npos);
+}
+
+TEST(CheckTwinRatios, FailsOnMissingTwinDivergenceOrNoLanes) {
+  std::ostringstream out, err;
+  EXPECT_EQ(check_twin_ratios(doc_with_lanes(16, row("lanes", 0.05)), kGate,
+                              out, err),
+            1);
+  EXPECT_EQ(check_twin_ratios(
+                doc_with_lanes(16, row("lanes", 0.05) + "," +
+                                       row("lanes scalar", 0.1, 100, 100,
+                                           "other")),
+                kGate, out, err),
+            1);
+  EXPECT_EQ(check_twin_ratios(
+                util::JsonValue::parse(
+                    R"({"schema":"egt.bench_fitness/v1","config":{},"rows":[)" +
+                    row("lanes", 0.05) + "," + row("lanes scalar", 0.1) +
+                    "]}"),
+                kGate, out, err),
+            1);
+}
+
+// The gate bench_check applies by default: the sampled lane kernel and its
+// forced-scalar twin.
+TEST(CheckTwinRatios, DefaultGateIsTheSampledKernelTwin) {
+  ASSERT_EQ(std::size(kTwinRatios), 1u);
+  EXPECT_STREQ(kTwinRatios[0].fast, "sampled m6 noisy");
+  EXPECT_STREQ(kTwinRatios[0].slow, "sampled m6 noisy scalar");
+  EXPECT_EQ(kTwinRatios[0].max_ratio, 0.8);
+}
+
 TEST(CheckTraceOverhead, NoiseFloorAppliesToTracedTwin) {
   TimeGate g{0.25, 0.0, 0.005};
   std::ostringstream out, err;

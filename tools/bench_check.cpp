@@ -7,8 +7,13 @@
 //   * wall time is environment-dependent — a row fails only when it is past
 //     the relative budget (--max-regress, default 25%) AND past the absolute
 //     --noise-floor above the baseline; --min-seconds can additionally skip
-//     very fast rows entirely. Gate policy lives in bench_check_lib.hpp and
-//     is unit-tested in tests/tools/.
+//     very fast rows entirely;
+//   * twin rows of the current document (the lane kernel and its
+//     forced-scalar twin) must keep their wall ratio within the bound in
+//     bench_check_lib.hpp's kTwinRatios — a same-run gate, so it holds on
+//     any host.
+// Gate policy lives in bench_check_lib.hpp and is unit-tested in
+// tests/tools/.
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -154,6 +159,7 @@ int main(int argc, char** argv) {
     if (*trace_overhead >= 0.0) {
       failures += bench::check_trace_overhead(current, *trace_overhead, gate);
     }
+    failures += bench::check_twin_ratios(current);
     failures += bench::check_baseline(baseline, current, gate);
   } catch (const std::exception& e) {
     std::cerr << "bench_check: " << e.what() << "\n";

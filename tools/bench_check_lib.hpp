@@ -13,10 +13,13 @@
 // rows sit near 0.2–0.9 ms) be gated at all: scheduler jitter alone is worth
 // a few ms, so a pure ratio test on such rows fires on timer noise. With the
 // floor, `--min-seconds 0` gates every row safely. Counters and hashes are
-// deterministic and always compared exactly.
+// deterministic and always compared exactly. Twin ratio gates compare two
+// rows of one document, so they hold on any host.
 #pragma once
 
+#include <cstdint>
 #include <iostream>
+#include <span>
 #include <string>
 
 #include "util/json.hpp"
@@ -101,6 +104,77 @@ inline int check_trace_overhead(const util::JsonValue& doc,
   if (compared == 0) {
     err << "FAIL: no '<name> + trace' rows found\n";
     ++failures;
+  }
+  return failures;
+}
+
+/// A same-run twin ratio gate: within one document, row `fast` must take
+/// at most `max_ratio` x the wall of its twin `slow`, the same run under
+/// the scalar kernel. Both rows ran on the same host, so the gate needs no
+/// baseline from another machine. The bound is calibrated at `min_lanes`
+/// games in flight (the document's config.stream_lanes); on a narrower
+/// host the ratio is reported, not gated.
+struct TwinRatio {
+  const char* fast;
+  const char* slow;
+  double max_ratio;
+  std::uint64_t min_lanes;
+};
+
+/// The twin gates bench_check applies to every --current document.
+inline constexpr TwinRatio kTwinRatios[] = {
+    {"sampled m6 noisy", "sampled m6 noisy scalar", 0.8, 16},
+};
+
+/// Apply `gates` to `doc`: both twins must exist and agree on counters
+/// and table hash (they replay one trajectory), and the wall ratio must
+/// stay within its bound where the gate binds. Returns the failure count.
+inline int check_twin_ratios(const util::JsonValue& doc,
+                             std::span<const TwinRatio> gates = kTwinRatios,
+                             std::ostream& out = std::cout,
+                             std::ostream& err = std::cerr) {
+  const auto& config = doc.at("config");
+  if (!config.has("stream_lanes")) {
+    err << "FAIL: document records no config.stream_lanes for the twin "
+           "ratio gates\n";
+    return 1;
+  }
+  const std::uint64_t lanes = config.at("stream_lanes").as_u64();
+  int failures = 0;
+  for (const TwinRatio& t : gates) {
+    const auto* fast = find_row(doc, t.fast);
+    const auto* slow = find_row(doc, t.slow);
+    const std::string pair = std::string(t.fast) + " / " + t.slow;
+    if (fast == nullptr || slow == nullptr) {
+      err << "FAIL [" << pair << "]: twin row missing\n";
+      ++failures;
+      continue;
+    }
+    bool same = fast->at("table_hash").as_string() ==
+                slow->at("table_hash").as_string();
+    for (const char* counter : {"pairs_evaluated", "games_played"}) {
+      same = same && fast->at(counter).as_u64() == slow->at(counter).as_u64();
+    }
+    if (!same) {
+      err << "FAIL [" << pair << "]: twins diverged (counters or hash)\n";
+      ++failures;
+      continue;
+    }
+    const double slow_t = slow->at("wall_s").as_number();
+    const double ratio =
+        slow_t > 0 ? fast->at("wall_s").as_number() / slow_t : 0.0;
+    if (lanes < t.min_lanes) {
+      out << "--   [" << pair << "]: ratio " << ratio << " not gated at "
+          << lanes << " lane(s) (bound " << t.max_ratio << " is for "
+          << t.min_lanes << ")\n";
+    } else if (ratio > t.max_ratio) {
+      err << "FAIL [" << pair << "]: wall ratio " << ratio << " > "
+          << t.max_ratio << "\n";
+      ++failures;
+    } else {
+      out << "ok   [" << pair << "]: wall ratio " << ratio
+          << " <= " << t.max_ratio << "\n";
+    }
   }
   return failures;
 }

@@ -138,7 +138,8 @@ int run_kernels(std::uint64_t seed) {
             << ", dispatching "
             << game::simd::kernel_name(game::simd::active_kernel())
             << (game::simd::force_scalar() ? " (forced)" : "")
-            << ", mem1_lanes " << game::simd::mem1_lanes() << "\n";
+            << ", mem1_lanes " << game::simd::mem1_lanes()
+            << ", stream_lanes " << game::simd::stream_lanes() << "\n";
   int failures = 0;
   for (const auto& c : report.checks) {
     std::cout << (c.passed ? "ok   " : "FAIL ") << "[" << c.name << "]: "

@@ -38,7 +38,7 @@ Engine::Engine(const SimConfig& config, pop::Population pop,
 Engine::Engine(const SimConfig& config, obs::MetricsRegistry* metrics)
     : Engine(config, make_initial_population((config.validate(), config)),
              metrics) {
-  ins_.initialize(fitness_, pop_, tally_);
+  ins_.initialize(fitness_, pop_);
 }
 
 Engine::Engine(const SimConfig& config, RestoredState state,
@@ -53,7 +53,7 @@ Engine::Engine(const SimConfig& config, RestoredState state,
   if (state.fitness) {
     fitness_.restore(std::move(*state.fitness));
   } else {
-    ins_.initialize(fitness_, pop_, tally_);
+    ins_.initialize(fitness_, pop_);
   }
 }
 
@@ -78,7 +78,7 @@ void Engine::step() {
 
 void Engine::play(std::uint64_t gen) {
   fitness_.begin_generation(pop_, gen);
-  std::ranges::copy(fitness_.block(), pop_.mutable_fitness().begin());
+  std::ranges::copy(fitness_.top(), pop_.mutable_fitness().begin());
 }
 
 void Engine::run(std::uint64_t generations, Observer* observer) {

@@ -107,17 +107,12 @@ class Engine : private GenerationTransport {
   std::array<double, 2> pc_fitness(const pop::GenerationPlan::Pc& pc) override {
     return {fitness_.fitness(pc.teacher), fitness_.fitness(pc.learner)};
   }
-  std::span<const double> gather_fitness(const pop::GenerationPlan&,
-                                         const GenerationDecision&) override {
-    return fitness_.block();
-  }
+  std::span<const double> gather_fitness() override { return fitness_.top(); }
   void strategy_changed(pop::SSetId k, const pop::Population& pop,
                         std::uint64_t gen) override {
     fitness_.strategy_changed(k, pop, gen);
   }
-  void finish(const GenerationOutcome&) override {
-    ins_.account(fitness_, tally_);
-  }
+  void finish(const GenerationOutcome&) override { ins_.account(fitness_); }
 
   SimConfig config_;
   pop::Population pop_;
@@ -128,7 +123,6 @@ class Engine : private GenerationTransport {
   GenerationRecord record_;
   TraceSink* trace_ = nullptr;
   EngineInstruments ins_;  // all null when the engine runs unobserved
-  WorkTally tally_;
 };
 
 /// Null for well-mixed configs; the shared graph otherwise.

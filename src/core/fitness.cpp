@@ -210,6 +210,7 @@ BlockFitness::BlockFitness(const SimConfig& config, pop::SSetId row_begin,
     ct_restores_ = &metrics->counter("fitness.state_restores");
   }
   fitness_.assign(end_ - begin_, 0.0);
+  top_ = fitness_;
   matrix_.assign(static_cast<std::size_t>(end_ - begin_) * matrix_cols(), 0.0);
   if (pairwise_cached()) sums_.assign(end_ - begin_, ExactSum{});
   if (config.threads > 0) {
@@ -414,6 +415,7 @@ void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
 
 void BlockFitness::evaluate_rows(const pop::Population& pop,
                                  std::uint64_t gen_key) {
+  keep_top();  // every row is rewritten below
   const std::uint64_t rows = end_ - begin_;
   // Well-mixed dedup: the first owned row of each class is evaluated and
   // every later row of that class copies it. Sources run in phase one and
@@ -464,14 +466,16 @@ void BlockFitness::initialize(const pop::Population& pop) {
 
 void BlockFitness::begin_generation(const pop::Population& pop,
                                     std::uint64_t generation) {
-  if (cached()) return;  // values only move when a strategy changes
-  evaluate_rows(pop, generation);
+  // The cached modes' values only move when a strategy changes.
+  if (!cached()) evaluate_rows(pop, generation);
+  moved_ = false;
 }
 
 bool BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
                                     std::uint64_t generation,
                                     const SourceRow* source) {
   if (!cached()) return false;  // next begin_generation re-plays everything
+  const bool stale = keep_top();
   if (pgg_) {
     // A single strategy change moves every group pool the SSet touches
     // (and, well-mixed, every row): recompute all owned rows. Row-local
@@ -508,8 +512,11 @@ bool BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
   };
   const game::Strategy& sk = pop.strategy(k);
   for (pop::SSetId i = begin_; i < end_; ++i) {
-    if (i == k) continue;
-    if (structured() && !graph_->are_neighbors(i, k)) continue;
+    if (i == k) continue;  // row k is rebuilt below when owned
+    if (structured() && !graph_->are_neighbors(i, k)) {
+      if (stale) fitness_[i - begin_] = top_[i - begin_];
+      continue;
+    }
     ++counts.pairs;
     const pop::SSetId src = i != s1 ? s1 : s2;
     if (src != kNoSSet && eval_.strategy_pure(pop.strategy(i), sk)) {
@@ -624,6 +631,7 @@ void BlockFitness::restore(State s) {
   } else {
     fitness_ = std::move(s.values);
   }
+  moved_ = false;
   if (ct_restores_ != nullptr) ct_restores_->inc();
 }
 

@@ -156,8 +156,8 @@ class BlockFitness {
   }
 
   /// Called at the top of every generation *before* Nature acts.
-  /// Sampled mode re-plays all games with this generation's streams; the
-  /// cached modes are no-ops here.
+  /// Sampled mode re-plays all games with this generation's streams; in
+  /// every mode the values become the top-of-generation view (top()).
   void begin_generation(const pop::Population& pop, std::uint64_t generation);
 
   /// A payoff row held by another block: row `sset` of its matrix, all
@@ -195,6 +195,14 @@ class BlockFitness {
 
   /// Fitness of the whole block, indexed by (i - row_begin).
   std::span<const double> block() const noexcept { return fitness_; }
+
+  /// The block's fitness as of the last begin_generation, indexed by
+  /// (i - row_begin): zero before the first one, the restored values after
+  /// restore. Nature reads fitness only before a generation's first
+  /// change, so this is the view every gather ships.
+  std::span<const double> top() const noexcept {
+    return moved_ ? top_ : fitness_;
+  }
 
   /// The block's whole evaluation state, as every checkpoint carries it:
   /// the row range, the fitness mode that computed it, the matrix width
@@ -247,6 +255,19 @@ class BlockFitness {
   /// Games actually played (expected-payoff computations included) —
   /// <= pairs_evaluated(); the gap is the dedup saving.
   std::uint64_t games_played() const noexcept { return games_; }
+
+  /// Work not yet moved into a counter.
+  struct Work {
+    std::uint64_t pairs = 0;
+    std::uint64_t games = 0;
+  };
+  /// The pairs/games evaluated since the last call (since construction on
+  /// the first), which the caller now accounts.
+  Work take_work() noexcept {
+    const Work w{pairs_ - accounted_.pairs, games_ - accounted_.games};
+    accounted_ = {pairs_, games_};
+    return w;
+  }
 
  private:
   /// Work done by one row evaluation, accumulated thread-locally so pool
@@ -322,6 +343,17 @@ class BlockFitness {
   /// Every owned row, rows split across the pool.
   void evaluate_rows(const pop::Population& pop, std::uint64_t gen_key);
 
+  /// Called before any write to fitness_. On the first since
+  /// begin_generation the values become top_ by a buffer swap and this
+  /// returns true: fitness_ then holds stale values, and the caller must
+  /// write every row (copying top_'s for a row the change leaves alone).
+  bool keep_top() noexcept {
+    if (moved_) return false;
+    top_.swap(fitness_);
+    moved_ = true;
+    return true;
+  }
+
   SimConfig config_;
   PairEvaluator eval_;
   std::shared_ptr<const pop::InteractionGraph> graph_;
@@ -330,11 +362,16 @@ class BlockFitness {
   bool dedup_ = false;
   bool pgg_ = false;  ///< GameKind::PublicGoods: group-pooled fitness
   std::vector<double> fitness_;  // per owned row (scaled sums)
+  // The top-of-generation values once fitness_ moved past them (moved_);
+  // until then they are fitness_ itself.
+  std::vector<double> top_;
+  bool moved_ = false;
   std::vector<double> matrix_;   // pairwise cached: rows x ssets payoffs
   std::vector<ExactSum> sums_;   // pairwise cached: each matrix row's sum
   std::unique_ptr<par::ThreadPool> pool_;  // config.threads workers
   std::uint64_t pairs_ = 0;
   std::uint64_t games_ = 0;
+  Work accounted_;  // pairs_/games_ as of the last take_work
   // Cold-path instrumentation (null when the block runs unobserved).
   obs::Counter* ct_restores_ = nullptr;
 };

@@ -56,16 +56,14 @@ void EngineInstruments::count_events(obs::MetricsRegistry& reg) {
   mutations = &reg.counter("engine.mutations");
 }
 
-void EngineInstruments::account(const BlockFitness& fit,
-                                WorkTally& seen) const {
-  inc(pairs, fit.pairs_evaluated() - seen.pairs);
-  inc(games, fit.games_played() - seen.games);
-  seen = WorkTally{fit.pairs_evaluated(), fit.games_played()};
+void EngineInstruments::account(BlockFitness& fit) const {
+  const BlockFitness::Work w = fit.take_work();
+  inc(pairs, w.pairs);
+  inc(games, w.games);
 }
 
 void EngineInstruments::initialize(BlockFitness& fit,
-                                   const pop::Population& pop,
-                                   WorkTally& seen) const {
+                                   const pop::Population& pop) const {
   // Sampled blocks re-play every pair at each generation, 0's included.
   if (!fit.cached()) return;
   {
@@ -73,7 +71,7 @@ void EngineInstruments::initialize(BlockFitness& fit,
     fit.initialize(pop);
     phase.span().set_arg("games", fit.games_played());
   }
-  account(fit, seen);
+  account(fit);
 }
 
 // -- generation-plan wire format ---------------------------------------------
@@ -107,6 +105,7 @@ pop::GenerationPlan decode_generation_plan(const std::vector<std::byte>& in) {
     plan.pc = pc;
   }
   plan.moran = r.u8("moran flag") != 0;
+  if (plan.pc && plan.moran) r.fail("plan carries both a PC and a Moran event");
   if (r.u8("mutation flag") != 0) {
     pop::GenerationPlan::Mutation mut;
     mut.target = r.u32("mutation target");
@@ -131,7 +130,6 @@ pop::NatureAgent::State wire::get_nature(Reader& r) {
 
 void wire::put_decision(Writer& w, const GenerationDecision& d) {
   w.u8(d.adopted ? 1 : 0);
-  w.u8(d.has_moran ? 1 : 0);
   w.u32(d.pick.reproducer);
   w.u32(d.pick.dying);
 }
@@ -140,7 +138,6 @@ GenerationDecision wire::get_decision(Reader& r, std::uint64_t gen) {
   GenerationDecision d;
   d.gen = gen;
   d.adopted = r.u8("adopted flag") != 0;
-  d.has_moran = r.u8("moran flag") != 0;
   d.pick.reproducer = r.u32("moran reproducer");
   d.pick.dying = r.u32("moran dying");
   return d;
@@ -190,7 +187,6 @@ GenerationOutcome run_generation(const GenerationContext& ctx,
       }
       t.share_adoption(d.adopted);
     }
-    apply_adoption(ctx.pop, t, plan, d, ins);
   }
 
   if (plan.moran) {
@@ -200,16 +196,15 @@ GenerationOutcome run_generation(const GenerationContext& ctx,
     std::span<const double> full;
     {
       PhaseScope phase(ins.fitness_return, obs::phase::kFitnessReturn);
-      full = t.gather_fitness(plan, d);
+      full = t.gather_fitness();
     }
     {
       PhaseScope phase(ins.decision, obs::phase::kDecisionBcast);
       if (nature != nullptr) d.pick = nature->select_moran(full);
       t.share_pick(d.pick);
     }
-    d.has_moran = true;
   }
-  apply_final(ctx.pop, t, plan, d, ins);
+  apply_decision(ctx.pop, t, plan, d, ins);
 
   t.finish(out);
   EngineInstruments::inc(ins.generations);

@@ -1,9 +1,12 @@
 // One generation of the paper's protocol (§IV, §V-B), written once.
 //
 // run_generation drives one rank through a generation in the fault-free
-// order — game play → plan → PC fitness return → adoption decision →
-// apply → Moran gather → pick → apply → mutation → counters → trace point
-// — and a GenerationTransport says how each step travels:
+// order — game play → plan → (PC fitness return → adoption decision) or
+// (Moran gather → pick) → apply → mutation → counters → trace point — and
+// a GenerationTransport says how each step travels. Nature draws at most
+// one of the PC and Moran events (decode_generation_plan rejects a plan
+// with both), so it reads fitness only before the generation's first
+// change: every gather ships the blocks' top-of-generation view.
 //
 //   local              core::Engine: one process, nothing travels.
 //   tree-bcast         run_parallel, PaperBcast: rank 0 is Nature; plan and
@@ -13,7 +16,7 @@
 //                      Nature; the PC pair is allreduced, Moran allgathered.
 //   ft-star            run_parallel_ft's master: a point-to-point plan/ack
 //                      round, fitness requests, and a write-ahead commit
-//                      (decision-log replication, then the final DECIDE).
+//                      (decision-log replication, then the DECIDE).
 //
 // EngineInstruments owns what every engine reports: the five phase.*
 // histograms, the seven engine.* counters and the pairs/games accounting.
@@ -58,22 +61,17 @@ EngineCounters counters_add(const EngineCounters& a, const EngineCounters& b);
 /// "generations=G pc_events=P ..." for failure messages.
 std::string to_string(const EngineCounters& c);
 
-/// Pairs/games of one fitness block already moved into the counters.
-struct WorkTally {
-  std::uint64_t pairs = 0;
-  std::uint64_t games = 0;
-};
-
 /// A phase timer and its flight-recorder span over one pair of clock
 /// readings: the histogram and the span record the same duration, and
 /// the span's own recording cost (a thread's first record attaches its
 /// ring slab) lands outside both.
 class PhaseScope {
  public:
-  PhaseScope(obs::Histogram* h, const char* name)
+  PhaseScope(obs::Histogram* h, const char* name,
+             const char* cat = obs::kCatPhase)
       : hist_(h),
         start_ns_(obs::Tracer::now_ns()),
-        span_(name, obs::kCatPhase, start_ns_) {}
+        span_(name, cat, start_ns_) {}
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
   ~PhaseScope() {
@@ -118,17 +116,17 @@ struct EngineInstruments {
   static void inc(obs::Counter* c, std::uint64_t n = 1) {
     if (c != nullptr) c->inc(n);
   }
-  /// Move `fit`'s pairs/games growth since `seen` into the counters.
-  void account(const BlockFitness& fit, WorkTally& seen) const;
+  /// Move `fit`'s work not yet accounted into the counters.
+  void account(BlockFitness& fit) const;
   /// The initial all-pairs evaluation of a cached block, timed and traced
   /// as game play; a Sampled block waits for generation 0's play.
-  void initialize(BlockFitness& fit, const pop::Population& pop,
-                  WorkTally& seen) const;
+  void initialize(BlockFitness& fit, const pop::Population& pop) const;
 };
 
 /// Wire codec of the per-generation event plan (the PaperBcast broadcast
 /// payload and the ft PLAN body). Decode throws CheckpointError on any
-/// truncation or trailing byte.
+/// truncation or trailing byte, and on a plan with both a PC and a Moran
+/// event (the update rules are exclusive).
 std::vector<std::byte> encode_generation_plan(const pop::GenerationPlan& plan);
 pop::GenerationPlan decode_generation_plan(const std::vector<std::byte>& in);
 
@@ -136,7 +134,6 @@ pop::GenerationPlan decode_generation_plan(const std::vector<std::byte>& in);
 struct GenerationDecision {
   std::uint64_t gen = 0;
   bool adopted = false;  ///< PC adoption
-  bool has_moran = false;
   pop::MoranPick pick;
 };
 
@@ -148,7 +145,7 @@ void put_nature(Writer& w, const pop::NatureAgent::State& s);
 pop::NatureAgent::State get_nature(Reader& r);
 
 /// A generation's decision without its generation number (the carrier
-/// knows it): u8 adopted, u8 has_moran, u32 reproducer, u32 dying.
+/// knows it): u8 adopted, u32 reproducer, u32 dying.
 void put_decision(Writer& w, const GenerationDecision& d);
 GenerationDecision get_decision(Reader& r, std::uint64_t gen);
 
@@ -174,10 +171,9 @@ class GenerationTransport {
   virtual std::array<double, 2> pc_fitness(
       const pop::GenerationPlan::Pc& pc) = 0;
   virtual void share_adoption(bool& /*adopted*/) {}
-  /// The post-adoption fitness vector where Nature picks; `d` carries
-  /// this generation's adoption.
-  virtual std::span<const double> gather_fitness(
-      const pop::GenerationPlan& plan, const GenerationDecision& d) = 0;
+  /// The whole top-of-generation fitness vector where Nature picks (a
+  /// Moran generation has no earlier change).
+  virtual std::span<const double> gather_fitness() = 0;
   virtual void share_pick(pop::MoranPick& /*pick*/) {}
   /// Fold a strategy change into this rank's fitness blocks.
   virtual void strategy_changed(pop::SSetId k, const pop::Population& pop,
@@ -222,23 +218,18 @@ void apply_change(pop::Population& pop, Blocks& blocks, pop::SSetId k,
   phase.span().set_arg("games", blocks.games_played() - games);
 }
 
-/// A generation's adoption stage.
+/// A generation's updates, after its decision: the adoption or the Moran
+/// replacement, then the mutation.
 template <class Blocks>
-void apply_adoption(pop::Population& pop, Blocks& blocks,
+void apply_decision(pop::Population& pop, Blocks& blocks,
                     const pop::GenerationPlan& plan,
                     const GenerationDecision& d,
                     const EngineInstruments& ins) {
-  if (!plan.pc || !d.adopted) return;
-  EngineInstruments::inc(ins.adoptions);
-  apply_change(pop, blocks, plan.pc->learner, pop.strategy(plan.pc->teacher),
-               d.gen, ins);
-}
-
-/// The final stage: the Moran replacement, then the mutation.
-template <class Blocks>
-void apply_final(pop::Population& pop, Blocks& blocks,
-                 const pop::GenerationPlan& plan, const GenerationDecision& d,
-                 const EngineInstruments& ins) {
+  if (plan.pc && d.adopted) {
+    EngineInstruments::inc(ins.adoptions);
+    apply_change(pop, blocks, plan.pc->learner, pop.strategy(plan.pc->teacher),
+                 d.gen, ins);
+  }
   if (plan.moran && d.pick.is_change()) {
     apply_change(pop, blocks, d.pick.dying, pop.strategy(d.pick.reproducer),
                  d.gen, ins);

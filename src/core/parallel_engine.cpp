@@ -47,10 +47,8 @@ class ParallelRank final : public GenerationTransport {
              static_cast<pop::SSetId>(part_.end(rank_)), graph_, &registry),
         // Event counters live on rank 0 only, so merged totals match the
         // serial engine's.
-        ins_(&registry, /*events=*/rank_ == 0),
-        // Matches the serial engine: zero until the first generation runs.
-        snapshot_(fit_.block().size(), 0.0) {
-    ins_.initialize(fit_, pop_, tally_);
+        ins_(&registry, /*events=*/rank_ == 0) {
+    ins_.initialize(fit_, pop_);
     if (replay_ || rank_ == 0) nature_.emplace(config.nature_config(graph_));
   }
 
@@ -64,15 +62,12 @@ class ParallelRank final : public GenerationTransport {
       run_generation(ctx, gen);
       if (options.metrics_stream != nullptr &&
           options.metrics_stream->wants(gen)) {
-        // Every rank owns a block of the fitness vector; reduce the block
-        // sums so the streamed mean is the global one.
-        double local = 0.0;
-        for (const double f : fit_.block()) local += f;
-        const double total =
-            comm_.reduce_scalar(local, par::Comm::ReduceOp::Sum, 0);
+        // Every rank owns a block of the fitness vector: rank 0 assembles
+        // the top-of-generation vector and streams its mean, the serial
+        // engine's bits.
+        const std::vector<double> full = gather_top(/*all=*/false);
         if (rank_ == 0) {
-          options.metrics_stream->on_generation(
-              gen, pop_, registry_, total / static_cast<double>(config_.ssets));
+          options.metrics_stream->on_generation(gen, pop_, registry_, full);
         }
       }
       if (options.progress && rank_ == 0) {
@@ -81,17 +76,13 @@ class ParallelRank final : public GenerationTransport {
     }
     // The final fitness, as of the top of the last generation (the values
     // the serial engine leaves in its population).
-    const std::vector<double> final_fit =
-        assemble(comm_.gather(pack(snapshot_), 0));
+    const std::vector<double> final_fit = gather_top(/*all=*/false);
     if (rank_ != 0) return std::nullopt;
     std::ranges::copy(final_fit, pop_.mutable_fitness().begin());
     return std::move(pop_);
   }
 
-  void play(std::uint64_t gen) override {
-    fit_.begin_generation(pop_, gen);
-    snapshot_.assign(fit_.block().begin(), fit_.block().end());
-  }
+  void play(std::uint64_t gen) override { fit_.begin_generation(pop_, gen); }
 
   std::uint64_t games_played() const override { return fit_.games_played(); }
 
@@ -134,10 +125,8 @@ class ParallelRank final : public GenerationTransport {
     adopted = wire != 0;
   }
 
-  std::span<const double> gather_fitness(const pop::GenerationPlan&,
-                                         const GenerationDecision&) override {
-    full_ = assemble(replay_ ? comm_.allgather(pack(fit_.block()))
-                             : comm_.gather(pack(fit_.block()), 0));
+  std::span<const double> gather_fitness() override {
+    full_ = gather_top(/*all=*/replay_);
     return full_;
   }
 
@@ -155,9 +144,16 @@ class ParallelRank final : public GenerationTransport {
     fit_.strategy_changed(k, pop, gen);
   }
 
-  void finish(const GenerationOutcome&) override { ins_.account(fit_, tally_); }
+  void finish(const GenerationOutcome&) override { ins_.account(fit_); }
 
  private:
+  /// Every rank's top-of-generation block as one SSet-indexed vector, at
+  /// rank 0 (on every rank when `all`; empty elsewhere).
+  std::vector<double> gather_top(bool all) {
+    return assemble(all ? comm_.allgather(pack(fit_.top()))
+                        : comm_.gather(pack(fit_.top()), 0));
+  }
+
   /// Per-rank blocks (a gather's result; empty off the root) as one
   /// SSet-indexed vector.
   std::vector<double> assemble(
@@ -180,10 +176,8 @@ class ParallelRank final : public GenerationTransport {
   par::BlockPartition part_;
   BlockFitness fit_;
   EngineInstruments ins_;
-  WorkTally tally_;
   std::optional<pop::NatureAgent> nature_;
-  std::vector<double> snapshot_;  // top-of-generation block fitness
-  std::vector<double> full_;      // the Moran gather's assembly
+  std::vector<double> full_;  // the Moran gather's assembly
 };
 
 }  // namespace

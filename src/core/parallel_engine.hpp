@@ -62,8 +62,8 @@ struct ParallelRunOptions {
   /// fitness_hash stays 0 — ranks only own a block). May be null.
   TraceSink* trace = nullptr;
   /// Live NDJSON telemetry (obs/metrics_stream.hpp). When set, every rank
-  /// joins a per-emitted-generation fitness reduction and rank 0 streams
-  /// the line. May be null.
+  /// joins a per-emitted-generation gather of its top-of-generation block
+  /// and rank 0 streams the line. May be null.
   obs::MetricsStreamWriter* metrics_stream = nullptr;
 };
 

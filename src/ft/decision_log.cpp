@@ -7,7 +7,7 @@
 namespace egt::ft {
 
 namespace {
-// "EGTDECLG" — the egt.ft_declog/v1 record magic, distinct from every
+// "EGTDECLG" — the egt.ft_declog record magic, distinct from every
 // other checkpoint-family blob.
 constexpr std::uint64_t kMagic = 0x4547544445434c47ull;
 }  // namespace

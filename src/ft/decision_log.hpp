@@ -5,7 +5,7 @@
 // single point of failure. The fix is write-ahead replication of the only
 // state that cannot be recomputed — Nature's RNG trajectory and the
 // decisions already taken: before the master broadcasts a generation's
-// final decision, it streams a DecisionLogRecord to its warm standby(s)
+// decision, it streams a DecisionLogRecord to its warm standby(s)
 // and waits for the ack. Each record is a *self-contained snapshot* of the
 // global tier after that generation: Nature's post-draw RNG state, the
 // generation's decision, the ownership table and alive set, and the hash
@@ -14,7 +14,7 @@
 // no dependence on earlier history — and resumes planning at the next
 // generation with bit-identical draws.
 //
-// Wire format "egt.ft_declog/v1": magic + version + the fields below, all
+// Wire format "egt.ft_declog/v2": magic + version + the fields below, all
 // bounds-checked on decode (CheckpointError on anything malformed).
 #pragma once
 
@@ -31,7 +31,7 @@ namespace egt::ft {
 
 /// Bumped whenever the record layout changes; readers reject any other
 /// value with a clear CheckpointError.
-inline constexpr std::uint32_t kDecisionLogVersion = 1;
+inline constexpr std::uint32_t kDecisionLogVersion = 2;
 
 /// The global tier's state after one completed generation. See file
 /// comment: self-contained — the newest record is all a successor needs.
@@ -41,7 +41,7 @@ struct DecisionLogRecord {
   /// it and the next plan_generation() consumes the same draws the dead
   /// master would have.
   pop::NatureAgent::State nature{};
-  /// The final decision of the generation this record completes
+  /// The decision of the generation this record completes
   /// (`decision.gen`) — what the next PLAN's prev-decision field must
   /// carry so workers that missed the broadcast can heal.
   core::GenerationDecision decision;

@@ -25,8 +25,6 @@ int from_name(std::string_view name) {
   if (name == "reconfig_ack") return kReconfigAck;
   if (name == "req_blocks") return kReqBlocks;
   if (name == "blocks") return kBlocks;
-  if (name == "stop") return kStop;
-  if (name == "final") return kFinal;
   if (name == "bye") return kBye;
   if (name == "log_append") return kLogAppend;
   if (name == "log_ack") return kLogAck;

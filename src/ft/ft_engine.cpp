@@ -160,12 +160,8 @@ class BlockSet {
   /// Fault-free startup block: initialization counts to engine.pairs, as
   /// in the base engines.
   void add_initial(pop::SSetId begin, pop::SSetId end) {
-    Block blk{core::BlockFitness(config_, begin, end, graph_, ins_.registry),
-               {},
-               {}};
-    ins_.initialize(blk.fit, at_, blk.seen);
-    blk.snapshot.assign(blk.fit.block().size(), 0.0);
-    blocks_.push_back(std::move(blk));
+    blocks_.emplace_back(config_, begin, end, graph_, ins_.registry);
+    ins_.initialize(blocks_.back(), at_);
   }
 
   /// Top of generation `gen`: advance `top_` past the last generation's
@@ -176,10 +172,7 @@ class BlockSet {
     changes_.clear();
     folded_ = 0;
     offer_.reset();
-    for (Block& b : blocks_) {
-      b.fit.begin_generation(top_, gen);
-      b.snapshot.assign(b.fit.block().begin(), b.fit.block().end());
-    }
+    for (core::BlockFitness& b : blocks_) b.begin_generation(top_, gen);
     account_engine_pairs();
   }
 
@@ -219,13 +212,13 @@ class BlockSet {
 
   std::uint64_t games_played() const noexcept {
     std::uint64_t games = 0;
-    for (const Block& b : blocks_) games += b.fit.games_played();
+    for (const core::BlockFitness& b : blocks_) games += b.games_played();
     return games;
   }
 
   bool owns_range(pop::SSetId begin, pop::SSetId end) const noexcept {
-    for (const Block& b : blocks_) {
-      if (b.fit.row_begin() == begin && b.fit.row_end() == end) return true;
+    for (const core::BlockFitness& b : blocks_) {
+      if (b.row_begin() == begin && b.row_end() == end) return true;
     }
     return false;
   }
@@ -234,38 +227,38 @@ class BlockSet {
   /// reuse rows).
   double fitness(pop::SSetId i, std::vector<double>* row = nullptr) {
     fold();
-    for (const Block& b : blocks_) {
-      if (i < b.fit.row_begin() || i >= b.fit.row_end()) continue;
+    for (const core::BlockFitness& b : blocks_) {
+      if (i < b.row_begin() || i >= b.row_end()) continue;
       if (row != nullptr) {
-        const std::span<const double> r = b.fit.source_row(i);
+        const std::span<const double> r = b.source_row(i);
         row->assign(r.begin(), r.end());
       }
-      return b.fit.fitness(i);
+      return b.fitness(i);
     }
     EGT_REQUIRE_MSG(false, "ft protocol: fitness request for unowned SSet");
     return 0.0;
   }
 
-  /// Every owned block into `full` (indexed by SSet): the top-of-generation
-  /// `snapshot` or the current values.
-  void fill(std::vector<double>& full, bool snapshot) {
+  /// Every owned block's top-of-generation values into `full` (indexed by
+  /// SSet). The fold is for the accounting: the final gather counts the
+  /// last generation's deferred changes here.
+  void fill(std::vector<double>& full) {
     fold();
-    for (const Block& b : blocks_) {
-      std::ranges::copy(values(b, snapshot), full.begin() + b.fit.row_begin());
+    for (const core::BlockFitness& b : blocks_) {
+      std::ranges::copy(b.top(), full.begin() + b.row_begin());
     }
   }
 
-  /// The BLOCKS / FINAL reply to request `req`: every owned block as
-  /// (begin, end, doubles) using `snapshot` or current values.
-  std::vector<std::byte> ranges_msg(std::uint64_t req, bool snapshot) const {
+  /// The BLOCKS reply to request `req`: every owned block as (begin, end,
+  /// its top-of-generation doubles).
+  std::vector<std::byte> ranges_msg(std::uint64_t req) const {
     Writer w;
     w.u64(req);
     w.u32(static_cast<std::uint32_t>(blocks_.size()));
-    for (const Block& b : blocks_) {
-      w.u32(b.fit.row_begin());
-      w.u32(b.fit.row_end());
-      const std::span<const double> v = values(b, snapshot);
-      w.doubles(v.data(), v.size());
+    for (const core::BlockFitness& b : blocks_) {
+      w.u32(b.row_begin());
+      w.u32(b.row_end());
+      w.doubles(b.top().data(), b.top().size());
     }
     return w.take();
   }
@@ -294,43 +287,37 @@ class BlockSet {
              bool mid_gen, const CheckpointStore& store,
              std::uint64_t fingerprint) {
     fold();
-    obs::ScopedTimer t(ins_.recovery);
-    obs::TraceSpan span("phase.ft_recovery", obs::kCatFt, "begin", begin);
-    Block blk{core::BlockFitness(config_, begin, end, graph_, ins_.registry),
-               {},
-               {}};
-    if (restore_from(blk.fit, lookup(store, begin, end, gen), fingerprint)) {
-      blk.snapshot.assign(blk.fit.block().begin(), blk.fit.block().end());
+    core::PhaseScope phase(ins_.recovery, "phase.ft_recovery", obs::kCatFt);
+    phase.span().set_arg("begin", begin);
+    core::BlockFitness fit(config_, begin, end, graph_, ins_.registry);
+    if (restore_from(fit, lookup(store, begin, end, gen), fingerprint)) {
       FtInstruments::inc(ins_.blocks_restored);
     } else {
       if (cached_mode()) {
-        blk.fit.initialize(mid_gen ? top_ : at_);
-        FtInstruments::inc(ins_.recovery_pairs, blk.fit.pairs_evaluated());
-        FtInstruments::inc(ins_.recovery_games, blk.fit.games_played());
-        blk.seen = tally(blk.fit);
+        fit.initialize(mid_gen ? top_ : at_);
+        const core::BlockFitness::Work init = fit.take_work();
+        FtInstruments::inc(ins_.recovery_pairs, init.pairs);
+        FtInstruments::inc(ins_.recovery_games, init.games);
       }
       if (mid_gen) {
-        blk.fit.begin_generation(top_, gen);
-        // Snapshot = top-of-generation values, before this generation's
+        // The block's top view = this generation's top, before its
         // updates (which are replayed on top for the cached modes below).
-        blk.snapshot.assign(blk.fit.block().begin(), blk.fit.block().end());
+        fit.begin_generation(top_, gen);
         // Replay each change against the population as of that change:
         // strategy_changed reads every column but k's as current.
         pop::Population replay = top_;
         for (const Change& c : changes_) {
           replay.set_strategy(c.k, c.strategy);
-          blk.fit.strategy_changed(c.k, replay, c.gen);
+          fit.strategy_changed(c.k, replay, c.gen);
         }
         // This generation's play and changes on these rows are the work
         // the dead owner would have done (it died before folding any of
         // them): they count to engine.*, like every other rank's.
-        ins_.account(blk.fit, blk.seen);
+        ins_.account(fit);
       }
       FtInstruments::inc(ins_.blocks_recomputed);
     }
-    if (!mid_gen) blk.snapshot.assign(blk.fit.block().size(), 0.0);
-    blk.seen = tally(blk.fit);
-    blocks_.push_back(std::move(blk));
+    blocks_.push_back(std::move(fit));
   }
 
   /// Publish one checkpoint blob per owned block, labelled with the
@@ -340,17 +327,16 @@ class BlockSet {
                      std::uint64_t table_hash, std::uint64_t fingerprint,
                      bool torn) {
     fold();
-    obs::ScopedTimer t(ins_.ckpt);
-    obs::TraceSpan span("phase.ft_checkpoint", obs::kCatFt);
-    for (const Block& b : blocks_) {
-      auto blob = BlockCheckpoint{fingerprint, next_gen, table_hash,
-                                  b.fit.state()}
-                      .encode();
+    core::PhaseScope phase(ins_.ckpt, "phase.ft_checkpoint", obs::kCatFt);
+    for (const core::BlockFitness& b : blocks_) {
+      auto blob =
+          BlockCheckpoint{fingerprint, next_gen, table_hash, b.state()}
+              .encode();
       FtInstruments::inc(ins_.ckpt_writes);
       FtInstruments::inc(ins_.ckpt_bytes, blob.size());
       if (torn) FtInstruments::inc(ins_.ckpt_torn);
-      store.put(rank, b.fit.row_begin(), b.fit.row_end(), next_gen,
-                std::move(blob), torn);
+      store.put(rank, b.row_begin(), b.row_end(), next_gen, std::move(blob),
+                torn);
     }
   }
 
@@ -358,16 +344,10 @@ class BlockSet {
   /// engine.pairs_evaluated (per-generation work: begin_generation and
   /// strategy_changed deltas, both of which a fault-free run also pays).
   void account_engine_pairs() {
-    for (Block& b : blocks_) ins_.account(b.fit, b.seen);
+    for (core::BlockFitness& b : blocks_) ins_.account(b);
   }
 
  private:
-  struct Block {
-    core::BlockFitness fit;
-    std::vector<double> snapshot;  // top-of-generation values
-    core::WorkTally seen;          // work already flushed to a counter
-  };
-
   struct Change {
     pop::SSetId k;
     game::Strategy strategy;  // k's strategy from this change on
@@ -383,22 +363,13 @@ class BlockSet {
       const Change& c = changes_[folded_];
       at_.set_strategy(c.k, c.strategy);
       const core::BlockFitness::SourceRow row{c.teacher, c.row};
-      for (Block& b : blocks_) {
-        if (b.fit.strategy_changed(c.k, at_, c.gen,
-                                   c.row.empty() ? nullptr : &row)) {
+      for (core::BlockFitness& b : blocks_) {
+        if (b.strategy_changed(c.k, at_, c.gen,
+                               c.row.empty() ? nullptr : &row)) {
           FtInstruments::inc(ins_.rows_shipped);
         }
       }
     }
-  }
-
-  static core::WorkTally tally(const core::BlockFitness& fit) {
-    return {fit.pairs_evaluated(), fit.games_played()};
-  }
-
-  /// A block's top-of-generation `snapshot` or current values.
-  static std::span<const double> values(const Block& b, bool snapshot) {
-    return snapshot ? std::span<const double>(b.snapshot) : b.fit.block();
   }
 
   /// Restore `fit` from the rows it owns of `hit`; false (recompute) when
@@ -434,7 +405,7 @@ class BlockSet {
   core::SimConfig config_;
   std::shared_ptr<const pop::InteractionGraph> graph_;
   FtInstruments& ins_;
-  std::vector<Block> blocks_;
+  std::vector<core::BlockFitness> blocks_;
   pop::Population top_;  // the population at the top of the generation
   pop::Population at_;   // top_ plus changes_[0, folded_)
   // The current generation's strategy changes, in order; replayed onto
@@ -585,7 +556,6 @@ class RankProgram : private core::GenerationTransport {
   struct Pending {
     std::uint64_t gen;
     pop::GenerationPlan plan;
-    bool pc_applied = false;
   };
 
   struct Vote {
@@ -646,15 +616,9 @@ class RankProgram : private core::GenerationTransport {
   }
 
   /// Apply `d` to the pending generation through the shared step's apply
-  /// helpers: the adoption stage once, and with `close` the final stage,
-  /// which closes the generation.
-  void apply_pending(const Decision& d, bool close) {
-    if (!pending_->pc_applied) {
-      core::apply_adoption(pop_, blocks_, pending_->plan, d, ins_);
-      pending_->pc_applied = true;
-    }
-    if (!close) return;
-    core::apply_final(pop_, blocks_, pending_->plan, d, ins_);
+  /// helper, which closes the generation.
+  void apply_pending(const Decision& d) {
+    core::apply_decision(pop_, blocks_, pending_->plan, d, ins_);
     pending_.reset();
     finish_generation(d.gen);
   }
@@ -666,7 +630,7 @@ class RankProgram : private core::GenerationTransport {
     if (!pending_ || !prev || prev->gen != pending_->gen) return;
     FtInstruments::inc(ins_.heals);
     obs::trace_instant("ft.heal", obs::kCatFt, "gen", pending_->gen);
-    apply_pending(*prev, /*close=*/true);
+    apply_pending(*prev);
   }
 
   /// A master's newer ownership table (RECONFIG, TAKEOVER) for generation
@@ -747,10 +711,10 @@ class RankProgram : private core::GenerationTransport {
         heal_pending(prev);
         EGT_ASSERT(!pending_);
         core::play_generation(*this, ins_, gen);
-        pending_ = Pending{gen, core::decode_generation_plan(plan_wire), false};
+        pending_ = Pending{gen, core::decode_generation_plan(plan_wire)};
         // Without a PC or Moran event no decision follows: close now.
         if (!pending_->plan.pc && !pending_->plan.moran) {
-          apply_pending(Decision{gen, false, false, {}}, /*close=*/true);
+          apply_pending(Decision{gen, false, {}});
         }
         last_gen_ = static_cast<std::int64_t>(gen);
         comm_.send(m.source, tag::kPlanAck, encode_u64(gen));
@@ -764,9 +728,7 @@ class RankProgram : private core::GenerationTransport {
           blocks_.offer_row({pending_->plan.pc->teacher,
                              pending_->plan.pc->learner, std::move(msg.row)});
         }
-        // A PC-stage decide of a Moran generation waits for the gather.
-        apply_pending(d, msg.stage == DecideStage::Final ||
-                             !pending_->plan.moran);
+        apply_pending(d);
         break;
       }
       case tag::kReqFit: {
@@ -781,22 +743,11 @@ class RankProgram : private core::GenerationTransport {
         break;
       }
       case tag::kReqBlocks: {
-        Reader r(m.payload, kWhat);
-        const std::uint64_t req = r.u64("request id");
-        const std::uint64_t gen = r.u64("generation");
-        const bool adopted = r.u8("adopted") != 0;
-        r.expect_exhausted();
-        // The gather must see post-adoption fitness (fault-free ordering
-        // guarantees it via FIFO; a dropped PC decide would break it), so
-        // the request carries the PC decision and heals a missed one.
-        if (pending_ && pending_->gen == gen && !pending_->pc_applied &&
-            pending_->plan.pc) {
-          FtInstruments::inc(ins_.heals);
-          obs::trace_instant("ft.heal", obs::kCatFt, "gen", gen);
-          apply_pending(Decision{gen, adopted, false, {}},
-                        /*close=*/false);
-        }
-        comm_.send(m.source, tag::kBlocks, blocks_.ranges_msg(req, false));
+        // The top-of-generation blocks: whatever decision of the generation
+        // this rank has or has not applied yet, they are the same. The
+        // reply may be dropped and re-requested; kBye releases the thread.
+        comm_.send(m.source, tag::kBlocks,
+                   blocks_.ranges_msg(decode_u64(m, "request id")));
         break;
       }
       case tag::kPing: {
@@ -815,13 +766,6 @@ class RankProgram : private core::GenerationTransport {
         Writer w;
         w.u32(epoch_);
         comm_.send(m.source, tag::kReconfigAck, w.take());
-        break;
-      }
-      case tag::kStop: {
-        // Reply with the final snapshot but keep serving (the reply may be
-        // dropped and re-requested); kBye releases the thread.
-        const std::uint64_t req = decode_u64(m, "request id");
-        comm_.send(m.source, tag::kFinal, blocks_.ranges_msg(req, true));
         break;
       }
       case tag::kLogAppend: {
@@ -968,8 +912,8 @@ class RankProgram : private core::GenerationTransport {
   /// loop (the old master reappeared, a new one took over, or this rank
   /// was evicted).
   bool run_election() {
-    obs::ScopedTimer timer(ins_.election);
-    obs::TraceSpan span("phase.ft_election", obs::kCatFt);
+    std::optional<core::PhaseScope> phase(std::in_place, ins_.election,
+                                          "phase.ft_election", obs::kCatFt);
     std::uint64_t min_view = view_ + 1;
     for (;;) {
       FtInstruments::inc(ins_.elections);
@@ -1008,6 +952,7 @@ class RankProgram : private core::GenerationTransport {
           }
           throw_abort();
         }
+        phase.reset();  // the vote is won: the phase ends here
         promote_and_run(view);
         return true;
       }
@@ -1249,26 +1194,16 @@ class RankProgram : private core::GenerationTransport {
     }
   }
 
-  // The whole population's fitness, gathered from every rank's blocks:
-  // the current values (the Moran gather, REQ_BLOCKS → BLOCKS) or the
-  // top-of-generation `snapshot` (the final gather, STOP → FINAL). The
-  // Moran request restates this generation's PC decision so a worker
-  // whose DECIDE was dropped can heal before replying — the gather must
-  // see post-adoption fitness to match the fault-free trajectory.
-  std::vector<double> collect_full(bool snapshot, std::uint64_t gen = 0,
-                                   bool adopted = false) {
-    const int req_tag = snapshot ? tag::kStop : tag::kReqBlocks;
+  // The whole population's top-of-generation fitness, gathered from every
+  // rank's blocks (REQ_BLOCKS → BLOCKS): the Moran gather, every
+  // metrics-stream line and the final gather. No reply depends on which of
+  // the generation's decisions a worker has applied.
+  std::vector<double> collect_full() {
     for (;;) {
       std::vector<double> full(config_.ssets, 0.0);
       const std::uint64_t req = ++req_seq_;
-      Writer rw;
-      rw.u64(req);
-      if (!snapshot) {
-        rw.u64(gen);
-        rw.u8(adopted ? 1 : 0);
-      }
       const bool complete = broadcast_acked(
-          req_tag, rw.take(), snapshot ? tag::kFinal : tag::kBlocks,
+          tag::kReqBlocks, encode_u64(req), tag::kBlocks,
           [&](const par::Message& m) {
             Reader r(m.payload, kWhat);
             if (r.u64("request id") != req) return false;
@@ -1283,7 +1218,7 @@ class RankProgram : private core::GenerationTransport {
             r.expect_exhausted();
             return true;
           },
-          [&] { blocks_.fill(full, snapshot); });
+          [&] { blocks_.fill(full); });
       // A death mid-gather invalidates the round (the new owner's values
       // were not requested) — rerun it with a fresh request id; late
       // replies to the old id are discarded as stale.
@@ -1294,7 +1229,7 @@ class RankProgram : private core::GenerationTransport {
   /// Write-ahead replication: the record of `gen` (with the decision
   /// already applied locally) reaches every standby — the first
   /// standby_replicas live ranks — before the caller may broadcast the
-  /// generation's final decision. A standby dying mid-stream is recovered
+  /// generation's decision. A standby dying mid-stream is recovered
   /// and the refreshed record (new ownership view) is re-streamed; append
   /// is idempotent per generation on the survivors.
   void replicate(const Decision& d) {
@@ -1396,29 +1331,21 @@ class RankProgram : private core::GenerationTransport {
   }
 
   /// DECIDE to every alive worker; the learner's owner's copy also
-  /// carries the teacher's row, once per generation.
-  void send_decide(DecideStage stage, const Decision& d) {
-    const auto wire = encode_decide(stage, d, {});
+  /// carries the teacher's row.
+  void send_decide(const Decision& d) {
+    const auto wire = encode_decide(d, {});
     const int learner_owner =
         teacher_row_ ? table_.owner_of(teacher_row_->learner) : -1;
     for (int w : alive_) {
       comm_.send(w, tag::kDecide,
-                 w == learner_owner
-                     ? encode_decide(stage, d, teacher_row_->values)
-                     : wire);
+                 w == learner_owner ? encode_decide(d, teacher_row_->values)
+                                    : wire);
     }
     teacher_row_.reset();
   }
 
-  std::span<const double> gather_fitness(const pop::GenerationPlan& plan,
-                                         const Decision& d) override {
-    if (plan.pc) {
-      // The Moran gather needs post-adoption fitness on every rank, so
-      // this intermediate decision cannot wait for the generation's
-      // write-ahead record; the final (committing) one in finish() does.
-      send_decide(DecideStage::Pc, d);
-    }
-    full_ = collect_full(/*snapshot=*/false, d.gen, d.adopted);
+  std::span<const double> gather_fitness() override {
+    full_ = collect_full();
     return full_;
   }
 
@@ -1429,12 +1356,11 @@ class RankProgram : private core::GenerationTransport {
 
   void finish(const core::GenerationOutcome& out) override {
     // Write-ahead: the record of this generation reaches the standbys
-    // before any worker can see its final decision.
+    // before any worker can see its decision.
     replicate(out.decision);
     if (out.plan.pc || out.plan.moran) {
       core::PhaseScope phase(ins_.decision, obs::phase::kDecisionBcast);
-      send_decide(out.plan.moran ? DecideStage::Final : DecideStage::Pc,
-                  out.decision);
+      send_decide(out.decision);
       prev_decision_ = out.decision;
     }
     finish_generation(out.decision.gen);
@@ -1457,25 +1383,20 @@ class RankProgram : private core::GenerationTransport {
 
       if (shared_.options.metrics_stream != nullptr &&
           shared_.options.metrics_stream->wants(gen)) {
-        // Reuse the Moran-gather protocol op to assemble the full fitness
-        // vector for the streamed global mean (workers answer kReqBlocks at
-        // any point of their loop). Deaths mid-gather are handled as usual.
-        const std::vector<double> full =
-            collect_full(/*snapshot=*/false, gen, out.decision.adopted);
-        double sum = 0.0;
-        for (const double f : full) sum += f;
-        shared_.options.metrics_stream->on_generation(
-            gen, pop_, registry_, sum / static_cast<double>(config_.ssets));
+        // The Moran gather's protocol op assembles the top-of-generation
+        // vector (workers answer kReqBlocks at any point of their loop).
+        // Deaths mid-gather are handled as usual.
+        shared_.options.metrics_stream->on_generation(gen, pop_, registry_,
+                                                      collect_full());
       }
     }
 
-    // Final snapshot gather (top-of-last-generation fitness, matching the
-    // base engines; its fill folds and counts the last generation's
-    // changes). Workers keep serving until the explicit release, so a
-    // dropped FINAL reply is simply re-requested.
+    // The final gather: top-of-last-generation fitness, matching the base
+    // engines (its fill folds and counts the last generation's changes).
+    // Workers keep serving until the explicit release, so a dropped BLOCKS
+    // reply is simply re-requested.
     current_gen_ = config_.generations > 0 ? config_.generations - 1 : 0;
-    std::ranges::copy(collect_full(/*snapshot=*/true),
-                      pop_.mutable_fitness().begin());
+    std::ranges::copy(collect_full(), pop_.mutable_fitness().begin());
 
     // Release every rank — including declared-dead ones that are actually
     // alive (passive zombies wait for exactly this so run_ranks can join

@@ -26,7 +26,7 @@
 //               Nature's post-draw RNG state, the generation's decision,
 //               the ownership view — to `standby_replicas` warm standbys
 //               (ft/decision_log.hpp) and waits for the acks *before*
-//               broadcasting the generation's final decision. On master
+//               broadcasting the generation's decision. On master
 //               death the survivors elect the rank with the newest log
 //               (lowest rank on ties), which restores Nature bit-for-bit
 //               from its newest record, announces itself (TAKEOVER), folds

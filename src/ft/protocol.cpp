@@ -45,12 +45,10 @@ FitReply decode_fit(const std::vector<std::byte>& in, std::uint32_t ssets) {
   return f;
 }
 
-std::vector<std::byte> encode_decide(DecideStage stage,
-                                     const core::GenerationDecision& d,
+std::vector<std::byte> encode_decide(const core::GenerationDecision& d,
                                      std::span<const double> row) {
   core::wire::Writer w;
   w.u64(d.gen);
-  w.u8(static_cast<std::uint8_t>(stage));
   core::wire::put_decision(w, d);
   put_row(w, row);
   return w.take();
@@ -60,11 +58,6 @@ DecideMsg decode_decide(const std::vector<std::byte>& in, std::uint32_t ssets) {
   core::wire::Reader r(in, kWhat);
   DecideMsg m;
   const std::uint64_t gen = r.u64("generation");
-  const std::uint8_t stage = r.u8("stage");
-  if (stage > static_cast<std::uint8_t>(DecideStage::Final)) {
-    r.fail("unknown decide stage " + std::to_string(stage));
-  }
-  m.stage = static_cast<DecideStage>(stage);
   m.decision = core::wire::get_decision(r, gen);
   m.row = get_row(r, ssets);
   r.expect_exhausted();

@@ -34,7 +34,6 @@ inline constexpr int kDecide = 0x1005;    ///< adoption / Moran outcome
 inline constexpr int kPing = 0x1006;      ///< heartbeat probe
 inline constexpr int kReconfig = 0x1008;  ///< new ownership table after a death
 inline constexpr int kReqBlocks = 0x100a; ///< request all owned fitness blocks
-inline constexpr int kStop = 0x100c;      ///< run over: send final snapshot
 inline constexpr int kBye = 0x100e;       ///< release: worker thread may exit
 
 // Worker -> master.
@@ -43,7 +42,6 @@ inline constexpr int kFit = 0x1004;       ///< fitness reply
 inline constexpr int kPong = 0x1007;      ///< heartbeat reply
 inline constexpr int kReconfigAck = 0x1009;
 inline constexpr int kBlocks = 0x100b;    ///< owned fitness blocks reply
-inline constexpr int kFinal = 0x100d;     ///< final snapshot reply
 
 // Failover: decision-log replication and master election.
 inline constexpr int kLogAppend = 0x100f;    ///< master -> standby: log record
@@ -82,18 +80,15 @@ std::vector<std::byte> encode_fit(std::uint64_t req, double fitness,
                                   std::span<const double> row);
 FitReply decode_fit(const std::vector<std::byte>& in, std::uint32_t ssets);
 
-/// PC-stage decide (adoption only) vs final-stage decide (moran + done).
-enum class DecideStage : std::uint8_t { Pc = 0, Final = 1 };
-
-/// DECIDE: u64 generation, u8 stage, the decision (core::wire::put_decision),
-/// row — the teacher's, on the copy an adoption's learner owner receives.
+/// DECIDE: u64 generation, the decision (core::wire::put_decision), row —
+/// the teacher's, on the copy an adoption's learner owner receives. A
+/// generation has at most one decision (the PC and Moran rules are
+/// exclusive), so one DECIDE closes it.
 struct DecideMsg {
-  DecideStage stage = DecideStage::Pc;
   core::GenerationDecision decision;
   std::vector<double> row;
 };
-std::vector<std::byte> encode_decide(DecideStage stage,
-                                     const core::GenerationDecision& d,
+std::vector<std::byte> encode_decide(const core::GenerationDecision& d,
                                      std::span<const double> row);
 DecideMsg decode_decide(const std::vector<std::byte>& in, std::uint32_t ssets);
 

@@ -1,5 +1,7 @@
 #include "machine/costmodel.hpp"
 
+#include <vector>
+
 #include "game/strategy.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -32,17 +34,24 @@ RoundCostTable calibrate_host(std::uint64_t sample_rounds, std::uint64_t seed) {
           mode == game::LookupMode::Indexed ? sample_rounds : linear_rounds;
       game::IpdParams params;
       params.rounds = 4096;
+      // Execution noise keeps the pairs off the noise-free cycle walker,
+      // which skips rounds: every round is played and timed.
+      params.noise = 0.02;
       const game::IpdEngine engine(memory, params, mode);
       const std::uint64_t games = std::max<std::uint64_t>(1, want / params.rounds);
 
-      // Random pure pairs: the dominant workload of the scaling studies.
+      // Random pure pairs, the dominant workload of the scaling studies,
+      // drawn before the timer starts.
+      std::vector<game::PureStrategy> players;
+      players.reserve(2 * games);
+      for (std::uint64_t k = 0; k < 2 * games; ++k) {
+        players.push_back(game::PureStrategy::random(memory, rng));
+      }
       double sink = 0.0;
       util::Timer timer;
       for (std::uint64_t g = 0; g < games; ++g) {
-        const auto a = game::PureStrategy::random(memory, rng);
-        const auto b = game::PureStrategy::random(memory, rng);
         util::StreamRng stream(seed, util::stream_key(g, memory));
-        sink += engine.play(a, b, stream).payoff_a;
+        sink += engine.play(players[2 * g], players[2 * g + 1], stream).payoff_a;
       }
       const double ns =
           timer.nanos() / static_cast<double>(games * params.rounds);

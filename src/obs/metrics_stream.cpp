@@ -18,13 +18,13 @@ MetricsStreamWriter::MetricsStreamWriter(Options options)
 void MetricsStreamWriter::on_generation(std::uint64_t generation,
                                         const pop::Population& pop,
                                         const MetricsRegistry& registry) {
-  on_generation(generation, pop, registry, util::mean(pop.fitness()));
+  on_generation(generation, pop, registry, pop.fitness());
 }
 
 void MetricsStreamWriter::on_generation(std::uint64_t generation,
                                         const pop::Population& pop,
                                         const MetricsRegistry& registry,
-                                        double mean_fitness) {
+                                        std::span<const double> fitness) {
   if (!wants(generation)) return;
   std::lock_guard<std::mutex> lock(mu_);
   if (static_cast<std::int64_t>(generation) <= last_generation_) return;
@@ -38,7 +38,7 @@ void MetricsStreamWriter::on_generation(std::uint64_t generation,
   w.field("schema", kMetricsStreamSchema);
   w.field("generation", generation);
   w.field("wall_seconds", wall_.seconds());
-  w.field("mean_fitness", mean_fitness);
+  w.field("mean_fitness", util::mean(fitness));
 
   w.key("phases").begin_object();
   for (const char* name : phase::kAll) {

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <fstream>
 #include <mutex>
+#include <span>
 #include <string>
 
 #include "core/observer.hpp"
@@ -74,11 +75,13 @@ class MetricsStreamWriter {
   void on_generation(std::uint64_t generation, const pop::Population& pop,
                      const MetricsRegistry& registry);
 
-  /// As above with a caller-supplied mean fitness: parallel ranks own only
-  /// a block of the fitness vector, so the caller reduces it first instead
-  /// of reading `pop.fitness()` (stale off the owning rank).
+  /// As above with the caller's SSet-ordered fitness vector in place of
+  /// `pop.fitness()`: a parallel rank's population holds only a stale
+  /// copy, so the caller assembles the top-of-generation vector first.
+  /// Every engine's mean is util::mean over that vector: the same bits.
   void on_generation(std::uint64_t generation, const pop::Population& pop,
-                     const MetricsRegistry& registry, double mean_fitness);
+                     const MetricsRegistry& registry,
+                     std::span<const double> fitness);
 
  private:
   Options options_;

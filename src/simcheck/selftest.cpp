@@ -118,10 +118,7 @@ class BrokenDedupEngine final : public core::GenerationTransport {
   std::array<double, 2> pc_fitness(const pop::GenerationPlan::Pc& pc) override {
     return {fit_.fitness(pc.teacher), fit_.fitness(pc.learner)};
   }
-  std::span<const double> gather_fitness(
-      const pop::GenerationPlan&, const core::GenerationDecision&) override {
-    return fit_.all();
-  }
+  std::span<const double> gather_fitness() override { return fit_.all(); }
   void strategy_changed(pop::SSetId, const pop::Population&,
                         std::uint64_t) override {
     changed_ = true;

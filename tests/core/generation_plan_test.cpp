@@ -64,5 +64,14 @@ TEST(GenerationPlanCodec, RejectsEveryTruncationAndATrailingByte) {
   EXPECT_THROW(decode_generation_plan(longer), CheckpointError);
 }
 
+TEST(GenerationPlanCodec, RejectsAPlanWithBothUpdateRules) {
+  // Nature draws a PC event or a Moran event, never both: the engines
+  // read fitness only before a generation's first change, and a plan
+  // breaking that rule never reaches them.
+  auto wire = encode_generation_plan(pc_and_mutation_plan());
+  wire[9] = std::byte{1};  // the Moran flag follows the PC pair
+  EXPECT_THROW(decode_generation_plan(wire), CheckpointError);
+}
+
 }  // namespace
 }  // namespace egt::core

@@ -21,7 +21,6 @@ DecisionLogRecord sample(std::uint64_t gen) {
   }
   rec.nature.planned = gen + 1;
   rec.decision.adopted = true;
-  rec.decision.has_moran = (gen % 2) == 0;
   rec.decision.pick.reproducer = 5;
   rec.decision.pick.dying = 9;
   rec.epoch = 7;
@@ -39,7 +38,6 @@ TEST(DecisionLogRecord, EncodeDecodeRoundTrip) {
   EXPECT_EQ(back.nature.rng, rec.nature.rng);
   EXPECT_EQ(back.nature.planned, rec.nature.planned);
   EXPECT_EQ(back.decision.adopted, rec.decision.adopted);
-  EXPECT_EQ(back.decision.has_moran, rec.decision.has_moran);
   EXPECT_EQ(back.decision.pick.reproducer, rec.decision.pick.reproducer);
   EXPECT_EQ(back.decision.pick.dying, rec.decision.pick.dying);
   EXPECT_EQ(back.epoch, rec.epoch);

@@ -64,8 +64,9 @@ TEST(FaultPlan, TagNamesCoverTheProtocol) {
   EXPECT_EQ(tag::from_name("reconfig_ack"), tag::kReconfigAck);
   EXPECT_EQ(tag::from_name("req_blocks"), tag::kReqBlocks);
   EXPECT_EQ(tag::from_name("blocks"), tag::kBlocks);
-  EXPECT_EQ(tag::from_name("stop"), tag::kStop);
-  EXPECT_EQ(tag::from_name("final"), tag::kFinal);
+  // No STOP/FINAL tags: the final gather is REQ_BLOCKS/BLOCKS.
+  EXPECT_THROW((void)tag::from_name("stop"), std::runtime_error);
+  EXPECT_THROW((void)tag::from_name("final"), std::runtime_error);
   EXPECT_EQ(tag::from_name("bye"), tag::kBye);
   EXPECT_EQ(tag::from_name("any"), kAny);
 }

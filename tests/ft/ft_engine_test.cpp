@@ -258,8 +258,8 @@ TEST(FtEngine, DroppedFitnessReplyIsResentAfterProbe) {
 
 TEST(FtEngine, DroppedDecisionIsHealed) {
   // A lost decision broadcast does not stall anyone: the worker catches up
-  // from the decision restated in the next plan (or the Moran gather
-  // request) and the replicas converge again.
+  // from the decision restated in the next plan and the replicas converge
+  // again.
   const auto cfg = base_config();
   const auto ref = serial_reference(cfg);
   FtRunOptions opt;
@@ -516,7 +516,7 @@ TEST(FtEngine, FaultFreeMessageCountIsTheProtocols) {
       want += kWorkers;  // DECIDE
     }
   }
-  want += 3 * kWorkers;  // STOP + FINAL + BYE
+  want += 3 * kWorkers;  // REQ_BLOCKS + BLOCKS + BYE
   EXPECT_EQ(ft.traffic.messages, want);
   EXPECT_EQ(ft.metrics.counter_value("ft.heals"), 0u);
   EXPECT_EQ(ft.metrics.counter_value("ft.resends"), 0u);

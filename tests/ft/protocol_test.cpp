@@ -38,15 +38,12 @@ TEST(FtProtocol, FitRoundTripsWithAndWithoutRow) {
 }
 
 TEST(FtProtocol, DecideRoundTripsWithAndWithoutRow) {
-  const DecideMsg with = decode_decide(
-      encode_decide(DecideStage::Final, decision(), row_of(kSSets)), kSSets);
-  EXPECT_EQ(with.stage, DecideStage::Final);
+  const DecideMsg with =
+      decode_decide(encode_decide(decision(), row_of(kSSets)), kSSets);
   EXPECT_EQ(with.decision.gen, 41u);
   EXPECT_TRUE(with.decision.adopted);
   EXPECT_EQ(with.row, row_of(kSSets));
-  const DecideMsg without =
-      decode_decide(encode_decide(DecideStage::Pc, decision(), {}), kSSets);
-  EXPECT_EQ(without.stage, DecideStage::Pc);
+  const DecideMsg without = decode_decide(encode_decide(decision(), {}), kSSets);
   EXPECT_TRUE(without.row.empty());
 }
 
@@ -72,31 +69,25 @@ TEST(FtProtocol, DecideRejectsShortLongAndTrailingRows) {
   for (const std::size_t n : {std::size_t{1}, std::size_t{kSSets - 1},
                               std::size_t{kSSets + 1}}) {
     EXPECT_THROW((void)decode_decide(
-                     encode_decide(DecideStage::Pc, decision(), row_of(n)),
+                     encode_decide(decision(), row_of(n)),
                      kSSets),
                  core::CheckpointError)
         << n << " entries";
   }
-  auto cut = encode_decide(DecideStage::Pc, decision(), row_of(kSSets));
+  auto cut = encode_decide(decision(), row_of(kSSets));
   cut.pop_back();
   EXPECT_THROW((void)decode_decide(cut, kSSets), core::CheckpointError);
-  auto trailing = encode_decide(DecideStage::Pc, decision(), row_of(kSSets));
+  auto trailing = encode_decide(decision(), row_of(kSSets));
   trailing.push_back(std::byte{0});
   EXPECT_THROW((void)decode_decide(trailing, kSSets), core::CheckpointError);
   // A row's length word alone, with no doubles behind it.
-  auto bare = encode_decide(DecideStage::Pc, decision(), {});
+  auto bare = encode_decide(decision(), {});
   bare.resize(bare.size() - sizeof(std::uint32_t));
   core::wire::Writer len;
   len.u32(kSSets);
   const auto word = len.take();
   bare.insert(bare.end(), word.begin(), word.end());
   EXPECT_THROW((void)decode_decide(bare, kSSets), core::CheckpointError);
-}
-
-TEST(FtProtocol, DecideRejectsAnUnknownStage) {
-  auto wire = encode_decide(DecideStage::Pc, decision(), {});
-  wire[8] = std::byte{2};  // the stage byte follows the u64 generation
-  EXPECT_THROW((void)decode_decide(wire, kSSets), core::CheckpointError);
 }
 
 }  // namespace

@@ -39,6 +39,11 @@ TEST(CostModel, CalibrationProducesPositiveMonotoneCosts) {
   }
   // Linear search across 4096 states must dwarf indexed lookup at mem-6.
   EXPECT_GT(t.linear_ns[6], 3.0 * t.indexed_ns[6]);
+  // Every round is played: a cycle walker that skips rounds reads far
+  // below a nanosecond per round.
+  for (int m = 0; m <= 6; ++m) {
+    EXPECT_GE(t.indexed_ns[static_cast<std::size_t>(m)], 1.0) << "memory " << m;
+  }
 }
 
 TEST(StrategyTableBytes, PureAndMixedSizes) {

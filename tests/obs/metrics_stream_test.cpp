@@ -4,11 +4,16 @@
 // replays, and degrade to an inert writer on an unwritable path.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/parallel_engine.hpp"
+#include "ft/ft_engine.hpp"
+#include "ft/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_stream.hpp"
 #include "util/json.hpp"
@@ -140,6 +145,83 @@ TEST(MetricsStream, SerialObserverAdapterStreamsEveryGeneration) {
   MetricsStreamObserver observer(writer, registry);
   engine.run_all(&observer);
   EXPECT_EQ(writer.lines_written(), cfg.generations);
+}
+
+/// Each line's (generation, mean_fitness bits).
+using StreamedMeans = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+StreamedMeans streamed_means(const std::string& path) {
+  StreamedMeans out;
+  for (const auto& d : read_lines(path)) {
+    out.emplace_back(d.at("generation").as_u64(),
+                     std::bit_cast<std::uint64_t>(
+                         d.at("mean_fitness").as_number()));
+  }
+  return out;
+}
+
+TEST(MetricsStream, EveryEngineStreamsTheSameMeanFitness) {
+  // Every engine streams the mean of the top-of-generation fitness vector
+  // in SSet order, so every line carries the serial engine's bits: the
+  // rank count, the broadcast pattern and a healed DECIDE drop change
+  // nothing.
+  core::SimConfig cfg;
+  cfg.ssets = 32;
+  cfg.memory = 1;
+  cfg.space = pop::StrategySpace::Mixed;
+  cfg.game.noise = 0.02;
+  cfg.pc_rate = 0.5;
+  cfg.mutation_rate = 0.2;
+  cfg.generations = 16;
+  cfg.seed = 5;
+  cfg.fitness_mode = core::FitnessMode::Analytic;
+  const std::string path = ::testing::TempDir() + "egt_stream_engines.ndjson";
+  for (const auto rule :
+       {pop::UpdateRule::PairwiseComparison, pop::UpdateRule::Moran}) {
+    cfg.update_rule = rule;
+    SCOPED_TRACE(rule == pop::UpdateRule::Moran ? "Moran" : "PC");
+    {
+      MetricsRegistry registry;
+      core::Engine engine(cfg, &registry);
+      MetricsStreamWriter writer({path, 1});
+      MetricsStreamObserver observer(writer, registry);
+      engine.run_all(&observer);
+      ASSERT_EQ(writer.lines_written(), cfg.generations);
+    }
+    const StreamedMeans serial = streamed_means(path);
+    for (const int ranks : {1, 3}) {
+      for (const auto pattern : {core::CommPattern::PaperBcast,
+                                 core::CommPattern::ReplicatedNature}) {
+        SCOPED_TRACE("run_parallel, " + std::to_string(ranks) + " ranks, " +
+                     (pattern == core::CommPattern::PaperBcast ? "PaperBcast"
+                                                               : "Replicated"));
+        core::SimConfig c = cfg;
+        c.comm_pattern = pattern;
+        {
+          MetricsStreamWriter writer({path, 1});
+          core::ParallelRunOptions opt;
+          opt.metrics_stream = &writer;
+          (void)core::run_parallel(c, ranks, opt);
+        }
+        EXPECT_EQ(streamed_means(path), serial);
+      }
+    }
+    for (const bool drop : {false, true}) {
+      SCOPED_TRACE(drop ? "ft, one DECIDE dropped" : "ft, fault-free");
+      {
+        MetricsStreamWriter writer({path, 1});
+        ft::FtRunOptions opt;
+        opt.metrics_stream = &writer;
+        if (drop) {
+          opt.plan.drop({0, ft::kAny, ft::tag::kDecide, /*skip=*/0,
+                         /*count=*/1, 0});
+        }
+        const ft::FtResult r = ft::run_parallel_ft(cfg, 3, opt);
+        if (drop) EXPECT_GE(r.metrics.counter_value("ft.heals"), 1u);
+      }
+      EXPECT_EQ(streamed_means(path), serial);
+    }
+  }
 }
 
 }  // namespace

@@ -95,6 +95,17 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
+  if (*calibrate) {
+    // The model's round costs: walked rounds (2% noise), unlike the live
+    // columns, whose noise-free pure pairs take the cycle walker's closed
+    // form on the indexed path.
+    std::cout << "\nmodel round costs (calibrate_host, 2% noise), ns/round "
+                 "for memory-1..6:\n  indexed";
+    for (int m = 1; m <= 6; ++m) std::cout << ' ' << costs.indexed_ns[m];
+    std::cout << "\n  linear ";
+    for (int m = 1; m <= 6; ++m) std::cout << ' ' << costs.linear_ns[m];
+    std::cout << '\n';
+  }
 
   std::cout << "\npaper explanation (§VI-B.1): the increase comes from "
                "identifying the state, not from the strategy lookup — the "

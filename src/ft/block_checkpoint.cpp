@@ -80,8 +80,8 @@ void CheckpointStore::put(int rank, pop::SSetId begin, pop::SSetId end,
 }
 
 std::optional<BlockCheckpoint> CheckpointStore::find_covering(
-    pop::SSetId begin, pop::SSetId end, std::uint64_t generation,
-    std::uint64_t table_hash, std::uint64_t unchanged_since,
+    pop::SSetId begin, pop::SSetId end, std::uint64_t table_hash,
+    std::uint64_t unchanged_since,
     const std::function<void(const std::string& why)>& on_corrupt) const {
   std::lock_guard<std::mutex> lock(mu_);
   // Newest-first so a torn latest entry degrades to the next intact one.
@@ -97,13 +97,12 @@ std::optional<BlockCheckpoint> CheckpointStore::find_covering(
     try {
       BlockCheckpoint c =
           BlockCheckpoint::decode(core::checked_payload(e->blob));
-      if (c.table_hash != table_hash || c.generation < unchanged_since) {
-        continue;
+      // A checkpointed block's state moves only when a strategy changes,
+      // so any intact entry captured since the last change restores
+      // bit-exactly.
+      if (c.table_hash == table_hash && c.generation >= unchanged_since) {
+        return c;
       }
-      // Sampled fitness depends on the generation; a cached block's state
-      // moves only when a strategy changes, so any intact entry captured
-      // since the last change restores bit-exactly.
-      if (c.generation == generation || c.state.cols > 0) return c;
     } catch (const core::CheckpointError& err) {
       // A damaged entry must not fail recovery — the next (older) entry or
       // the recompute path covers.

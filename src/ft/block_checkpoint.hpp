@@ -1,14 +1,17 @@
 // Per-rank block checkpoints: the recovery substrate of the ft engine.
 //
-// Every checkpoint interval each rank serializes the evaluation state of
-// its owned fitness blocks (core::BlockFitness::State, as the engine
-// checkpoint carries it) behind a header (config fingerprint, generation,
-// table hash) into a versioned blob and publishes it to a CheckpointStore.
-// When a rank dies, the rank adopting one of its ranges first looks for a
-// *fresh* covering blob (same generation, same strategy table hash): a hit
-// restores the block without replaying a single game; a miss recomputes
-// it from the replicated strategy table — slower, and still bit-exact
-// wherever fitness is a function of (population, generation).
+// Only blocks that recomputation cannot rebuild bit for bit are
+// checkpointed (!core::recomputes_exactly: SampledFrozen, and Analytic
+// with a frozen fall-through pair, whose samples remember when each pair
+// was played). Every checkpoint interval such a rank serializes the
+// evaluation state of its owned fitness blocks (core::BlockFitness::State,
+// as the engine checkpoint carries it) behind a header (config
+// fingerprint, generation, table hash) into a versioned blob and
+// publishes it to a CheckpointStore. When a rank dies, the rank adopting
+// one of its ranges first looks for a *fresh* covering blob (same strategy
+// table hash, captured since the last strategy change): a hit restores the
+// block without replaying a single game; a miss recomputes it from the
+// replicated strategy table, resampling the frozen pairs.
 //
 // The store is in-memory (the runtime's ranks are threads in one process —
 // a surviving "node" can read a dead one's last published state, playing
@@ -82,24 +85,22 @@ class CheckpointStore {
            bool torn = false);
 
   /// Newest usable blob covering [begin, end): CRC-verified, cleanly
-  /// decoded, and passing the freshness gate that makes the restore fast
-  /// path bit-exact. `table_hash` must match, and no strategy may have
-  /// changed since the entry was captured: its generation must be at
-  /// least `unchanged_since`, the first generation after the last
-  /// strategy change (a cached block's state moves only when a strategy
-  /// changes; a matching hash alone does not prove that, since an A→B→A
-  /// change restores the hash but not the generation keys of SampledFrozen
-  /// samples, nor of the Analytic fall-through for stochastic memory>=2
-  /// pairs). The generation must then
-  /// either equal `generation` or, for pairwise cached modes
-  /// (state.cols > 0), may be older: a torn newest entry then falls back
-  /// to the newest intact older generation instead of forcing a
-  /// recompute. Corrupt entries are skipped (reported through
+  /// decoded, and passing the freshness gate that makes the restore
+  /// bit-exact. `table_hash` must match, and no strategy may have changed
+  /// since the entry was captured: its generation must be at least
+  /// `unchanged_since`, the first generation after the last strategy
+  /// change. Checkpointed blocks are cached (SampledFrozen, or Analytic
+  /// with a frozen fall-through pair), so their state moves only when a
+  /// strategy changes; a matching hash alone does not prove that, since
+  /// an A→B→A change restores the hash but not the generation keys of
+  /// the frozen samples. Any older generation that passes the gate is as
+  /// good as the newest: a torn newest entry falls back to it instead of
+  /// forcing a recompute. Corrupt entries are skipped (reported through
   /// `on_corrupt`, e.g. to bump ft.checkpoint_fallback) — recovery never
   /// fails on a damaged entry.
   std::optional<BlockCheckpoint> find_covering(
-      pop::SSetId begin, pop::SSetId end, std::uint64_t generation,
-      std::uint64_t table_hash, std::uint64_t unchanged_since,
+      pop::SSetId begin, pop::SSetId end, std::uint64_t table_hash,
+      std::uint64_t unchanged_since,
       const std::function<void(const std::string& why)>& on_corrupt =
           nullptr) const;
 

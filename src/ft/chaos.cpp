@@ -40,8 +40,8 @@ ChaosSchedule make_chaos_schedule(std::uint64_t seed) {
   s.config.mutation_rate = pick_real(rng, 0.05, 0.3);
   s.config.seed = util::mix64(seed + 1);
   // Sampled fitness is a pure function of (population, generation): every
-  // recovery path — restore, recompute, failover replan — is bit-exact, so
-  // the oracle holds for arbitrary schedules.
+  // recovery path — recompute, failover replan — is bit-exact, so the
+  // oracle holds for arbitrary schedules.
   s.config.fitness_mode = core::FitnessMode::Sampled;
 
   std::ostringstream sum;
@@ -73,7 +73,9 @@ ChaosSchedule make_chaos_schedule(std::uint64_t seed) {
   // decision log must survive every schedule, so an abort is a soak bug.
   s.options.standby_replicas = static_cast<int>(nkills) + 1;
 
-  // Block checkpoints, sometimes torn mid-write.
+  // Block checkpoints, sometimes torn mid-write. Sampled blocks write
+  // none (recomputation rebuilds them exactly), so both are inert; the
+  // draws stay so every seed names the same schedule.
   if (pick(rng, 0, 1) == 0) {
     s.options.checkpoint_every = pick(rng, 3, 6);
     if (pick(rng, 0, 1) == 0) {

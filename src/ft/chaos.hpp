@@ -3,7 +3,8 @@
 // Every schedule is a pure function of one 64-bit seed: a small Sampled
 // configuration plus a random FaultPlan — kills (including rank 0, the
 // Nature Agent, and same-generation cascades), drops and delays on data
-// tags, torn block checkpoints. Sampled fitness makes the oracle
+// tags, torn block checkpoints (inert: Sampled blocks write no
+// checkpoints, recovery recomputes them). Sampled fitness makes the oracle
 // unconditional: whatever the schedule does, the surviving run must
 // reproduce the serial engine's strategy table (and fitness) bit for bit.
 //

@@ -150,12 +150,14 @@ class BlockSet {
   BlockSet(const core::SimConfig& config,
            std::shared_ptr<const pop::InteractionGraph> graph,
            FtInstruments& ins, const pop::Population& pop)
-      : config_(config), graph_(std::move(graph)), ins_(ins), top_(pop),
+      : config_(config), graph_(std::move(graph)), ins_(ins),
+        checkpointed_(!core::recomputes_exactly(config)), top_(pop),
         at_(pop) {}
 
-  bool cached_mode() const noexcept {
-    return config_.fitness_mode != core::FitnessMode::Sampled;
-  }
+  /// Whether the blocks write checkpoints at all. A block that
+  /// recomputation rebuilds bit for bit (core::recomputes_exactly) is
+  /// never written and never restored: recovery recomputes it.
+  bool checkpointed() const noexcept { return checkpointed_; }
 
   /// Fault-free startup block: initialization counts to engine.pairs, as
   /// in the base engines.
@@ -267,21 +269,22 @@ class BlockSet {
   /// deferred change (so the new block starts from the current replica).
   ///
   /// `mid_gen`: generation `gen` is in flight; `top_` is the replica at
-  /// its top (before this generation's updates). Fast path: an
-  /// intact covering block checkpoint restores the exact doubles
-  /// (bit-exact, zero games). Recompute path: Sampled re-plays the block
-  /// with this generation's streams from the top-of-generation population
-  /// (bit-exact by purity); cached modes re-initialize from scratch
-  /// (recovery work, counts to ft.recovery.pairs_evaluated) and replay
-  /// this generation's strategy changes. The play and the replay are the
-  /// dead rank's own generation work, so they count to engine.pairs
-  /// exactly as its evaluation would have.
+  /// its top (before this generation's updates). Restore path, for
+  /// checkpointed blocks only: an intact covering block checkpoint
+  /// captured since the last strategy change restores the exact doubles
+  /// (zero games). Recompute path, the only one for configs that
+  /// recompute exactly: Sampled re-plays the block with this generation's
+  /// streams from the top-of-generation population; cached modes
+  /// re-initialize from scratch (recovery work, counts to
+  /// ft.recovery.pairs_evaluated) and replay this generation's strategy
+  /// changes. The play and the replay are the dead rank's own generation
+  /// work, so they count to engine.pairs exactly as its evaluation would
+  /// have.
   ///
   /// Otherwise `gen` is the next generation to run, and the caller's main
   /// loop will run begin_generation over every block — including this one
   /// — when it starts. So the block only needs the state begin_generation
-  /// builds on: a checkpoint restore (cached modes; any intact entry whose
-  /// table hash matches is bit-exact) or a from-scratch initialize; Sampled
+  /// builds on: a checkpoint restore or a from-scratch initialize; Sampled
   /// blocks need nothing at all, the next begin_generation replays them.
   void adopt(pop::SSetId begin, pop::SSetId end, std::uint64_t gen,
              bool mid_gen, const CheckpointStore& store,
@@ -290,10 +293,11 @@ class BlockSet {
     core::PhaseScope phase(ins_.recovery, "phase.ft_recovery", obs::kCatFt);
     phase.span().set_arg("begin", begin);
     core::BlockFitness fit(config_, begin, end, graph_, ins_.registry);
-    if (restore_from(fit, lookup(store, begin, end, gen), fingerprint)) {
+    if (checkpointed_ &&
+        restore_from(fit, lookup(store, begin, end), fingerprint)) {
       FtInstruments::inc(ins_.blocks_restored);
     } else {
-      if (cached_mode()) {
+      if (fit.cached()) {
         fit.initialize(mid_gen ? top_ : at_);
         const core::BlockFitness::Work init = fit.take_work();
         FtInstruments::inc(ins_.recovery_pairs, init.pairs);
@@ -390,11 +394,8 @@ class BlockSet {
   /// CRC-verified checkpoint lookup; a corrupt entry skipped on the way to
   /// an older intact one counts to ft.checkpoint.fallbacks.
   std::optional<BlockCheckpoint> lookup(const CheckpointStore& store,
-                                        pop::SSetId begin, pop::SSetId end,
-                                        std::uint64_t gen) {
-    if (!cached_mode()) return std::nullopt;
-    return store.find_covering(begin, end, gen, at_.table_hash(),
-                               unchanged_since_,
+                                        pop::SSetId begin, pop::SSetId end) {
+    return store.find_covering(begin, end, at_.table_hash(), unchanged_since_,
                                [this](const std::string&) {
                                  FtInstruments::inc(ins_.ckpt_fallback);
                                  obs::trace_instant("ft.checkpoint_fallback",
@@ -405,6 +406,7 @@ class BlockSet {
   core::SimConfig config_;
   std::shared_ptr<const pop::InteractionGraph> graph_;
   FtInstruments& ins_;
+  bool checkpointed_;
   std::vector<core::BlockFitness> blocks_;
   pop::Population top_;  // the population at the top of the generation
   pop::Population at_;   // top_ plus changes_[0, folded_)
@@ -607,7 +609,7 @@ class RankProgram : private core::GenerationTransport {
   void finish_generation(std::uint64_t gen) {
     blocks_.account_engine_pairs();
     const std::uint64_t every = shared_.options.checkpoint_every;
-    if (every > 0 && (gen + 1) % every == 0) {
+    if (every > 0 && (gen + 1) % every == 0 && blocks_.checkpointed()) {
       const bool torn =
           shared_.options.plan.torn_checkpoint_at(rank_, gen + 1);
       blocks_.checkpoint_to(shared_.store, rank_, gen + 1, pop_.table_hash(),

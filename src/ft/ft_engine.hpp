@@ -15,13 +15,17 @@
 //               symmetrically watch the master: silence beyond
 //               master_silence_ms triggers an election.
 //   recovery    The dead rank's SSet ranges are re-partitioned across the
-//               survivors (ft/ownership.hpp). An adopting rank first tries
-//               the dead rank's last published block checkpoint
-//               (ft/block_checkpoint.hpp; bit-exact restore when intact
-//               and fresh, CRC-verified with fallback to the newest intact
-//               older generation) and otherwise recomputes the block from
-//               the replicated strategy table. The new table is broadcast
-//               point-to-point (RECONFIG, epoch-numbered) and acknowledged.
+//               survivors (ft/ownership.hpp). An adopting rank recomputes
+//               the block from the replicated strategy table, which is
+//               bit-exact wherever core::recomputes_exactly holds (Sampled,
+//               closed-form Analytic); those blocks write no checkpoints.
+//               The rest (SampledFrozen, Analytic with a frozen
+//               fall-through pair) publish block checkpoints
+//               (ft/block_checkpoint.hpp), and an adopter first restores
+//               the dead rank's newest one captured since the last
+//               strategy change (CRC-verified, with fallback to an older
+//               intact entry). The new table is broadcast point-to-point
+//               (RECONFIG, epoch-numbered) and acknowledged.
 //   failover    The master streams each generation's decision record —
 //               Nature's post-draw RNG state, the generation's decision,
 //               the ownership view — to `standby_replicas` warm standbys
@@ -42,11 +46,12 @@
 // as the dead master would have. Fitness is a function of (population,
 // generation) for Sampled and closed-form Analytic configurations, so a
 // recovered run's table and fitness — and, for kill-only plans, its merged
-// "engine.*" counters — are bit-identical to the fault-free run. Caveats
-// (DESIGN.md §7): generation-keyed samples (SampledFrozen) recover exactly
-// only from a covering checkpoint; drop-induced false-positive evictions
-// keep the trajectory exact but can over-count pairs; elections assume
-// control messages are delivered within the silence timeout.
+// "engine.*" counters — are bit-identical to the fault-free run, wherever
+// the kill lands. Caveats (DESIGN.md §7): frozen samples (SampledFrozen,
+// the Analytic fall-through) recover exactly only from a checkpoint
+// captured since the last strategy change; drop-induced false-positive
+// evictions keep the trajectory exact but can over-count pairs; elections
+// assume control messages are delivered within the silence timeout.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +75,12 @@ struct FtRunOptions {
   /// core::run_parallel / the serial engine.
   FaultPlan plan;
 
-  /// Publish block checkpoints every N generations (0 = never). Recovery
-  /// works without them — it just recomputes instead of restoring.
+  /// Publish block checkpoints every N generations (0 = never). Only
+  /// blocks that recomputation cannot rebuild bit for bit
+  /// (!core::recomputes_exactly: SampledFrozen, Analytic with a frozen
+  /// fall-through pair) are written; the rest recover by recomputing, so
+  /// this option does nothing for them. Recovery works without
+  /// checkpoints — frozen samples are then resampled, not restored.
   std::uint64_t checkpoint_every = 0;
 
   /// Block-checkpoint generations retained per (rank, range) — older ones

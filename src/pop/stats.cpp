@@ -49,8 +49,15 @@ double mean_coop_probability(const Population& pop) {
   std::size_t cells = 0;
   for (SSetId i = 0; i < pop.size(); ++i) {
     const auto& s = pop.strategy(i);
-    for (game::State st = 0; st < s.states(); ++st) {
-      sum += s.coop_prob(st);
+    if (s.is_pure() && sum == std::trunc(sum)) {
+      // A pure strategy adds 1.0 per cooperating state (a clear move bit).
+      // Onto an integral sum every such add is exact, so adding the count
+      // at once gives the per-state loop's bits.
+      sum += static_cast<double>(s.states() - s.as_pure().table().popcount());
+    } else {
+      for (game::State st = 0; st < s.states(); ++st) {
+        sum += s.coop_prob(st);
+      }
     }
     cells += s.states();
   }

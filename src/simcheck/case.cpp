@@ -26,9 +26,7 @@ using core::InteractionSpec;
 /// fitness is a function of the population alone.
 bool closed_form(const core::SimConfig& c) {
   return c.fitness_mode == FitnessMode::Analytic &&
-         (c.game.kind == game::GameKind::PublicGoods || c.game.uses_nway() ||
-          c.memory == 1 ||
-          (c.space == pop::StrategySpace::Pure && c.game.noise == 0.0));
+         core::recomputes_exactly(c);
 }
 
 /// Throws on a history-free oracle failure (every 8th generation, last).
@@ -100,34 +98,25 @@ EngineOutcome run_ft_variant(const CaseSpec& spec, bool faulty) {
   opts.trace = &rec;
   if (faulty) {
     for (const auto& k : spec.kills) opts.plan.kill(k.rank, k.generation);
-    for (const auto& t : spec.torn) {
-      opts.plan.torn_checkpoint(t.rank, t.generation);
-    }
   }
   const auto result = ft::run_parallel_ft(spec.config, spec.nranks, opts);
   EngineOutcome out = finished(result.population, result.metrics, rec);
-  if (faulty) {
-    // Recovery off the block-checkpoint fast path recomputes fitness the
-    // fault-free run never evaluated; the counters then legitimately
-    // over-count (table, fitness and trace stay exact). Sampled re-plays
-    // every generation anyway, so recovery work is indistinguishable from
-    // normal work there.
-    bool comparable = spec.torn.empty();
-    if (spec.config.fitness_mode == FitnessMode::SampledFrozen) {
-      // Frozen samples are (re)played lazily, so which pairs the dead rank
-      // had already played — work its successor never repeats — depends on
-      // the kill timing; the counters drift by a few pairs either way.
-      comparable = false;
-    } else if (spec.config.fitness_mode != FitnessMode::Sampled) {
-      if (spec.ft_checkpoint_every == 0) comparable = false;
-      for (const auto& k : spec.kills) {
-        if (spec.ft_checkpoint_every == 0 ||
-            k.generation % spec.ft_checkpoint_every != 0) {
-          comparable = false;
-        }
-      }
-    }
-    out.counters_comparable = comparable;
+  // Where recovery recomputes exactly it counts exactly too: the
+  // re-initialization goes to ft.recovery.*, the dead rank's own
+  // generation work to engine.*. Elsewhere only a restore from a fresh
+  // checkpoint (a kill on a checkpoint generation) keeps the counters
+  // diffable.
+  // SampledFrozen never compares: frozen samples are (re)played lazily,
+  // so which pairs the dead rank had already played — work its successor
+  // never repeats — depends on the kill timing, and the counters drift by
+  // a few pairs either way.
+  if (faulty && !core::recomputes_exactly(spec.config)) {
+    const std::uint64_t every = spec.ft_checkpoint_every;
+    out.counters_comparable =
+        spec.config.fitness_mode != FitnessMode::SampledFrozen && every > 0 &&
+        std::ranges::all_of(spec.kills, [every](const ft::KillFault& k) {
+          return k.generation % every == 0;
+        });
   }
   return out;
 }
@@ -384,10 +373,10 @@ CaseSpec sample_case(std::uint64_t fuzz_seed) {
   }
   if (want_ft) spec.engines.push_back(EngineKind::ParallelFt);
   if (want_faulty) {
-    // Kills land on checkpoint boundaries so recovery takes the
-    // block-restore fast path and the work counters stay diffable; torn
-    // checkpoints (where normalize_spec keeps them) then exercise the CRC
-    // fallback at the cost of that comparability.
+    // Kills land on checkpoint generations. Only configs that do not
+    // recompute exactly need that (a restore from a fresh checkpoint is
+    // their only exact recovery); the rest recompute wherever the kill
+    // lands, and normalize_spec leaves shrunk kills where they are.
     const std::uint64_t last_boundary =
         (c.generations - 1) / spec.ft_checkpoint_every;
     const std::uint64_t kill_gen =
@@ -395,7 +384,9 @@ CaseSpec sample_case(std::uint64_t fuzz_seed) {
                                                1, last_boundary));
     const int kill_rank = static_cast<int>(pick(1, spec.nranks - 1));
     spec.kills.push_back({kill_rank, kill_gen});
-    if (chance(0.3)) spec.torn.push_back({kill_rank, kill_gen});
+    // This draw once chose a torn checkpoint, which no config the faulty
+    // variant runs can use; it stays so every seed names the same case.
+    (void)chance(0.3);
     spec.engines.push_back(EngineKind::ParallelFtFaulty);
   }
   const bool valid = normalize_spec(spec);
@@ -454,30 +445,21 @@ bool normalize_spec(CaseSpec& spec) {
     spec.restore_at = c.generations > 1 ? c.generations / 2 : 0;
   }
 
-  // Fault plan consistency.
+  // Fault plan consistency. A config that does not recompute exactly
+  // recovers exactly only by restoring a fresh checkpoint, so its kills
+  // snap to a checkpoint generation.
   std::vector<ft::KillFault> kills;
   for (auto k : spec.kills) {
     if (k.rank < 1 || k.rank >= spec.nranks) continue;  // workers only
     if (k.generation >= c.generations) k.generation = c.generations - 1;
-    if (spec.ft_checkpoint_every > 0 && k.generation > 0) {
+    if (spec.ft_checkpoint_every > 0 && k.generation > 0 &&
+        !core::recomputes_exactly(c)) {
       k.generation -= k.generation % spec.ft_checkpoint_every;
     }
     if (k.generation == 0) continue;  // gen-0 kills add no coverage here
     kills.push_back(k);
   }
   spec.kills = std::move(kills);
-  // Torn checkpoints force a recompute, which is exact where fitness is a
-  // function of (population, generation): Sampled and closed-form Analytic.
-  std::vector<ft::TornCheckpointFault> torn;
-  if ((c.fitness_mode == FitnessMode::Sampled || closed_form(c)) &&
-      spec.ft_checkpoint_every > 0) {
-    for (auto t : spec.torn) {
-      if (t.rank < 0 || t.rank >= spec.nranks) continue;
-      if (t.generation >= c.generations) continue;
-      torn.push_back(t);
-    }
-  }
-  spec.torn = std::move(torn);
 
   // Engine-list consistency.
   std::vector<EngineKind> engines;
@@ -492,11 +474,11 @@ bool normalize_spec(CaseSpec& spec) {
         if (spec.restore_at == 0) continue;
         break;
       case EngineKind::ParallelFtFaulty:
-        if (spec.kills.empty() && spec.torn.empty()) continue;
+        if (spec.kills.empty()) continue;
         if (spec.nranks < 2) continue;
         // Frozen-mode fitness is not a pure function of (population,
         // generation) — it remembers when each pair was last replayed — so
-        // any recovery that misses the checkpoint fast path (and a kill
+        // any recovery that misses a checkpoint restore (and a kill
         // racing the very checkpoint that would cover it can always force
         // that) resamples pairs differently. Not differentially testable;
         // skip rather than chase phantom divergences.

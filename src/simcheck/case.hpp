@@ -42,7 +42,6 @@ struct CaseSpec {
   std::uint64_t restore_at = 0;          ///< SerialRestore: split generation
   std::uint64_t ft_checkpoint_every = 0;  ///< ft variants
   std::vector<ft::KillFault> kills;       ///< ParallelFtFaulty
-  std::vector<ft::TornCheckpointFault> torn;
   std::vector<EngineKind> engines;  ///< variants to compare (no Serial)
 };
 
@@ -53,7 +52,8 @@ struct EngineOutcome {
   std::vector<double> fitness;  ///< final (top-of-last-generation) fitness
   core::EngineCounters counters;
   /// Counters are only diffed when the variant makes them meaningful: ft
-  /// recovery off the checkpoint fast path recomputes (extra games).
+  /// recovery that neither recomputes exactly nor restores a fresh
+  /// checkpoint over-counts.
   bool counters_comparable = true;
   std::vector<core::TracePoint> trace;
 };

@@ -28,14 +28,6 @@ std::string repro_to_json(const CaseResult& result, bool include_trace) {
     w.end_object();
   }
   w.end_array();
-  w.key("torn_checkpoints").begin_array();
-  for (const auto& t : spec.torn) {
-    w.begin_object();
-    w.field("rank", t.rank);
-    w.field("generation", t.generation);
-    w.end_object();
-  }
-  w.end_array();
   w.key("engines").begin_array();
   for (const auto kind : spec.engines) w.value(engine_kind_name(kind));
   w.end_array();
@@ -82,12 +74,6 @@ ParsedRepro parse_repro(const std::string& json_text) {
     for (const auto& item : v->items()) {
       spec.kills.push_back({static_cast<int>(item.at("rank").as_u64()),
                             item.at("generation").as_u64()});
-    }
-  }
-  if (const auto* v = doc.find("torn_checkpoints")) {
-    for (const auto& item : v->items()) {
-      spec.torn.push_back({static_cast<int>(item.at("rank").as_u64()),
-                           item.at("generation").as_u64()});
     }
   }
   if (const auto* v = doc.find("engines")) {

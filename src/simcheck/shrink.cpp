@@ -75,17 +75,12 @@ std::vector<Transform> transforms() {
   });
   // Drop faults, restore point, thread tiers, ranks.
   t.push_back([](CaseSpec& s) {
-    if (s.torn.empty()) return false;
-    s.torn.clear();
-    return true;
-  });
-  t.push_back([](CaseSpec& s) {
     if (s.kills.empty()) return false;
     s.kills.clear();
     return true;
   });
   t.push_back([](CaseSpec& s) {
-    if (s.ft_checkpoint_every == 0 || !s.kills.empty() || !s.torn.empty()) {
+    if (s.ft_checkpoint_every == 0 || !s.kills.empty()) {
       return false;
     }
     s.ft_checkpoint_every = 0;

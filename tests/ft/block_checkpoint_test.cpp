@@ -166,37 +166,36 @@ TEST(CheckpointStore, FindCoveringChecksFreshness) {
   store.put(2, c.state.begin, c.state.end, c.generation, c.encode());
   EXPECT_EQ(store.entries(), 1u);
 
-  // Exact generation + table hash: hit.
-  auto hit = store.find_covering(5, 7, c.generation, c.table_hash, 0);
+  // Same table hash, no strategy change since the capture: hit.
+  auto hit = store.find_covering(5, 7, c.table_hash, 0);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->state.begin, 4u);
 
-  // A cached block's state (state.cols > 0) moves only when a strategy
-  // changes: an older generation captured since the last change (here
-  // the last change fell in generation c.generation - 1) is still
-  // bit-exact, so it hits — that is what makes torn-newest fallback
-  // possible.
-  auto older = store.find_covering(5, 7, c.generation + 3, c.table_hash,
+  // A checkpointed block's state moves only when a strategy changes: the
+  // entry still hits however many generations later it is read, as long
+  // as the last change (here in generation c.generation - 1) preceded its
+  // capture — that is what makes torn-newest fallback possible.
+  auto later = store.find_covering(5, 7, c.table_hash,
                                    /*unchanged_since=*/c.generation);
-  ASSERT_TRUE(older.has_value());
-  EXPECT_EQ(older->generation, c.generation);
+  ASSERT_TRUE(later.has_value());
+  EXPECT_EQ(later->generation, c.generation);
 
   // Foreign table: miss.
-  EXPECT_FALSE(
-      store.find_covering(5, 7, c.generation, c.table_hash ^ 1, 0).has_value());
+  EXPECT_FALSE(store.find_covering(5, 7, c.table_hash ^ 1, 0).has_value());
   // Range not covered: miss.
-  EXPECT_FALSE(
-      store.find_covering(2, 7, c.generation, c.table_hash, 0).has_value());
+  EXPECT_FALSE(store.find_covering(2, 7, c.table_hash, 0).has_value());
 }
 
-TEST(CheckpointStore, SampledBlobsRequireExactGeneration) {
+TEST(CheckpointStore, PerRowBlobsRestoreUntilAStrategyChanges) {
+  // A block without a matrix (SampledFrozen public goods keeps per-row
+  // fitness) follows the same freshness rule as a matrix block.
   CheckpointStore store;
   const auto c = sample(0, 5, /*cols=*/0);
   store.put(1, 0, 5, c.generation, c.encode());
-  // Sampled fitness depends on the generation's RNG draws: only the exact
-  // generation restores bit-exactly.
-  EXPECT_TRUE(store.find_covering(0, 5, c.generation, c.table_hash, 0));
-  EXPECT_FALSE(store.find_covering(0, 5, c.generation + 1, c.table_hash, 0));
+  EXPECT_TRUE(store.find_covering(0, 5, c.table_hash,
+                                  /*unchanged_since=*/c.generation));
+  EXPECT_FALSE(store.find_covering(0, 5, c.table_hash,
+                                   /*unchanged_since=*/c.generation + 1));
 }
 
 TEST(CheckpointStore, RetainsNewestGenerationsPerRange) {
@@ -207,13 +206,20 @@ TEST(CheckpointStore, RetainsNewestGenerationsPerRange) {
     store.put(1, 0, 4, gen, c.encode());
   }
   EXPECT_EQ(store.entries(), 2u);
-  EXPECT_FALSE(store.find_covering(0, 4, 5, c.table_hash, 0).has_value());
-  EXPECT_TRUE(store.find_covering(0, 4, 10, c.table_hash, 0).has_value());
-  EXPECT_TRUE(store.find_covering(0, 4, 15, c.table_hash, 0).has_value());
+  const auto newest = store.find_covering(0, 4, c.table_hash, 0);
+  ASSERT_TRUE(newest.has_value());
+  EXPECT_EQ(newest->generation, 15u);
 
-  // A resend of the same generation replaces its twin, never duplicates.
-  store.put(1, 0, 4, 15, c.encode());
+  // A resend of the same generation replaces its twin, never duplicates:
+  // a torn resend of 15 leaves 10 to fall back to, and with 10 torn too
+  // nothing is left, since 5 was pruned.
+  store.put(1, 0, 4, 15, c.encode(), /*torn=*/true);
   EXPECT_EQ(store.entries(), 2u);
+  const auto fallback = store.find_covering(0, 4, c.table_hash, 0);
+  ASSERT_TRUE(fallback.has_value());
+  EXPECT_EQ(fallback->generation, 10u);
+  store.put(1, 0, 4, 10, c.encode(), /*torn=*/true);
+  EXPECT_FALSE(store.find_covering(0, 4, c.table_hash, 0).has_value());
 }
 
 TEST(CheckpointStore, CorruptEntriesAreSkippedNotFatal) {
@@ -223,8 +229,7 @@ TEST(CheckpointStore, CorruptEntriesAreSkippedNotFatal) {
   corrupt.resize(corrupt.size() / 2);
   store.put(1, 0, 8, good.generation, corrupt);  // rank 1's blob is damaged
   store.put(2, 0, 8, good.generation, good.encode());  // rank 2's is fine
-  const auto hit =
-      store.find_covering(0, 8, good.generation, good.table_hash, 0);
+  const auto hit = store.find_covering(0, 8, good.table_hash, 0);
   ASSERT_TRUE(hit.has_value()) << "damaged entry must not mask the good one";
   EXPECT_EQ(hit->state.values, good.state.values);
 }
@@ -241,7 +246,7 @@ TEST(CheckpointStore, TornNewestFallsBackToOlderIntactGeneration) {
   // still holds the block's state.
   int corrupt_calls = 0;
   const auto hit = store.find_covering(
-      0, 8, 20, c.table_hash, /*unchanged_since=*/10,
+      0, 8, c.table_hash, /*unchanged_since=*/10,
       [&](const std::string& why) {
         ++corrupt_calls;
         EXPECT_FALSE(why.empty());
@@ -253,9 +258,9 @@ TEST(CheckpointStore, TornNewestFallsBackToOlderIntactGeneration) {
 
 TEST(CheckpointStore, OlderEntryWithALaterChangeIsRefused) {
   // An A→B→A change after generation 10's capture restores the table hash
-  // but not the block's state (Analytic sums moved through incremental
-  // updates, SampledFrozen samples carry other generation keys): the
-  // older same-hash entry must be refused, and the caller recomputes.
+  // but not the block's state (the frozen samples, SampledFrozen's or an
+  // Analytic fall-through pair's, carry other generation keys): the older
+  // same-hash entry must be refused, and the caller recomputes.
   CheckpointStore store;
   auto c = sample(0, 8, 4);
   c.generation = 10;
@@ -264,17 +269,16 @@ TEST(CheckpointStore, OlderEntryWithALaterChangeIsRefused) {
   store.put(1, 0, 8, 20, c.encode(), /*torn=*/true);
   int corrupt_calls = 0;
   EXPECT_FALSE(store
-                   .find_covering(0, 8, 20, c.table_hash,
-                                  /*unchanged_since=*/15,
+                   .find_covering(0, 8, c.table_hash, /*unchanged_since=*/15,
                                   [&](const std::string&) { ++corrupt_calls; })
                    .has_value());
   EXPECT_EQ(corrupt_calls, 1);
-  // The exact generation is refused too when a change followed it.
+  // A change right after the capture refuses it too.
   EXPECT_FALSE(
-      store.find_covering(0, 8, 10, c.table_hash, /*unchanged_since=*/11)
+      store.find_covering(0, 8, c.table_hash, /*unchanged_since=*/11)
           .has_value());
   EXPECT_TRUE(
-      store.find_covering(0, 8, 10, c.table_hash, /*unchanged_since=*/10)
+      store.find_covering(0, 8, c.table_hash, /*unchanged_since=*/10)
           .has_value());
 }
 

@@ -119,10 +119,10 @@ TEST(FtEngine, FaultFreeSampledMatchesSerial) {
 }
 
 TEST(FtEngine, KillWithFreshCheckpointIsBitExact) {
-  // The kill generation is a multiple of checkpoint_every, so the dead
-  // rank's last published blob carries exactly the recovery generation:
-  // the adopters restore instead of recomputing and even the Analytic
-  // incremental fitness state is reproduced bit for bit.
+  // The kill generation is a multiple of checkpoint_every, so a fresh
+  // checkpoint would cover the recovery. A closed-form Analytic config
+  // writes none: the adopters recompute, and reproduce the fitness bit
+  // for bit.
   const auto cfg = base_config();
   const auto ref = serial_reference(cfg);
   FtRunOptions opt;
@@ -136,9 +136,9 @@ TEST(FtEngine, KillWithFreshCheckpointIsBitExact) {
   EXPECT_EQ(ft.metrics.counter_value("ft.recoveries"), 1u);
   EXPECT_EQ(ft.metrics.counter_value("ft.failures_detected"), 1u);
   EXPECT_EQ(ft.metrics.counter_value("ft.faults.kills"), 1u);
-  EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_restored"), 1u);
-  EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 0u);
-  EXPECT_GE(ft.metrics.counter_value("ft.checkpoint.writes"), 1u);
+  EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_restored"), 0u);
+  EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
+  EXPECT_EQ(ft.metrics.counter_value("ft.checkpoint.writes"), 0u);
 }
 
 TEST(FtEngine, KillInSampledModeRecomputesBitExact) {
@@ -187,9 +187,9 @@ TEST(FtEngine, KillWithoutCheckpointPreservesTrajectory) {
 }
 
 TEST(FtEngine, KillWithTornCheckpointRecomputesBitExact) {
-  // The covering checkpoint is torn and every older one predates a
-  // strategy change, so the adopter recomputes; the result is still the
-  // reference's, bit for bit.
+  // These configs write no checkpoint for the fault to tear, so the
+  // adopter recomputes; the result is still the reference's, bit for bit.
+  // (FtFailover.TornCheckpointFallsBackAndStaysExact tears a real one.)
   for (const SimConfig& cfg : {base_config(), mixed_noisy_config()}) {
     const auto ref = serial_reference(cfg);
     FtRunOptions opt;
@@ -371,7 +371,8 @@ TEST(FtEngine, WorkerKillAfterMasterRowChangeIsBitExact) {
   const auto ref = serial_reference(cfg);
   // The worker dies on this generation's PLAN, so the master adopts part
   // of its range mid-generation, right after folding generation gen - 1.
-  // The checkpoint written at the end of gen - 1 covers the adoption.
+  // A checkpoint at the end of gen - 1 would cover the adoption; the
+  // closed-form config writes none, and the master recomputes.
   FtRunOptions opt;
   opt.plan.kill(2, *gen);
   opt.checkpoint_every = *gen;
@@ -380,8 +381,8 @@ TEST(FtEngine, WorkerKillAfterMasterRowChangeIsBitExact) {
   expect_fitness_equal(ft, ref);
   expect_all_engine_counters_equal(ft, ref);
   EXPECT_EQ(ft.ranks_lost, 1);
-  EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_restored"), 1u);
-  EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 0u);
+  EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_restored"), 0u);
+  EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
 }
 
 TEST(FtEngine, MasterKillAfterMutationCountsTheDeadMastersFold) {
@@ -394,9 +395,10 @@ TEST(FtEngine, MasterKillAfterMutationCountsTheDeadMastersFold) {
   const auto ref = serial_reference(cfg);
   // The master dies at the top of `gen` with generation gen - 1's changes
   // still unfolded: it must fold (and count) them before it goes, or the
-  // merged engine.pairs_evaluated falls short of the serial run. With a
-  // checkpoint at the end of gen - 1, that checkpoint must hold them too:
-  // the successor restores the dead master's range from it bit for bit.
+  // merged engine.pairs_evaluated falls short of the serial run. A
+  // checkpoint generation at the kill changes nothing: the closed-form
+  // config writes none, and the successor recomputes the dead master's
+  // range bit for bit either way.
   for (const std::uint64_t every : {std::uint64_t{0}, *gen}) {
     SCOPED_TRACE(every == 0 ? "no checkpoint" : "checkpoint at the kill");
     FtRunOptions opt;
@@ -413,7 +415,8 @@ TEST(FtEngine, MasterKillAfterMutationCountsTheDeadMastersFold) {
     expect_all_engine_counters_equal(ft, ref);
     if (every != 0) {
       expect_fitness_equal(ft, ref);
-      EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_restored"), 1u);
+      EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"),
+                1u);
     }
     EXPECT_EQ(ft.failovers, 1);
     EXPECT_EQ(ft.metrics.counter_value("ft.faults.kills"), 1u);
@@ -422,8 +425,8 @@ TEST(FtEngine, MasterKillAfterMutationCountsTheDeadMastersFold) {
 
 // A kill on a checkpoint boundary whose range is split between two
 // adopters, one of which has already folded a change of the kill
-// generation: that adopter's copy of the checkpoint no longer covers, so
-// it recomputes its rows and replays the generation's changes on them.
+// generation: that adopter recomputes its rows (closed-form configs always
+// do) and replays the generation's changes on them.
 // The replay is the dead rank's own generation work and counts to
 // engine.*, so the counters match the fault-free run on the same ranks,
 // games_played included, and the serial run's pairs (they were one and
@@ -489,6 +492,75 @@ TEST(FtEngine, AlignedKillReplayCountsAsEngineWorkPureMemoryThree) {
   cfg.seed = 2157268499;
   cfg.dedup = false;
   expect_aligned_kill_counts_like_fault_free(cfg, 3, 40);
+}
+
+// -- which blocks write checkpoints -------------------------------------------
+//
+// A block that recomputation rebuilds bit for bit (core::recomputes_exactly)
+// is never checkpointed: Sampled, and Analytic where every pair has a
+// closed form. SampledFrozen samples, and Analytic's frozen fall-through
+// for stochastic memory >= 2 pairs, remember when each pair was played:
+// only those blocks write checkpoints, and only a restore recovers them.
+
+TEST(FtEngine, RecomputableConfigsWriteNoBlockCheckpoints) {
+  auto analytic = base_config();
+  analytic.dedup = false;  // games_played is then partition-independent
+  auto mixed = mixed_noisy_config();
+  mixed.dedup = false;
+  for (const SimConfig& cfg : {sampled_config(), analytic, mixed}) {
+    ASSERT_TRUE(core::recomputes_exactly(cfg));
+    const auto ref = serial_reference(cfg);
+    FtRunOptions opt;
+    opt.checkpoint_every = 4;
+    const auto clean = run_parallel_ft(cfg, 4, opt);
+    EXPECT_EQ(clean.metrics.counter_value("ft.checkpoint.writes"), 0u);
+    EXPECT_EQ(clean.metrics.counter_value("ft.checkpoint.bytes"), 0u);
+    // Off a checkpoint generation: recovery recomputes wherever it lands.
+    opt.plan.kill(2, 10);
+    const auto ft = run_parallel_ft(cfg, 4, opt);
+    expect_table_equal(ft, ref);
+    expect_fitness_equal(ft, ref);
+    expect_all_engine_counters_equal(ft, ref);
+    EXPECT_EQ(ft.metrics.counter_value("ft.checkpoint.writes"), 0u);
+    EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_restored"), 0u);
+    EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
+  }
+
+  auto frozen = base_config();
+  frozen.fitness_mode = FitnessMode::SampledFrozen;
+  auto fall_through = mixed_noisy_config();
+  fall_through.memory = 2;
+  for (const SimConfig& cfg : {frozen, fall_through}) {
+    ASSERT_FALSE(core::recomputes_exactly(cfg));
+    FtRunOptions opt;
+    opt.checkpoint_every = 4;
+    const auto ft = run_parallel_ft(cfg, 4, opt);
+    EXPECT_GT(ft.metrics.counter_value("ft.checkpoint.writes"), 0u);
+    EXPECT_GT(ft.metrics.counter_value("ft.checkpoint.bytes"), 0u);
+  }
+}
+
+TEST(FtEngine, FrozenKillWithFreshCheckpointRestoresBitExact) {
+  // The kill generation is a multiple of checkpoint_every, so the dead
+  // rank's last checkpoint holds its blocks as of the recovery: the
+  // adopters restore them, frozen samples and their generation keys
+  // included, where a recompute would resample. Mixed strategies under
+  // noise make the samples depend on those keys.
+  auto cfg = mixed_noisy_config();
+  cfg.fitness_mode = FitnessMode::SampledFrozen;
+  const auto ref = serial_reference(cfg);
+  FtRunOptions opt;
+  opt.plan.kill(2, 12);
+  opt.checkpoint_every = 4;
+  const auto ft = run_parallel_ft(cfg, 4, opt);
+  expect_table_equal(ft, ref);
+  expect_fitness_equal(ft, ref);
+  expect_engine_counters_equal(ft, ref);
+  EXPECT_EQ(ft.ranks_lost, 1);
+  EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_restored"), 1u);
+  EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 0u);
+  EXPECT_EQ(ft.metrics.counter_value("ft.recovery.games_played"), 0u);
+  EXPECT_GE(ft.metrics.counter_value("ft.checkpoint.writes"), 1u);
 }
 
 TEST(FtEngine, FaultFreeMessageCountIsTheProtocols) {

@@ -117,10 +117,10 @@ TEST(FtFailover, MasterKillFailsOverBitExact) {
 }
 
 TEST(FtFailover, MasterKillWithCheckpointsRestoresBitExact) {
-  // The kill generation is a multiple of checkpoint_every, so the dead
-  // master's own blocks are covered by an intact fresh checkpoint: the
-  // successor restores them instead of recomputing and even the Analytic
-  // incremental fitness state survives bit for bit.
+  // The kill generation is a multiple of checkpoint_every, so a fresh
+  // checkpoint would cover the dead master's own blocks. A closed-form
+  // Analytic config writes none: the successor recomputes them, and the
+  // fitness survives bit for bit.
   const auto cfg = analytic_config();
   const auto ref = serial_reference(cfg);
   auto opt = fast_failover();
@@ -131,8 +131,9 @@ TEST(FtFailover, MasterKillWithCheckpointsRestoresBitExact) {
   expect_fitness_equal(ft, ref);
   expect_engine_counters_equal(ft, ref);
   EXPECT_EQ(ft.failovers, 1);
-  EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_restored"), 1u);
-  EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 0u);
+  EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_restored"), 0u);
+  EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
+  EXPECT_EQ(ft.metrics.counter_value("ft.checkpoint.writes"), 0u);
 }
 
 TEST(FtFailover, MasterKillAtGenerationZero) {
@@ -203,9 +204,14 @@ TEST(FtFailover, AbortsWhenEveryLogCopyIsLost) {
 
 TEST(FtFailover, TornCheckpointFallsBackAndStaysExact) {
   // Rank 2's generation-8 checkpoint is torn mid-write; when rank 2 dies
-  // the adopters detect the damage via the CRC footer, fall back (to an
-  // older intact entry or a recompute) and the table still matches.
-  const auto cfg = analytic_config();
+  // the adopters detect the damage via the CRC footer and fall back to the
+  // intact generation-4 entry, and the table still matches. Only a config
+  // that does not recompute exactly writes checkpoints: SampledFrozen,
+  // with no strategy change (pc 0, mu 0) so the older entry stays fresh.
+  auto cfg = analytic_config();
+  cfg.fitness_mode = FitnessMode::SampledFrozen;
+  cfg.pc_rate = 0.0;
+  cfg.mutation_rate = 0.0;
   const auto ref = serial_reference(cfg);
   FtRunOptions opt;  // master survives: default timeouts
   opt.checkpoint_every = 4;
@@ -217,6 +223,8 @@ TEST(FtFailover, TornCheckpointFallsBackAndStaysExact) {
   EXPECT_EQ(ft.failovers, 0);
   EXPECT_GE(ft.metrics.counter_value("ft.faults.checkpoints_torn"), 1u);
   EXPECT_GE(ft.metrics.counter_value("ft.checkpoint.fallbacks"), 1u);
+  EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_restored"), 1u);
+  EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 0u);
 }
 
 }  // namespace

@@ -194,20 +194,22 @@ TEST(SerialParallel, MoranCostsMoreTrafficThanPairwiseComparison) {
 }
 
 TEST(SerialParallel, FaultTolerantEngineMatchesSerialThroughARankFailure) {
-  // The ft claim, end to end: losing a worker mid-run (recovered from its
-  // last block checkpoint) leaves the trajectory indistinguishable from
-  // the serial reference.
+  // The ft claim, end to end: losing a worker mid-run (its blocks
+  // recomputed from the replicated strategy table) leaves the trajectory
+  // indistinguishable from the serial reference.
   const auto cfg = base_config();
   Engine serial(cfg);
   serial.run_all();
 
   ft::FtRunOptions opt;
   opt.plan.kill(2, 30);
-  opt.checkpoint_every = 10;  // 30 % 10 == 0: recovery hits the fast path
+  opt.checkpoint_every = 10;  // a closed-form config writes none anyway
   const auto ft = ft::run_parallel_ft(cfg, 4, opt);
 
   EXPECT_EQ(ft.ranks_lost, 1);
   EXPECT_GE(ft.metrics.counter_value("ft.recoveries"), 1u);
+  EXPECT_EQ(ft.metrics.counter_value("ft.checkpoint.writes"), 0u);
+  EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
   ASSERT_EQ(ft.population.size(), serial.population().size());
   EXPECT_EQ(ft.population.table_hash(), serial.population().table_hash());
   for (pop::SSetId i = 0; i < serial.population().size(); ++i) {

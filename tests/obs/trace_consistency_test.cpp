@@ -92,9 +92,11 @@ TEST(TraceConsistency, PhaseSpansMatchManifestTimers) {
   }
 
   // The ft engine's three phases ride the same one-clock scopes: a run
-  // that checkpoints, recovers a killed worker and fails over rank 0.
+  // that checkpoints (SampledFrozen blocks do; Sampled and closed-form
+  // Analytic ones recompute instead), recovers a killed worker and fails
+  // over rank 0.
   core::SimConfig ft_cfg = cfg;
-  ft_cfg.fitness_mode = core::FitnessMode::Analytic;
+  ft_cfg.fitness_mode = core::FitnessMode::SampledFrozen;
   ft_cfg.pc_rate = 0.5;
   ft_cfg.generations = 40;
   ft::FtRunOptions opt;

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
 
 #include "game/named.hpp"
+#include "game/strategy.hpp"
+#include "util/rng.hpp"
 
 namespace egt::pop {
 namespace {
@@ -56,6 +60,39 @@ TEST(Stats, MeanCoopProbability) {
   EXPECT_DOUBLE_EQ(
       mean_coop_probability(uniform_population(4, game::named::tit_for_tat(1))),
       0.5);
+}
+
+/// The definition: every state's cooperation probability, in SSet then
+/// state order.
+double per_state_mean(const Population& p) {
+  double sum = 0.0;
+  std::size_t cells = 0;
+  for (SSetId i = 0; i < p.size(); ++i) {
+    const auto& s = p.strategy(i);
+    for (game::State st = 0; st < s.states(); ++st) sum += s.coop_prob(st);
+    cells += s.states();
+  }
+  return cells == 0 ? 0.0 : sum / static_cast<double>(cells);
+}
+
+TEST(Stats, MeanCoopProbabilityHasThePerStateLoopsBits) {
+  util::SplitMix64 rng(77);
+  for (int memory = 0; memory <= game::kMaxMemory; ++memory) {
+    SCOPED_TRACE("memory " + std::to_string(memory));
+    std::vector<game::Strategy> pure, mixed, nway, interleaved;
+    for (int i = 0; i < 9; ++i) {
+      pure.emplace_back(game::PureStrategy::random(memory, rng));
+      mixed.emplace_back(game::MixedStrategy::random(memory, rng));
+      nway.emplace_back(game::NWayStrategy::random(3, rng));
+      // Pure tables after a fractional sum take the loop.
+      interleaved.push_back(i % 3 == 1 ? mixed.back() : pure.back());
+    }
+    for (auto* ss : {&pure, &mixed, &nway, &interleaved}) {
+      const Population p(*ss);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(mean_coop_probability(p)),
+                std::bit_cast<std::uint64_t>(per_state_mean(p)));
+    }
+  }
 }
 
 TEST(Stats, FractionNearExactAndFuzzy) {

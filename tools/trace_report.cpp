@@ -11,7 +11,10 @@
 // comm = the three communication phases), the run's critical path (sum
 // over generations of the slowest rank's generation span — the lower
 // bound no amount of overlap can beat), the slowest generations, and —
-// for ft runs — the recorded failure-handling events.
+// for ft runs — the recorded failure-handling events. It also reports the
+// message hop distribution (send to receive), split by whether the
+// receiver was already waiting for the message or busy elsewhere
+// (trace_report_lib.hpp).
 //
 // --calibrate turns a traced run into a RoundCostTable entry for the
 // performance simulator (src/machine/costmodel.hpp): game_play span time
@@ -28,76 +31,20 @@
 #include <string>
 #include <vector>
 
+#include "trace_report_lib.hpp"
 #include "util/cli.hpp"
-#include "util/json.hpp"
 
 namespace {
 
-using egt::util::JsonValue;
-
-struct Event {
-  std::string name;
-  std::string cat;
-  std::string ph;
-  double ts_us = 0.0;
-  double dur_us = 0.0;
-  std::int64_t pid = 0;
-  std::int64_t tid = 0;
-  std::uint64_t flow_id = 0;
-  std::uint64_t arg = 0;
-  bool has_arg = false;
-  std::string arg_name;
-};
-
-struct Trace {
-  std::vector<Event> events;
-  std::map<std::string, std::string> meta;  // otherData (strings only)
-  std::uint64_t dropped = 0;
-  std::map<std::int64_t, std::string> process_names;
-};
+using egt::trace_report::Event;
+using egt::trace_report::Trace;
 
 Trace load(const std::string& path) {
   std::ifstream f(path);
   if (!f) throw std::runtime_error("cannot open trace: " + path);
   std::stringstream ss;
   ss << f.rdbuf();
-  const JsonValue doc = JsonValue::parse(ss.str());
-  Trace t;
-  if (const JsonValue* other = doc.find("otherData")) {
-    for (const auto& [k, v] : other->members()) {
-      if (k == "dropped_events") {
-        t.dropped = v.as_u64();
-      } else if (v.is_string()) {
-        t.meta[k] = v.as_string();
-      }
-    }
-  }
-  for (const JsonValue& e : doc.at("traceEvents").items()) {
-    Event ev;
-    ev.ph = e.at("ph").as_string();
-    ev.pid = static_cast<std::int64_t>(e.at("pid").as_u64());
-    if (const JsonValue* name = e.find("name")) ev.name = name->as_string();
-    if (const JsonValue* cat = e.find("cat")) ev.cat = cat->as_string();
-    if (const JsonValue* ts = e.find("ts")) ev.ts_us = ts->as_number();
-    if (const JsonValue* dur = e.find("dur")) ev.dur_us = dur->as_number();
-    if (const JsonValue* tid = e.find("tid")) {
-      ev.tid = static_cast<std::int64_t>(tid->as_u64());
-    }
-    if (const JsonValue* id = e.find("id")) ev.flow_id = id->as_u64();
-    if (const JsonValue* args = e.find("args")) {
-      if (ev.ph == "M") {
-        if (const JsonValue* n = args->find("name")) {
-          if (ev.name == "process_name") t.process_names[ev.pid] = n->as_string();
-        }
-      } else if (!args->members().empty()) {
-        ev.arg_name = args->members().front().first;
-        ev.arg = args->members().front().second.as_u64();
-        ev.has_arg = true;
-      }
-    }
-    t.events.push_back(std::move(ev));
-  }
-  return t;
+  return egt::trace_report::parse(ss.str());
 }
 
 std::string rank_label(const Trace& t, std::int64_t pid) {
@@ -262,6 +209,21 @@ void report(const Trace& t, int top_k) {
                   static_cast<unsigned long long>(slow[i].second),
                   slow[i].first / 1e3);
     }
+  }
+
+  const egt::trace_report::HopReport hops = egt::trace_report::message_hops(t);
+  if (hops.all.count > 0) {
+    std::printf("\nmessage hops, send to receive (us):\n");
+    std::printf("  %-24s %8s %10s %10s %10s\n", "receiver", "count", "p50",
+                "p90", "max");
+    const auto row = [](const char* label,
+                        const egt::trace_report::HopStats& h) {
+      std::printf("  %-24s %8zu %10.1f %10.1f %10.1f\n", label, h.count,
+                  h.p50_us, h.p90_us, h.max_us);
+    };
+    row("all", hops.all);
+    row("waiting (deliver+wake)", hops.waiting);
+    row("busy (queued)", hops.busy);
   }
 
   if (!ft_events.empty()) {

@@ -9,36 +9,7 @@
 
 #include "bench_common.hpp"
 
-#include "game/ipd.hpp"
-#include "game/strategy.hpp"
 #include "util/csv.hpp"
-#include "util/rng.hpp"
-#include "util/timer.hpp"
-
-namespace {
-
-double measure_round_ns(int memory, egt::game::LookupMode mode,
-                        std::uint64_t rounds_budget) {
-  using namespace egt;
-  game::IpdParams params;
-  params.rounds = 2048;
-  const game::IpdEngine engine(memory, params, mode);
-  util::Xoshiro256 rng(17 + static_cast<unsigned>(memory));
-  const std::uint64_t games =
-      std::max<std::uint64_t>(1, rounds_budget / params.rounds);
-  double sink = 0.0;
-  util::Timer t;
-  for (std::uint64_t g = 0; g < games; ++g) {
-    const auto a = game::PureStrategy::random(memory, rng);
-    const auto b = game::PureStrategy::random(memory, rng);
-    sink += engine.play(a, b, util::StreamRng(1, g)).payoff_a;
-  }
-  const double ns = t.nanos() / static_cast<double>(games * params.rounds);
-  if (sink < 0) std::abort();
-  return ns;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace egt;
@@ -46,12 +17,18 @@ int main(int argc, char** argv) {
                 "Fig. 4: runtime growth with memory steps");
   auto budget = cli.opt<std::int64_t>(
       "rounds", 400000, "host-measured rounds per (memory, mode) cell");
-  auto calibrate = cli.flag("calibrate", "re-measure kernel costs first");
+  auto calibrate = cli.flag(
+      "calibrate", "model with the host-measured costs, not the baked-in ones");
   auto csv_path = cli.opt<std::string>("csv", "", "also write CSV here");
   cli.parse(argc, argv);
 
-  const auto costs = bench::resolve_costs(*calibrate);
-  const machine::PerfSimulator sim(machine::bluegene_l(), costs);
+  // The live columns time walked rounds: calibrate_host plays pairs under
+  // 2% noise, which keeps them off the cycle walker's closed form.
+  const machine::RoundCostTable live =
+      machine::calibrate_host(static_cast<std::uint64_t>(*budget));
+  const machine::PerfSimulator sim(
+      machine::bluegene_l(),
+      *calibrate ? live : machine::default_round_costs());
 
   machine::Workload w;
   w.ssets = 1024;
@@ -75,14 +52,8 @@ int main(int argc, char** argv) {
                          "host indexed ns/round", "BG/L linear (s)",
                          "BG/L indexed (s)"});
   for (int memory = 1; memory <= 6; ++memory) {
-    // Linear search is slow at deep memories; shrink its budget.
-    const auto linear_budget = std::max<std::uint64_t>(
-        20000, static_cast<std::uint64_t>(*budget) >> (2 * (memory - 1)));
-    const double lin =
-        measure_round_ns(memory, game::LookupMode::LinearSearch, linear_budget);
-    const double idx = measure_round_ns(
-        memory, game::LookupMode::Indexed,
-        static_cast<std::uint64_t>(*budget));
+    const double lin = live.ns(memory, game::LookupMode::LinearSearch);
+    const double idx = live.ns(memory, game::LookupMode::Indexed);
     w.memory = memory;
     const double bgl_lin =
         sim.simulate(w, 2048, game::LookupMode::LinearSearch).total_seconds;
@@ -95,17 +66,6 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  if (*calibrate) {
-    // The model's round costs: walked rounds (2% noise), unlike the live
-    // columns, whose noise-free pure pairs take the cycle walker's closed
-    // form on the indexed path.
-    std::cout << "\nmodel round costs (calibrate_host, 2% noise), ns/round "
-                 "for memory-1..6:\n  indexed";
-    for (int m = 1; m <= 6; ++m) std::cout << ' ' << costs.indexed_ns[m];
-    std::cout << "\n  linear ";
-    for (int m = 1; m <= 6; ++m) std::cout << ' ' << costs.linear_ns[m];
-    std::cout << '\n';
-  }
 
   std::cout << "\npaper explanation (§VI-B.1): the increase comes from "
                "identifying the state, not from the strategy lookup — the "

@@ -181,8 +181,7 @@ egt::core::SimConfig build_config(egt::util::Cli& cli, int argc, char** argv,
       "aborting the run)");
   auto ckpt_keep = cli.opt<int>(
       "checkpoint-keep", 3,
-      "checkpoint generations retained (--checkpoint-dir pruning and the "
-      "ft engine's block-checkpoint store)");
+      "checkpoint generations retained (--checkpoint-dir pruning)");
   auto resume_opt = cli.opt<std::string>(
       "resume", "",
       "checkpoint to resume from: a file, or a --checkpoint-dir directory "
@@ -685,6 +684,12 @@ int run_cli(int argc, char** argv) {
   if (!out.fault_plan.empty() && out.ranks <= 0) {
     throw std::invalid_argument("--fault-plan requires --ranks N (N >= 1)");
   }
+  if (!out.fault_plan.empty() && out.checkpoint_every > 0) {
+    throw std::invalid_argument(
+        "--checkpoint-every does nothing with --fault-plan: the "
+        "fault-tolerant engine writes no checkpoints, it recovers every "
+        "block by recomputation");
+  }
   if (out.ranks > 0 && !out.resume.empty()) {
     throw std::invalid_argument(
         "--resume is a serial-engine feature; the parallel "
@@ -695,27 +700,20 @@ int run_cli(int argc, char** argv) {
     // Fault-tolerant engine: injected failures, detection and recovery.
     ft::FtRunOptions fopts;
     fopts.plan = ft::FaultPlan::from_file(out.fault_plan);
-    fopts.checkpoint_every =
-        out.checkpoint_every > 0
-            ? static_cast<std::uint64_t>(out.checkpoint_every)
-            : 0;
     fopts.detect_timeout_ms = out.ft_detect_ms;
     fopts.ping_timeout_ms = out.ft_ping_ms;
     fopts.max_pings = out.ft_max_pings;
     fopts.standby_replicas = out.ft_standby;
-    fopts.checkpoint_keep = out.checkpoint_keep;
     fopts.metrics = &metrics;
     fopts.metrics_stream = stream.get();
     const auto result = ft::run_parallel_ft(cfg, out.ranks, fopts);
     if (!out.trace_out.empty()) try_write_trace(out.trace_out, metrics);
     std::printf(
         "fault-tolerant run on %d ranks: %d rank(s) lost, %d failover(s), "
-        "%llu recover(ies), %llu block(s) restored, %llu recomputed\n",
+        "%llu recover(ies), %llu block(s) recomputed\n",
         out.ranks, result.ranks_lost, result.failovers,
         static_cast<unsigned long long>(
             result.metrics.counter_value("ft.recoveries")),
-        static_cast<unsigned long long>(
-            result.metrics.counter_value("ft.recovery.blocks_restored")),
         static_cast<unsigned long long>(
             result.metrics.counter_value("ft.recovery.blocks_recomputed")));
     return finish_ranked_run(cfg, out, timer, stream.get(), metrics, result);

@@ -16,9 +16,8 @@
 // payload. Truncated, corrupt or unsupported-version blobs, and a fitness
 // state whose shape does not match the config, throw CheckpointError (a
 // std::runtime_error, see core/wire.hpp) — never UB. The job checkpoint
-// (serve/job_checkpoint.hpp) wraps this blob; the fault-tolerance layer's
-// per-rank block checkpoints (ft/block_checkpoint.hpp) carry the same
-// BlockFitness::State.
+// (serve/job_checkpoint.hpp) wraps this blob. (The fault-tolerant engine
+// writes none: it recovers a block by recomputing it.)
 #pragma once
 
 #include <cstddef>

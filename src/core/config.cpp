@@ -109,20 +109,6 @@ pop::NatureConfig SimConfig::nature_config(
   return nc;
 }
 
-bool recomputes_exactly(const SimConfig& c) {
-  switch (c.fitness_mode) {
-    case FitnessMode::Sampled:
-      return true;
-    case FitnessMode::SampledFrozen:
-      return false;
-    case FitnessMode::Analytic:
-      return c.game.kind == game::GameKind::PublicGoods ||
-             c.game.uses_nway() || c.memory == 1 ||
-             (c.space == pop::StrategySpace::Pure && c.game.noise == 0.0);
-  }
-  return false;
-}
-
 pop::InteractionGraph make_interaction_graph(const SimConfig& config) {
   switch (config.interaction.kind) {
     case InteractionSpec::Kind::Ring:

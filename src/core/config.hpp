@@ -120,16 +120,6 @@ struct SimConfig {
   std::string summary() const;
 };
 
-/// True when a fitness block evaluated from scratch reproduces the bits of
-/// a block that lived through the run: Sampled (fitness is a function of
-/// the population and the generation), and Analytic when every pair the
-/// config can produce has a closed form (PairEvaluator::strategy_pure), so
-/// fitness is a function of the population alone. False for
-/// SampledFrozen, and for Analytic configs where a stochastic memory >= 2
-/// pair falls through to frozen sampling: those samples remember the
-/// generation each pair was last played in.
-bool recomputes_exactly(const SimConfig& config);
-
 /// Build the interaction graph this config describes. Deterministic, so
 /// every rank reconstructs the identical structure locally.
 pop::InteractionGraph make_interaction_graph(const SimConfig& config);

@@ -126,8 +126,8 @@ double PairEvaluator::payoff(const pop::Population& pop, pop::SSetId i,
 
 void PairEvaluator::payoffs(const pop::Population& pop,
                             std::span<const Pair> pairs,
-                            std::uint64_t gen_key,
-                            std::span<double> out) const {
+                            std::uint64_t gen_key, std::span<double> out,
+                            std::span<const std::uint64_t> born) const {
   EGT_REQUIRE(out.size() >= pairs.size());
   EGT_REQUIRE_MSG(config_.game.kind != game::GameKind::PublicGoods,
                   "public goods fitness is group-pooled, not pairwise");
@@ -147,6 +147,9 @@ void PairEvaluator::payoffs(const pop::Population& pop,
   // The LinearSearch ablation keeps the paper's round loop per pair.
   const bool lanes = engine_.lookup_mode() == game::LookupMode::Indexed &&
                      !config_.game.uses_nway();
+  const auto key = [&](pop::SSetId i, pop::SSetId j) {
+    return born.empty() ? gen_key : std::max({gen_key, born[i], born[j]});
+  };
   for (std::size_t t = 0; t < pairs.size(); ++t) {
     const auto [i, j] = pairs[t];
     const game::Strategy& si = pop.strategy(i);
@@ -170,10 +173,10 @@ void PairEvaluator::payoffs(const pop::Population& pop,
       games.push_back({game::batch::Player::of(si),
                        game::batch::Player::of(sj),
                        util::StreamRng(config_.seed,
-                                       util::stream_key(gen_key, i, j))});
+                                       util::stream_key(key(i, j), i, j))});
       game_slot.push_back(t);
     } else {
-      out[t] = payoff(pop, i, j, gen_key);
+      out[t] = payoff(pop, i, j, key(i, j));
     }
   }
   if (!mem1.empty()) {
@@ -305,6 +308,7 @@ void BlockFitness::recompute_row_pgg(pop::SSetId i, const pop::Population& pop,
 void BlockFitness::pair_values(const pop::Population& pop,
                                std::span<const PairEvaluator::Pair> pairs,
                                bool vary_row, std::uint64_t gen_key,
+                               std::span<const std::uint64_t> born,
                                std::span<double> out, std::uint64_t& games,
                                par::ThreadPool* pool) const {
   // `todo` holds the distinct evaluations; pick[t] names the one that
@@ -342,11 +346,11 @@ void BlockFitness::pair_values(const pop::Population& pop,
     dst = vals;
   }
   if (pool == nullptr) {
-    eval_.payoffs(pop, work, gen_key, dst);
+    eval_.payoffs(pop, work, gen_key, dst, born);
   } else {
     pool->parallel_for(work.size(), [&](std::uint64_t b, std::uint64_t e) {
       eval_.payoffs(pop, work.subspan(b, e - b), gen_key,
-                    dst.subspan(b, e - b));
+                    dst.subspan(b, e - b), born);
     });
   }
   games += work.size();
@@ -356,9 +360,10 @@ void BlockFitness::pair_values(const pop::Population& pop,
 }
 
 void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
-                                 std::uint64_t gen_key, Counts& counts,
-                                 par::ThreadPool* pool, const SourceRow* copy,
-                                 pop::SSetId mirror) {
+                                 std::uint64_t gen_key,
+                                 std::span<const std::uint64_t> born,
+                                 Counts& counts, par::ThreadPool* pool,
+                                 const SourceRow* copy, pop::SSetId mirror) {
   if (pgg_) {
     recompute_row_pgg(i, pop, gen_key, counts);
     return;
@@ -379,8 +384,8 @@ void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
   }
   vals.resize(pairs.size());
   if (copy == nullptr) {
-    pair_values(pop, pairs, /*vary_row=*/false, gen_key, vals, counts.games,
-                pool);
+    pair_values(pop, pairs, /*vary_row=*/false, gen_key, born, vals,
+                counts.games, pool);
   } else {
     // Same class as the copy's SSet, so every strategy-pure value is
     // already in its row; only the (gen_key, i, j)-keyed pairs, and
@@ -399,7 +404,7 @@ void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
       }
     }
     rest_vals.resize(rest.size());
-    pair_values(pop, rest, /*vary_row=*/false, gen_key, rest_vals,
+    pair_values(pop, rest, /*vary_row=*/false, gen_key, born, rest_vals,
                 counts.games, pool);
     for (std::size_t k = 0; k < slot.size(); ++k) vals[slot[k]] = rest_vals[k];
   }
@@ -414,7 +419,8 @@ void BlockFitness::recompute_row(pop::SSetId i, const pop::Population& pop,
 }
 
 void BlockFitness::evaluate_rows(const pop::Population& pop,
-                                 std::uint64_t gen_key) {
+                                 std::uint64_t gen_key,
+                                 std::span<const std::uint64_t> born) {
   keep_top();  // every row is rewritten below
   const std::uint64_t rows = end_ - begin_;
   // Well-mixed dedup: the first owned row of each class is evaluated and
@@ -442,9 +448,9 @@ void BlockFitness::evaluate_rows(const pop::Population& pop,
         const pop::SSetId i = begin_ + static_cast<pop::SSetId>(r);
         if (copies) {
           const SourceRow own{source[r], source_row(source[r])};
-          recompute_row(i, pop, gen_key, per_row[r], nullptr, &own, i);
+          recompute_row(i, pop, gen_key, born, per_row[r], nullptr, &own, i);
         } else {
-          recompute_row(i, pop, gen_key, per_row[r], nullptr);
+          recompute_row(i, pop, gen_key, born, per_row[r], nullptr);
         }
       }
     };
@@ -460,8 +466,13 @@ void BlockFitness::evaluate_rows(const pop::Population& pop,
   }
 }
 
-void BlockFitness::initialize(const pop::Population& pop) {
-  evaluate_rows(pop, 0);
+void BlockFitness::initialize(const pop::Population& pop,
+                              std::span<const std::uint64_t> born) {
+  EGT_REQUIRE(born.empty() || born.size() == config_.ssets);
+  // strategy_changed replays a public-goods block whole.
+  const std::uint64_t whole =
+      pgg_ && !born.empty() ? std::ranges::max(born) : 0;
+  evaluate_rows(pop, whole, born);
 }
 
 void BlockFitness::begin_generation(const pop::Population& pop,
@@ -526,8 +537,8 @@ bool BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
     }
   }
   fresh.resize(pairs.size());
-  pair_values(pop, pairs, /*vary_row=*/true, generation, fresh, counts.games,
-              nullptr);
+  pair_values(pop, pairs, /*vary_row=*/true, generation, {}, fresh,
+              counts.games, nullptr);
   for (std::size_t t = 0; t < pairs.size(); ++t) {
     refresh(pairs[t].first, fresh[t]);
   }
@@ -540,7 +551,7 @@ bool BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
                        pop.strategy_class(source->sset) == ck;
   if (shipped) {
     EGT_REQUIRE(source->values.size() == config_.ssets);
-    recompute_row(k, pop, generation, counts, pool_.get(), source,
+    recompute_row(k, pop, generation, {}, counts, pool_.get(), source,
                   source->sset != s1 ? s1 : s2);
   } else if (k >= begin_ && k < end_) {
     SourceRow own{kNoSSet, {}};
@@ -550,7 +561,7 @@ bool BlockFitness::strategy_changed(pop::SSetId k, const pop::Population& pop,
         break;
       }
     }
-    recompute_row(k, pop, generation, counts, pool_.get(),
+    recompute_row(k, pop, generation, {}, counts, pool_.get(),
                   own.sset != kNoSSet ? &own : nullptr, k);
   }
   pairs_ += counts.pairs;

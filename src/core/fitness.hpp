@@ -82,13 +82,15 @@ class PairEvaluator {
   /// An ordered SSet pair (row player, column player).
   using Pair = std::pair<pop::SSetId, pop::SSetId>;
 
-  /// Batch twin of payoff(): out[t] = payoff(pop, pairs[t].first,
-  /// pairs[t].second, gen_key), bitwise. Mem1Markov pairs share one SoA
-  /// kernel call and binary SampledStream pairs one sampled lane-kernel
-  /// call; the rest (n-way, PureExact, the LinearSearch ablation) evaluate
-  /// one by one.
+  /// Batch twin of payoff(): out[t] = payoff(pop, i, j, key) for
+  /// (i, j) = pairs[t], bitwise, where key is gen_key or, given `born`
+  /// (per-SSet generations), max(gen_key, born[i], born[j]). Mem1Markov
+  /// pairs share one SoA kernel call and binary SampledStream pairs one
+  /// sampled lane-kernel call; the rest (n-way, PureExact, the
+  /// LinearSearch ablation) evaluate one by one.
   void payoffs(const pop::Population& pop, std::span<const Pair> pairs,
-               std::uint64_t gen_key, std::span<double> out) const;
+               std::uint64_t gen_key, std::span<double> out,
+               std::span<const std::uint64_t> born = {}) const;
 
   /// Dedup-eligibility rule: true when payoff(·) for this strategy pair is
   /// a pure function of (si, sj) — an exact method applies in Analytic
@@ -147,8 +149,15 @@ class BlockFitness {
   pop::SSetId row_begin() const noexcept { return begin_; }
   pop::SSetId row_end() const noexcept { return end_; }
 
-  /// Full evaluation of the block (generation key 0).
-  void initialize(const pop::Population& pop);
+  /// Full evaluation of the block. `born` (one entry per SSet, or empty
+  /// for all zero) is the generation of each SSet's last strategy change:
+  /// a pair's stream is keyed by the later of its two births, and a
+  /// public-goods block by the latest birth of all. That is the key
+  /// strategy_changed last played each value with, so a block initialized
+  /// from a run's population and births holds the bits of the block that
+  /// lived through the run, frozen samples included.
+  void initialize(const pop::Population& pop,
+                  std::span<const std::uint64_t> born = {});
 
   /// Values persist across generations (Sampled re-plays every pair).
   bool cached() const noexcept {
@@ -204,14 +213,13 @@ class BlockFitness {
     return moved_ ? top_ : fitness_;
   }
 
-  /// The block's whole evaluation state, as every checkpoint carries it:
-  /// the row range, the fitness mode that computed it, the matrix width
-  /// (ssets for pairwise cached blocks, 0 for Sampled and public goods)
-  /// and the values: the payoff matrix when there is one — it defines the
-  /// fitness, and is also the whole dedup state and, for SampledFrozen,
-  /// the only record of when each pair was last played — else the per-row
-  /// fitness. A block restored from it continues exactly as the block
-  /// that produced it would have.
+  /// The block's whole evaluation state, as an engine checkpoint carries
+  /// it: the row range, the fitness mode that computed it, the matrix
+  /// width (ssets for pairwise cached blocks, 0 for Sampled and public
+  /// goods) and the values: the payoff matrix when there is one — it
+  /// defines the fitness, and is also the whole dedup state — else the
+  /// per-row fitness. A block restored from it continues exactly as the
+  /// block that produced it would have.
   struct State {
     pop::SSetId begin = 0;
     pop::SSetId end = 0;
@@ -323,25 +331,30 @@ class BlockFitness {
   /// strategy-pure pair is evaluated once per distinct ClassId of the side
   /// that varies (`vary_row`: pairs[t].first, else pairs[t].second), every
   /// other pair once. The distinct evaluations then run as one
-  /// eval_.payoffs batch, split across `pool` when given, so `games` (the
-  /// evaluation count) never depends on the thread count.
+  /// eval_.payoffs batch (keyed by gen_key and `born` as there), split
+  /// across `pool` when given, so `games` (the evaluation count) never
+  /// depends on the thread count.
   void pair_values(const pop::Population& pop,
                    std::span<const PairEvaluator::Pair> pairs, bool vary_row,
-                   std::uint64_t gen_key, std::span<double> out,
-                   std::uint64_t& games, par::ThreadPool* pool) const;
+                   std::uint64_t gen_key, std::span<const std::uint64_t> born,
+                   std::span<double> out, std::uint64_t& games,
+                   par::ThreadPool* pool) const;
 
   /// Rebuild owned row i, its pairs split across `pool` when given. With
   /// a `copy` (the row of an SSet of i's class) the strategy-pure entries
   /// come from it: (i, j) = values[j] for j not in {i, sset},
   /// (i, sset) = values[mirror] — mirror is i for a current owned row,
-  /// kNoSSet when no entry equals (i, sset); everything else is evaluated.
+  /// kNoSSet when no entry equals (i, sset); everything else is evaluated,
+  /// keyed as pair_values keys it.
   void recompute_row(pop::SSetId i, const pop::Population& pop,
-                     std::uint64_t gen_key, Counts& counts,
+                     std::uint64_t gen_key,
+                     std::span<const std::uint64_t> born, Counts& counts,
                      par::ThreadPool* pool, const SourceRow* copy = nullptr,
                      pop::SSetId mirror = kNoSSet);
 
   /// Every owned row, rows split across the pool.
-  void evaluate_rows(const pop::Population& pop, std::uint64_t gen_key);
+  void evaluate_rows(const pop::Population& pop, std::uint64_t gen_key,
+                     std::span<const std::uint64_t> born = {});
 
   /// Called before any write to fitness_. On the first since
   /// begin_generation the values become top_ by a buffer swap and this

@@ -39,10 +39,6 @@ ChaosSchedule make_chaos_schedule(std::uint64_t seed) {
   s.config.pc_rate = pick_real(rng, 0.2, 0.6);
   s.config.mutation_rate = pick_real(rng, 0.05, 0.3);
   s.config.seed = util::mix64(seed + 1);
-  // Sampled fitness is a pure function of (population, generation): every
-  // recovery path — recompute, failover replan — is bit-exact, so the
-  // oracle holds for arbitrary schedules.
-  s.config.fitness_mode = core::FitnessMode::Sampled;
 
   std::ostringstream sum;
   sum << "seed " << seed << ": ranks=" << s.nranks
@@ -73,21 +69,14 @@ ChaosSchedule make_chaos_schedule(std::uint64_t seed) {
   // decision log must survive every schedule, so an abort is a soak bug.
   s.options.standby_replicas = static_cast<int>(nkills) + 1;
 
-  // Block checkpoints, sometimes torn mid-write. Sampled blocks write
-  // none (recomputation rebuilds them exactly), so both are inert; the
-  // draws stay so every seed names the same schedule.
+  // These draws once chose block checkpoints, some torn; the ft engine
+  // writes none. They stay so every seed keeps its kills, drops and delays.
   if (pick(rng, 0, 1) == 0) {
-    s.options.checkpoint_every = pick(rng, 3, 6);
+    const std::uint64_t every = pick(rng, 3, 6);
     if (pick(rng, 0, 1) == 0) {
-      const std::uint64_t every = s.options.checkpoint_every;
-      const int torn_rank = static_cast<int>(
-          pick(rng, 0, static_cast<std::uint64_t>(s.nranks) - 1));
-      const std::uint64_t torn_gen =
-          every * pick(rng, 1, s.config.generations / every);
-      s.options.plan.torn_checkpoint(torn_rank, torn_gen);
-      sum << " torn=" << torn_rank << "@g" << torn_gen;
+      (void)pick(rng, 0, static_cast<std::uint64_t>(s.nranks) - 1);
+      (void)pick(rng, 1, s.config.generations / every);
     }
-    sum << " ckpt_every=" << s.options.checkpoint_every;
   }
 
   // Drops and delays on data tags.
@@ -113,6 +102,26 @@ ChaosSchedule make_chaos_schedule(std::uint64_t seed) {
     sum << " delay=tag" << std::hex << rule.tag << std::dec << "x"
         << rule.count << "/" << rule.delay_ms << "ms";
   }
+
+  // The fitness mode, drawn last so the faults above do not depend on it.
+  // Recovery recomputes every block from the strategy table and the
+  // SSets' last-change generations, so the oracle holds in every mode.
+  // The frozen schedules play mixed strategies under noise, so their
+  // samples depend on the generation each pair was last played in:
+  // SampledFrozen at memory one, and Analytic at memory two, whose pairs
+  // have no closed form and fall through to frozen sampling.
+  const std::uint64_t mode = pick(rng, 0, 2);
+  if (mode == 0) {
+    s.config.fitness_mode = core::FitnessMode::Sampled;
+  } else {
+    s.config.fitness_mode = mode == 1 ? core::FitnessMode::SampledFrozen
+                                      : core::FitnessMode::Analytic;
+    s.config.memory = mode == 1 ? 1 : 2;
+    s.config.space = pop::StrategySpace::Mixed;
+    s.config.game.noise = 0.02;
+  }
+  constexpr const char* kModeNames[] = {"sampled", "frozen", "analytic"};
+  sum << " fitness=" << kModeNames[mode] << " m" << s.config.memory;
 
   // Soak timeouts: small enough that a master kill costs well under a
   // second, generous enough that a loaded CI machine does not evict a

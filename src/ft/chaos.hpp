@@ -1,12 +1,13 @@
 // Seeded chaos schedules for soak-testing the fault-tolerant engine.
 //
-// Every schedule is a pure function of one 64-bit seed: a small Sampled
-// configuration plus a random FaultPlan — kills (including rank 0, the
-// Nature Agent, and same-generation cascades), drops and delays on data
-// tags, torn block checkpoints (inert: Sampled blocks write no
-// checkpoints, recovery recomputes them). Sampled fitness makes the oracle
-// unconditional: whatever the schedule does, the surviving run must
-// reproduce the serial engine's strategy table (and fitness) bit for bit.
+// Every schedule is a pure function of one 64-bit seed: a small
+// configuration (Sampled, SampledFrozen, or Analytic memory-two with
+// frozen fall-through pairs) plus a random FaultPlan — kills (including
+// rank 0, the Nature Agent, and same-generation cascades), drops and
+// delays on data tags. Recovery recomputes every block bit for bit in
+// every mode, which makes the oracle unconditional: whatever the schedule
+// does, the surviving run must reproduce the serial engine's strategy
+// table (and fitness) bit for bit.
 //
 // Drops and delays target only *data* tags (plan/ack/fitness/blocks/
 // decide). Control traffic — log replication, election, takeover,

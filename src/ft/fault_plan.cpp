@@ -119,16 +119,11 @@ FaultPlan FaultPlan::parse(std::string_view json_text) {
       plan.delay(parse_rule(d, /*is_delay=*/true));
     }
   }
-  if (const util::JsonValue* torn = doc.find("torn_checkpoints")) {
-    for (const util::JsonValue& t : torn->items()) {
-      if (!t.is_object() || !t.has("rank") || !t.has("generation")) {
-        throw std::runtime_error(
-            "fault plan: each torn checkpoint needs \"rank\" and "
-            "\"generation\"");
-      }
-      plan.torn_checkpoint(static_cast<int>(t.at("rank").as_u64()),
-                           t.at("generation").as_u64());
-    }
+  if (doc.has("torn_checkpoints")) {
+    throw std::runtime_error(
+        "fault plan: \"torn_checkpoints\" is no longer supported: the ft "
+        "engine writes no block checkpoints (recovery recomputes every "
+        "block), so there is nothing to tear");
   }
   return plan;
 }
@@ -163,19 +158,6 @@ FaultPlan& FaultPlan::delay(MessageFault rule) {
   return *this;
 }
 
-FaultPlan& FaultPlan::torn_checkpoint(int rank, std::uint64_t generation) {
-  torn_checkpoints_.push_back({rank, generation});
-  return *this;
-}
-
-bool FaultPlan::torn_checkpoint_at(int rank,
-                                   std::uint64_t generation) const noexcept {
-  for (const TornCheckpointFault& t : torn_checkpoints_) {
-    if (t.rank == rank && t.generation == generation) return true;
-  }
-  return false;
-}
-
 std::optional<std::uint64_t> FaultPlan::kill_generation(
     int rank) const noexcept {
   for (const KillFault& k : kills_) {
@@ -194,10 +176,6 @@ void FaultPlan::validate(int nranks) const {
       EGT_REQUIRE_MSG(&k == &other || k.rank != other.rank,
                       "fault plan: rank killed twice");
     }
-  }
-  for (const TornCheckpointFault& t : torn_checkpoints_) {
-    EGT_REQUIRE_MSG(t.rank >= 0 && t.rank < nranks,
-                    "fault plan: torn checkpoint rank out of range");
   }
   auto check_rule = [&](const MessageFault& r) {
     EGT_REQUIRE_MSG(r.source == kAny || (r.source >= 0 && r.source < nranks),

@@ -14,14 +14,12 @@
 //     "drops":  [ {"source": 1, "dest": 0, "tag": "fit",
 //                  "skip": 0, "count": 1} ],
 //     "delays": [ {"source": "any", "dest": 0, "tag": "plan_ack",
-//                  "count": 2, "delay_ms": 40} ],
-//     "torn_checkpoints": [ {"rank": 1, "generation": 20} ]
+//                  "count": 2, "delay_ms": 40} ]
 //   }
 // Kills may target rank 0: the Nature Agent fails over to a warm standby
 // (the engine rejects such plans only when it runs with no standby
-// replicas). A torn_checkpoints entry truncates the named rank's block
-// checkpoint of that generation mid-write, exercising the CRC-detect /
-// fallback path.
+// replicas). A "torn_checkpoints" key is rejected: the ft engine writes no
+// block checkpoints, so a plan that names one would silently test nothing.
 // source/dest/tag accept a number or "any"; tag also accepts the protocol
 // names of ft/protocol.hpp ("plan", "fit", "pong", ...). skip lets the
 // first N matching sends through before the rule starts firing; count
@@ -45,15 +43,6 @@ inline constexpr int kAny = -1;
 /// way the generation's work is lost and must be recovered: what a node
 /// crash looks like from the survivors' side.
 struct KillFault {
-  int rank = -1;
-  std::uint64_t generation = 0;
-};
-
-/// Rank `rank`'s block checkpoint of `generation` is written torn — the
-/// stored bytes are a truncated prefix, as a crash in the middle of a
-/// non-atomic write would leave. Readers must detect it via CRC and fall
-/// back (older intact generation, or recompute), never consume it.
-struct TornCheckpointFault {
   int rank = -1;
   std::uint64_t generation = 0;
 };
@@ -87,24 +76,16 @@ class FaultPlan {
   FaultPlan& kill(int rank, std::uint64_t generation);
   FaultPlan& drop(MessageFault rule);
   FaultPlan& delay(MessageFault rule);
-  FaultPlan& torn_checkpoint(int rank, std::uint64_t generation);
 
   /// The generation at which `rank` dies, if the plan kills it.
   std::optional<std::uint64_t> kill_generation(int rank) const noexcept;
 
-  /// Whether `rank`'s checkpoint of `generation` must be written torn.
-  bool torn_checkpoint_at(int rank, std::uint64_t generation) const noexcept;
-
   bool empty() const noexcept {
-    return kills_.empty() && drops_.empty() && delays_.empty() &&
-           torn_checkpoints_.empty();
+    return kills_.empty() && drops_.empty() && delays_.empty();
   }
   const std::vector<KillFault>& kills() const noexcept { return kills_; }
   const std::vector<MessageFault>& drops() const noexcept { return drops_; }
   const std::vector<MessageFault>& delays() const noexcept { return delays_; }
-  const std::vector<TornCheckpointFault>& torn_checkpoints() const noexcept {
-    return torn_checkpoints_;
-  }
 
   /// Reject plans that cannot be executed on `nranks` ranks: out-of-range
   /// ranks, two kills of one rank, or kills of every rank (at least one
@@ -117,7 +98,6 @@ class FaultPlan {
   std::vector<KillFault> kills_;
   std::vector<MessageFault> drops_;
   std::vector<MessageFault> delays_;
-  std::vector<TornCheckpointFault> torn_checkpoints_;
 };
 
 }  // namespace egt::ft

@@ -15,12 +15,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/checkpoint.hpp"
 #include "core/engine.hpp"
 #include "core/fitness.hpp"
 #include "core/generation.hpp"
 #include "core/wire.hpp"
-#include "ft/block_checkpoint.hpp"
 #include "ft/decision_log.hpp"
 #include "ft/injector.hpp"
 #include "ft/ownership.hpp"
@@ -50,16 +48,10 @@ using core::wire::Writer;
 // stages run on every rank.
 struct FtInstruments : core::EngineInstruments {
   // Every rank.
-  obs::Histogram* ckpt = nullptr;
   obs::Histogram* recovery = nullptr;
   obs::Histogram* election = nullptr;
   obs::Counter* recovery_pairs = nullptr;  // ft.recovery.pairs_evaluated
   obs::Counter* recovery_games = nullptr;  // ft.recovery.games_played
-  obs::Counter* ckpt_writes = nullptr;
-  obs::Counter* ckpt_bytes = nullptr;
-  obs::Counter* ckpt_fallback = nullptr;
-  obs::Counter* ckpt_torn = nullptr;
-  obs::Counter* blocks_restored = nullptr;
   obs::Counter* blocks_recomputed = nullptr;
   obs::Counter* heals = nullptr;
   obs::Counter* rows_shipped = nullptr;  // learner rows copied from a FIT's
@@ -83,16 +75,10 @@ struct FtInstruments : core::EngineInstruments {
   FtInstruments(obs::MetricsRegistry& reg, bool is_master)
       : EngineInstruments(&reg, /*events=*/false) {
     registry = &reg;
-    ckpt = &reg.histogram("phase.ft_checkpoint");
     recovery = &reg.histogram("phase.ft_recovery");
     election = &reg.histogram("phase.ft_election");
     recovery_pairs = &reg.counter("ft.recovery.pairs_evaluated");
     recovery_games = &reg.counter("ft.recovery.games_played");
-    ckpt_writes = &reg.counter("ft.checkpoint.writes");
-    ckpt_bytes = &reg.counter("ft.checkpoint.bytes");
-    ckpt_fallback = &reg.counter("ft.checkpoint.fallbacks");
-    ckpt_torn = &reg.counter("ft.faults.checkpoints_torn");
-    blocks_restored = &reg.counter("ft.recovery.blocks_restored");
     blocks_recomputed = &reg.counter("ft.recovery.blocks_recomputed");
     heals = &reg.counter("ft.heals");
     rows_shipped = &reg.counter("ft.rows_shipped");
@@ -142,22 +128,18 @@ struct TeacherRow {
 // something reads its blocks, so its PLAN leaves first (see share_plan).
 // Two replicas advance by replaying the log, never by copy: `top_` (the
 // top of the generation, which mid-generation adoption rebuilds from) and
-// `at_` (as of the last folded change, which every fold reads). An
-// adoption whose teacher lives on another rank carries the teacher's row
-// (offer_row), so the learner's row is a copy, not a replay.
+// `at_` (as of the last folded change, which every fold reads). `born_`
+// holds each SSet's last-change generation as of `top_`, the key a
+// recomputed block's frozen samples are played with. An adoption whose
+// teacher lives on another rank carries the teacher's row (offer_row), so
+// the learner's row is a copy, not a replay.
 class BlockSet {
  public:
   BlockSet(const core::SimConfig& config,
            std::shared_ptr<const pop::InteractionGraph> graph,
            FtInstruments& ins, const pop::Population& pop)
-      : config_(config), graph_(std::move(graph)), ins_(ins),
-        checkpointed_(!core::recomputes_exactly(config)), top_(pop),
-        at_(pop) {}
-
-  /// Whether the blocks write checkpoints at all. A block that
-  /// recomputation rebuilds bit for bit (core::recomputes_exactly) is
-  /// never written and never restored: recovery recomputes it.
-  bool checkpointed() const noexcept { return checkpointed_; }
+      : config_(config), graph_(std::move(graph)), ins_(ins), top_(pop),
+        at_(pop), born_(config.ssets, 0) {}
 
   /// Fault-free startup block: initialization counts to engine.pairs, as
   /// in the base engines.
@@ -170,7 +152,10 @@ class BlockSet {
   /// changes (O(changes)), then play.
   void begin_generation(std::uint64_t gen) {
     fold();
-    for (const Change& c : changes_) top_.set_strategy(c.k, c.strategy);
+    for (const Change& c : changes_) {
+      top_.set_strategy(c.k, c.strategy);
+      born_[c.k] = c.gen;
+    }
     changes_.clear();
     folded_ = 0;
     offer_.reset();
@@ -192,7 +177,6 @@ class BlockSet {
     }
     offer_.reset();
     changes_.push_back(std::move(c));
-    unchanged_since_ = gen + 1;
   }
 
   void strategy_changed(pop::SSetId k, const pop::Population& pop,
@@ -266,82 +250,59 @@ class BlockSet {
   }
 
   /// Adopt range [begin, end) from a dead rank, after folding every
-  /// deferred change (so the new block starts from the current replica).
+  /// deferred change (so the new block starts from the current replica),
+  /// by recomputing it from the replicated strategy table: a cached block
+  /// initializes from `top_` and `born_`, or from `at_` and the births as
+  /// of it (recovery work, counts to ft.recovery.*), which reproduces
+  /// every value, frozen samples included, of the dead rank's block.
   ///
   /// `mid_gen`: generation `gen` is in flight; `top_` is the replica at
-  /// its top (before this generation's updates). Restore path, for
-  /// checkpointed blocks only: an intact covering block checkpoint
-  /// captured since the last strategy change restores the exact doubles
-  /// (zero games). Recompute path, the only one for configs that
-  /// recompute exactly: Sampled re-plays the block with this generation's
-  /// streams from the top-of-generation population; cached modes
-  /// re-initialize from scratch (recovery work, counts to
-  /// ft.recovery.pairs_evaluated) and replay this generation's strategy
-  /// changes. The play and the replay are the dead rank's own generation
-  /// work, so they count to engine.pairs exactly as its evaluation would
-  /// have.
+  /// its top (before this generation's updates). Sampled re-plays the
+  /// block with this generation's streams from the top-of-generation
+  /// population; cached modes replay this generation's strategy changes
+  /// on their initialized block. The play and the replay are the dead
+  /// rank's own generation work, so they count to engine.pairs exactly as
+  /// its evaluation would have.
   ///
   /// Otherwise `gen` is the next generation to run, and the caller's main
   /// loop will run begin_generation over every block — including this one
   /// — when it starts. So the block only needs the state begin_generation
-  /// builds on: a checkpoint restore or a from-scratch initialize; Sampled
-  /// blocks need nothing at all, the next begin_generation replays them.
+  /// builds on; Sampled blocks need nothing at all, the next
+  /// begin_generation replays them.
   void adopt(pop::SSetId begin, pop::SSetId end, std::uint64_t gen,
-             bool mid_gen, const CheckpointStore& store,
-             std::uint64_t fingerprint) {
+             bool mid_gen) {
     fold();
     core::PhaseScope phase(ins_.recovery, "phase.ft_recovery", obs::kCatFt);
     phase.span().set_arg("begin", begin);
     core::BlockFitness fit(config_, begin, end, graph_, ins_.registry);
-    if (checkpointed_ &&
-        restore_from(fit, lookup(store, begin, end), fingerprint)) {
-      FtInstruments::inc(ins_.blocks_restored);
-    } else {
-      if (fit.cached()) {
-        fit.initialize(mid_gen ? top_ : at_);
-        const core::BlockFitness::Work init = fit.take_work();
-        FtInstruments::inc(ins_.recovery_pairs, init.pairs);
-        FtInstruments::inc(ins_.recovery_games, init.games);
+    if (fit.cached()) {
+      std::vector<std::uint64_t> born = born_;
+      if (!mid_gen) {
+        for (const Change& c : changes_) born[c.k] = c.gen;
       }
-      if (mid_gen) {
-        // The block's top view = this generation's top, before its
-        // updates (which are replayed on top for the cached modes below).
-        fit.begin_generation(top_, gen);
-        // Replay each change against the population as of that change:
-        // strategy_changed reads every column but k's as current.
-        pop::Population replay = top_;
-        for (const Change& c : changes_) {
-          replay.set_strategy(c.k, c.strategy);
-          fit.strategy_changed(c.k, replay, c.gen);
-        }
-        // This generation's play and changes on these rows are the work
-        // the dead owner would have done (it died before folding any of
-        // them): they count to engine.*, like every other rank's.
-        ins_.account(fit);
-      }
-      FtInstruments::inc(ins_.blocks_recomputed);
+      fit.initialize(mid_gen ? top_ : at_, born);
+      const core::BlockFitness::Work init = fit.take_work();
+      FtInstruments::inc(ins_.recovery_pairs, init.pairs);
+      FtInstruments::inc(ins_.recovery_games, init.games);
     }
+    if (mid_gen) {
+      // The block's top view = this generation's top, before its updates
+      // (which are replayed on top for the cached modes below).
+      fit.begin_generation(top_, gen);
+      // Replay each change against the population as of that change:
+      // strategy_changed reads every column but k's as current.
+      pop::Population replay = top_;
+      for (const Change& c : changes_) {
+        replay.set_strategy(c.k, c.strategy);
+        fit.strategy_changed(c.k, replay, c.gen);
+      }
+      // This generation's play and changes on these rows are the work the
+      // dead owner would have done (it died before folding any of them):
+      // they count to engine.*, like every other rank's.
+      ins_.account(fit);
+    }
+    FtInstruments::inc(ins_.blocks_recomputed);
     blocks_.push_back(std::move(fit));
-  }
-
-  /// Publish one checkpoint blob per owned block, labelled with the
-  /// generation the captured values are valid for (gen + 1 at the end of
-  /// gen). `torn` injects a truncated write (FaultPlan torn_checkpoints).
-  void checkpoint_to(CheckpointStore& store, int rank, std::uint64_t next_gen,
-                     std::uint64_t table_hash, std::uint64_t fingerprint,
-                     bool torn) {
-    fold();
-    core::PhaseScope phase(ins_.ckpt, "phase.ft_checkpoint", obs::kCatFt);
-    for (const core::BlockFitness& b : blocks_) {
-      auto blob =
-          BlockCheckpoint{fingerprint, next_gen, table_hash, b.state()}
-              .encode();
-      FtInstruments::inc(ins_.ckpt_writes);
-      FtInstruments::inc(ins_.ckpt_bytes, blob.size());
-      if (torn) FtInstruments::inc(ins_.ckpt_torn);
-      store.put(rank, b.row_begin(), b.row_end(), next_gen, std::move(blob),
-                torn);
-    }
   }
 
   /// Move the growth of the pairs counters since the last accounting into
@@ -376,48 +337,18 @@ class BlockSet {
     }
   }
 
-  /// Restore `fit` from the rows it owns of `hit`; false (recompute) when
-  /// there is no hit, it was written under another config, or its shape
-  /// does not match the block.
-  static bool restore_from(core::BlockFitness& fit,
-                           const std::optional<BlockCheckpoint>& hit,
-                           std::uint64_t fingerprint) {
-    if (!hit || hit->config_fingerprint != fingerprint) return false;
-    try {
-      fit.restore(hit->state.slice(fit.row_begin(), fit.row_end()));
-      return true;
-    } catch (const core::CheckpointError&) {
-      return false;
-    }
-  }
-
-  /// CRC-verified checkpoint lookup; a corrupt entry skipped on the way to
-  /// an older intact one counts to ft.checkpoint.fallbacks.
-  std::optional<BlockCheckpoint> lookup(const CheckpointStore& store,
-                                        pop::SSetId begin, pop::SSetId end) {
-    return store.find_covering(begin, end, at_.table_hash(), unchanged_since_,
-                               [this](const std::string&) {
-                                 FtInstruments::inc(ins_.ckpt_fallback);
-                                 obs::trace_instant("ft.checkpoint_fallback",
-                                                    obs::kCatFt);
-                               });
-  }
-
   core::SimConfig config_;
   std::shared_ptr<const pop::InteractionGraph> graph_;
   FtInstruments& ins_;
-  bool checkpointed_;
   std::vector<core::BlockFitness> blocks_;
   pop::Population top_;  // the population at the top of the generation
   pop::Population at_;   // top_ plus changes_[0, folded_)
+  std::vector<std::uint64_t> born_;  // per SSet, as of top_
   // The current generation's strategy changes, in order; replayed onto
   // blocks adopted mid-generation.
   std::vector<Change> changes_;
   std::size_t folded_ = 0;  // changes_ already folded into the blocks
   std::optional<TeacherRow> offer_;  // offer_row's, until the next change
-  // First generation with no strategy change since: only a checkpoint
-  // captured at or after it holds the blocks' current state.
-  std::uint64_t unchanged_since_ = 0;
 };
 
 // -- message codecs -----------------------------------------------------------
@@ -477,8 +408,6 @@ std::chrono::nanoseconds ms_to_ns(double ms) {
 struct Shared {
   const core::SimConfig& config;
   const FtRunOptions& options;
-  CheckpointStore store;
-  std::uint64_t fingerprint;
   std::chrono::nanoseconds detect;
   std::chrono::nanoseconds ping;
   std::chrono::nanoseconds silence;  // base master-silence (log holders)
@@ -494,8 +423,6 @@ struct Shared {
   Shared(const core::SimConfig& c, const FtRunOptions& o)
       : config(c),
         options(o),
-        store(o.checkpoint_keep),
-        fingerprint(core::config_fingerprint(c)),
         detect(ms_to_ns(o.detect_timeout_ms)),
         ping(ms_to_ns(o.ping_timeout_ms)) {
     const double per_death =
@@ -606,23 +533,12 @@ class RankProgram : private core::GenerationTransport {
 
   // -- generation bookkeeping shared by worker and master -------------------
 
-  void finish_generation(std::uint64_t gen) {
-    blocks_.account_engine_pairs();
-    const std::uint64_t every = shared_.options.checkpoint_every;
-    if (every > 0 && (gen + 1) % every == 0 && blocks_.checkpointed()) {
-      const bool torn =
-          shared_.options.plan.torn_checkpoint_at(rank_, gen + 1);
-      blocks_.checkpoint_to(shared_.store, rank_, gen + 1, pop_.table_hash(),
-                            shared_.fingerprint, torn);
-    }
-  }
-
   /// Apply `d` to the pending generation through the shared step's apply
   /// helper, which closes the generation.
   void apply_pending(const Decision& d) {
     core::apply_decision(pop_, blocks_, pending_->plan, d, ins_);
     pending_.reset();
-    finish_generation(d.gen);
+    blocks_.account_engine_pairs();
   }
 
   /// If a decision for the pending generation is available, apply it and
@@ -652,7 +568,7 @@ class RankProgram : private core::GenerationTransport {
   void adopt_missing_ranges(std::uint64_t gen, bool mid_gen) {
     for (const auto& [b, e] : table_.ranges_of(rank_)) {
       if (blocks_.owns_range(b, e)) continue;
-      blocks_.adopt(b, e, gen, mid_gen, shared_.store, shared_.fingerprint);
+      blocks_.adopt(b, e, gen, mid_gen);
     }
   }
 
@@ -1365,7 +1281,7 @@ class RankProgram : private core::GenerationTransport {
       send_decide(out.decision);
       prev_decision_ = out.decision;
     }
-    finish_generation(out.decision.gen);
+    blocks_.account_engine_pairs();
   }
 
   void run_master(std::uint64_t start_gen) {
@@ -1472,7 +1388,6 @@ FtResult run_parallel_ft(const core::SimConfig& config, int nranks,
   EGT_REQUIRE_MSG(options.max_pings >= 1, "need at least one ping probe");
   EGT_REQUIRE_MSG(options.standby_replicas >= 0,
                   "standby_replicas must be >= 0");
-  EGT_REQUIRE_MSG(options.checkpoint_keep >= 1, "checkpoint_keep must be >= 1");
   EGT_REQUIRE_MSG(options.master_silence_ms >= 0 &&
                       options.election_window_ms >= 0,
                   "failover timeouts must be >= 0 (0 = auto)");

@@ -16,15 +16,11 @@
 //               master_silence_ms triggers an election.
 //   recovery    The dead rank's SSet ranges are re-partitioned across the
 //               survivors (ft/ownership.hpp). An adopting rank recomputes
-//               the block from the replicated strategy table, which is
-//               bit-exact wherever core::recomputes_exactly holds (Sampled,
-//               closed-form Analytic); those blocks write no checkpoints.
-//               The rest (SampledFrozen, Analytic with a frozen
-//               fall-through pair) publish block checkpoints
-//               (ft/block_checkpoint.hpp), and an adopter first restores
-//               the dead rank's newest one captured since the last
-//               strategy change (CRC-verified, with fallback to an older
-//               intact entry). The new table is broadcast point-to-point
+//               the block from the replicated strategy table and each
+//               SSet's last-change generation, which every rank already
+//               holds (core::BlockFitness::initialize): bit-exact in every
+//               fitness mode, frozen samples included, so nothing is
+//               checkpointed. The new table is broadcast point-to-point
 //               (RECONFIG, epoch-numbered) and acknowledged.
 //   failover    The master streams each generation's decision record —
 //               Nature's post-draw RNG state, the generation's decision,
@@ -43,13 +39,11 @@
 // log is replicated ahead of every decision broadcast, and kills land at
 // generation boundaries (a worker dies receiving a PLAN, a master at the
 // top of its loop), so the successor's restored RNG consumes draws exactly
-// as the dead master would have. Fitness is a function of (population,
-// generation) for Sampled and closed-form Analytic configurations, so a
-// recovered run's table and fitness — and, for kill-only plans, its merged
+// as the dead master would have. Fitness is a function of the population,
+// the generation and each SSet's last-change generation, so a recovered
+// run's table and fitness — and, for kill-only plans, its merged
 // "engine.*" counters — are bit-identical to the fault-free run, wherever
-// the kill lands. Caveats (DESIGN.md §7): frozen samples (SampledFrozen,
-// the Analytic fall-through) recover exactly only from a checkpoint
-// captured since the last strategy change; drop-induced false-positive
+// the kill lands. Caveats (DESIGN.md §7): drop-induced false-positive
 // evictions keep the trajectory exact but can over-count pairs; elections
 // assume control messages are delivered within the silence timeout.
 #pragma once
@@ -75,18 +69,10 @@ struct FtRunOptions {
   /// core::run_parallel / the serial engine.
   FaultPlan plan;
 
-  /// Publish block checkpoints every N generations (0 = never). Only
-  /// blocks that recomputation cannot rebuild bit for bit
-  /// (!core::recomputes_exactly: SampledFrozen, Analytic with a frozen
-  /// fall-through pair) are written; the rest recover by recomputing, so
-  /// this option does nothing for them. Recovery works without
-  /// checkpoints — frozen samples are then resampled, not restored.
+  /// Ignored: recovery recomputes every block, so the engine writes no
+  /// block checkpoints. Kept only because the benchmark harness
+  /// (perfbench/ledger.cpp) still assigns it.
   std::uint64_t checkpoint_every = 0;
-
-  /// Block-checkpoint generations retained per (rank, range) — older ones
-  /// are pruned. Retention is what makes CRC fallback possible: a torn
-  /// newest entry degrades to the previous intact generation.
-  int checkpoint_keep = 3;
 
   /// Warm standbys receiving the replicated decision log. Rank-0 kills
   /// require at least one; cascading master+standby kills require one more
@@ -147,7 +133,7 @@ struct FtResult {
   int failovers = 0;
   /// Merged per-rank metrics: the base engine's phase timers and
   /// "engine.*" counters plus the "ft.*" family (ft.recoveries,
-  /// ft.failovers, ft.log.*, ft.checkpoint.*, ft.recovery.*, ...).
+  /// ft.failovers, ft.log.*, ft.recovery.*, ...).
   obs::MetricsSnapshot metrics;
 };
 

@@ -22,20 +22,15 @@ using core::counters_from;
 using core::FitnessMode;
 using core::InteractionSpec;
 
-/// Every pair this config can produce has a closed form (strategy_pure):
-/// fitness is a function of the population alone.
-bool closed_form(const core::SimConfig& c) {
-  return c.fitness_mode == FitnessMode::Analytic &&
-         core::recomputes_exactly(c);
-}
-
 /// Throws on a history-free oracle failure (every 8th generation, last).
 core::CallbackObserver fresh_fitness_check(const core::Engine& engine) {
   return core::CallbackObserver(
-      [&engine](const pop::Population&, const core::GenerationRecord& r) {
+      [&engine, born = std::vector<std::uint64_t>(engine.config().ssets)](
+          const pop::Population&, const core::GenerationRecord& r) mutable {
+        note_births(born, r);
         const std::uint64_t g = r.generation;
         if (g % 8 != 7 && g + 1 != engine.config().generations) return;
-        const std::string why = fresh_fitness_mismatch(engine);
+        const std::string why = fresh_fitness_mismatch(engine, born);
         if (!why.empty()) {
           throw std::runtime_error("after generation " + std::to_string(g) +
                                    ": " + why);
@@ -87,7 +82,6 @@ EngineOutcome run_parallel_variant(const core::SimConfig& config, int nranks) {
 EngineOutcome run_ft_variant(const CaseSpec& spec, bool faulty) {
   TraceRecorder rec;
   ft::FtRunOptions opts;
-  opts.checkpoint_every = spec.ft_checkpoint_every;
   // Generous failure-detection deadlines: the fuzz configs finish a
   // generation in microseconds, so these can absorb a heavily loaded CI
   // host without risking a false-positive eviction (which would be
@@ -100,25 +94,10 @@ EngineOutcome run_ft_variant(const CaseSpec& spec, bool faulty) {
     for (const auto& k : spec.kills) opts.plan.kill(k.rank, k.generation);
   }
   const auto result = ft::run_parallel_ft(spec.config, spec.nranks, opts);
-  EngineOutcome out = finished(result.population, result.metrics, rec);
-  // Where recovery recomputes exactly it counts exactly too: the
+  // Recovery recomputes exactly and counts exactly too: the
   // re-initialization goes to ft.recovery.*, the dead rank's own
-  // generation work to engine.*. Elsewhere only a restore from a fresh
-  // checkpoint (a kill on a checkpoint generation) keeps the counters
-  // diffable.
-  // SampledFrozen never compares: frozen samples are (re)played lazily,
-  // so which pairs the dead rank had already played — work its successor
-  // never repeats — depends on the kill timing, and the counters drift by
-  // a few pairs either way.
-  if (faulty && !core::recomputes_exactly(spec.config)) {
-    const std::uint64_t every = spec.ft_checkpoint_every;
-    out.counters_comparable =
-        spec.config.fitness_mode != FitnessMode::SampledFrozen && every > 0 &&
-        std::ranges::all_of(spec.kills, [every](const ft::KillFault& k) {
-          return k.generation % every == 0;
-        });
-  }
-  return out;
+  // generation work to engine.*.
+  return finished(result.population, result.metrics, rec);
 }
 
 EngineOutcome run_variant(EngineKind kind, const CaseSpec& spec) {
@@ -225,13 +204,22 @@ void compare_outcome(CaseResult& result, EngineKind kind,
 
 }  // namespace
 
-std::string fresh_fitness_mismatch(const core::Engine& engine) {
+void note_births(std::vector<std::uint64_t>& born,
+                 const core::GenerationRecord& r) {
+  if (r.pc && r.pc->adopted) born.at(r.pc->learner) = r.generation;
+  if (r.mutation) born.at(*r.mutation) = r.generation;
+}
+
+std::string fresh_fitness_mismatch(const core::Engine& engine,
+                                   std::span<const std::uint64_t> born) {
   const core::SimConfig& cfg = engine.config();
   const auto got = engine.fitness_block().block();
   core::BlockFitness fresh(cfg, 0, cfg.ssets, core::make_shared_graph(cfg));
-  if (closed_form(cfg)) {
-    fresh.initialize(engine.population());
+  if (fresh.cached()) {
+    fresh.initialize(engine.population(), born);
   } else {
+    // Sampled values are the generation's stream play, which the
+    // post-change population no longer determines: re-sum them.
     fresh.restore(engine.fitness_block().state());
   }
   const auto [a, b] = std::ranges::mismatch(got, fresh.block());
@@ -368,24 +356,16 @@ CaseSpec sample_case(std::uint64_t fuzz_seed) {
   }
   const bool want_ft = chance(0.5);
   const bool want_faulty = spec.nranks >= 2 && chance(0.35);
-  if (want_ft || want_faulty) {
-    spec.ft_checkpoint_every = (want_faulty || chance(0.5)) ? 4 : 0;
-  }
+  // Draws once spent on block checkpoints (an interval of 4 and, below, a
+  // torn write) stay, so every seed names the same case.
+  if (want_ft && !want_faulty) (void)chance(0.5);
   if (want_ft) spec.engines.push_back(EngineKind::ParallelFt);
   if (want_faulty) {
-    // Kills land on checkpoint generations. Only configs that do not
-    // recompute exactly need that (a restore from a fresh checkpoint is
-    // their only exact recovery); the rest recompute wherever the kill
-    // lands, and normalize_spec leaves shrunk kills where they are.
-    const std::uint64_t last_boundary =
-        (c.generations - 1) / spec.ft_checkpoint_every;
+    // A kill at a multiple of 4, as when kills sat on checkpoints.
     const std::uint64_t kill_gen =
-        spec.ft_checkpoint_every * pick(1, std::max<std::uint64_t>(
-                                               1, last_boundary));
+        4 * pick(1, std::max<std::uint64_t>(1, (c.generations - 1) / 4));
     const int kill_rank = static_cast<int>(pick(1, spec.nranks - 1));
     spec.kills.push_back({kill_rank, kill_gen});
-    // This draw once chose a torn checkpoint, which no config the faulty
-    // variant runs can use; it stays so every seed names the same case.
     (void)chance(0.3);
     spec.engines.push_back(EngineKind::ParallelFtFaulty);
   }
@@ -445,17 +425,11 @@ bool normalize_spec(CaseSpec& spec) {
     spec.restore_at = c.generations > 1 ? c.generations / 2 : 0;
   }
 
-  // Fault plan consistency. A config that does not recompute exactly
-  // recovers exactly only by restoring a fresh checkpoint, so its kills
-  // snap to a checkpoint generation.
+  // Fault plan consistency.
   std::vector<ft::KillFault> kills;
   for (auto k : spec.kills) {
     if (k.rank < 1 || k.rank >= spec.nranks) continue;  // workers only
     if (k.generation >= c.generations) k.generation = c.generations - 1;
-    if (spec.ft_checkpoint_every > 0 && k.generation > 0 &&
-        !core::recomputes_exactly(c)) {
-      k.generation -= k.generation % spec.ft_checkpoint_every;
-    }
     if (k.generation == 0) continue;  // gen-0 kills add no coverage here
     kills.push_back(k);
   }
@@ -476,13 +450,6 @@ bool normalize_spec(CaseSpec& spec) {
       case EngineKind::ParallelFtFaulty:
         if (spec.kills.empty()) continue;
         if (spec.nranks < 2) continue;
-        // Frozen-mode fitness is not a pure function of (population,
-        // generation) — it remembers when each pair was last replayed — so
-        // any recovery that misses a checkpoint restore (and a kill
-        // racing the very checkpoint that would cover it can always force
-        // that) resamples pairs differently. Not differentially testable;
-        // skip rather than chase phantom divergences.
-        if (c.fitness_mode == FitnessMode::SampledFrozen) continue;
         break;
       default:
         break;

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,9 +40,8 @@ struct CaseSpec {
   core::SimConfig config;       ///< threads forced to 0 for the reference
   int nranks = 2;               ///< rank count of the parallel variants
   unsigned threads = 0;         ///< SerialThreads: config.threads
-  std::uint64_t restore_at = 0;          ///< SerialRestore: split generation
-  std::uint64_t ft_checkpoint_every = 0;  ///< ft variants
-  std::vector<ft::KillFault> kills;       ///< ParallelFtFaulty
+  std::uint64_t restore_at = 0;     ///< SerialRestore: split generation
+  std::vector<ft::KillFault> kills;  ///< ParallelFtFaulty
   std::vector<EngineKind> engines;  ///< variants to compare (no Serial)
 };
 
@@ -51,9 +51,8 @@ struct EngineOutcome {
   std::uint64_t table_hash = 0;
   std::vector<double> fitness;  ///< final (top-of-last-generation) fitness
   core::EngineCounters counters;
-  /// Counters are only diffed when the variant makes them meaningful: ft
-  /// recovery that neither recomputes exactly nor restores a fresh
-  /// checkpoint over-counts.
+  /// Counters are only diffed when the variant keeps them (the self-test's
+  /// broken-dedup fixture keeps none).
   bool counters_comparable = true;
   std::vector<core::TracePoint> trace;
 };
@@ -82,9 +81,18 @@ bool normalize_spec(CaseSpec& spec);
 /// Run the reference and every listed variant; compare.
 CaseResult run_case(const CaseSpec& spec);
 
+/// Advance `born` (one entry per SSet, each SSet's last-change generation)
+/// past generation record `r`: an adoption or Moran replacement changes
+/// the learner, a mutation its target.
+void note_births(std::vector<std::uint64_t>& born,
+                 const core::GenerationRecord& r);
+
 /// The history-free oracle: which SSet's fitness differs from a fresh block
-/// (playing every pair where all have a closed form, else re-summing the
-/// engine's state, since stream values are history by design), or empty.
-std::string fresh_fitness_mismatch(const core::Engine& engine);
+/// initialized from the engine's population and `born` (note_births over
+/// every record so far), or empty. Sampled fitness is the generation's
+/// stream play, which the post-change population does not determine, so
+/// there the fresh block re-sums the engine's state.
+std::string fresh_fitness_mismatch(const core::Engine& engine,
+                                   std::span<const std::uint64_t> born);
 
 }  // namespace egt::simcheck

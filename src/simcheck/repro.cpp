@@ -19,7 +19,6 @@ std::string repro_to_json(const CaseResult& result, bool include_trace) {
   w.field("nranks", spec.nranks);
   w.field("threads", spec.threads);
   w.field("restore_at", spec.restore_at);
-  w.field("ft_checkpoint_every", spec.ft_checkpoint_every);
   w.key("kills").begin_array();
   for (const auto& k : spec.kills) {
     w.begin_object();
@@ -69,7 +68,6 @@ ParsedRepro parse_repro(const std::string& json_text) {
   read_u("nranks", spec.nranks);
   read_u("threads", spec.threads);
   read_u("restore_at", spec.restore_at);
-  read_u("ft_checkpoint_every", spec.ft_checkpoint_every);
   if (const auto* v = doc.find("kills")) {
     for (const auto& item : v->items()) {
       spec.kills.push_back({static_cast<int>(item.at("rank").as_u64()),

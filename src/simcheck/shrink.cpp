@@ -80,13 +80,6 @@ std::vector<Transform> transforms() {
     return true;
   });
   t.push_back([](CaseSpec& s) {
-    if (s.ft_checkpoint_every == 0 || !s.kills.empty()) {
-      return false;
-    }
-    s.ft_checkpoint_every = 0;
-    return true;
-  });
-  t.push_back([](CaseSpec& s) {
     if (s.threads == 0) return false;
     s.threads = 0;
     return true;

@@ -50,10 +50,12 @@ void expect_same_trajectory(const SimConfig& cfg, std::uint64_t split) {
   PointLog whole_log;
   Engine uninterrupted(cfg, &whole_reg);
   uninterrupted.set_trace(&whole_log);
+  std::vector<std::uint64_t> born(cfg.ssets, 0);
   for (std::uint64_t g = 0; g < cfg.generations; ++g) {
     uninterrupted.step();
+    simcheck::note_births(born, uninterrupted.last_record());
     if (g % 8 == 7) {
-      ASSERT_EQ(simcheck::fresh_fitness_mismatch(uninterrupted), "")
+      ASSERT_EQ(simcheck::fresh_fitness_mismatch(uninterrupted, born), "")
           << "after generation " << g;
     }
   }

@@ -1,7 +1,8 @@
 // A fixed slice of the chaos-soak seed space (tools/chaos_soak sweeps a
 // much larger one in CI). Each seed derives a random fault schedule —
-// master kills, cascades, drops, delays, torn checkpoints — and the run
-// must still reproduce the serial oracle bit for bit.
+// master kills, cascades, drops, delays, in Sampled, SampledFrozen and
+// fall-through Analytic configs — and the run must still reproduce the
+// serial oracle bit for bit.
 #include <gtest/gtest.h>
 
 #include "ft/chaos.hpp"
@@ -22,20 +23,29 @@ TEST(ChaosSoak, SchedulesAreDeterministic) {
 
 TEST(ChaosSoak, SeedSpaceCoversFailoverAndRecovery) {
   // The schedule generator must actually exercise the machinery: across a
-  // modest window of seeds there are master kills, cascades and torn
-  // checkpoints — not just fault-free runs.
-  int master_kills = 0, multi_kills = 0, torn = 0, drops = 0;
+  // modest window of seeds there are master kills, cascades and frozen
+  // samples to recover in both frozen modes — not just fault-free runs.
+  int master_kills = 0, multi_kills = 0, frozen = 0, fall_through = 0,
+      drops = 0;
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
     const auto s = make_chaos_schedule(seed);
     const auto& kills = s.options.plan.kills();
     for (const auto& k : kills) master_kills += k.rank == 0 ? 1 : 0;
     multi_kills += kills.size() > 1 ? 1 : 0;
-    torn += s.options.plan.torn_checkpoints().empty() ? 0 : 1;
+    frozen += s.config.fitness_mode == core::FitnessMode::SampledFrozen &&
+                      !kills.empty()
+                  ? 1
+                  : 0;
+    fall_through += s.config.fitness_mode == core::FitnessMode::Analytic &&
+                            s.config.memory == 2 && !kills.empty()
+                        ? 1
+                        : 0;
     drops += s.options.plan.drops().empty() ? 0 : 1;
   }
   EXPECT_GT(master_kills, 0) << "no schedule ever kills the Nature Agent";
   EXPECT_GT(multi_kills, 0);
-  EXPECT_GT(torn, 0);
+  EXPECT_GT(frozen, 0);
+  EXPECT_GT(fall_through, 0);
   EXPECT_GT(drops, 0);
 }
 

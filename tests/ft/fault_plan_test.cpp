@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "ft/fault_plan.hpp"
 #include "ft/protocol.hpp"
@@ -86,6 +87,20 @@ TEST(FaultPlan, RejectsMalformedInput) {
   EXPECT_THROW(
       (void)FaultPlan::parse(R"({"drops": [ {"tag": 1, "delay_ms": 5} ]})"),
       std::runtime_error);
+}
+
+TEST(FaultPlan, RejectsRetiredTornCheckpoints) {
+  // The ft engine writes no block checkpoints, so a torn-checkpoint fault
+  // would test nothing: the plan names the key and says why it is gone.
+  try {
+    (void)FaultPlan::parse(
+        R"({"torn_checkpoints": [ {"rank": 1, "generation": 4} ]})");
+    FAIL() << "torn_checkpoints accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("torn_checkpoints"), std::string::npos) << what;
+    EXPECT_NE(what.find("recomputes"), std::string::npos) << what;
+  }
 }
 
 TEST(FaultPlan, KillGenerationLookup) {

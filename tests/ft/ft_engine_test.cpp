@@ -118,29 +118,6 @@ TEST(FtEngine, FaultFreeSampledMatchesSerial) {
   expect_engine_counters_equal(ft, ref);
 }
 
-TEST(FtEngine, KillWithFreshCheckpointIsBitExact) {
-  // The kill generation is a multiple of checkpoint_every, so a fresh
-  // checkpoint would cover the recovery. A closed-form Analytic config
-  // writes none: the adopters recompute, and reproduce the fitness bit
-  // for bit.
-  const auto cfg = base_config();
-  const auto ref = serial_reference(cfg);
-  FtRunOptions opt;
-  opt.plan.kill(2, 12);
-  opt.checkpoint_every = 4;
-  const auto ft = run_parallel_ft(cfg, 4, opt);
-  expect_table_equal(ft, ref);
-  expect_fitness_equal(ft, ref);
-  expect_engine_counters_equal(ft, ref);
-  EXPECT_EQ(ft.ranks_lost, 1);
-  EXPECT_EQ(ft.metrics.counter_value("ft.recoveries"), 1u);
-  EXPECT_EQ(ft.metrics.counter_value("ft.failures_detected"), 1u);
-  EXPECT_EQ(ft.metrics.counter_value("ft.faults.kills"), 1u);
-  EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_restored"), 0u);
-  EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
-  EXPECT_EQ(ft.metrics.counter_value("ft.checkpoint.writes"), 0u);
-}
-
 TEST(FtEngine, KillInSampledModeRecomputesBitExact) {
   // Sampled fitness is recomputed from (population, generation) every
   // generation anyway, so recovery-by-recompute is bit-exact without any
@@ -156,7 +133,6 @@ TEST(FtEngine, KillInSampledModeRecomputesBitExact) {
   EXPECT_EQ(ft.ranks_lost, 1);
   EXPECT_EQ(ft.metrics.counter_value("ft.recoveries"), 1u);
   EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
-  EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_restored"), 0u);
 }
 
 /// base_config with mixed memory-one strategies under 2% noise: every
@@ -169,8 +145,8 @@ SimConfig mixed_noisy_config() {
 }
 
 TEST(FtEngine, KillWithoutCheckpointPreservesTrajectory) {
-  // Analytic recovery without a covering checkpoint recomputes the block
-  // from the replicated strategy table. Row sums are exact, so the
+  // Analytic recovery recomputes the block from the replicated strategy
+  // table. Row sums are exact, so the
   // recompute's summation order does not matter: table and fitness match
   // the reference bit for bit.
   for (const SimConfig& cfg : {base_config(), mixed_noisy_config()}) {
@@ -182,24 +158,6 @@ TEST(FtEngine, KillWithoutCheckpointPreservesTrajectory) {
     expect_fitness_equal(ft, ref);
     expect_engine_counters_equal(ft, ref);
     EXPECT_EQ(ft.metrics.counter_value("ft.recoveries"), 1u);
-    EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
-  }
-}
-
-TEST(FtEngine, KillWithTornCheckpointRecomputesBitExact) {
-  // These configs write no checkpoint for the fault to tear, so the
-  // adopter recomputes; the result is still the reference's, bit for bit.
-  // (FtFailover.TornCheckpointFallsBackAndStaysExact tears a real one.)
-  for (const SimConfig& cfg : {base_config(), mixed_noisy_config()}) {
-    const auto ref = serial_reference(cfg);
-    FtRunOptions opt;
-    opt.checkpoint_every = 4;
-    opt.plan.kill(2, 12);
-    opt.plan.torn_checkpoint(2, 12);
-    const auto ft = run_parallel_ft(cfg, 4, opt);
-    expect_table_equal(ft, ref);
-    expect_fitness_equal(ft, ref);
-    EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_restored"), 0u);
     EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
   }
 }
@@ -228,7 +186,6 @@ TEST(FtEngine, MoranRuleSurvivesAKill) {
   const auto ref = serial_reference(cfg);
   FtRunOptions opt;
   opt.plan.kill(1, 10);
-  opt.checkpoint_every = 5;
   const auto ft = run_parallel_ft(cfg, 4, opt);
   expect_table_equal(ft, ref);
   expect_fitness_equal(ft, ref);
@@ -317,8 +274,8 @@ TEST(FtEngine, FalsePositiveEvictionPreservesTrajectory) {
 // The master sends PLAN before it folds the previous generation's strategy
 // changes into its own blocks and plays its own game, so its blocks lag the
 // replica between generations. These pin the fault paths that read them
-// (a death during the PLAN round, a checkpoint, the master's own kill) and
-// the protocol's message count.
+// (a death during the PLAN round, the master's own kill) and the
+// protocol's message count.
 
 /// Collects the per-generation trace points of a run.
 struct PointLog : core::TraceSink {
@@ -370,18 +327,15 @@ TEST(FtEngine, WorkerKillAfterMasterRowChangeIsBitExact) {
   cfg.generations = *gen + 2;
   const auto ref = serial_reference(cfg);
   // The worker dies on this generation's PLAN, so the master adopts part
-  // of its range mid-generation, right after folding generation gen - 1.
-  // A checkpoint at the end of gen - 1 would cover the adoption; the
-  // closed-form config writes none, and the master recomputes.
+  // of its range mid-generation, right after folding generation gen - 1,
+  // and recomputes it.
   FtRunOptions opt;
   opt.plan.kill(2, *gen);
-  opt.checkpoint_every = *gen;
   const auto ft = run_parallel_ft(cfg, 4, opt);
   expect_table_equal(ft, ref);
   expect_fitness_equal(ft, ref);
   expect_all_engine_counters_equal(ft, ref);
   EXPECT_EQ(ft.ranks_lost, 1);
-  EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_restored"), 0u);
   EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
 }
 
@@ -395,38 +349,28 @@ TEST(FtEngine, MasterKillAfterMutationCountsTheDeadMastersFold) {
   const auto ref = serial_reference(cfg);
   // The master dies at the top of `gen` with generation gen - 1's changes
   // still unfolded: it must fold (and count) them before it goes, or the
-  // merged engine.pairs_evaluated falls short of the serial run. A
-  // checkpoint generation at the kill changes nothing: the closed-form
-  // config writes none, and the successor recomputes the dead master's
-  // range bit for bit either way.
-  for (const std::uint64_t every : {std::uint64_t{0}, *gen}) {
-    SCOPED_TRACE(every == 0 ? "no checkpoint" : "checkpoint at the kill");
-    FtRunOptions opt;
-    opt.plan.kill(0, *gen);
-    opt.standby_replicas = 1;
-    opt.checkpoint_every = every;
-    opt.detect_timeout_ms = 150.0;
-    opt.ping_timeout_ms = 60.0;
-    opt.max_pings = 2;
-    opt.master_silence_ms = 450.0;
-    opt.election_window_ms = 80.0;
-    const auto ft = run_parallel_ft(cfg, 4, opt);
-    expect_table_equal(ft, ref);
-    expect_all_engine_counters_equal(ft, ref);
-    if (every != 0) {
-      expect_fitness_equal(ft, ref);
-      EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"),
-                1u);
-    }
-    EXPECT_EQ(ft.failovers, 1);
-    EXPECT_EQ(ft.metrics.counter_value("ft.faults.kills"), 1u);
-  }
+  // merged engine.pairs_evaluated falls short of the serial run. The
+  // successor recomputes the dead master's range bit for bit.
+  FtRunOptions opt;
+  opt.plan.kill(0, *gen);
+  opt.standby_replicas = 1;
+  opt.detect_timeout_ms = 150.0;
+  opt.ping_timeout_ms = 60.0;
+  opt.max_pings = 2;
+  opt.master_silence_ms = 450.0;
+  opt.election_window_ms = 80.0;
+  const auto ft = run_parallel_ft(cfg, 4, opt);
+  expect_table_equal(ft, ref);
+  expect_fitness_equal(ft, ref);
+  expect_all_engine_counters_equal(ft, ref);
+  EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
+  EXPECT_EQ(ft.failovers, 1);
+  EXPECT_EQ(ft.metrics.counter_value("ft.faults.kills"), 1u);
 }
 
-// A kill on a checkpoint boundary whose range is split between two
-// adopters, one of which has already folded a change of the kill
-// generation: that adopter recomputes its rows (closed-form configs always
-// do) and replays the generation's changes on them.
+// A kill whose range is split between two adopters, one of which has
+// already folded a change of the kill generation: that adopter recomputes
+// its rows and replays the generation's changes on them.
 // The replay is the dead rank's own generation work and counts to
 // engine.*, so the counters match the fault-free run on the same ranks,
 // games_played included, and the serial run's pairs (they were one and
@@ -436,7 +380,6 @@ void expect_aligned_kill_counts_like_fault_free(const SimConfig& cfg,
                                                 int rank, std::uint64_t gen) {
   const auto ref = serial_reference(cfg);
   FtRunOptions opt;
-  opt.checkpoint_every = 4;
   opt.detect_timeout_ms = 150.0;
   opt.ping_timeout_ms = 60.0;
   opt.max_pings = 2;
@@ -494,73 +437,78 @@ TEST(FtEngine, AlignedKillReplayCountsAsEngineWorkPureMemoryThree) {
   expect_aligned_kill_counts_like_fault_free(cfg, 3, 40);
 }
 
-// -- which blocks write checkpoints -------------------------------------------
+// -- frozen samples --------------------------------------------------------
 //
-// A block that recomputation rebuilds bit for bit (core::recomputes_exactly)
-// is never checkpointed: Sampled, and Analytic where every pair has a
-// closed form. SampledFrozen samples, and Analytic's frozen fall-through
-// for stochastic memory >= 2 pairs, remember when each pair was played:
-// only those blocks write checkpoints, and only a restore recovers them.
+// SampledFrozen samples, and Analytic's frozen fall-through for stochastic
+// memory >= 2 pairs, were last played in the generation of the later of
+// their two SSets' last changes. Every rank applies every change with its
+// generation, so an adopter recomputes them bit for bit with no checkpoint.
+
+/// Mixed strategies under 2% noise, so every frozen sample depends on its
+/// stream key; dedup off, so games_played is partition-independent.
+std::vector<SimConfig> frozen_configs() {
+  auto frozen = mixed_noisy_config();
+  frozen.fitness_mode = FitnessMode::SampledFrozen;
+  frozen.dedup = false;
+  auto frozen_m2 = frozen;
+  frozen_m2.memory = 2;
+  auto fall_through = mixed_noisy_config();
+  fall_through.memory = 2;
+  fall_through.dedup = false;
+  return {frozen, frozen_m2, fall_through};
+}
 
 TEST(FtEngine, RecomputableConfigsWriteNoBlockCheckpoints) {
+  // Every config recomputes, so checkpoint_every is ignored and no
+  // checkpoint instrument exists; a kill off any former checkpoint
+  // generation ends bit-exact in table, fitness and all seven engine.*
+  // counters, frozen samples included.
   auto analytic = base_config();
   analytic.dedup = false;  // games_played is then partition-independent
   auto mixed = mixed_noisy_config();
   mixed.dedup = false;
-  for (const SimConfig& cfg : {sampled_config(), analytic, mixed}) {
-    ASSERT_TRUE(core::recomputes_exactly(cfg));
+  std::vector<SimConfig> configs = {sampled_config(), analytic, mixed};
+  for (const SimConfig& cfg : frozen_configs()) configs.push_back(cfg);
+  for (const SimConfig& cfg : configs) {
+    SCOPED_TRACE(cfg.summary());
     const auto ref = serial_reference(cfg);
     FtRunOptions opt;
     opt.checkpoint_every = 4;
-    const auto clean = run_parallel_ft(cfg, 4, opt);
-    EXPECT_EQ(clean.metrics.counter_value("ft.checkpoint.writes"), 0u);
-    EXPECT_EQ(clean.metrics.counter_value("ft.checkpoint.bytes"), 0u);
-    // Off a checkpoint generation: recovery recomputes wherever it lands.
     opt.plan.kill(2, 10);
     const auto ft = run_parallel_ft(cfg, 4, opt);
     expect_table_equal(ft, ref);
     expect_fitness_equal(ft, ref);
     expect_all_engine_counters_equal(ft, ref);
-    EXPECT_EQ(ft.metrics.counter_value("ft.checkpoint.writes"), 0u);
-    EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_restored"), 0u);
+    EXPECT_EQ(ft.metrics.find_counter("ft.checkpoint.writes"), nullptr);
+    EXPECT_EQ(ft.metrics.find_histogram("phase.ft_checkpoint"), nullptr);
     EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
-  }
-
-  auto frozen = base_config();
-  frozen.fitness_mode = FitnessMode::SampledFrozen;
-  auto fall_through = mixed_noisy_config();
-  fall_through.memory = 2;
-  for (const SimConfig& cfg : {frozen, fall_through}) {
-    ASSERT_FALSE(core::recomputes_exactly(cfg));
-    FtRunOptions opt;
-    opt.checkpoint_every = 4;
-    const auto ft = run_parallel_ft(cfg, 4, opt);
-    EXPECT_GT(ft.metrics.counter_value("ft.checkpoint.writes"), 0u);
-    EXPECT_GT(ft.metrics.counter_value("ft.checkpoint.bytes"), 0u);
   }
 }
 
-TEST(FtEngine, FrozenKillWithFreshCheckpointRestoresBitExact) {
-  // The kill generation is a multiple of checkpoint_every, so the dead
-  // rank's last checkpoint holds its blocks as of the recovery: the
-  // adopters restore them, frozen samples and their generation keys
-  // included, where a recompute would resample. Mixed strategies under
-  // noise make the samples depend on those keys.
-  auto cfg = mixed_noisy_config();
-  cfg.fitness_mode = FitnessMode::SampledFrozen;
-  const auto ref = serial_reference(cfg);
-  FtRunOptions opt;
-  opt.plan.kill(2, 12);
-  opt.checkpoint_every = 4;
-  const auto ft = run_parallel_ft(cfg, 4, opt);
-  expect_table_equal(ft, ref);
-  expect_fitness_equal(ft, ref);
-  expect_engine_counters_equal(ft, ref);
-  EXPECT_EQ(ft.ranks_lost, 1);
-  EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_restored"), 1u);
-  EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 0u);
-  EXPECT_EQ(ft.metrics.counter_value("ft.recovery.games_played"), 0u);
-  EXPECT_GE(ft.metrics.counter_value("ft.checkpoint.writes"), 1u);
+TEST(FtEngine, FrozenWorkerKillRecomputesBitExact) {
+  // The worker dies on the PLAN of a generation right after a change, late
+  // enough that most SSets have changed, so the master and the surviving
+  // workers adopt its range mid-generation from the top-of-generation
+  // table and births that change moved. The run ends two generations
+  // later, before further changes can replay the adopted entries.
+  for (SimConfig cfg : frozen_configs()) {
+    SCOPED_TRACE(cfg.summary());
+    const auto gen =
+        generation_after(serial_points(cfg), [](const core::TracePoint& p) {
+          return p.generation >= 40 && (p.mutated || (p.pc && p.adopted));
+        });
+    ASSERT_TRUE(gen.has_value()) << "no late strategy change";
+    cfg.generations = *gen + 2;
+    const auto ref = serial_reference(cfg);
+    FtRunOptions opt;
+    opt.plan.kill(2, *gen);
+    const auto ft = run_parallel_ft(cfg, 4, opt);
+    expect_table_equal(ft, ref);
+    expect_fitness_equal(ft, ref);
+    expect_all_engine_counters_equal(ft, ref);
+    EXPECT_EQ(ft.ranks_lost, 1);
+    EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
+  }
 }
 
 TEST(FtEngine, FaultFreeMessageCountIsTheProtocols) {
@@ -602,8 +550,7 @@ TEST(FtEngine, FtCountersArePreRegistered) {
   for (const char* name :
        {"ft.recoveries", "ft.failures_detected", "ft.suspected_ranks",
         "ft.false_alarms", "ft.resends", "ft.heals", "ft.faults.kills",
-        "ft.checkpoint.writes", "ft.checkpoint.bytes",
-        "ft.recovery.blocks_restored", "ft.recovery.blocks_recomputed",
+        "ft.recovery.blocks_recomputed",
         "ft.recovery.pairs_evaluated", "ft.rows_shipped"}) {
     EXPECT_NE(ft.metrics.find_counter(name), nullptr)
         << name << " missing from merged metrics";
@@ -807,11 +754,6 @@ TEST(FtEngine, RejectsInexecutablePlansAndOptions) {
   {
     FtRunOptions opt;
     opt.standby_replicas = -1;
-    EXPECT_THROW((void)run_parallel_ft(cfg, 3, opt), std::invalid_argument);
-  }
-  {
-    FtRunOptions opt;
-    opt.checkpoint_keep = 0;
     EXPECT_THROW((void)run_parallel_ft(cfg, 3, opt), std::invalid_argument);
   }
   {

@@ -3,14 +3,15 @@
 // with a worker, or cascading into the promoted standby — must still
 // reproduce the fault-free strategy table bit for bit, because the
 // decision log replicates Nature's RNG trajectory ahead of every decision
-// broadcast. Where the recovery path is bit-exact (Sampled recompute,
-// fresh block checkpoints) fitness and the merged "engine.*" counters are
-// asserted too.
+// broadcast. Recovery recomputes every block bit for bit, so fitness and
+// the merged "engine.*" counters are asserted too.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <stdexcept>
 
 #include "core/engine.hpp"
+#include "core/generation.hpp"
 #include "ft/ft_engine.hpp"
 #include "obs/metrics.hpp"
 
@@ -116,24 +117,41 @@ TEST(FtFailover, MasterKillFailsOverBitExact) {
   EXPECT_EQ(ft.generations, cfg.generations);
 }
 
-TEST(FtFailover, MasterKillWithCheckpointsRestoresBitExact) {
-  // The kill generation is a multiple of checkpoint_every, so a fresh
-  // checkpoint would cover the dead master's own blocks. A closed-form
-  // Analytic config writes none: the successor recomputes them, and the
-  // fitness survives bit for bit.
-  const auto cfg = analytic_config();
-  const auto ref = serial_reference(cfg);
-  auto opt = fast_failover();
-  opt.plan.kill(0, 12);
-  opt.checkpoint_every = 4;
-  const auto ft = run_parallel_ft(cfg, 4, opt);
-  expect_table_equal(ft, ref);
-  expect_fitness_equal(ft, ref);
-  expect_engine_counters_equal(ft, ref);
-  EXPECT_EQ(ft.failovers, 1);
-  EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_restored"), 0u);
-  EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
-  EXPECT_EQ(ft.metrics.counter_value("ft.checkpoint.writes"), 0u);
+TEST(FtFailover, FrozenMasterKillRecomputesBitExact) {
+  // The successor folds the dead master's range in at a generation
+  // boundary, recomputing it from the strategy table and each SSet's
+  // last-change generation as of the last applied decision: frozen
+  // samples (SampledFrozen at memory one and two, Analytic's memory-two
+  // fall-through) come back bit for bit, and so do all seven engine.*
+  // counters (dedup off keeps games_played partition-independent).
+  auto frozen = analytic_config();
+  frozen.fitness_mode = FitnessMode::SampledFrozen;
+  frozen.space = pop::StrategySpace::Mixed;
+  frozen.game.noise = 0.02;
+  frozen.dedup = false;
+  auto frozen_m2 = frozen;
+  frozen_m2.memory = 2;
+  auto fall_through = frozen_m2;
+  fall_through.fitness_mode = FitnessMode::Analytic;
+  for (const SimConfig& cfg : {frozen, frozen_m2, fall_through}) {
+    SCOPED_TRACE(cfg.summary());
+    const auto ref = serial_reference(cfg);
+    auto opt = fast_failover();
+    opt.plan.kill(0, 12);
+    const auto ft = run_parallel_ft(cfg, 4, opt);
+    expect_table_equal(ft, ref);
+    for (pop::SSetId i = 0; i < ref.population.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(ft.population.fitness(i)),
+                std::bit_cast<std::uint64_t>(ref.population.fitness(i)))
+          << "fitness diverged at SSet " << i;
+    }
+    EXPECT_EQ(core::counters_from(ft.metrics),
+              core::counters_from(ref.metrics))
+        << "ft " << core::to_string(core::counters_from(ft.metrics))
+        << "\nserial " << core::to_string(core::counters_from(ref.metrics));
+    EXPECT_EQ(ft.failovers, 1);
+    EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 1u);
+  }
 }
 
 TEST(FtFailover, MasterKillAtGenerationZero) {
@@ -200,31 +218,6 @@ TEST(FtFailover, AbortsWhenEveryLogCopyIsLost) {
   opt.plan.kill(0, 7);
   opt.plan.kill(1, 7);
   EXPECT_THROW((void)run_parallel_ft(cfg, 4, opt), std::runtime_error);
-}
-
-TEST(FtFailover, TornCheckpointFallsBackAndStaysExact) {
-  // Rank 2's generation-8 checkpoint is torn mid-write; when rank 2 dies
-  // the adopters detect the damage via the CRC footer and fall back to the
-  // intact generation-4 entry, and the table still matches. Only a config
-  // that does not recompute exactly writes checkpoints: SampledFrozen,
-  // with no strategy change (pc 0, mu 0) so the older entry stays fresh.
-  auto cfg = analytic_config();
-  cfg.fitness_mode = FitnessMode::SampledFrozen;
-  cfg.pc_rate = 0.0;
-  cfg.mutation_rate = 0.0;
-  const auto ref = serial_reference(cfg);
-  FtRunOptions opt;  // master survives: default timeouts
-  opt.checkpoint_every = 4;
-  opt.plan.torn_checkpoint(2, 8);
-  opt.plan.kill(2, 10);
-  const auto ft = run_parallel_ft(cfg, 4, opt);
-  expect_table_equal(ft, ref);
-  expect_engine_counters_equal(ft, ref);
-  EXPECT_EQ(ft.failovers, 0);
-  EXPECT_GE(ft.metrics.counter_value("ft.faults.checkpoints_torn"), 1u);
-  EXPECT_GE(ft.metrics.counter_value("ft.checkpoint.fallbacks"), 1u);
-  EXPECT_GE(ft.metrics.counter_value("ft.recovery.blocks_restored"), 1u);
-  EXPECT_EQ(ft.metrics.counter_value("ft.recovery.blocks_recomputed"), 0u);
 }
 
 }  // namespace

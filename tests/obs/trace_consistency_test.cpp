@@ -19,8 +19,7 @@
 namespace egt::obs {
 namespace {
 
-constexpr const char* kFtPhases[] = {"phase.ft_checkpoint", "phase.ft_recovery",
-                                     "phase.ft_election"};
+constexpr const char* kFtPhases[] = {"phase.ft_recovery", "phase.ft_election"};
 
 /// Runs `body` under the flight recorder and returns its Chrome trace.
 template <class Body>
@@ -91,16 +90,13 @@ TEST(TraceConsistency, PhaseSpansMatchManifestTimers) {
     expect_spans_match_timers(spans, snap, name);
   }
 
-  // The ft engine's three phases ride the same one-clock scopes: a run
-  // that checkpoints (SampledFrozen blocks do; Sampled and closed-form
-  // Analytic ones recompute instead), recovers a killed worker and fails
-  // over rank 0.
+  // The ft engine's two phases ride the same one-clock scopes: a run that
+  // recovers a killed worker and fails over rank 0.
   core::SimConfig ft_cfg = cfg;
   ft_cfg.fitness_mode = core::FitnessMode::SampledFrozen;
   ft_cfg.pc_rate = 0.5;
   ft_cfg.generations = 40;
   ft::FtRunOptions opt;
-  opt.checkpoint_every = 10;
   opt.plan.kill(2, 12).kill(0, 25);
   opt.detect_timeout_ms = 150.0;
   opt.ping_timeout_ms = 60.0;

@@ -53,7 +53,6 @@ TEST(RunCase, AllEnginesAgreeOnAFixedSpec) {
   spec.nranks = 3;
   spec.threads = 2;
   spec.restore_at = 4;
-  spec.ft_checkpoint_every = 2;
   spec.engines = {EngineKind::Parallel, EngineKind::ParallelReplicated,
                   EngineKind::SerialThreads, EngineKind::SerialRestore,
                   EngineKind::ParallelFt};
@@ -68,21 +67,33 @@ TEST(RunCase, AllEnginesAgreeOnAFixedSpec) {
   EXPECT_EQ(result.reference.trace.size(), spec.config.generations);
 }
 
-TEST(RunCase, FaultyFtOnCheckpointBoundaryStaysOnTrajectory) {
-  CaseSpec spec;
-  spec.config = small_config();
-  spec.config.fitness_mode = core::FitnessMode::Analytic;
-  spec.nranks = 3;
-  spec.ft_checkpoint_every = 2;
-  spec.kills = {{/*rank=*/1, /*generation=*/4}};
-  spec.engines = {EngineKind::ParallelFtFaulty};
-  ASSERT_TRUE(normalize_spec(spec));
-  ASSERT_EQ(spec.engines.size(), 1u);
-  const auto result = run_case(spec);
-  for (const auto& f : result.failures) {
-    ADD_FAILURE() << engine_kind_name(f.engine) << ": " << f.what;
+TEST(RunCase, FaultyFtStaysOnTrajectoryWithFrozenSamples) {
+  // Recovery recomputes every block, so the faulty variant matches the reference strictly — table, fitness bits,
+  // trace and all seven counters — for frozen samples too: SampledFrozen,
+  // and the frozen-sampling fall-through of stochastic memory-2 Analytic
+  // pairs. (Each kill waits out the variant's generous detection timeout.)
+  for (const auto mode :
+       {core::FitnessMode::SampledFrozen, core::FitnessMode::Analytic}) {
+    for (const int memory : {2}) {
+      CaseSpec spec;
+      spec.config = small_config();
+      spec.config.fitness_mode = mode;
+      spec.config.memory = memory;
+      spec.config.space = pop::StrategySpace::Mixed;
+      spec.config.game.noise = 0.05;
+      spec.config.dedup = false;
+      spec.nranks = 3;
+      spec.kills = {{/*rank=*/1, /*generation=*/5}};
+      spec.engines = {EngineKind::ParallelFtFaulty};
+      ASSERT_TRUE(normalize_spec(spec));
+      ASSERT_EQ(spec.engines.size(), 1u) << "faulty variant dropped";
+      const auto result = run_case(spec);
+      for (const auto& f : result.failures) {
+        ADD_FAILURE() << "mode " << static_cast<int>(mode) << " memory "
+                      << memory << ": " << f.what;
+      }
+    }
   }
-  EXPECT_TRUE(result.passed());
 }
 
 // CaseSpec has no equality operator; compare the fields that pin the draw
@@ -112,8 +123,6 @@ TEST(SampleCase, ProducesValidNormalizedSpecs) {
     for (const auto& k : spec.kills) {
       EXPECT_GE(k.rank, 1) << "master kills are failover-undefined";
       EXPECT_LT(k.rank, spec.nranks);
-      ASSERT_GT(spec.ft_checkpoint_every, 0u);
-      EXPECT_EQ(k.generation % spec.ft_checkpoint_every, 0u);
     }
   }
 }
@@ -135,18 +144,19 @@ TEST(NormalizeSpec, RepairsOutOfRangeFields) {
             1);
 }
 
-TEST(NormalizeSpec, DropsFrozenModeFaultyVariant) {
+TEST(NormalizeSpec, KeepsFrozenModeFaultyVariantAndItsKill) {
   CaseSpec spec;
   spec.config = small_config();
   spec.config.fitness_mode = core::FitnessMode::SampledFrozen;
   spec.nranks = 3;
-  spec.ft_checkpoint_every = 2;
-  spec.kills = {{1, 2}};
+  spec.kills = {{1, 3}};
   spec.engines = {EngineKind::Parallel, EngineKind::ParallelFtFaulty};
   ASSERT_TRUE(normalize_spec(spec));
   EXPECT_EQ(std::count(spec.engines.begin(), spec.engines.end(),
                        EngineKind::ParallelFtFaulty),
-            0);
+            1);
+  ASSERT_EQ(spec.kills.size(), 1u);
+  EXPECT_EQ(spec.kills[0].generation, 3u) << "kills stay where they land";
 }
 
 }  // namespace

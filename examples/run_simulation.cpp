@@ -57,6 +57,31 @@
 
 namespace {
 
+/// Flags only the serial generation loop honours, each with why the
+/// parallel engines cannot: under --ranks they are rejected rather than
+/// silently ignored.
+struct SerialOnlyFlag {
+  const char* name;
+  const char* why;
+};
+constexpr const char* kNoCheckpoints =
+    "the parallel engines write no checkpoints (the fault-tolerant one "
+    "recovers a lost rank's blocks by recomputation) and always start at "
+    "generation 0";
+constexpr SerialOnlyFlag kSerialOnlyFlags[] = {
+    {"resume", "the parallel engines replay from generation 0"},
+    {"checkpoint", kNoCheckpoints},
+    {"checkpoint-dir", kNoCheckpoints},
+    {"checkpoint-every", kNoCheckpoints},
+    {"checkpoint-keep", kNoCheckpoints},
+    {"series",
+     "the population series is sampled by the serial generation loop; "
+     "--metrics-stream streams a parallel run's per-generation telemetry"},
+    {"max-wall-seconds",
+     "the graceful stop (final checkpoint, clean exit) lives in the serial "
+     "generation loop; the parallel engines run every --generations"},
+};
+
 struct OutputPaths {
   std::string series;
   std::string heatmap;
@@ -78,6 +103,7 @@ struct OutputPaths {
   int ft_max_pings = 3;
   int ft_standby = 1;
   int ranks = 0;
+  const SerialOnlyFlag* serial_only = nullptr;  // first one given, if any
   bool progress = false;
   bool list_games = false;
   bool preview = false;
@@ -240,6 +266,12 @@ egt::core::SimConfig build_config(egt::util::Cli& cli, int argc, char** argv,
   auto verbose = cli.flag("verbose", "info-level logging");
   cli.parse(argc, argv);
   if (*verbose || *progress) util::set_log_level(util::LogLevel::Info);
+  for (const SerialOnlyFlag& f : kSerialOnlyFlags) {
+    if (cli.given(f.name)) {
+      out.serial_only = &f;
+      break;
+    }
+  }
 
   core::SimConfig cfg;
   out.list_games = *list_games;
@@ -673,27 +705,22 @@ int run_cli(int argc, char** argv) {
     return run_preview_mode(cfg);
   }
 
+  if (!out.fault_plan.empty() && out.ranks <= 0) {
+    throw std::invalid_argument("--fault-plan requires --ranks N (N >= 1)");
+  }
+  if (out.ranks > 0 && out.serial_only != nullptr) {
+    throw std::invalid_argument(std::string("--") + out.serial_only->name +
+                                " is a serial-engine feature and does "
+                                "nothing with --ranks: " +
+                                out.serial_only->why);
+  }
+
   std::printf("running: %s\n", cfg.summary().c_str());
   util::Timer timer;
   obs::MetricsRegistry metrics;
   const auto stream = open_metrics_stream(out, metrics);
   if (!out.trace_out.empty()) {
     start_tracer(cfg, std::max(out.ranks, 1), out.trace_capacity);
-  }
-
-  if (!out.fault_plan.empty() && out.ranks <= 0) {
-    throw std::invalid_argument("--fault-plan requires --ranks N (N >= 1)");
-  }
-  if (!out.fault_plan.empty() && out.checkpoint_every > 0) {
-    throw std::invalid_argument(
-        "--checkpoint-every does nothing with --fault-plan: the "
-        "fault-tolerant engine writes no checkpoints, it recovers every "
-        "block by recomputation");
-  }
-  if (out.ranks > 0 && !out.resume.empty()) {
-    throw std::invalid_argument(
-        "--resume is a serial-engine feature; the parallel "
-        "engines replay from generation 0");
   }
 
   if (!out.fault_plan.empty()) {

@@ -139,9 +139,12 @@ void Comm::send(int dest, int tag, std::vector<std::byte> payload) {
 
 Message Comm::recv(int source, int tag) {
   // The span covers the wait: a long comm.recv is time this rank sat
-  // blocked on the network.
+  // blocked on the network. Its arg says whether the wait outlasted the
+  // mailbox's spin and parked (trace_report splits waiting hops by it).
   obs::TraceSpan span(obs::kCommRecv, obs::kCatComm);
-  Message m = ctx_->inbox(rank_).receive(source, tag);
+  bool parked = false;
+  Message m = ctx_->inbox(rank_).receive(source, tag, &parked);
+  span.set_arg("parked", parked ? 1 : 0);
   obs::trace_flow_end(m.trace_id);
   return m;
 }
@@ -158,7 +161,9 @@ std::optional<Message> Comm::recv_for(int source, int tag,
   // Timed-out waits record too: heartbeat silences are the interesting
   // gaps in an ft timeline.
   obs::TraceSpan span(obs::kCommRecv, obs::kCatComm);
-  auto m = ctx_->inbox(rank_).receive_for(source, tag, timeout);
+  bool parked = false;
+  auto m = ctx_->inbox(rank_).receive_for(source, tag, timeout, &parked);
+  span.set_arg("parked", parked ? 1 : 0);
   if (m) obs::trace_flow_end(m->trace_id);
   return m;
 }

@@ -77,7 +77,15 @@ void Cli::parse(int argc, char** argv) {
                    name.c_str(), e.what());
       std::exit(2);
     }
+    opt->given = true;
   }
+}
+
+bool Cli::given(const std::string& name) const {
+  for (const auto& o : options_) {
+    if (o.name == name) return o.given;
+  }
+  return false;
 }
 
 std::string Cli::usage() const {

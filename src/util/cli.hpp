@@ -41,6 +41,10 @@ class Cli {
 
   std::string usage() const;
 
+  /// Whether parse() saw `--name` on the command line (an option given
+  /// its default value explicitly counts as given).
+  bool given(const std::string& name) const;
+
  private:
   struct Option {
     std::string name;
@@ -48,6 +52,7 @@ class Cli {
     std::string default_display;
     std::function<void(const std::string&)> apply;
     bool is_flag;
+    bool given = false;
   };
 
   void add_option(const std::string& name, const std::string& help,

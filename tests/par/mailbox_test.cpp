@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 namespace egt::par {
@@ -114,6 +116,99 @@ TEST(Mailbox, ReceiveForWakesOnDelivery) {
   EXPECT_EQ(std::to_integer<int>(m->payload[0]), 99);
   EXPECT_LT(waited, std::chrono::seconds(5));
   producer.join();
+}
+
+TEST(Mailbox, QueuedMessageIsTakenWithoutParking) {
+  Mailbox box;
+  box.deliver(make_msg(1, 5, 42));
+  bool parked = true;
+  const Message m = box.receive(1, 5, &parked);
+  EXPECT_EQ(std::to_integer<int>(m.payload[0]), 42);
+  EXPECT_FALSE(parked);
+}
+
+TEST(Mailbox, DeliveryInsideTheSpinWindowIsReturned) {
+  // One producer answers each round's request at once, well inside
+  // kSpinBudget of the receive starting. Every message comes back in
+  // order; a host busy enough to hold the producer off the CPU past the
+  // budget turns a round into a parked wake, so only some round has to
+  // be caught while spinning.
+  constexpr int kRounds = 100;
+  Mailbox box;
+  std::atomic<int> requested{0};
+  std::thread producer([&] {
+    for (int round = 1; round <= kRounds; ++round) {
+      while (requested.load(std::memory_order_acquire) < round) {
+        std::this_thread::yield();
+      }
+      box.deliver(make_msg(4, 2, round));
+    }
+  });
+  int spun = 0;
+  for (int round = 1; round <= kRounds; ++round) {
+    requested.store(round, std::memory_order_release);
+    bool parked = true;
+    const Message m = box.receive(4, 2, &parked);
+    EXPECT_EQ(std::to_integer<int>(m.payload[0]), round);
+    if (!parked) ++spun;
+  }
+  producer.join();
+  EXPECT_GT(spun, 0);
+  EXPECT_EQ(box.pending(), 0u);
+}
+
+TEST(Mailbox, DeliveryAfterTheBudgetWakesTheParkedReceiver) {
+  static_assert(kSpinBudget < std::chrono::milliseconds(20));
+  Mailbox box;
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    box.deliver(make_msg(7, 3, 99));
+  });
+  bool parked = false;
+  const Message m = box.receive(7, 3, &parked);
+  EXPECT_EQ(std::to_integer<int>(m.payload[0]), 99);
+  EXPECT_TRUE(parked);
+  producer.join();
+}
+
+TEST(Mailbox, NonMatchingDeliveryDuringTheSpinIsKept) {
+  // A delivery for another (source, tag) moves the sequence the spinner
+  // polls. It must neither end the receive nor be consumed, and the later
+  // matching message must still arrive.
+  Mailbox box;
+  std::atomic<bool> started{false};
+  std::thread producer([&] {
+    while (!started.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    box.deliver(make_msg(2, 9, 7));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    box.deliver(make_msg(1, 5, 8));
+  });
+  started.store(true, std::memory_order_release);
+  const Message m = box.receive(1, 5);
+  producer.join();
+  EXPECT_EQ(m.source, 1);
+  EXPECT_EQ(std::to_integer<int>(m.payload[0]), 8);
+  ASSERT_EQ(box.pending(), 1u);
+  Message other;
+  ASSERT_TRUE(box.try_receive(2, 9, other));
+  EXPECT_EQ(std::to_integer<int>(other.payload[0]), 7);
+}
+
+TEST(Mailbox, ReceiveForShorterThanTheBudgetKeepsItsDeadline) {
+  // The spin counts against the deadline: a timeout inside the spin
+  // window ends the wait at the deadline, never before it.
+  Mailbox box;
+  for (const auto timeout :
+       {std::chrono::nanoseconds(kSpinBudget) / 5,
+        std::chrono::nanoseconds(kSpinBudget) * 4 / 5}) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto m = box.receive_for(1, 5, timeout);
+    const auto waited = std::chrono::steady_clock::now() - t0;
+    EXPECT_FALSE(m.has_value());
+    EXPECT_GE(waited, timeout);
+  }
 }
 
 TEST(Mailbox, ManyProducersAllDelivered) {

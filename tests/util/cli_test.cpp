@@ -61,6 +61,21 @@ TEST(Cli, FlagsDefaultFalseAndSet) {
   }
 }
 
+TEST(Cli, GivenTellsExplicitOptionsFromDefaults) {
+  Cli cli("prog", "test");
+  auto keep = cli.opt<int>("keep", 3, "an int");
+  (void)cli.opt<int>("other", 1, "an int");
+  (void)cli.flag("f", "a flag");
+  std::vector<std::string> args{"prog", "--keep=3", "--f"};
+  auto argv = argv_of(args);
+  cli.parse(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(*keep, 3);
+  EXPECT_TRUE(cli.given("keep"));  // the default, but spelled out
+  EXPECT_FALSE(cli.given("other"));
+  EXPECT_TRUE(cli.given("f"));
+  EXPECT_FALSE(cli.given("no-such-option"));
+}
+
 TEST(Cli, UsageMentionsOptionsAndDefaults) {
   Cli cli("prog", "does things");
   (void)cli.opt<int>("count", 3, "how many");

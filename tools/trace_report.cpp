@@ -13,8 +13,9 @@
 // bound no amount of overlap can beat), the slowest generations, and —
 // for ft runs — the recorded failure-handling events. It also reports the
 // message hop distribution (send to receive), split by whether the
-// receiver was already waiting for the message or busy elsewhere
-// (trace_report_lib.hpp).
+// receiver was already waiting for the message or busy elsewhere, and the
+// waiting hops by whether the receiver caught the message while spinning
+// or had parked (trace_report_lib.hpp).
 //
 // --calibrate turns a traced run into a RoundCostTable entry for the
 // performance simulator (src/machine/costmodel.hpp): game_play span time
@@ -223,6 +224,8 @@ void report(const Trace& t, int top_k) {
     };
     row("all", hops.all);
     row("waiting (deliver+wake)", hops.waiting);
+    row("  spun", hops.spun);
+    row("  parked", hops.parked);
     row("busy (queued)", hops.busy);
   }
 

@@ -10,6 +10,11 @@
 //            so the hop is delivery plus wake-up;
 //   busy     it was doing something else, so the hop includes the time
 //            the message sat queued in its inbox.
+// Waiting hops split again by the covering span's "parked" arg
+// (par::Mailbox's spin-then-park wait): spun hops were caught while the
+// receiver polled, parked ones paid the condition-variable wake. A
+// comm.recv span without the arg (a trace from before the spin) counts as
+// parked, which is what every wait then was.
 #pragma once
 
 #include <algorithm>
@@ -120,6 +125,8 @@ inline HopStats hop_stats(std::vector<double> hops) {
 struct HopReport {
   HopStats all;
   HopStats waiting;  ///< receiver already in comm.recv at the send
+  HopStats spun;     ///< waiting, and caught before the receiver parked
+  HopStats parked;   ///< waiting, and woken from the condition variable
   HopStats busy;     ///< receiver elsewhere: the message queued
 };
 
@@ -129,13 +136,16 @@ inline HopReport message_hops(const Trace& t) {
   using Thread = std::pair<std::int64_t, std::int64_t>;  // (pid, tid)
   struct Span {
     double begin, end;
+    bool parked;
   };
   std::map<std::uint64_t, double> sent;  // flow id -> send time
   std::map<Thread, std::vector<Span>> recvs;
   for (const Event& e : t.events) {
     if (e.ph == "s") sent.emplace(e.flow_id, e.ts_us);
     if (e.ph == "X" && e.name == "comm.recv") {
-      recvs[{e.pid, e.tid}].push_back({e.ts_us, e.ts_us + e.dur_us});
+      const bool parked =
+          !(e.has_arg && e.arg_name == "parked") || e.arg != 0;
+      recvs[{e.pid, e.tid}].push_back({e.ts_us, e.ts_us + e.dur_us, parked});
     }
   }
   // One thread's receives never overlap: sorted by begin, the span that
@@ -145,27 +155,33 @@ inline HopReport message_hops(const Trace& t) {
       return a.begin < b.begin;
     });
   }
-  std::vector<double> all, waiting, busy;
+  std::vector<double> all, waiting, spun, parked, busy;
   for (const Event& e : t.events) {
     if (e.ph != "f") continue;
     const auto start = sent.find(e.flow_id);
     if (start == sent.end()) continue;
     const double hop = e.ts_us - start->second;
     all.push_back(hop);
-    bool was_waiting = false;
+    const Span* cover = nullptr;  // the receive that was already waiting
     if (const auto it = recvs.find({e.pid, e.tid}); it != recvs.end()) {
       const auto& spans = it->second;
       const auto after = std::upper_bound(
           spans.begin(), spans.end(), e.ts_us,
           [](double ts, const Span& s) { return ts < s.begin; });
       if (after != spans.begin()) {
-        const Span& cover = *(after - 1);
-        was_waiting = e.ts_us <= cover.end && cover.begin <= start->second;
+        const Span& last = *(after - 1);
+        if (e.ts_us <= last.end && last.begin <= start->second) cover = &last;
       }
     }
-    (was_waiting ? waiting : busy).push_back(hop);
+    if (cover == nullptr) {
+      busy.push_back(hop);
+      continue;
+    }
+    waiting.push_back(hop);
+    (cover->parked ? parked : spun).push_back(hop);
   }
-  return {hop_stats(std::move(all)), hop_stats(std::move(waiting)),
+  return {hop_stats(std::move(all)),    hop_stats(std::move(waiting)),
+          hop_stats(std::move(spun)),   hop_stats(std::move(parked)),
           hop_stats(std::move(busy))};
 }
 

@@ -139,6 +139,14 @@ int main(int argc, char** argv) {
     variants.push_back({"sampled m6 noisy", m6});
     variants.push_back({"sampled m6 noisy scalar", m6, false,
                         /*force_scalar=*/true});
+    // The same play between mixed memory-six strategies: every move is a
+    // draw and a gathered probability, the shape whose forced-scalar cost
+    // the lane kernel once raised; its twin gate is in bench_check too.
+    auto m6_mixed = m6;
+    m6_mixed.space = pop::StrategySpace::Mixed;
+    variants.push_back({"sampled m6 mixed noisy", m6_mixed});
+    variants.push_back({"sampled m6 mixed noisy scalar", m6_mixed, false,
+                        /*force_scalar=*/true});
   }
 
   struct Result {

@@ -111,6 +111,50 @@ void BM_StreamGames(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamGames)->Args({255, 0})->Args({1, 0})->Args({1, 1});
 
+// The payoff-only twin the fitness tier runs (a pure B through its
+// mirrored table), on the same shapes as BM_StreamGames.
+void BM_StreamPayoffs(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const bool mixed = state.range(1) != 0;
+  game::IpdParams params;
+  params.noise = 0.02;
+  util::Xoshiro256 rng(4);
+  std::vector<game::Strategy> players;
+  std::vector<std::uint64_t> mirrors(game::batch::move_words(6) * (batch + 1));
+  for (std::size_t k = 0; k <= batch; ++k) {
+    if (mixed) {
+      players.emplace_back(game::MixedStrategy::random(6, rng));
+    } else {
+      players.emplace_back(game::PureStrategy::random(6, rng));
+      game::batch::mirror_moves(
+          players.back().as_pure().table().words().data(), 6,
+          mirrors.data() + k * game::batch::move_words(6));
+    }
+  }
+  const auto b_player = [&](std::size_t k) {
+    if (mixed) return game::batch::Player::of(players[k]);
+    return game::batch::Player{mirrors.data() + k * game::batch::move_words(6),
+                               nullptr};
+  };
+  std::vector<game::batch::StreamGame> games;
+  games.reserve(batch);
+  std::vector<double> out(batch);
+  std::uint64_t g = 0;
+  for (auto _ : state) {
+    games.clear();
+    for (std::size_t k = 0; k < batch; ++k) {
+      games.push_back({game::batch::Player::of(players[0]), b_player(k + 1),
+                       util::StreamRng(0, ++g)});
+    }
+    game::batch::payoff_stream_games(games, 6, params, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_StreamPayoffs)->Args({255, 0})->Args({1, 0})->Args({1, 1});
+
 void BM_ExactPureGame(benchmark::State& state) {
   const int memory = static_cast<int>(state.range(0));
   util::Xoshiro256 rng(2);

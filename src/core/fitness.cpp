@@ -139,7 +139,7 @@ void PairEvaluator::payoffs(const pop::Population& pop,
   thread_local std::vector<double> mem1_out;
   thread_local std::vector<game::batch::StreamGame> games;
   thread_local std::vector<std::size_t> game_slot;
-  thread_local std::vector<game::GameResult> game_out;
+  thread_local std::vector<double> game_out;
   mem1.clear();
   mem1_slot.clear();
   games.clear();
@@ -170,8 +170,12 @@ void PairEvaluator::payoffs(const pop::Population& pop,
                                           config_.game.rounds)
                    .payoff_a;
     } else if (r == Route::SampledStream && lanes) {
-      games.push_back({game::batch::Player::of(si),
-                       game::batch::Player::of(sj),
+      // The payoff-only kernel reads a pure B through its mirrored table.
+      const game::batch::Player b =
+          sj.is_pure() ? game::batch::Player{pop.mirror(pop.strategy_class(j)),
+                                             nullptr}
+                       : game::batch::Player::of(sj);
+      games.push_back({game::batch::Player::of(si), b,
                        util::StreamRng(config_.seed,
                                        util::stream_key(key(i, j), i, j))});
       game_slot.push_back(t);
@@ -188,10 +192,10 @@ void PairEvaluator::payoffs(const pop::Population& pop,
   }
   if (!games.empty()) {
     if (game_out.size() < games.size()) game_out.resize(games.size());
-    game::batch::play_stream_games(games, config_.memory, engine_.params(),
-                                   game_out);
+    game::batch::payoff_stream_games(games, config_.memory, engine_.params(),
+                                     game_out);
     for (std::size_t k = 0; k < game_slot.size(); ++k) {
-      out[game_slot[k]] = game_out[k].payoff_a;
+      out[game_slot[k]] = game_out[k];
     }
   }
 }

@@ -62,7 +62,8 @@ class PairEvaluator {
                     ///< (batch::expected_totals_mem1, AVX2 or scalar)
     SampledStream,  ///< (gen_key, i, j)-keyed stream play — never
                     ///< deduplicated; binary games run through the
-                    ///< sampled lane kernel (batch::play_stream_games)
+                    ///< payoff-only sampled lane kernel
+                    ///< (batch::payoff_stream_games)
   };
   Route route(const game::Strategy& si,
               const game::Strategy& sj) const noexcept;

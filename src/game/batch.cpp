@@ -355,11 +355,36 @@ std::uint64_t unit_threshold(double p) noexcept {
   return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
+void mirror_moves(const std::uint64_t* words, int memory,
+                  std::uint64_t* out) noexcept {
+  // t marks the bits p of mask m whose partner p + d differs; flipping
+  // both exchanges them.
+  const auto delta_swap = [](std::uint64_t x, std::uint64_t m, int d) {
+    const std::uint64_t t = ((x >> d) ^ x) & m;
+    return x ^ t ^ (t << d);
+  };
+  const std::size_t n = move_words(memory);
+  for (std::size_t w = 0; w < n; ++w) {
+    std::uint64_t x = words[swap_pairs(static_cast<State>(w))];
+    x = delta_swap(x, 0x2222222222222222ULL, 1);   // index bits 0 <-> 1
+    x = delta_swap(x, 0x00f000f000f000f0ULL, 4);   // index bits 2 <-> 3
+    x = delta_swap(x, 0x00000000ffff0000ULL, 16);  // index bits 4 <-> 5
+    out[w] = x;
+  }
+}
+
 #if !defined(EGT_SIMD_AVX2)
 void play_stream_avx2(const StreamLanes&, std::size_t, LaneTotals*) {
   EGT_REQUIRE_MSG(false, "AVX2 sampled kernel not compiled in (EGT_SIMD=OFF)");
 }
 void play_stream_avx512(const StreamLanes&, std::size_t, LaneTotals*) {
+  EGT_REQUIRE_MSG(false,
+                  "AVX-512 sampled kernel not compiled in (EGT_SIMD=OFF)");
+}
+void play_stream_avx2(const StreamLanes&, std::size_t, double*) {
+  EGT_REQUIRE_MSG(false, "AVX2 sampled kernel not compiled in (EGT_SIMD=OFF)");
+}
+void play_stream_avx512(const StreamLanes&, std::size_t, double*) {
   EGT_REQUIRE_MSG(false,
                   "AVX-512 sampled kernel not compiled in (EGT_SIMD=OFF)");
 }
@@ -370,48 +395,45 @@ void play_stream_scalar(const StreamLanes& in, std::size_t n,
   stream_batch<ScalarLane>(in, n, out);
 }
 
-void play_stream_games_lanes(std::span<const StreamGame> games, int memory,
-                             const IpdParams& params, int lanes,
-                             std::span<GameResult> out) {
-  EGT_REQUIRE(out.size() >= games.size());
+void play_stream_scalar(const StreamLanes& in, std::size_t n, double* out) {
+  stream_batch<ScalarLane>(in, n, out);
+}
+
+namespace {
+
+/// The games of one call grouped by player kind, 2 * mixed_a + mixed_b
+/// (lanes of one group share a draw layout); slot[kind][k] is the call's
+/// index of games[kind][k].
+struct KindGroups {
+  std::vector<LaneGame> games[4];
+  std::vector<std::uint32_t> slot[4];
+
+  void clear() {
+    for (int kind = 0; kind < 4; ++kind) {
+      games[kind].clear();
+      slot[kind].clear();
+    }
+  }
+  void add(const StreamGame& g, std::size_t k) {
+    const auto address = [](const Player& p) {
+      return p.coop != nullptr ? reinterpret_cast<std::uintptr_t>(p.coop)
+                               : reinterpret_cast<std::uintptr_t>(p.bits);
+    };
+    const int kind = 2 * (g.a.coop != nullptr) + (g.b.coop != nullptr);
+    games[kind].push_back({address(g.a), address(g.b), g.rng.origin()});
+    slot[kind].push_back(static_cast<std::uint32_t>(k));
+  }
+};
+
+void check_lanes(int memory, const IpdParams& params, int lanes) {
   EGT_REQUIRE(memory >= 0 && memory <= kMaxMemory);
   EGT_REQUIRE(params.rounds > 0);
   EGT_REQUIRE_MSG(lanes == 1 || lanes == 8 || lanes == 16,
                   "sampled kernel width must be 1, 8 or 16 games");
-  // Lanes of one group share a draw layout, so games are grouped by which
-  // side is mixed (index 2 * mixed_a + mixed_b).
-  struct Scratch {
-    std::vector<LaneGame> games[4];
-    std::vector<std::uint32_t> slot[4];
-    std::vector<LaneTotals> totals;
-  };
-  thread_local Scratch scratch;
-  for (int kind = 0; kind < 4; ++kind) {
-    scratch.games[kind].clear();
-    scratch.slot[kind].clear();
-  }
-  const auto address = [](const Player& p) {
-    return p.coop != nullptr ? reinterpret_cast<std::uintptr_t>(p.coop)
-                             : reinterpret_cast<std::uintptr_t>(p.bits);
-  };
-  bool drawn = false;
-  for (std::size_t k = 0; k < games.size(); ++k) {
-    const StreamGame& g = games[k];
-    const bool mixed_a = g.a.coop != nullptr;
-    const bool mixed_b = g.b.coop != nullptr;
-    if (!mixed_a && !mixed_b && params.noise == 0.0) {
-      // Deterministic game: the cycle walker, which draws nothing.
-      out[k] = run_pure_tables(g.a.bits, g.b.bits, memory, params.payoff,
-                               params.rounds);
-      continue;
-    }
-    const int kind = 2 * mixed_a + mixed_b;
-    scratch.games[kind].push_back(
-        {address(g.a), address(g.b), g.rng.origin()});
-    scratch.slot[kind].push_back(static_cast<std::uint32_t>(k));
-    drawn = true;
-  }
-  if (!drawn) return;
+}
+
+/// The kernel's parameters of a call, before its games and kind are set.
+StreamLanes lane_params(int memory, const IpdParams& params) {
   const PayoffMatrix& m = params.payoff;
   StreamLanes in;
   in.noise_threshold = unit_threshold(params.noise);
@@ -425,24 +447,58 @@ void play_stream_games_lanes(std::span<const StreamGame> games, int memory,
   in.pay_b[3] = m.punishment;
   in.rounds = params.rounds;
   in.state_mask = num_states(memory) - 1;
-  for (int kind = 0; kind < 4; ++kind) {
-    const std::size_t n = scratch.games[kind].size();
-    if (n == 0) continue;
-    in.games = scratch.games[kind].data();
-    in.mixed_a = kind >= 2;
-    in.mixed_b = kind % 2 == 1;
-    std::vector<LaneTotals>& totals = scratch.totals;
-    if (totals.size() < n) totals.resize(n);
-    if (lanes == 16) {
-      play_stream_avx512(in, n, totals.data());
-    } else if (lanes == 8) {
-      play_stream_avx2(in, n, totals.data());
-    } else {
-      play_stream_scalar(in, n, totals.data());
+  return in;
+}
+
+/// Group `kind` of `groups` through the kernel at width `lanes` into out.
+template <class Out>
+void run_kind(StreamLanes& in, const KindGroups& groups, int kind,
+              int lanes, Out* out) {
+  const std::size_t n = groups.games[kind].size();
+  in.games = groups.games[kind].data();
+  in.mixed_a = kind >= 2;
+  in.mixed_b = kind % 2 == 1;
+  if (lanes == 16) {
+    play_stream_avx512(in, n, out);
+  } else if (lanes == 8) {
+    play_stream_avx2(in, n, out);
+  } else {
+    play_stream_scalar(in, n, out);
+  }
+}
+
+}  // namespace
+
+void play_stream_games_lanes(std::span<const StreamGame> games, int memory,
+                             const IpdParams& params, int lanes,
+                             std::span<GameResult> out) {
+  EGT_REQUIRE(out.size() >= games.size());
+  check_lanes(memory, params, lanes);
+  thread_local KindGroups groups;
+  thread_local std::vector<LaneTotals> totals;
+  groups.clear();
+  bool drawn = false;
+  for (std::size_t k = 0; k < games.size(); ++k) {
+    const StreamGame& g = games[k];
+    if (g.a.coop == nullptr && g.b.coop == nullptr && params.noise == 0.0) {
+      // Deterministic game: the cycle walker, which draws nothing.
+      out[k] = run_pure_tables(g.a.bits, g.b.bits, memory, params.payoff,
+                               params.rounds);
+      continue;
     }
+    groups.add(g, k);
+    drawn = true;
+  }
+  if (!drawn) return;
+  StreamLanes in = lane_params(memory, params);
+  for (int kind = 0; kind < 4; ++kind) {
+    const std::size_t n = groups.games[kind].size();
+    if (n == 0) continue;
+    if (totals.size() < n) totals.resize(n);
+    run_kind(in, groups, kind, lanes, totals.data());
     for (std::size_t k = 0; k < n; ++k) {
       const LaneTotals& t = totals[k];
-      GameResult& res = out[scratch.slot[kind][k]];
+      GameResult& res = out[groups.slot[kind][k]];
       res.rounds = params.rounds;
       res.payoff_a = t.pay_a;
       res.payoff_b = t.pay_b;
@@ -455,6 +511,31 @@ void play_stream_games_lanes(std::span<const StreamGame> games, int memory,
 void play_stream_games(std::span<const StreamGame> games, int memory,
                        const IpdParams& params, std::span<GameResult> out) {
   play_stream_games_lanes(games, memory, params, simd::stream_lanes(), out);
+}
+
+void payoff_stream_games_lanes(std::span<const StreamGame> games, int memory,
+                               const IpdParams& params, int lanes,
+                               std::span<double> out) {
+  EGT_REQUIRE(out.size() >= games.size());
+  check_lanes(memory, params, lanes);
+  if (games.empty()) return;
+  thread_local KindGroups groups;
+  thread_local std::vector<double> pays;
+  groups.clear();
+  for (std::size_t k = 0; k < games.size(); ++k) groups.add(games[k], k);
+  StreamLanes in = lane_params(memory, params);
+  for (int kind = 0; kind < 4; ++kind) {
+    const std::size_t n = groups.games[kind].size();
+    if (n == 0) continue;
+    if (pays.size() < n) pays.resize(n);
+    run_kind(in, groups, kind, lanes, pays.data());
+    for (std::size_t k = 0; k < n; ++k) out[groups.slot[kind][k]] = pays[k];
+  }
+}
+
+void payoff_stream_games(std::span<const StreamGame> games, int memory,
+                         const IpdParams& params, std::span<double> out) {
+  payoff_stream_games_lanes(games, memory, params, simd::stream_lanes(), out);
 }
 
 }  // namespace egt::game::batch

@@ -45,7 +45,10 @@
 //    (x >> 11) < ceil(p * 2^53)) into the outcome and accumulates its
 //    payoffs in round order: 16 games in flight on AVX-512, 8 on AVX2 and
 //    8 interleaved scalar lanes otherwise, all bitwise identical to the
-//    loop.
+//    loop. The fitness tier's entry, payoff_stream_games, is its
+//    payoff-only twin: A's payoff alone, with a pure B read at A's state
+//    through its mirrored move table (mirror_moves), bitwise equal to
+//    play_stream_games' payoff_a.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +57,7 @@
 
 #include "game/ipd.hpp"
 #include "game/payoff.hpp"
+#include "game/state.hpp"
 #include "game/strategy.hpp"
 #include "util/rng.hpp"
 
@@ -154,6 +158,21 @@ struct Player {
   static Player of(const Strategy& s);
 };
 
+/// Words of a packed move table of memory depth `memory` (4^memory bits).
+constexpr std::size_t move_words(int memory) noexcept {
+  return (num_states(memory) + 63) / 64;
+}
+
+/// The mirrored move table of a pure strategy: bit s of `out` is bit
+/// swap_pairs(s) of `words`, both move_words(memory) long. A game's B
+/// history is always A's with each round's two bits swapped (both start at
+/// 0), so B's move is bit sa of its mirror, where sa is A's state. Built
+/// word-wise: state s is bit s & 63 of word s >> 6, so the mirror permutes
+/// the words by swap_pairs of the word index and each word's bits by three
+/// delta swaps.
+void mirror_moves(const std::uint64_t* words, int memory,
+                  std::uint64_t* out) noexcept;
+
 /// One sampled game: both players and the stream the round loop would
 /// draw from (the kernel reads it from its current position and does not
 /// advance it).
@@ -171,6 +190,15 @@ struct StreamGame {
 /// zero noise) take run_pure_game. `out.size() >= games.size()`.
 void play_stream_games(std::span<const StreamGame> games, int memory,
                        const IpdParams& params, std::span<GameResult> out);
+
+/// Payoff-only twin of play_stream_games, the fitness tier's entry:
+/// out[k] = games[k]'s payoff_a under play_stream_games, bitwise, at the
+/// width simd::stream_lanes() names, where a pure games[k].b is given by
+/// its mirrored move table (Player{mirror_moves of B's table, nullptr})
+/// and a mixed one as usual. Every game plays in the lanes, deterministic
+/// ones (both pure, zero noise) too. `out.size() >= games.size()`.
+void payoff_stream_games(std::span<const StreamGame> games, int memory,
+                         const IpdParams& params, std::span<double> out);
 
 // Draw layout: round r of a game takes draws r * per_round + 1 ..
 // (r + 1) * per_round of its stream (1-based, from the stream's current
@@ -209,5 +237,10 @@ void expected_payoff_mem1_lanes(const Mem1Batch& batch,
 void play_stream_games_lanes(std::span<const StreamGame> games, int memory,
                              const IpdParams& params, int lanes,
                              std::span<GameResult> out);
+
+// Internal: payoff_stream_games at an explicit width, gated as above.
+void payoff_stream_games_lanes(std::span<const StreamGame> games, int memory,
+                               const IpdParams& params, int lanes,
+                               std::span<double> out);
 
 }  // namespace egt::game::batch

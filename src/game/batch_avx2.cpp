@@ -1,10 +1,11 @@
 // AVX2+FMA lane kernels (DESIGN.md §12): the batch memory-one Markov solve
 // (all four totals, and the payoff-only kernel of game/mem1_lanes.hpp at
 // two 4-lane groups) and the fused sampled kernel of game/stream_lanes.hpp
-// at two 4-lane groups. Compiled as its own translation unit with -mavx2
-// -mfma; callers reach it only through the runtime dispatch of
-// expected_totals_mem1, expected_payoff_mem1 and play_stream_games
-// (game/simd.hpp), so the rest of the library stays baseline-ISA.
+// (totals and payoff-only) at two 4-lane groups. Compiled as its own
+// translation unit with -mavx2 -mfma; callers reach it only through the
+// runtime dispatch of expected_totals_mem1, expected_payoff_mem1,
+// play_stream_games and payoff_stream_games (game/simd.hpp), so the rest
+// of the library stays baseline-ISA.
 //
 // Four pairs (streams) ride the four lanes of each register. All
 // arithmetic is vertical (no cross-lane shuffles or horizontal
@@ -146,6 +147,10 @@ void payoff_mem1_avx2(const Mem1Lanes& in, std::size_t n, double* out) {
 }
 
 void play_stream_avx2(const StreamLanes& in, std::size_t n, LaneTotals* out) {
+  stream_batch<YmmLanes>(in, n, out);
+}
+
+void play_stream_avx2(const StreamLanes& in, std::size_t n, double* out) {
   stream_batch<YmmLanes>(in, n, out);
 }
 

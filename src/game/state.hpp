@@ -42,6 +42,14 @@ constexpr std::uint32_t pure_strategy_bits(int memory) noexcept {
   return num_states(memory);
 }
 
+/// The same history seen from the opponent's side: each 2-bit pair swaps
+/// (my move <-> opponent move). The encoding of a round does not depend on
+/// the memory depth, so neither does the swap.
+constexpr State swap_pairs(State s) noexcept {
+  constexpr State kOddBits = 0x55555555u;  // the opponent-move bits
+  return ((s & kOddBits) << 1) | ((s >> 1) & kOddBits);
+}
+
 /// O(1) state arithmetic for a fixed memory depth.
 class StateCodec {
  public:
@@ -56,13 +64,8 @@ class StateCodec {
            mask_;
   }
 
-  /// The same history seen from the opponent's side: each 2-bit pair swaps
-  /// (my move <-> opponent move).
-  State swap_perspective(State s) const noexcept {
-    const State mine = (s >> 1) & kOddBits;   // my-move bits, shifted down
-    const State theirs = s & kOddBits;        // opp-move bits
-    return (theirs << 1) | mine;
-  }
+  /// The same history seen from the opponent's side (swap_pairs).
+  State swap_perspective(State s) const noexcept { return swap_pairs(s); }
 
   /// My move in remembered round k (0 = most recent) of state `s`.
   Move my_move(State s, int k) const noexcept {
@@ -81,9 +84,6 @@ class StateCodec {
   static constexpr State initial() noexcept { return 0; }
 
  private:
-  // 0b0101...01 over 2*memory bits.
-  static constexpr State kOddBits = 0x55555555u;
-
   int memory_;
   std::uint32_t states_;
   State mask_;

@@ -11,6 +11,16 @@
 // matrix, at every width. Cooperation is counted as defections packed in
 // one word (A's in the low 32 bits, B's above; rounds < 2^32, no carry).
 //
+// The payoff-only form (the fitness tier's, Totals = false) computes A's
+// payoff alone: no B payoff, no defection count, and the noise test
+// x <= (noise_threshold << 11) - 1 without the shift of the draw (exact for
+// every threshold in [1, 2^53], noise 1 included: there the bound wraps to
+// 2^64 - 1). B's history is always A's with each round's two bits swapped,
+// so a pure B reads its move at A's state from its mirrored table
+// (mirror[s] = table[swap_pairs(s)], batch::mirror_moves): B's state, its
+// update and its own address arithmetic go, and both gathers share one
+// word offset and one rotate count. A mixed B keeps its own state.
+//
 // One group of lanes is bound by the round's dependency chain (state ->
 // table address -> gather -> move bit -> outcome -> state); two groups
 // interleaved fill its stalls: 16 games in flight on AVX-512 (two 8-lane
@@ -28,13 +38,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 namespace egt::game::batch {
 
 /// One sampled game as the lane kernel reads it.
 struct LaneGame {
   std::uint64_t a = 0;       ///< address of A's packed move words or coop[]
-  std::uint64_t b = 0;       ///< likewise for B
+  std::uint64_t b = 0;       ///< likewise for B (payoff-only, pure: mirrored)
   std::uint64_t origin = 0;  ///< StreamRng::origin() of the game's stream
 };
 
@@ -69,6 +80,12 @@ void play_stream_avx2(const StreamLanes& in, std::size_t n, LaneTotals* out);
 /// ... or two 8-lane AVX-512 groups (batch_avx512.cpp).
 void play_stream_avx512(const StreamLanes& in, std::size_t n,
                         LaneTotals* out);
+
+/// Payoff-only twins: out[k] = the pay_a of in.games[k] above, bitwise,
+/// where a pure B's address is its mirrored move table.
+void play_stream_scalar(const StreamLanes& in, std::size_t n, double* out);
+void play_stream_avx2(const StreamLanes& in, std::size_t n, double* out);
+void play_stream_avx512(const StreamLanes& in, std::size_t n, double* out);
 
 }  // namespace egt::game::batch
 
@@ -120,6 +137,8 @@ struct ScalarLane {
   }
   /// f ^ 1 where (x >> 11) < thr (the loop's bernoulli(noise)).
   static I flip(I f, I x, I thr) { return f ^ ((x >> 11) < thr ? 1u : 0u); }
+  /// The same test as x <= lim, lim = (thr << 11) - 1 mod 2^64.
+  static I flip_at_most(I f, I x, I lim) { return f ^ (x <= lim ? 1u : 0u); }
 };
 
 }  // namespace
@@ -205,6 +224,12 @@ struct YmmLanes {
   static I flip(I f, I x, I thr) {
     return bxor(f, shr<63>(_mm256_cmpgt_epi64(thr, shr<11>(x))));
   }
+  /// AVX2 compares only signed: x <= lim would cost a sign flip of x, as
+  /// many µops as the shift, so this keeps flip's test with the
+  /// loop-invariant thr = (lim >> 11) + 1.
+  static I flip_at_most(I f, I x, I lim) {
+    return flip(f, x, add(shr<11>(lim), set1(1)));
+  }
 };
 
 }  // namespace
@@ -273,6 +298,10 @@ struct ZmmLanes {
     const __mmask8 m = _mm512_cmplt_epu64_mask(shr<11>(x), thr);
     return _mm512_mask_xor_epi64(f, m, f, set1(1));
   }
+  static I flip_at_most(I f, I x, I lim) {
+    const __mmask8 m = _mm512_cmple_epu64_mask(x, lim);
+    return _mm512_mask_xor_epi64(f, m, f, set1(1));
+  }
 };
 
 }  // namespace
@@ -282,12 +311,17 @@ struct ZmmLanes {
 namespace egt::game::batch {
 namespace {
 
+/// What one game yields: its totals, or (payoff-only) A's payoff.
+template <bool Totals>
+using LaneOut = std::conditional_t<Totals, LaneTotals, double>;
+
 /// Games [k, k + live) of `in` in G interleaved groups of Ops::kWidth
-/// lanes (live <= G * kWidth); out[l] receives game k + l's totals. Lanes
-/// past `live` replay the last live game and are discarded.
-template <class Ops, int G, bool MixA, bool MixB, bool Noisy>
+/// lanes (live <= G * kWidth); out[l] receives game k + l's totals, or
+/// only its pay_a when !Totals. Lanes past `live` replay the last live
+/// game and are discarded.
+template <class Ops, int G, bool MixA, bool MixB, bool Noisy, bool Totals>
 inline void stream_groups(const StreamLanes& in, std::size_t k,
-                          std::size_t live, LaneTotals* out) {
+                          std::size_t live, LaneOut<Totals>* out) {
   using I = typename Ops::I;
   using D = typename Ops::D;
   constexpr std::size_t W = Ops::kWidth;
@@ -296,6 +330,9 @@ inline void stream_groups(const StreamLanes& in, std::size_t k,
   constexpr int kMoveB = MixA ? 1 : 0;
   constexpr int kNoiseA = kMoveB + (MixB ? 1 : 0);
   constexpr std::uint64_t kPerRound = kNoiseA + (Noisy ? 2 : 0);
+  // B tracks its own state unless it is a pure B read through its mirror
+  // at A's state (payoff-only).
+  constexpr bool kOwnStateB = Totals || MixB;
 
   I ta[G], tb[G], ctr[G], sa[G], sb[G], defects[G];
   D pa[G], pb[G];
@@ -317,7 +354,10 @@ inline void stream_groups(const StreamLanes& in, std::size_t k,
   }
   const I step = Ops::set1(kStreamGamma * kPerRound);
   const I mask = Ops::set1(in.state_mask);
-  const I thr = Ops::set1(in.noise_threshold);
+  // The totals kernel's noise threshold, or the payoff-only bound
+  // (thr << 11) - 1, which wraps to 2^64 - 1 at thr = 2^53 (noise 1).
+  const I thr = Ops::set1(Totals ? in.noise_threshold
+                                 : (in.noise_threshold << 11) - 1);
   const typename Ops::Table tab_a = Ops::table(in.pay_a);
   const typename Ops::Table tab_b = Ops::table(in.pay_b);
   const auto draw = [](I c, int slot) {
@@ -330,28 +370,36 @@ inline void stream_groups(const StreamLanes& in, std::size_t k,
     z = Ops::mul(z, Ops::set1(kMix2));
     return Ops::bxor(z, Ops::template shr<31>(z));
   };
+  const auto flip = [&thr](I f, I x) {
+    return Totals ? Ops::flip(f, x, thr) : Ops::flip_at_most(f, x, thr);
+  };
 
   for (std::uint32_t r = 0; r < in.rounds; ++r) {
 #pragma GCC unroll 8
     for (int g = 0; g < G; ++g) {
       I fa = MixA ? Ops::mixed_defects(ta[g], sa[g], draw(ctr[g], 0))
                   : Ops::pure_defects(ta[g], sa[g]);
+      // A pure B read at sa shares A's word offset and rotate count.
       I fb = MixB ? Ops::mixed_defects(tb[g], sb[g], draw(ctr[g], kMoveB))
-                  : Ops::pure_defects(tb[g], sb[g]);
+                  : Ops::pure_defects(tb[g], kOwnStateB ? sb[g] : sa[g]);
       if constexpr (Noisy) {
-        fa = Ops::flip(fa, draw(ctr[g], kNoiseA), thr);
-        fb = Ops::flip(fb, draw(ctr[g], kNoiseA + 1), thr);
+        fa = flip(fa, draw(ctr[g], kNoiseA));
+        fb = flip(fb, draw(ctr[g], kNoiseA + 1));
       }
       // o = 2 * (A defects) + (B defects); B sees it mirrored.
       const I o = Ops::bor(Ops::template shl<1>(fa), fb);
-      const I ob = Ops::bor(Ops::template shl<1>(fb), fa);
       const typename Ops::Index ix = Ops::index(o);
       pa[g] = Ops::addd(pa[g], Ops::lookup(tab_a, ix));
-      pb[g] = Ops::addd(pb[g], Ops::lookup(tab_b, ix));
-      defects[g] = Ops::add(defects[g],
-                            Ops::bor(fa, Ops::template shl<32>(fb)));
+      if constexpr (Totals) {
+        pb[g] = Ops::addd(pb[g], Ops::lookup(tab_b, ix));
+        defects[g] = Ops::add(defects[g],
+                              Ops::bor(fa, Ops::template shl<32>(fb)));
+      }
       sa[g] = Ops::band(Ops::bor(Ops::template shl<2>(sa[g]), o), mask);
-      sb[g] = Ops::band(Ops::bor(Ops::template shl<2>(sb[g]), ob), mask);
+      if constexpr (kOwnStateB) {
+        const I ob = Ops::bor(Ops::template shl<1>(fb), fa);
+        sb[g] = Ops::band(Ops::bor(Ops::template shl<2>(sb[g]), ob), mask);
+      }
       ctr[g] = Ops::add(ctr[g], step);
     }
   }
@@ -360,10 +408,16 @@ inline void stream_groups(const StreamLanes& in, std::size_t k,
     double a[W], b[W];
     std::uint64_t d[W];
     Ops::stored(a, pa[g]);
-    Ops::stored(b, pb[g]);
-    Ops::store(d, defects[g]);
+    if constexpr (Totals) {
+      Ops::stored(b, pb[g]);
+      Ops::store(d, defects[g]);
+    }
     for (std::size_t l = 0; l < W && g * W + l < live; ++l) {
-      out[g * W + l] = {a[l], b[l], d[l]};
+      if constexpr (Totals) {
+        out[g * W + l] = {a[l], b[l], d[l]};
+      } else {
+        out[g * W + l] = a[l];
+      }
     }
   }
 }
@@ -371,37 +425,37 @@ inline void stream_groups(const StreamLanes& in, std::size_t k,
 /// Games [0, n) of one kind. At one lane: 8 interleaved, the rest in
 /// groups of 4, 2 and 1 (a scalar lane is real work, so none is padding).
 /// Wider: two groups in flight, and a remainder in the narrowest group
-/// that covers it.
-template <class Wide, bool MixA, bool MixB, bool Noisy>
-inline void stream_kind(const StreamLanes& in, std::size_t n,
-                        LaneTotals* out) {
+/// that covers it. Out is LaneTotals (totals) or double (payoff-only).
+template <class Wide, bool MixA, bool MixB, bool Noisy, class Out>
+inline void stream_kind(const StreamLanes& in, std::size_t n, Out* out) {
+  constexpr bool T = std::is_same_v<Out, LaneTotals>;
   constexpr std::size_t W = Wide::kWidth;
   std::size_t k = 0;
   if constexpr (W == 1) {
     for (; k + 8 <= n; k += 8) {
-      stream_groups<Wide, 8, MixA, MixB, Noisy>(in, k, 8, out + k);
+      stream_groups<Wide, 8, MixA, MixB, Noisy, T>(in, k, 8, out + k);
     }
     if (k + 4 <= n) {
-      stream_groups<Wide, 4, MixA, MixB, Noisy>(in, k, 4, out + k);
+      stream_groups<Wide, 4, MixA, MixB, Noisy, T>(in, k, 4, out + k);
       k += 4;
     }
     if (k + 2 <= n) {
-      stream_groups<Wide, 2, MixA, MixB, Noisy>(in, k, 2, out + k);
+      stream_groups<Wide, 2, MixA, MixB, Noisy, T>(in, k, 2, out + k);
       k += 2;
     }
-    if (k < n) stream_groups<Wide, 1, MixA, MixB, Noisy>(in, k, 1, out + k);
+    if (k < n) stream_groups<Wide, 1, MixA, MixB, Noisy, T>(in, k, 1, out + k);
   } else {
     for (; k + 2 * W <= n; k += 2 * W) {
-      stream_groups<Wide, 2, MixA, MixB, Noisy>(in, k, 2 * W, out + k);
+      stream_groups<Wide, 2, MixA, MixB, Noisy, T>(in, k, 2 * W, out + k);
     }
     const std::size_t rest = n - k;
     if (rest > W) {
-      stream_groups<Wide, 2, MixA, MixB, Noisy>(in, k, rest, out + k);
+      stream_groups<Wide, 2, MixA, MixB, Noisy, T>(in, k, rest, out + k);
     } else if (rest > 4) {
-      stream_groups<Wide, 1, MixA, MixB, Noisy>(in, k, rest, out + k);
+      stream_groups<Wide, 1, MixA, MixB, Noisy, T>(in, k, rest, out + k);
 #if defined(__AVX2__)
     } else if (rest > 0) {
-      stream_groups<YmmLanes, 1, MixA, MixB, Noisy>(in, k, rest, out + k);
+      stream_groups<YmmLanes, 1, MixA, MixB, Noisy, T>(in, k, rest, out + k);
 #endif
     }
   }
@@ -413,9 +467,8 @@ inline void stream_kind(const StreamLanes& in, std::size_t n,
 constexpr std::size_t kScalarTail = 2;
 
 /// All of `in` (one player kind) at the Wide lane type.
-template <class Wide>
-inline void stream_batch(const StreamLanes& in, std::size_t n,
-                         LaneTotals* out) {
+template <class Wide, class Out>
+inline void stream_batch(const StreamLanes& in, std::size_t n, Out* out) {
   if constexpr (Wide::kWidth > 1) {
     const std::size_t tail = n % (2 * Wide::kWidth);
     if (tail > 0 && tail <= kScalarTail) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "game/batch.hpp"
 #include "util/check.hpp"
 
 namespace egt::pop {
@@ -15,6 +16,8 @@ Population::Population(std::vector<game::Strategy> strategies)
     EGT_REQUIRE_MSG(s.memory() == memory,
                     "all SSets must share one memory depth");
   }
+  mirror_words_ = game::batch::move_words(memory);
+  mirrors_.reserve(mirror_words_ * strategies_.size());
   class_of_.reserve(strategies_.size());
   for (const auto& s : strategies_) class_of_.push_back(intern(s));
 }
@@ -88,7 +91,17 @@ ClassId Population::intern(game::Strategy s) {
   chain.push_back(c);
   ++live_classes_;
   refresh_mem1(c);
+  refresh_mirror(c);
   return c;
+}
+
+void Population::refresh_mirror(ClassId c) {
+  const std::size_t need = mirror_words_ * (static_cast<std::size_t>(c) + 1);
+  if (mirrors_.size() < need) mirrors_.resize(need, 0);
+  const game::Strategy& s = classes_[c].strategy;
+  if (!s.is_pure()) return;
+  game::batch::mirror_moves(s.as_pure().table().words().data(), s.memory(),
+                            mirrors_.data() + need - mirror_words_);
 }
 
 void Population::refresh_mem1(ClassId c) {

@@ -108,10 +108,18 @@ class Population {
     return mem1_probs_.data() + 4 * static_cast<std::size_t>(c);
   }
 
+  /// Class `c`'s mirrored move table (game::batch::mirror_moves), what the
+  /// payoff-only sampled kernel reads for a pure B. Only valid when the
+  /// class is a live pure binary strategy; kept current by intern.
+  const std::uint64_t* mirror(ClassId c) const noexcept {
+    return mirrors_.data() + mirror_words_ * static_cast<std::size_t>(c);
+  }
+
  private:
   ClassId intern(game::Strategy s);
   void release(ClassId c);
   void refresh_mem1(ClassId c);
+  void refresh_mirror(ClassId c);
 
   std::vector<game::Strategy> strategies_;
   std::vector<double> fitness_;
@@ -127,6 +135,10 @@ class Population {
   // only where mem1_valid_[c] != 0.
   std::vector<double> mem1_probs_;
   std::vector<std::uint8_t> mem1_valid_;
+  // mirrors_[mirror_words_ * c, + mirror_words_) = class c's mirrored move
+  // table, valid only where class c is a live pure strategy.
+  std::size_t mirror_words_ = 0;
+  std::vector<std::uint64_t> mirrors_;
 };
 
 }  // namespace egt::pop

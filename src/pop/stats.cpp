@@ -3,24 +3,28 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <unordered_map>
 
 #include "game/named.hpp"
 
 namespace egt::pop {
 
 std::vector<CensusEntry> census(const Population& pop) {
-  std::unordered_map<std::uint64_t, CensusEntry> groups;
-  for (SSetId i = 0; i < pop.size(); ++i) {
-    const std::uint64_t h = pop.strategy(i).hash();
-    auto [it, inserted] = groups.try_emplace(h, CensusEntry{h, 0, i});
-    ++it->second.count;
-  }
+  // One entry per live class of the interned table (classes are exact:
+  // equal strategies share one, a hash collision splits none). The first
+  // SSet met of a class is its lowest.
+  const std::vector<StrategyClass>& classes = pop.classes();
+  std::vector<std::uint8_t> seen(classes.size(), 0);
   std::vector<CensusEntry> out;
-  out.reserve(groups.size());
-  for (const auto& [h, entry] : groups) out.push_back(entry);
+  out.reserve(pop.class_count());
+  for (SSetId i = 0; i < pop.size(); ++i) {
+    const ClassId c = pop.strategy_class(i);
+    if (seen[c] != 0) continue;
+    seen[c] = 1;
+    out.push_back({classes[c].hash, classes[c].members, i});
+  }
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.count != b.count ? a.count > b.count : a.hash < b.hash;
+    if (a.count != b.count) return a.count > b.count;
+    return a.hash != b.hash ? a.hash < b.hash : a.example < b.example;
   });
   return out;
 }

@@ -9,14 +9,16 @@
 
 namespace egt::pop {
 
-/// One strategy cluster in a census (exact-identity grouping by hash).
+/// One strategy cluster in a census: one class of the population's
+/// interned table (exact identity, Strategy::operator==).
 struct CensusEntry {
   std::uint64_t hash = 0;
   std::size_t count = 0;
-  SSetId example = 0;  ///< an SSet holding this strategy
+  SSetId example = 0;  ///< the lowest SSet holding this strategy
 };
 
-/// Exact-identity census, sorted by descending count.
+/// Exact-identity census, sorted by descending count, then hash, then
+/// example.
 std::vector<CensusEntry> census(const Population& pop);
 
 /// Fraction of SSets holding the single most common strategy.

@@ -369,6 +369,79 @@ void check_sampled_widths(KernelReport& report, util::Xoshiro256& rng) {
   for (auto& c : checks) report.checks.push_back(std::move(c));
 }
 
+/// The payoff-only sampled kernel at every width vs the totals kernel's
+/// payoff_a at that width, bitwise. Batch sizes cycle through 0..40 over
+/// all four player kinds, memory 0-6 and noise {0, 0.02, 0.5, 1}.
+void check_stream_payoff_widths(KernelReport& report, util::Xoshiro256& rng) {
+  constexpr double kNoise[] = {0.0, 0.02, 0.5, 1.0};
+  constexpr std::uint32_t kRounds[] = {1, 2, 7, 64, 200};
+  std::vector<int> widths{1};
+  if (report.avx2_available) widths.push_back(8);
+  if (report.avx512_available) widths.push_back(16);
+  std::vector<KernelCheck> checks;
+  for (const int lanes : widths) {
+    checks.push_back({"stream.payoff_vs_totals_bitwise." +
+                          std::to_string(lanes),
+                      true, 0, 0.0, {}});
+  }
+  for (int iter = 0; iter < 82; ++iter) {
+    const std::size_t n = static_cast<std::size_t>(iter) % 41;
+    const int kind = iter % 4;
+    const int memory =
+        static_cast<int>(util::uniform_below(rng, game::kMaxMemory + 1));
+    const game::IpdParams params{sample_payoff(rng, iter % 2 == 0),
+                                 kRounds[util::uniform_below(rng, 5)],
+                                 kNoise[util::uniform_below(rng, 4)]};
+    std::vector<game::Strategy> as, bs;
+    for (std::size_t k = 0; k < n; ++k) {
+      for (auto* side : {&as, &bs}) {
+        const bool mixed = side == &as ? kind >= 2 : kind % 2 == 1;
+        if (mixed) {
+          side->emplace_back(game::MixedStrategy::random(memory, rng));
+        } else {
+          side->emplace_back(game::PureStrategy::random(memory, rng));
+        }
+      }
+    }
+    const std::vector<game::batch::StreamGame> games =
+        stream_games(as, bs, rng);
+    // The payoff-only kernel reads a pure B through its mirrored table.
+    std::vector<game::batch::StreamGame> mirrored = games;
+    std::vector<std::uint64_t> mirrors(n * game::batch::move_words(memory));
+    for (std::size_t k = 0; k < n; ++k) {
+      if (!bs[k].is_pure()) continue;
+      std::uint64_t* m = mirrors.data() + k * game::batch::move_words(memory);
+      game::batch::mirror_moves(bs[k].as_pure().table().words().data(),
+                                memory, m);
+      mirrored[k].b = {m, nullptr};
+    }
+    for (std::size_t w = 0; w < widths.size(); ++w) {
+      KernelCheck& c = checks[w];
+      if (!c.passed) continue;
+      std::vector<game::GameResult> want(n);
+      std::vector<double> got(n);
+      game::batch::play_stream_games_lanes(games, memory, params, widths[w],
+                                           want);
+      game::batch::payoff_stream_games_lanes(mirrored, memory, params,
+                                             widths[w], got);
+      for (std::size_t k = 0; k < n; ++k) {
+        c.cases++;
+        if (std::bit_cast<std::uint64_t>(got[k]) !=
+            std::bit_cast<std::uint64_t>(want[k].payoff_a)) {
+          std::ostringstream os;
+          os << "width " << widths[w] << " payoff-only diverges from the "
+             << "totals kernel at iter " << iter << " game " << k
+             << " (memory " << memory << ", noise " << params.noise
+             << ", rounds " << params.rounds << ", batch " << n << ")";
+          note_failure(c, os.str());
+          break;
+        }
+      }
+    }
+  }
+  for (auto& c : checks) report.checks.push_back(std::move(c));
+}
+
 }  // namespace
 
 KernelReport run_kernel_checks(std::uint64_t seed) {
@@ -383,6 +456,7 @@ KernelReport run_kernel_checks(std::uint64_t seed) {
   check_sampled(report, rng);
   check_mem1_payoff(report, rng);
   check_sampled_widths(report, rng);
+  check_stream_payoff_widths(report, rng);
   return report;
 }
 

@@ -20,6 +20,10 @@
 //    kernel; and at every width the build and CPU have (1, 8, 16 games in
 //    flight), batches of 1-40 games of all four player kinds must be
 //    bit-identical to the loop, each game alone to itself in the batch.
+//  * Sampled payoff-only kernel: at every width, batches of 0-40 games of
+//    all four player kinds, pure Bs given by their mirrored tables —
+//    batch::payoff_stream_games must be bit-identical to the totals
+//    kernel's payoff_a at the same width.
 //
 // Exposed as `simcheck --kernels`; runs whatever kernels this build/CPU
 // provides (the AVX2 and AVX-512 halves are skipped, not failed, on

@@ -505,6 +505,114 @@ TEST(SampledLaneKernel, DispatchFollowsStreamLanes) {
   simd::set_force_scalar(forced);
 }
 
+/// games with each pure B replaced by its mirrored move table, as the
+/// payoff-only kernel reads it; `mirrors` owns the tables.
+std::vector<StreamGame> mirrored_games(
+    const std::vector<StreamGame>& games, const std::vector<Strategy>& bs,
+    int memory, std::vector<std::vector<std::uint64_t>>& mirrors) {
+  std::vector<StreamGame> out = games;
+  mirrors.assign(games.size(), {});
+  for (std::size_t k = 0; k < games.size(); ++k) {
+    if (!bs[k].is_pure()) continue;
+    mirrors[k].resize(move_words(memory));
+    mirror_moves(bs[k].as_pure().table().words().data(), memory,
+                 mirrors[k].data());
+    out[k].b = Player{mirrors[k].data(), nullptr};
+  }
+  return out;
+}
+
+bool same_double(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+// The payoff-only kernel against the totals kernel's pay_a, bit for bit,
+// at every width this build and CPU have: all four player kinds, memory
+// 0-6, noise {0, 0.02, 0.25, 1} (1: the wrapped noise bound), rounds
+// {1, 2, 7, 200}, integral and fractional payoffs, and batch sizes cycling
+// through 0..40; then every batch 0..40 of each kind, which reaches every
+// full-group and remainder path of every width.
+TEST(SampledPayoffKernel, BitIdenticalToTotalsPayA) {
+  util::Xoshiro256 gen(29);
+  const PayoffMatrix fractional{2.5, -0.25, 4.125, 0.75};
+  constexpr std::size_t kGames = 40;
+  std::uint64_t compared = 0;
+  std::size_t cycle = 0;
+  const auto compare = [&](int memory, double noise, std::uint32_t rounds,
+                           int kind, const PayoffMatrix& payoff,
+                           std::size_t n) {
+    const IpdParams params{payoff, rounds, noise};
+    std::vector<Strategy> as, bs;
+    std::vector<StreamGame> games;
+    for (std::size_t k = 0; k < n; ++k) {
+      as.push_back(random_player(memory, kind >= 2, gen));
+      bs.push_back(random_player(memory, kind % 2 == 1, gen));
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      games.push_back({Player::of(as[k]), Player::of(bs[k]),
+                       util::StreamRng(gen(), gen())});
+    }
+    std::vector<std::vector<std::uint64_t>> mirrors;
+    const std::vector<StreamGame> pay_games =
+        mirrored_games(games, bs, memory, mirrors);
+    for (const int lanes : stream_widths()) {
+      std::vector<GameResult> want(n);
+      std::vector<double> got(n, -1.0);
+      play_stream_games_lanes(games, memory, params, lanes, want);
+      payoff_stream_games_lanes(pay_games, memory, params, lanes, got);
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_TRUE(same_double(got[k], want[k].payoff_a))
+            << "lanes=" << lanes << " memory=" << memory << " noise=" << noise
+            << " rounds=" << rounds << " kind=" << kind << " n=" << n
+            << " k=" << k << ": " << got[k] << " vs " << want[k].payoff_a;
+        ++compared;
+      }
+    }
+  };
+  for (int memory = 0; memory <= kMaxMemory; ++memory) {
+    for (const double noise : {0.0, 0.02, 0.25, 1.0}) {
+      for (const std::uint32_t rounds : {1u, 2u, 7u, 200u}) {
+        for (int kind = 0; kind < 4; ++kind) {
+          compare(memory, noise, rounds, kind,
+                  cycle % 2 ? fractional : kPayoff, cycle % (kGames + 1));
+          ++cycle;
+        }
+      }
+    }
+  }
+  for (int kind = 0; kind < 4; ++kind) {
+    for (std::size_t n = 0; n <= kGames; ++n) {
+      compare(kind + 2, 0.02, 7, kind, fractional, n);
+    }
+  }
+  EXPECT_GT(compared, 0u);
+}
+
+// The dispatched payoff entry takes the width simd::stream_lanes() names,
+// forced scalar included.
+TEST(SampledPayoffKernel, DispatchFollowsStreamLanes) {
+  util::Xoshiro256 gen(13);
+  const IpdParams params{kPayoff, 200, 0.02};
+  const StreamCase c(21, 6, gen);
+  std::vector<std::vector<std::uint64_t>> mirrors;
+  const std::vector<StreamGame> games =
+      mirrored_games(c.games(), c.b, 6, mirrors);
+  const bool forced = simd::force_scalar();
+  for (const bool force : {false, true}) {
+    simd::set_force_scalar(forced || force);
+    std::vector<double> got(games.size()), want(games.size());
+    payoff_stream_games(games, 6, params, got);
+    payoff_stream_games_lanes(games, 6, params, simd::stream_lanes(), want);
+    std::vector<GameResult> totals(games.size());
+    play_stream_games(c.games(), 6, params, totals);
+    for (std::size_t k = 0; k < games.size(); ++k) {
+      EXPECT_TRUE(same_double(got[k], want[k])) << "k=" << k;
+      EXPECT_TRUE(same_double(got[k], totals[k].payoff_a)) << "k=" << k;
+    }
+  }
+  simd::set_force_scalar(forced);
+}
+
 // uniform01(x) < p <=> (x >> 11) < unit_threshold(p), at the edges of the
 // 53-bit grid.
 TEST(SampledLaneKernel, UnitThresholdIdentity) {

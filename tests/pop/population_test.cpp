@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "game/named.hpp"
+#include "game/state.hpp"
+#include "util/rng.hpp"
 
 namespace egt::pop {
 namespace {
@@ -178,6 +180,56 @@ TEST(Population, TableHashEqualsPerStrategyFoldUnderChurn) {
           << kind.name << " step " << step;
     }
     EXPECT_GT(reused, 0) << kind.name << ": churn never recycled a slot";
+  }
+}
+
+/// Every live pure class's mirror is its table read at swap_pairs(s), for
+/// every state s.
+void expect_mirrors_current(const Population& p) {
+  for (SSetId i = 0; i < p.size(); ++i) {
+    const game::Strategy& s = p.strategy(i);
+    if (!s.is_pure()) continue;
+    const std::uint64_t* mirror = p.mirror(p.strategy_class(i));
+    for (game::State st = 0; st < s.states(); ++st) {
+      const bool bit = ((mirror[st >> 6] >> (st & 63)) & 1u) != 0;
+      ASSERT_EQ(bit, s.as_pure().table().get(game::swap_pairs(st)))
+          << "SSet " << i << " state " << st;
+    }
+  }
+}
+
+// The payoff-only sampled kernel reads a pure B through its class's mirror:
+// it must be current after construction, set_strategy, class-slot
+// recycling (a freed slot taken by another strategy) and copy, at every
+// memory depth and with mixed classes beside the pure ones.
+TEST(Population, MirrorTablesTrackTheClassTable) {
+  util::Xoshiro256 rng(29);
+  for (int memory = 0; memory <= game::kMaxMemory; ++memory) {
+    std::vector<game::Strategy> ss;
+    for (int k = 0; k < 12; ++k) {
+      if (k % 3 == 2) {
+        ss.emplace_back(game::MixedStrategy::random(memory, rng));
+      } else {
+        ss.emplace_back(game::PureStrategy::random(memory, rng));
+      }
+    }
+    Population p(std::move(ss));
+    expect_mirrors_current(p);
+    for (int step = 0; step < 40; ++step) {
+      const auto i = static_cast<SSetId>(util::uniform_below(rng, p.size()));
+      const auto j = static_cast<SSetId>(util::uniform_below(rng, p.size()));
+      if (step % 2 == 0) {
+        p.set_strategy(i, p.strategy(j));  // adoption: may free a slot
+      } else if (step % 5 == 1) {
+        p.set_strategy(i, game::MixedStrategy::random(memory, rng));
+      } else {
+        p.set_strategy(i, game::PureStrategy::random(memory, rng));
+      }
+      expect_mirrors_current(p);
+    }
+    const Population copy = p;
+    expect_mirrors_current(copy);
+    ASSERT_EQ(p.classes().size(), copy.classes().size());
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <string>
@@ -39,6 +40,57 @@ TEST(Stats, CensusSortsByCount) {
   EXPECT_EQ(c[1].count, 3u);
   EXPECT_EQ(c[2].count, 1u);
   EXPECT_DOUBLE_EQ(dominant_fraction(p), 0.6);
+}
+
+// The census against brute-force grouping by Strategy::operator==: one
+// entry per group of equal strategies, its count, its lowest SSet, and the
+// order count descending, then hash, then example; through set_strategy
+// churn that frees and recycles class slots.
+TEST(Stats, CensusMatchesBruteForceEqualityGrouping) {
+  util::Xoshiro256 rng(12);
+  std::vector<game::Strategy> ss;
+  for (int k = 0; k < 60; ++k) {
+    if (k % 4 == 3) {
+      ss.emplace_back(game::MixedStrategy::random(1, rng));
+    } else {
+      ss.emplace_back(game::PureStrategy::random(1, rng));  // 16 tables
+    }
+  }
+  Population p(std::move(ss));
+  for (int step = 0; step < 30; ++step) {
+    std::vector<CensusEntry> want;
+    for (SSetId i = 0; i < p.size(); ++i) {
+      bool first = true;
+      for (SSetId j = 0; j < i && first; ++j) {
+        first = !(p.strategy(j) == p.strategy(i));
+      }
+      if (!first) continue;
+      std::size_t count = 0;
+      for (SSetId j = 0; j < p.size(); ++j) {
+        count += p.strategy(j) == p.strategy(i) ? 1 : 0;
+      }
+      want.push_back({p.strategy(i).hash(), count, i});
+    }
+    std::sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+      if (a.count != b.count) return a.count > b.count;
+      return a.hash != b.hash ? a.hash < b.hash : a.example < b.example;
+    });
+    const auto got = census(p);
+    ASSERT_EQ(got.size(), want.size()) << "step " << step;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].hash, want[k].hash) << "step " << step << " k " << k;
+      EXPECT_EQ(got[k].count, want[k].count) << "step " << step << " k " << k;
+      EXPECT_EQ(got[k].example, want[k].example)
+          << "step " << step << " k " << k;
+    }
+    const auto i = static_cast<SSetId>(util::uniform_below(rng, p.size()));
+    const auto j = static_cast<SSetId>(util::uniform_below(rng, p.size()));
+    if (step % 3 == 2) {
+      p.set_strategy(i, game::PureStrategy::random(1, rng));
+    } else {
+      p.set_strategy(i, p.strategy(j));
+    }
+  }
 }
 
 TEST(Stats, EntropyOfBalancedSplit) {

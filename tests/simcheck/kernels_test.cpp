@@ -9,12 +9,12 @@ namespace {
 
 TEST(KernelChecks, FullSuitePasses) {
   const KernelReport report = run_kernel_checks(20120427);
-  // Five checks, plus one payoff-kernel and one sampled-kernel check per
-  // width this build and CPU have: scalar always, 8 with AVX2, 16 with
-  // AVX-512 too.
+  // Five checks, plus one mem1 payoff-kernel, one sampled-kernel and one
+  // sampled payoff-only check per width this build and CPU have: scalar
+  // always, 8 with AVX2, 16 with AVX-512 too.
   const std::size_t widths = 1 + (report.avx2_available ? 1 : 0) +
                              (report.avx512_available ? 1 : 0);
-  ASSERT_EQ(report.checks.size(), 5u + 2 * widths);
+  ASSERT_EQ(report.checks.size(), 5u + 3 * widths);
   for (const auto& c : report.checks) {
     EXPECT_TRUE(c.passed) << c.name << ": " << c.detail;
     // The cross-kernel check runs zero cases when the AVX2 kernel is

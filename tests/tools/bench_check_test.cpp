@@ -144,13 +144,16 @@ TEST(CheckTwinRatios, FailsOnMissingTwinDivergenceOrNoLanes) {
             1);
 }
 
-// The gate bench_check applies by default: the sampled lane kernel and its
-// forced-scalar twin.
+// The gates bench_check applies by default: the sampled lane kernel on
+// pure and on mixed memory-six play, each against its forced-scalar twin.
 TEST(CheckTwinRatios, DefaultGateIsTheSampledKernelTwin) {
-  ASSERT_EQ(std::size(kTwinRatios), 1u);
+  ASSERT_EQ(std::size(kTwinRatios), 2u);
   EXPECT_STREQ(kTwinRatios[0].fast, "sampled m6 noisy");
   EXPECT_STREQ(kTwinRatios[0].slow, "sampled m6 noisy scalar");
   EXPECT_EQ(kTwinRatios[0].max_ratio, 0.8);
+  EXPECT_STREQ(kTwinRatios[1].fast, "sampled m6 mixed noisy");
+  EXPECT_STREQ(kTwinRatios[1].slow, "sampled m6 mixed noisy scalar");
+  EXPECT_EQ(kTwinRatios[1].max_ratio, 0.7);
 }
 
 TEST(CheckTraceOverhead, NoiseFloorAppliesToTracedTwin) {

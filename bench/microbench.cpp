@@ -120,23 +120,20 @@ void BM_StreamPayoffs(benchmark::State& state) {
   params.noise = 0.02;
   util::Xoshiro256 rng(4);
   std::vector<game::Strategy> players;
-  std::vector<std::uint64_t> mirrors(game::batch::move_words(6) * (batch + 1));
+  game::batch::MirrorTables mirrors(6);
   for (std::size_t k = 0; k <= batch; ++k) {
     if (mixed) {
       players.emplace_back(game::MixedStrategy::random(6, rng));
     } else {
       players.emplace_back(game::PureStrategy::random(6, rng));
-      game::batch::mirror_moves(
-          players.back().as_pure().table().words().data(), 6,
-          mirrors.data() + k * game::batch::move_words(6));
+      mirrors.set(k, players.back().as_pure());
     }
   }
   const auto b_player = [&](std::size_t k) {
-    if (mixed) return game::batch::Player::of(players[k]);
-    return game::batch::Player{mirrors.data() + k * game::batch::move_words(6),
-                               nullptr};
+    return mixed ? game::batch::MirroredPlayer::of(players[k].as_mixed())
+                 : mirrors[k];
   };
-  std::vector<game::batch::StreamGame> games;
+  std::vector<game::batch::PayoffGame> games;
   games.reserve(batch);
   std::vector<double> out(batch);
   std::uint64_t g = 0;

@@ -137,7 +137,7 @@ void PairEvaluator::payoffs(const pop::Population& pop,
   thread_local game::batch::Mem1Batch mem1;
   thread_local std::vector<std::size_t> mem1_slot;
   thread_local std::vector<double> mem1_out;
-  thread_local std::vector<game::batch::StreamGame> games;
+  thread_local std::vector<game::batch::PayoffGame> games;
   thread_local std::vector<std::size_t> game_slot;
   thread_local std::vector<double> game_out;
   mem1.clear();
@@ -171,10 +171,9 @@ void PairEvaluator::payoffs(const pop::Population& pop,
                    .payoff_a;
     } else if (r == Route::SampledStream && lanes) {
       // The payoff-only kernel reads a pure B through its mirrored table.
-      const game::batch::Player b =
-          sj.is_pure() ? game::batch::Player{pop.mirror(pop.strategy_class(j)),
-                                             nullptr}
-                       : game::batch::Player::of(sj);
+      const game::batch::MirroredPlayer b =
+          sj.is_pure() ? pop.mirror(pop.strategy_class(j))
+                       : game::batch::MirroredPlayer::of(sj.as_mixed());
       games.push_back({game::batch::Player::of(si), b,
                        util::StreamRng(config_.seed,
                                        util::stream_key(key(i, j), i, j))});

@@ -355,16 +355,18 @@ std::uint64_t unit_threshold(double p) noexcept {
   return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
-void mirror_moves(const std::uint64_t* words, int memory,
-                  std::uint64_t* out) noexcept {
+void MirrorTables::set(std::size_t k, const PureStrategy& s) {
+  const std::size_t end = words_ * (k + 1);
+  if (tables_.size() < end) tables_.resize(end, 0);
   // t marks the bits p of mask m whose partner p + d differs; flipping
   // both exchanges them.
   const auto delta_swap = [](std::uint64_t x, std::uint64_t m, int d) {
     const std::uint64_t t = ((x >> d) ^ x) & m;
     return x ^ t ^ (t << d);
   };
-  const std::size_t n = move_words(memory);
-  for (std::size_t w = 0; w < n; ++w) {
+  const std::uint64_t* words = s.table().words().data();
+  std::uint64_t* out = tables_.data() + end - words_;
+  for (std::size_t w = 0; w < words_; ++w) {
     std::uint64_t x = words[swap_pairs(static_cast<State>(w))];
     x = delta_swap(x, 0x2222222222222222ULL, 1);   // index bits 0 <-> 1
     x = delta_swap(x, 0x00f000f000f000f0ULL, 4);   // index bits 2 <-> 3
@@ -414,14 +416,27 @@ struct KindGroups {
       slot[kind].clear();
     }
   }
-  void add(const StreamGame& g, std::size_t k) {
-    const auto address = [](const Player& p) {
-      return p.coop != nullptr ? reinterpret_cast<std::uintptr_t>(p.coop)
-                               : reinterpret_cast<std::uintptr_t>(p.bits);
-    };
-    const int kind = 2 * (g.a.coop != nullptr) + (g.b.coop != nullptr);
+  /// Game k (a StreamGame or a PayoffGame).
+  template <class Game>
+  void add(const Game& g, std::size_t k) {
+    const int kind = 2 * (coop(g.a) != nullptr) + (coop(g.b) != nullptr);
     games[kind].push_back({address(g.a), address(g.b), g.rng.origin()});
     slot[kind].push_back(static_cast<std::uint32_t>(k));
+  }
+
+ private:
+  static const double* coop(const Player& p) { return p.coop; }
+  static const double* coop(const MirroredPlayer& p) { return p.coop(); }
+  static const std::uint64_t* words(const Player& p) { return p.bits; }
+  static const std::uint64_t* words(const MirroredPlayer& p) {
+    return p.mirror();
+  }
+  /// A mixed side's coop[], or a pure side's move words (a pure B of a
+  /// PayoffGame: its mirror).
+  template <class P>
+  static std::uintptr_t address(const P& p) {
+    return coop(p) != nullptr ? reinterpret_cast<std::uintptr_t>(coop(p))
+                              : reinterpret_cast<std::uintptr_t>(words(p));
   }
 };
 
@@ -513,7 +528,7 @@ void play_stream_games(std::span<const StreamGame> games, int memory,
   play_stream_games_lanes(games, memory, params, simd::stream_lanes(), out);
 }
 
-void payoff_stream_games_lanes(std::span<const StreamGame> games, int memory,
+void payoff_stream_games_lanes(std::span<const PayoffGame> games, int memory,
                                const IpdParams& params, int lanes,
                                std::span<double> out) {
   EGT_REQUIRE(out.size() >= games.size());
@@ -533,7 +548,7 @@ void payoff_stream_games_lanes(std::span<const StreamGame> games, int memory,
   }
 }
 
-void payoff_stream_games(std::span<const StreamGame> games, int memory,
+void payoff_stream_games(std::span<const PayoffGame> games, int memory,
                          const IpdParams& params, std::span<double> out) {
   payoff_stream_games_lanes(games, memory, params, simd::stream_lanes(), out);
 }

@@ -47,7 +47,7 @@
 //    8 interleaved scalar lanes otherwise, all bitwise identical to the
 //    loop. The fitness tier's entry, payoff_stream_games, is its
 //    payoff-only twin: A's payoff alone, with a pure B read at A's state
-//    through its mirrored move table (mirror_moves), bitwise equal to
+//    through its mirrored move table (MirrorTables), bitwise equal to
 //    play_stream_games' payoff_a.
 #pragma once
 
@@ -163,15 +163,50 @@ constexpr std::size_t move_words(int memory) noexcept {
   return (num_states(memory) + 63) / 64;
 }
 
-/// The mirrored move table of a pure strategy: bit s of `out` is bit
-/// swap_pairs(s) of `words`, both move_words(memory) long. A game's B
-/// history is always A's with each round's two bits swapped (both start at
-/// 0), so B's move is bit sa of its mirror, where sa is A's state. Built
-/// word-wise: state s is bit s & 63 of word s >> 6, so the mirror permutes
-/// the words by swap_pairs of the word index and each word's bits by three
-/// delta swaps.
-void mirror_moves(const std::uint64_t* words, int memory,
-                  std::uint64_t* out) noexcept;
+/// A B as the payoff-only kernel reads it: a pure B's mirrored move table
+/// (bit s is bit swap_pairs(s) of B's table), or a mixed B's cooperation
+/// probabilities. A game's B history is always A's with each round's two
+/// bits swapped (both start at 0), so a pure B's move is bit sa of its
+/// mirror, where sa is A's state. Only MirrorTables makes a pure one, so a
+/// B's own table cannot stand in for its mirror.
+class MirroredPlayer {
+ public:
+  static MirroredPlayer of(const MixedStrategy& s) noexcept {
+    return MirroredPlayer(nullptr, s.probs().data());
+  }
+  const std::uint64_t* mirror() const noexcept { return mirror_; }
+  const double* coop() const noexcept { return coop_; }
+
+ private:
+  friend class MirrorTables;
+  MirroredPlayer(const std::uint64_t* mirror, const double* coop) noexcept
+      : mirror_(mirror), coop_(coop) {}
+  const std::uint64_t* mirror_;
+  const double* coop_;
+};
+
+/// The mirrored move tables of pure strategies of one memory depth, one per
+/// numbered slot. Each is built word-wise: state s is bit s & 63 of word
+/// s >> 6, so the mirror permutes the words by swap_pairs of the word index
+/// and each word's bits by three delta swaps.
+class MirrorTables {
+ public:
+  MirrorTables() = default;
+  explicit MirrorTables(int memory) noexcept : words_(move_words(memory)) {}
+
+  void reserve(std::size_t slots) { tables_.reserve(words_ * slots); }
+  /// Slot k := the mirror of s (of this store's memory depth); the store
+  /// grows to at least k + 1 slots, and a slot never set reads zeros.
+  void set(std::size_t k, const PureStrategy& s);
+  /// Slot k as a payoff-only B; valid until the next set().
+  MirroredPlayer operator[](std::size_t k) const noexcept {
+    return MirroredPlayer(tables_.data() + words_ * k, nullptr);
+  }
+
+ private:
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> tables_;
+};
 
 /// One sampled game: both players and the stream the round loop would
 /// draw from (the kernel reads it from its current position and does not
@@ -191,13 +226,20 @@ struct StreamGame {
 void play_stream_games(std::span<const StreamGame> games, int memory,
                        const IpdParams& params, std::span<GameResult> out);
 
+/// One game of the payoff-only kernel: a StreamGame whose B is read
+/// through its mirror.
+struct PayoffGame {
+  Player a;
+  MirroredPlayer b;
+  util::StreamRng rng;
+};
+
 /// Payoff-only twin of play_stream_games, the fitness tier's entry:
-/// out[k] = games[k]'s payoff_a under play_stream_games, bitwise, at the
-/// width simd::stream_lanes() names, where a pure games[k].b is given by
-/// its mirrored move table (Player{mirror_moves of B's table, nullptr})
-/// and a mixed one as usual. Every game plays in the lanes, deterministic
-/// ones (both pure, zero noise) too. `out.size() >= games.size()`.
-void payoff_stream_games(std::span<const StreamGame> games, int memory,
+/// out[k] = the payoff_a play_stream_games gives games[k] (with B's own
+/// Player), bitwise, at the width simd::stream_lanes() names. Every game
+/// plays in the lanes, deterministic ones (both pure, zero noise) too.
+/// `out.size() >= games.size()`.
+void payoff_stream_games(std::span<const PayoffGame> games, int memory,
                          const IpdParams& params, std::span<double> out);
 
 // Draw layout: round r of a game takes draws r * per_round + 1 ..
@@ -239,7 +281,7 @@ void play_stream_games_lanes(std::span<const StreamGame> games, int memory,
                              std::span<GameResult> out);
 
 // Internal: payoff_stream_games at an explicit width, gated as above.
-void payoff_stream_games_lanes(std::span<const StreamGame> games, int memory,
+void payoff_stream_games_lanes(std::span<const PayoffGame> games, int memory,
                                const IpdParams& params, int lanes,
                                std::span<double> out);
 

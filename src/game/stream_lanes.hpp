@@ -5,21 +5,23 @@
 // stream, mix64(origin + kGamma * k) for draw k; reads each side's move (a
 // pure side's bit of its packed move table, a mixed side's test
 // (x >> 11) * 2^-53 < coop[state], exact at every width); XORs the noise
-// flips, (x >> 11) < noise_threshold, into the outcome; and adds the
-// round's payoffs in round order. There is no FMA and no reassociation, so
+// flips into the outcome; and adds the round's payoffs in round order. There is no FMA and no reassociation, so
 // every lane equals the IpdEngine round loop bit for bit under any payoff
 // matrix, at every width. Cooperation is counted as defections packed in
 // one word (A's in the low 32 bits, B's above; rounds < 2^32, no carry).
 //
+// The noise test, the loop's (x >> 11) < noise_threshold, is made as
+// x <= (noise_threshold << 11) - 1 without the shift of the draw: exact for
+// every threshold in [1, 2^53], noise 1 included (there the bound wraps to
+// 2^64 - 1).
+//
 // The payoff-only form (the fitness tier's, Totals = false) computes A's
-// payoff alone: no B payoff, no defection count, and the noise test
-// x <= (noise_threshold << 11) - 1 without the shift of the draw (exact for
-// every threshold in [1, 2^53], noise 1 included: there the bound wraps to
-// 2^64 - 1). B's history is always A's with each round's two bits swapped,
-// so a pure B reads its move at A's state from its mirrored table
-// (mirror[s] = table[swap_pairs(s)], batch::mirror_moves): B's state, its
-// update and its own address arithmetic go, and both gathers share one
-// word offset and one rotate count. A mixed B keeps its own state.
+// payoff alone: no B payoff and no defection count. B's history is always
+// A's with each round's two bits swapped, so a pure B reads its move at A's
+// state from its mirrored table (mirror[s] = table[swap_pairs(s)],
+// batch::MirrorTables): B's state, its update and its own address
+// arithmetic go, and both gathers share one word offset and one rotate
+// count. A mixed B keeps its own state.
 //
 // One group of lanes is bound by the round's dependency chain (state ->
 // table address -> gather -> move bit -> outcome -> state); two groups
@@ -135,10 +137,9 @@ struct ScalarLane {
         reinterpret_cast<const double*>(static_cast<std::uintptr_t>(coop));
     return static_cast<double>(x >> 11) * 0x1.0p-53 < p[s] ? 0u : 1u;
   }
-  /// f ^ 1 where (x >> 11) < thr (the loop's bernoulli(noise)).
-  static I flip(I f, I x, I thr) { return f ^ ((x >> 11) < thr ? 1u : 0u); }
-  /// The same test as x <= lim, lim = (thr << 11) - 1 mod 2^64.
-  static I flip_at_most(I f, I x, I lim) { return f ^ (x <= lim ? 1u : 0u); }
+  /// f ^ 1 where x <= lim, lim = (thr << 11) - 1 mod 2^64 for the loop's
+  /// bernoulli(noise) test (x >> 11) < thr.
+  static I flip(I f, I x, I lim) { return f ^ (x <= lim ? 1u : 0u); }
 };
 
 }  // namespace
@@ -220,15 +221,13 @@ struct YmmLanes {
     const D coop_lane = _mm256_cmp_pd(u, p, _CMP_LT_OQ);
     return _mm256_andnot_si256(_mm256_castpd_si256(coop_lane), set1(1));
   }
-  /// (x >> 11) and thr are below 2^63, so the signed compare is exact.
-  static I flip(I f, I x, I thr) {
-    return bxor(f, shr<63>(_mm256_cmpgt_epi64(thr, shr<11>(x))));
-  }
   /// AVX2 compares only signed: x <= lim would cost a sign flip of x, as
-  /// many µops as the shift, so this keeps flip's test with the
-  /// loop-invariant thr = (lim >> 11) + 1.
-  static I flip_at_most(I f, I x, I lim) {
-    return flip(f, x, add(shr<11>(lim), set1(1)));
+  /// many µops as the shift, so this tests (x >> 11) < thr with the
+  /// loop-invariant thr = (lim >> 11) + 1. Both sides are below 2^63, so
+  /// the signed compare is exact.
+  static I flip(I f, I x, I lim) {
+    const I thr = add(shr<11>(lim), set1(1));
+    return bxor(f, shr<63>(_mm256_cmpgt_epi64(thr, shr<11>(x))));
   }
 };
 
@@ -294,11 +293,7 @@ struct ZmmLanes {
     const __mmask8 coop_lane = _mm512_cmp_pd_mask(u, p, _CMP_LT_OQ);
     return _mm512_maskz_mov_epi64(static_cast<__mmask8>(~coop_lane), set1(1));
   }
-  static I flip(I f, I x, I thr) {
-    const __mmask8 m = _mm512_cmplt_epu64_mask(shr<11>(x), thr);
-    return _mm512_mask_xor_epi64(f, m, f, set1(1));
-  }
-  static I flip_at_most(I f, I x, I lim) {
+  static I flip(I f, I x, I lim) {
     const __mmask8 m = _mm512_cmple_epu64_mask(x, lim);
     return _mm512_mask_xor_epi64(f, m, f, set1(1));
   }
@@ -354,10 +349,9 @@ inline void stream_groups(const StreamLanes& in, std::size_t k,
   }
   const I step = Ops::set1(kStreamGamma * kPerRound);
   const I mask = Ops::set1(in.state_mask);
-  // The totals kernel's noise threshold, or the payoff-only bound
-  // (thr << 11) - 1, which wraps to 2^64 - 1 at thr = 2^53 (noise 1).
-  const I thr = Ops::set1(Totals ? in.noise_threshold
-                                 : (in.noise_threshold << 11) - 1);
+  // The noise bound (thr << 11) - 1, which wraps to 2^64 - 1 at
+  // thr = 2^53 (noise 1).
+  const I lim = Ops::set1((in.noise_threshold << 11) - 1);
   const typename Ops::Table tab_a = Ops::table(in.pay_a);
   const typename Ops::Table tab_b = Ops::table(in.pay_b);
   const auto draw = [](I c, int slot) {
@@ -370,9 +364,6 @@ inline void stream_groups(const StreamLanes& in, std::size_t k,
     z = Ops::mul(z, Ops::set1(kMix2));
     return Ops::bxor(z, Ops::template shr<31>(z));
   };
-  const auto flip = [&thr](I f, I x) {
-    return Totals ? Ops::flip(f, x, thr) : Ops::flip_at_most(f, x, thr);
-  };
 
   for (std::uint32_t r = 0; r < in.rounds; ++r) {
 #pragma GCC unroll 8
@@ -383,8 +374,8 @@ inline void stream_groups(const StreamLanes& in, std::size_t k,
       I fb = MixB ? Ops::mixed_defects(tb[g], sb[g], draw(ctr[g], kMoveB))
                   : Ops::pure_defects(tb[g], kOwnStateB ? sb[g] : sa[g]);
       if constexpr (Noisy) {
-        fa = flip(fa, draw(ctr[g], kNoiseA));
-        fb = flip(fb, draw(ctr[g], kNoiseA + 1));
+        fa = Ops::flip(fa, draw(ctr[g], kNoiseA), lim);
+        fb = Ops::flip(fb, draw(ctr[g], kNoiseA + 1), lim);
       }
       // o = 2 * (A defects) + (B defects); B sees it mirrored.
       const I o = Ops::bor(Ops::template shl<1>(fa), fb);

@@ -16,8 +16,8 @@ Population::Population(std::vector<game::Strategy> strategies)
     EGT_REQUIRE_MSG(s.memory() == memory,
                     "all SSets must share one memory depth");
   }
-  mirror_words_ = game::batch::move_words(memory);
-  mirrors_.reserve(mirror_words_ * strategies_.size());
+  mirrors_ = game::batch::MirrorTables(memory);
+  mirrors_.reserve(strategies_.size());
   class_of_.reserve(strategies_.size());
   for (const auto& s : strategies_) class_of_.push_back(intern(s));
 }
@@ -96,12 +96,8 @@ ClassId Population::intern(game::Strategy s) {
 }
 
 void Population::refresh_mirror(ClassId c) {
-  const std::size_t need = mirror_words_ * (static_cast<std::size_t>(c) + 1);
-  if (mirrors_.size() < need) mirrors_.resize(need, 0);
   const game::Strategy& s = classes_[c].strategy;
-  if (!s.is_pure()) return;
-  game::batch::mirror_moves(s.as_pure().table().words().data(), s.memory(),
-                            mirrors_.data() + need - mirror_words_);
+  if (s.is_pure()) mirrors_.set(c, s.as_pure());
 }
 
 void Population::refresh_mem1(ClassId c) {

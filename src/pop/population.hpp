@@ -25,6 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "game/batch.hpp"
 #include "game/strategy.hpp"
 #include "util/rng.hpp"
 
@@ -108,11 +109,11 @@ class Population {
     return mem1_probs_.data() + 4 * static_cast<std::size_t>(c);
   }
 
-  /// Class `c`'s mirrored move table (game::batch::mirror_moves), what the
-  /// payoff-only sampled kernel reads for a pure B. Only valid when the
+  /// Class `c` as the payoff-only sampled kernel reads a pure B: its
+  /// mirrored move table (game::batch::MirrorTables). Only valid when the
   /// class is a live pure binary strategy; kept current by intern.
-  const std::uint64_t* mirror(ClassId c) const noexcept {
-    return mirrors_.data() + mirror_words_ * static_cast<std::size_t>(c);
+  game::batch::MirroredPlayer mirror(ClassId c) const noexcept {
+    return mirrors_[c];
   }
 
  private:
@@ -135,10 +136,9 @@ class Population {
   // only where mem1_valid_[c] != 0.
   std::vector<double> mem1_probs_;
   std::vector<std::uint8_t> mem1_valid_;
-  // mirrors_[mirror_words_ * c, + mirror_words_) = class c's mirrored move
-  // table, valid only where class c is a live pure strategy.
-  std::size_t mirror_words_ = 0;
-  std::vector<std::uint64_t> mirrors_;
+  // mirrors_[c] = class c's mirrored move table, valid only where class c
+  // is a live pure strategy.
+  game::batch::MirrorTables mirrors_;
 };
 
 }  // namespace egt::pop

@@ -386,10 +386,12 @@ void check_stream_payoff_widths(KernelReport& report, util::Xoshiro256& rng) {
   }
   for (int iter = 0; iter < 82; ++iter) {
     const std::size_t n = static_cast<std::size_t>(iter) % 41;
+    // Each kind meets both integral and fractional payoffs.
     const int kind = iter % 4;
+    const bool integral = iter / 4 % 2 == 0;
     const int memory =
         static_cast<int>(util::uniform_below(rng, game::kMaxMemory + 1));
-    const game::IpdParams params{sample_payoff(rng, iter % 2 == 0),
+    const game::IpdParams params{sample_payoff(rng, integral),
                                  kRounds[util::uniform_below(rng, 5)],
                                  kNoise[util::uniform_below(rng, 4)]};
     std::vector<game::Strategy> as, bs;
@@ -406,14 +408,17 @@ void check_stream_payoff_widths(KernelReport& report, util::Xoshiro256& rng) {
     const std::vector<game::batch::StreamGame> games =
         stream_games(as, bs, rng);
     // The payoff-only kernel reads a pure B through its mirrored table.
-    std::vector<game::batch::StreamGame> mirrored = games;
-    std::vector<std::uint64_t> mirrors(n * game::batch::move_words(memory));
+    game::batch::MirrorTables mirrors(memory);
     for (std::size_t k = 0; k < n; ++k) {
-      if (!bs[k].is_pure()) continue;
-      std::uint64_t* m = mirrors.data() + k * game::batch::move_words(memory);
-      game::batch::mirror_moves(bs[k].as_pure().table().words().data(),
-                                memory, m);
-      mirrored[k].b = {m, nullptr};
+      if (bs[k].is_pure()) mirrors.set(k, bs[k].as_pure());
+    }
+    std::vector<game::batch::PayoffGame> mirrored;
+    for (std::size_t k = 0; k < n; ++k) {
+      mirrored.push_back(
+          {games[k].a,
+           bs[k].is_pure() ? mirrors[k]
+                           : game::batch::MirroredPlayer::of(bs[k].as_mixed()),
+           games[k].rng});
     }
     for (std::size_t w = 0; w < widths.size(); ++w) {
       KernelCheck& c = checks[w];

@@ -505,19 +505,21 @@ TEST(SampledLaneKernel, DispatchFollowsStreamLanes) {
   simd::set_force_scalar(forced);
 }
 
-/// games with each pure B replaced by its mirrored move table, as the
-/// payoff-only kernel reads it; `mirrors` owns the tables.
-std::vector<StreamGame> mirrored_games(
-    const std::vector<StreamGame>& games, const std::vector<Strategy>& bs,
-    int memory, std::vector<std::vector<std::uint64_t>>& mirrors) {
-  std::vector<StreamGame> out = games;
-  mirrors.assign(games.size(), {});
+/// games as the payoff-only kernel reads them: each pure B through its
+/// mirrored move table; `mirrors` owns the tables.
+std::vector<PayoffGame> payoff_games(const std::vector<StreamGame>& games,
+                                     const std::vector<Strategy>& bs,
+                                     int memory, MirrorTables& mirrors) {
+  mirrors = MirrorTables(memory);
   for (std::size_t k = 0; k < games.size(); ++k) {
-    if (!bs[k].is_pure()) continue;
-    mirrors[k].resize(move_words(memory));
-    mirror_moves(bs[k].as_pure().table().words().data(), memory,
-                 mirrors[k].data());
-    out[k].b = Player{mirrors[k].data(), nullptr};
+    if (bs[k].is_pure()) mirrors.set(k, bs[k].as_pure());
+  }
+  std::vector<PayoffGame> out;
+  for (std::size_t k = 0; k < games.size(); ++k) {
+    out.push_back({games[k].a,
+                   bs[k].is_pure() ? mirrors[k]
+                                   : MirroredPlayer::of(bs[k].as_mixed()),
+                   games[k].rng});
   }
   return out;
 }
@@ -529,9 +531,9 @@ bool same_double(double x, double y) {
 // The payoff-only kernel against the totals kernel's pay_a, bit for bit,
 // at every width this build and CPU have: all four player kinds, memory
 // 0-6, noise {0, 0.02, 0.25, 1} (1: the wrapped noise bound), rounds
-// {1, 2, 7, 200}, integral and fractional payoffs, and batch sizes cycling
-// through 0..40; then every batch 0..40 of each kind, which reaches every
-// full-group and remainder path of every width.
+// {1, 2, 7, 200}, each under integral and fractional payoffs, and batch
+// sizes cycling through 0..40; then every batch 0..40 of each kind, which
+// reaches every full-group and remainder path of every width.
 TEST(SampledPayoffKernel, BitIdenticalToTotalsPayA) {
   util::Xoshiro256 gen(29);
   const PayoffMatrix fractional{2.5, -0.25, 4.125, 0.75};
@@ -552,9 +554,9 @@ TEST(SampledPayoffKernel, BitIdenticalToTotalsPayA) {
       games.push_back({Player::of(as[k]), Player::of(bs[k]),
                        util::StreamRng(gen(), gen())});
     }
-    std::vector<std::vector<std::uint64_t>> mirrors;
-    const std::vector<StreamGame> pay_games =
-        mirrored_games(games, bs, memory, mirrors);
+    MirrorTables mirrors;
+    const std::vector<PayoffGame> pay_games =
+        payoff_games(games, bs, memory, mirrors);
     for (const int lanes : stream_widths()) {
       std::vector<GameResult> want(n);
       std::vector<double> got(n, -1.0);
@@ -573,9 +575,10 @@ TEST(SampledPayoffKernel, BitIdenticalToTotalsPayA) {
     for (const double noise : {0.0, 0.02, 0.25, 1.0}) {
       for (const std::uint32_t rounds : {1u, 2u, 7u, 200u}) {
         for (int kind = 0; kind < 4; ++kind) {
-          compare(memory, noise, rounds, kind,
-                  cycle % 2 ? fractional : kPayoff, cycle % (kGames + 1));
-          ++cycle;
+          for (const PayoffMatrix& payoff : {kPayoff, fractional}) {
+            compare(memory, noise, rounds, kind, payoff, cycle % (kGames + 1));
+            ++cycle;
+          }
         }
       }
     }
@@ -594,9 +597,9 @@ TEST(SampledPayoffKernel, DispatchFollowsStreamLanes) {
   util::Xoshiro256 gen(13);
   const IpdParams params{kPayoff, 200, 0.02};
   const StreamCase c(21, 6, gen);
-  std::vector<std::vector<std::uint64_t>> mirrors;
-  const std::vector<StreamGame> games =
-      mirrored_games(c.games(), c.b, 6, mirrors);
+  MirrorTables mirrors;
+  const std::vector<PayoffGame> games =
+      payoff_games(c.games(), c.b, 6, mirrors);
   const bool forced = simd::force_scalar();
   for (const bool force : {false, true}) {
     simd::set_force_scalar(forced || force);

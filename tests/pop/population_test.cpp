@@ -189,7 +189,7 @@ void expect_mirrors_current(const Population& p) {
   for (SSetId i = 0; i < p.size(); ++i) {
     const game::Strategy& s = p.strategy(i);
     if (!s.is_pure()) continue;
-    const std::uint64_t* mirror = p.mirror(p.strategy_class(i));
+    const std::uint64_t* mirror = p.mirror(p.strategy_class(i)).mirror();
     for (game::State st = 0; st < s.states(); ++st) {
       const bool bit = ((mirror[st >> 6] >> (st & 63)) & 1u) != 0;
       ASSERT_EQ(bit, s.as_pure().table().get(game::swap_pairs(st)))
